@@ -121,9 +121,7 @@ def setup_major_gc() -> Callable[[], None]:
 
 def setup_charge_trace() -> Callable[[], None]:
     """Bulk visit charging over 4 096 eden objects plus 64 old-gen RDD
-    arrays — the mark/trace shape of the cost plane.  Measures whichever
-    plane ``VECTORISED_COST_PLANE`` selects, so an off/on pair of runs
-    is the A/B speedup measurement (see docs/PERF.md)."""
+    arrays — the mark/trace shape of the cost plane."""
     stack = make_stack(PolicyName.PANTHERA)
     objs = [stack.heap.new_object(ObjKind.DATA, 256) for _ in range(4096)]
     objs.extend(
@@ -139,13 +137,8 @@ def setup_charge_trace() -> Callable[[], None]:
 
 
 def setup_charge_rows() -> Callable[[], None]:
-    """Wave settling of 256 single-device accesses — the shuffle-wave
-    shape of the cost plane.  The vectorised plane settles them through
-    ``Machine.run_rows``; the scalar plane replays one ``access()`` call
-    per row (the two are byte-identical; this measures the difference in
-    wall time)."""
-    from repro.gc import charging as _charging
-
+    """Wave settling of 256 single-device accesses through
+    ``Machine.run_rows`` — the shuffle-wave shape of the cost plane."""
     stack = make_stack(PolicyName.PANTHERA)
     machine = stack.machine
     rows = [
@@ -156,20 +149,7 @@ def setup_charge_rows() -> Callable[[], None]:
     ] * 64
 
     def settle() -> None:
-        if _charging.VECTORISED_COST_PLANE:
-            machine.run_rows(rows, threads=8)
-            return
-        access = machine.access
-        for device, rb, wb, rr, rw, cpu in rows:
-            access(
-                device,
-                read_bytes=rb,
-                write_bytes=wb,
-                random_reads=rr,
-                random_writes=rw,
-                threads=8,
-                cpu_ns=cpu,
-            )
+        machine.run_rows(rows, threads=8)
 
     return settle
 
@@ -251,14 +231,6 @@ QUICK_EXPERIMENT_CELLS = [("PR", PolicyName.PANTHERA)]
 SERTIER_CELLS = [
     ("sertier.KM.object", "MEMORY_ONLY"),
     ("sertier.KM.serialized", "MEMORY_ONLY_SER"),
-]
-#: The columnar-plane A/B pair: the same KM cell executed with
-#: whole-batch kernels (``COLUMNAR_DATA_PLANE`` on) vs per-record UDF
-#: calls (flag off).  Simulated results are byte-identical by the house
-#: rule; the wall-time gap is the speedup the plane buys.
-COLUMNAR_CELLS = [
-    ("experiment.KM.columnar", True),
-    ("experiment.KM.record", False),
 ]
 #: Experiment cells run at paper scale 1.0 (up from 0.02 before the
 #: data-plane overhaul) so the gate actually measures per-record costs.
@@ -417,41 +389,6 @@ def run_sertier_bench(
         ),
         rounds,
     )
-    return {
-        "name": name,
-        "kind": "experiment",
-        "rounds": max(1, rounds),
-        "wall_s": best_wall,
-        "sim_s": result.elapsed_s,
-        "sim_per_wall": result.elapsed_s / best_wall if best_wall > 0 else 0.0,
-        "minor_gcs": result.minor_gcs,
-        "major_gcs": result.major_gcs,
-    }
-
-
-def run_columnar_bench(
-    name: str, enabled: bool, rounds: int = EXPERIMENT_ROUNDS
-) -> Dict[str, Any]:
-    """Measure one columnar-plane A/B cell (KM with the flag forced);
-    returns its record.  Same protocol as the experiment cells."""
-    from repro.spark import columnar as _columnar
-
-    config = paper_config(64, 1 / 3, PolicyName.PANTHERA, EXPERIMENT_SCALE)
-
-    def cell():
-        saved = _columnar.COLUMNAR_DATA_PLANE
-        _columnar.COLUMNAR_DATA_PLANE = enabled
-        try:
-            return run_experiment(
-                "KM",
-                config,
-                scale=EXPERIMENT_SCALE,
-                workload_kwargs={"iterations": EXPERIMENT_ITERATIONS},
-            )
-        finally:
-            _columnar.COLUMNAR_DATA_PLANE = saved
-
-    best_wall, result = _timed_best_of(cell, rounds)
     return {
         "name": name,
         "kind": "experiment",
@@ -680,12 +617,6 @@ def run_bench_suite(
             records.append(record)
             _emit_experiment(record)
 
-    def columnar_suite() -> None:
-        for name, enabled in COLUMNAR_CELLS:
-            record = run_columnar_bench(name, enabled)
-            records.append(record)
-            _emit_experiment(record)
-
     def cluster_suite() -> None:
         cluster_cells = QUICK_CLUSTER_CELLS if quick else CLUSTER_CELLS
         for suffix, executors, max_jobs in cluster_cells:
@@ -700,7 +631,6 @@ def run_bench_suite(
     run_suite("micro", micro_suite)
     run_suite("experiment", experiment_suite)
     run_suite("sertier", sertier_suite)
-    run_suite("columnar", columnar_suite)
     run_suite("cluster", cluster_suite)
     if scale_sweep:
         run_suite(

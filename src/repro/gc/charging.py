@@ -1,4 +1,4 @@
-"""Batched and vectorised GC cost charging.
+"""Column-batched GC cost charging.
 
 The GC phases charge per-object costs (trace visits, card-scan streams,
 evacuation copies) to a :class:`~repro.memory.machine.TrafficSet`.  Doing
@@ -7,44 +7,31 @@ path of the simulator: each call pays keyword marshalling, a dict
 ``setdefault`` and four attribute updates for what is arithmetically just
 "+= a few integers".
 
-Two layered optimisations remove that overhead, each behind its own A/B
-flag so byte-identity can be *proven* rather than assumed:
+:class:`ChargeAccumulator` instead stores one phase's charges as parallel
+``(device*4 + kind, amount)`` columns — :class:`ChargeColumns`,
+``array``-module buffers with a numpy reduction when numpy is importable
+— and the GC phases charge *runs* of objects in bulk
+(:meth:`ChargeAccumulator.visit_all`) instead of one Python call per
+object.  ``flush`` settles the columns into per-device sums and deposits
+them with one ``TrafficSet.add`` per device per phase.
 
-* :data:`BATCHED_DEPOSITS` (PR 4): :class:`ChargeAccumulator` batches
-  increments into plain per-device ``[read_bytes, write_bytes,
-  random_reads, random_writes]`` lists and deposits them with *one*
-  ``TrafficSet.add`` per device per phase.  Setting the flag to False
-  makes the accumulator flush after every charge, reproducing the
-  historical per-object call pattern exactly.
-* :data:`VECTORISED_COST_PLANE` (this PR): the accumulator stores charges
-  as parallel ``(device*4 + kind, amount)`` columns —
-  :class:`ChargeColumns`, ``array``-module buffers with a numpy reduction
-  when numpy is importable — and the GC phases charge *runs* of objects
-  in bulk (:meth:`ChargeAccumulator.visit_all`) instead of one Python
-  call per object.  ``flush`` settles the columns into per-device sums
-  and deposits them once per device per phase.
-
-Both rewrites are bit-identical to per-object depositing:
+This is bit-identical to depositing every charge on its own:
 
 * all increments are integers (object sizes, header bytes, access
   counts), so the per-device sums are exact regardless of addition order;
 * devices are deposited in first-touch order — the columns preserve row
-  order, so the first row naming a device coincides with the legacy
-  path's first ``dict`` insertion — and the ``TrafficSet``'s dict
-  insertion order, which downstream float reductions iterate in, matches
-  the per-object path.
+  order, so the first row naming a device is where a per-charge deposit
+  would first have inserted it — and the ``TrafficSet``'s dict insertion
+  order, which downstream float reductions iterate in, matches.
 
-The byte-identity regression tests (``tests/test_perf_overhaul.py`` and
-``tests/test_costplane.py``) run traced + faulted experiments under both
-settings of each flag and compare trace JSONL, GC logs, bandwidth series
-and action checksums byte for byte.
+The golden-digest corpus (``tests/golden/``) pins the resulting GC logs,
+traces and bandwidth series byte for byte, with and without numpy.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.config import DeviceKind
 from repro.errors import GCError
@@ -56,26 +43,10 @@ try:  # numpy accelerates the column reduction; the array fallback is exact
 except ImportError:  # pragma: no cover - exercised via the fallback path
     _np = None
 
-#: When True (the default), charges are deposited once per device per
-#: phase; when False, after every charge (the legacy call pattern).
-#: Outputs are byte-identical either way — this flag exists so tests can
-#: prove that.
-BATCHED_DEPOSITS = True
-
-#: When True (the default), accumulators store charges as parallel
-#: (device, kind, amount) columns and the GC phases charge object *runs*
-#: in bulk; when False, the scalar per-device-list path of the batching
-#: overhaul runs instead.  Outputs are byte-identical either way.  The
-#: environment variable ``REPRO_VECTORISED_COST_PLANE`` (``0``/``1``)
-#: overrides the default at import time, which is how the CI
-#: ``cost-plane-identity`` job forces each plane in a fresh process.
-VECTORISED_COST_PLANE = os.environ.get(
-    "REPRO_VECTORISED_COST_PLANE", "1"
-) not in ("0", "false", "off")
-
 #: Charge-kind codes within one device's column block; the order matches
-#: the ``[read_bytes, write_bytes, random_reads, random_writes]`` entry
-#: lists of the scalar path and the keyword order of ``TrafficSet.add``.
+#: the ``[read_bytes, write_bytes, random_reads, random_writes]`` totals
+#: :meth:`ChargeColumns.reduce` returns and the keyword order of
+#: ``TrafficSet.add``.
 KIND_READ = 0
 KIND_WRITE = 1
 KIND_RANDOM_READ = 2
@@ -156,57 +127,23 @@ class ChargeColumns:
 
 
 class ChargeAccumulator:
-    """Accumulates one GC phase's per-device traffic, then deposits it
-    into the phase's :class:`~repro.memory.machine.TrafficSet`.
+    """Accumulates one GC phase's per-device traffic as charge columns,
+    then deposits it into the phase's
+    :class:`~repro.memory.machine.TrafficSet`.
 
     Args:
         traffic: the phase batch to deposit into.
-        batched: deposit once per phase (True) or after every charge
-            (False).  Defaults to :data:`BATCHED_DEPOSITS`.
-        vectorised: store charges as columns and enable the bulk
-            primitives (True) or keep the scalar per-device lists
-            (False).  Defaults to :data:`VECTORISED_COST_PLANE`.
-            Per-charge flushing (``batched=False``) forces the scalar
-            path — a column that settles after every row is pure
-            overhead, and the legacy plane is the identity oracle.
     """
 
-    __slots__ = (
-        "traffic",
-        "_by_device",
-        "_batched",
-        "_vectorised",
-        "_cols",
-        "_code_append",
-        "_amount_append",
-    )
+    __slots__ = ("traffic", "_cols", "_code_append", "_amount_append")
 
-    def __init__(
-        self,
-        traffic: TrafficSet,
-        batched: Optional[bool] = None,
-        vectorised: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, traffic: TrafficSet) -> None:
         self.traffic = traffic
-        #: device -> [read_bytes, write_bytes, random_reads, random_writes],
-        #: in first-touch order (dicts preserve insertion order).
-        self._by_device: Dict[DeviceKind, List[int]] = {}
-        self._batched = BATCHED_DEPOSITS if batched is None else batched
-        self._vectorised = (
-            VECTORISED_COST_PLANE if vectorised is None else vectorised
-        ) and self._batched
-        self._cols: Optional[ChargeColumns] = None
-        if self._vectorised:
-            cols = self._cols = ChargeColumns()
-            # Bound appends: clear() empties the buffers in place, so
-            # these stay valid across flushes.
-            self._code_append = cols.codes.append
-            self._amount_append = cols.amounts.append
-
-    @property
-    def vectorised(self) -> bool:
-        """Whether this accumulator runs the column (vectorised) plane."""
-        return self._vectorised
+        cols = self._cols = ChargeColumns()
+        # Bound appends: clear() empties the buffers in place, so these
+        # stay valid across flushes.
+        self._code_append = cols.codes.append
+        self._amount_append = cols.amounts.append
 
     def _charge_row(self, code: int, amount: int) -> None:
         """Append one column row, coalescing into either of the last two
@@ -218,9 +155,7 @@ class ChargeAccumulator:
         The two-row lookback collapses the alternating patterns the GC
         singles produce — copy loops (src-read / dst-write), compaction
         (read / write) and repeated visits (header-read / random-read) —
-        so singles cost O(1) rows instead of O(charges), which is what
-        keeps the column plane from losing to the scalar dict on
-        phases that never charge in bulk.
+        so singles cost O(1) rows instead of O(charges).
         """
         cols = self._cols
         codes = cols.codes
@@ -235,12 +170,6 @@ class ChargeAccumulator:
         self._code_append(code)
         self._amount_append(amount)
 
-    def _entry(self, device: DeviceKind) -> List[int]:
-        entry = self._by_device.get(device)
-        if entry is None:
-            entry = self._by_device[device] = [0, 0, 0, 0]
-        return entry
-
     # -- charge primitives ----------------------------------------------
 
     def visit(self, obj: HeapObject) -> None:
@@ -252,41 +181,31 @@ class ChargeAccumulator:
         device = space.device
         if device is None:
             device = space.chunk_map.device_of(obj.addr)
-        if self._vectorised:
-            base = _DEV_BASE[device]
-            # Fast pair-merge: a previous visit on the same device left
-            # [header-read, random-read] as the last two rows.
-            cols = self._cols
-            codes = cols.codes
-            n = len(codes)
-            if (
-                n > 1
-                and codes[n - 2] == base
-                and codes[n - 1] == base + KIND_RANDOM_READ
-            ):
-                amounts = cols.amounts
-                amounts[n - 2] += HEADER_BYTES
-                amounts[n - 1] += 1
-                return
-            self._charge_row(base, HEADER_BYTES)  # KIND_READ
-            self._charge_row(base + KIND_RANDOM_READ, 1)
+        base = _DEV_BASE[device]
+        # Fast pair-merge: a previous visit on the same device left
+        # [header-read, random-read] as the last two rows.
+        cols = self._cols
+        codes = cols.codes
+        n = len(codes)
+        if n > 1 and codes[n - 2] == base and codes[n - 1] == base + KIND_RANDOM_READ:
+            amounts = cols.amounts
+            amounts[n - 2] += HEADER_BYTES
+            amounts[n - 1] += 1
             return
-        entry = self._entry(device)
-        entry[0] += HEADER_BYTES
-        entry[2] += 1
-        if not self._batched:
-            self.flush()
+        self._charge_row(base, HEADER_BYTES)  # KIND_READ
+        self._charge_row(base + KIND_RANDOM_READ, 1)
 
     def visit_all(self, objs: Sequence[HeapObject]) -> None:
         """Tracing cost of a whole visit sequence, charged in bulk.
 
-        The vectorised plane groups consecutive same-device objects into
-        one ``(n * HEADER_BYTES, n)`` run — O(runs) rows instead of
-        O(objects) dict probes, and O(1) rows for the common case of a
+        Consecutive same-device objects group into one
+        ``(n * HEADER_BYTES, n)`` run — O(runs) rows instead of
+        O(objects), and O(1) rows for the common case of a
         young-generation trace (eden and the survivors are one DRAM
-        run).  The scalar plane replays the historical per-object calls.
+        run).  Totals and first-touch order equal one :meth:`visit` per
+        object.
         """
-        if not self._vectorised or len(objs) < 12:
+        if len(objs) < 12:
             # Small segments (card-scan children, mostly 1-3 objects):
             # the coalescing single-row path beats the run-grouping
             # loop's setup.  Identical totals and first-touch order
@@ -328,15 +247,9 @@ class ChargeAccumulator:
 
     def stream_read(self, obj: HeapObject) -> None:
         """Streamed read of an object's full payload (card scanning)."""
-        if self._vectorised:
-            charge_row = self._charge_row
-            for device, nbytes in obj.space.object_traffic(obj):
-                charge_row(_DEV_BASE[device], nbytes)  # KIND_READ
-            return
+        charge_row = self._charge_row
         for device, nbytes in obj.space.object_traffic(obj):
-            self._entry(device)[0] += nbytes
-        if not self._batched:
-            self.flush()
+            charge_row(_DEV_BASE[device], nbytes)  # KIND_READ
 
     def copy(self, src_pieces, obj: HeapObject, dst_space) -> int:
         """Streamed copy of an object into ``dst_space``.
@@ -347,71 +260,46 @@ class ChargeAccumulator:
         the copying GC streams into its allocation cursor).
         """
         dst_device = dst_space.device_of(min(dst_space.top, dst_space.end - 1))
-        if self._vectorised:
-            dst_code = _DEV_BASE[dst_device] + KIND_WRITE
-            if len(src_pieces) == 1:
-                # Fast pair-merge: a previous same-shaped copy left
-                # [src-read, dst-write] as the last two rows.
-                src_device, src_bytes = src_pieces[0]
-                src_code = _DEV_BASE[src_device]
-                cols = self._cols
-                codes = cols.codes
-                n = len(codes)
-                if n > 1 and codes[n - 2] == src_code and codes[n - 1] == dst_code:
-                    amounts = cols.amounts
-                    amounts[n - 2] += src_bytes
-                    amounts[n - 1] += obj.size
-                    return obj.size
-                self._charge_row(src_code, src_bytes)
-                self._charge_row(dst_code, obj.size)
+        dst_code = _DEV_BASE[dst_device] + KIND_WRITE
+        if len(src_pieces) == 1:
+            # Fast pair-merge: a previous same-shaped copy left
+            # [src-read, dst-write] as the last two rows.
+            src_device, src_bytes = src_pieces[0]
+            src_code = _DEV_BASE[src_device]
+            cols = self._cols
+            codes = cols.codes
+            n = len(codes)
+            if n > 1 and codes[n - 2] == src_code and codes[n - 1] == dst_code:
+                amounts = cols.amounts
+                amounts[n - 2] += src_bytes
+                amounts[n - 1] += obj.size
                 return obj.size
-            charge_row = self._charge_row
-            for device, nbytes in src_pieces:
-                charge_row(_DEV_BASE[device], nbytes)  # KIND_READ
-            charge_row(dst_code, obj.size)
+            self._charge_row(src_code, src_bytes)
+            self._charge_row(dst_code, obj.size)
             return obj.size
+        charge_row = self._charge_row
         for device, nbytes in src_pieces:
-            self._entry(device)[0] += nbytes
-        self._entry(dst_device)[1] += obj.size
-        if not self._batched:
-            self.flush()
+            charge_row(_DEV_BASE[device], nbytes)  # KIND_READ
+        charge_row(dst_code, obj.size)
         return obj.size
 
     def read(self, device: DeviceKind, nbytes: int) -> None:
         """Streamed read of ``nbytes`` on one device."""
-        if self._vectorised:
-            self._charge_row(_DEV_BASE[device], nbytes)
-            return
-        self._entry(device)[0] += nbytes
-        if not self._batched:
-            self.flush()
+        self._charge_row(_DEV_BASE[device], nbytes)
 
     def write(self, device: DeviceKind, nbytes: int) -> None:
         """Streamed write of ``nbytes`` on one device."""
-        if self._vectorised:
-            self._charge_row(_DEV_BASE[device] + KIND_WRITE, nbytes)
-            return
-        self._entry(device)[1] += nbytes
-        if not self._batched:
-            self.flush()
+        self._charge_row(_DEV_BASE[device] + KIND_WRITE, nbytes)
 
     # -- deposit ---------------------------------------------------------
 
     def flush(self) -> None:
         """Deposit the accumulated charges into the phase batch (one
         ``TrafficSet.add`` per device, in first-touch order) and clear."""
+        cols = self._cols
+        if not cols.codes:
+            return
         add = self.traffic.add
-        if self._vectorised:
-            cols = self._cols
-            if not cols.codes:
-                return
-            for device, entry in cols.reduce():
-                add(device, entry[0], entry[1], entry[2], entry[3])
-            cols.clear()
-            return
-        by_device = self._by_device
-        if not by_device:
-            return
-        for device, entry in by_device.items():
+        for device, entry in cols.reduce():
             add(device, entry[0], entry[1], entry[2], entry[3])
-        by_device.clear()
+        cols.clear()

@@ -49,12 +49,12 @@ def run_major_gc(collector) -> None:
     move_traffic = TrafficSet()
 
     # Phase 1: mark.  Full trace over both generations.  The mark issues
-    # nothing but visit charges, so under the vectorised plane the whole
-    # phase is one `visit_all` over the mark order — same sequence, same
-    # device first-touch order, one bulk settle.
+    # nothing but visit charges, so the whole phase is one `visit_all`
+    # over the mark order — same sequence, same device first-touch
+    # order, one bulk settle.
     charges = ChargeAccumulator(mark_traffic)
     mark_order: list = []
-    note = mark_order.append if charges.vectorised else charges.visit
+    note = mark_order.append
     visited: Set[HeapObject] = set()
     stack = list(heap.iter_roots())
     while stack:

@@ -83,14 +83,13 @@ def run_minor_gc(collector) -> None:
     fresh = stuck = None
     if roots or card_table.pending_scan():
         charges = ChargeAccumulator(scan_traffic)
-        # The vectorised plane defers visit charges into `pending` and
-        # settles each segment with one bulk `visit_all` call; segments
-        # end wherever a non-visit charge (a holder's stream_read) comes
-        # next, so the charge sequence — and with it the device
-        # first-touch order — matches the per-object path exactly.  The
-        # scalar plane charges inline, the historical call pattern.
+        # Visit charges are deferred into `pending` and settled with one
+        # bulk `visit_all` call per segment; segments end wherever a
+        # non-visit charge (a holder's stream_read) comes next, so the
+        # charge sequence — and with it the device first-touch order —
+        # matches charging each visit inline.
         pending: List[HeapObject] = []
-        note = pending.append if charges.vectorised else charges.visit
+        note = pending.append
 
         def trace_young(entry: HeapObject) -> None:
             """Trace the young subgraph reachable from ``entry``."""

@@ -153,18 +153,12 @@ class PantheraPolicy(PlacementPolicy):
         )
         return spaces
 
-    def _old_dram(self, heap) -> Optional[Space]:
-        try:
-            return heap.old_space_named("old-dram")
-        except Exception:
-            return None
-
     def array_allocation_space(self, heap, tag, size) -> Space:
         """Table 1: DRAM-tagged arrays go to the DRAM component when it has
         room, otherwise NVM; NVM-tagged and untagged arrays go to NVM."""
         old_nvm = heap.old_space_named("old-nvm")
         if tag is MemoryTag.DRAM:
-            old_dram = self._old_dram(heap)
+            old_dram = heap.old_space_or_none("old-dram")
             if old_dram is not None and old_dram.free >= size:
                 return old_dram
         return old_nvm
@@ -172,7 +166,7 @@ class PantheraPolicy(PlacementPolicy):
     def promotion_space(self, heap, obj) -> Space:
         old_nvm = heap.old_space_named("old-nvm")
         if obj.memory_bits == MEMORY_BITS_DRAM:
-            old_dram = self._old_dram(heap)
+            old_dram = heap.old_space_or_none("old-dram")
             if old_dram is not None and old_dram.free >= obj.size:
                 return old_dram
         return old_nvm
@@ -197,7 +191,7 @@ class PantheraPolicy(PlacementPolicy):
         """
         if not self.config.dynamic_migration or monitor is None:
             return []
-        old_dram = self._old_dram(heap)
+        old_dram = heap.old_space_or_none("old-dram")
         old_nvm = heap.old_space_named("old-nvm")
         moves: List[Tuple[HeapObject, Space]] = []
         dram_budget = old_dram.free if old_dram is not None else 0
@@ -281,9 +275,8 @@ class KingsguardWritesPolicy(PlacementPolicy):
 
     def plan_migrations(self, heap, monitor) -> List[Tuple[HeapObject, Space]]:
         """Move write-hot NVM objects into the DRAM region."""
-        try:
-            old_dram = heap.old_space_named("old-dram")
-        except Exception:
+        old_dram = heap.old_space_or_none("old-dram")
+        if old_dram is None:
             return []
         budget = old_dram.free
         moves: List[Tuple[HeapObject, Space]] = []

@@ -46,6 +46,7 @@ import repro
 from repro.config import SystemConfig
 from repro.faults import FaultPlan
 from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.spark import storage
 
 #: Signature of the progress callback: ``fn(event)``.
 EventCallback = Callable[["EngineEvent"], None]
@@ -107,7 +108,9 @@ class ExperimentPoint:
 
         Two points share a fingerprint iff they would produce identical
         results: same workload, same configuration (every field), same
-        scale, same workload arguments, same simulator source.
+        scale, same workload arguments, same simulator source, same live
+        ``SERIALIZED_TIER`` setting (it decides where serialized persists
+        live, so it changes outputs).
 
         The dataset memo in :mod:`repro.workloads.datasets` needs no
         extra key material here: its cache key (scale, seed) is a pure
@@ -119,6 +122,7 @@ class ExperimentPoint:
             "config": self.config.to_dict(),
             "faults": self.faults.to_dict() if self.faults is not None else None,
             "scale": self.scale,
+            "serialized_tier": storage.SERIALIZED_TIER,
             "trace": self.trace,
             "workload": self.workload,
             "workload_kwargs": dict(sorted(self.workload_kwargs.items())),

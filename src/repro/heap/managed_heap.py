@@ -93,12 +93,20 @@ class ManagedHeap:
         """Eden plus the two survivor semi-spaces."""
         return [self.eden, self.survivor_from, self.survivor_to]
 
-    def old_space_named(self, name: str) -> Space:
-        """Look up an old space by name."""
+    def old_space_or_none(self, name: str) -> Optional[Space]:
+        """The old space called ``name``, or None when the layout has
+        none (e.g. no ``old-dram`` component without DRAM)."""
         for space in self.old_spaces:
             if space.name == name:
                 return space
-        raise HeapError(f"no old space named {name!r}")
+        return None
+
+    def old_space_named(self, name: str) -> Space:
+        """Look up an old space by name; raises HeapError if absent."""
+        space = self.old_space_or_none(name)
+        if space is None:
+            raise HeapError(f"no old space named {name!r}")
+        return space
 
     def in_young(self, obj: HeapObject) -> bool:
         """Whether the object currently resides in the young generation."""

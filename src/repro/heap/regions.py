@@ -37,7 +37,6 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import DeviceKind
-from repro.gc import charging as _charging
 from repro.heap.object_model import HeapObject
 from repro.heap.spaces import Space
 
@@ -300,10 +299,7 @@ class RegionManager:
             self.region_free_bytes += freed
             machine = self.heap.machine
             cpu_ns = freed * RESET_NS_PER_BYTE
-            if _charging.VECTORISED_COST_PLANE:
-                machine.run_rows(((self.job.device, 0.0, 0.0, 0, 0, cpu_ns),))
-            else:
-                machine.access(self.job.device, cpu_ns=cpu_ns)
+            machine.run_rows(((self.job.device, 0.0, 0.0, 0, 0, cpu_ns),))
             if self.heap.trace is not None:
                 self.heap.trace.region_reset(
                     self.job.name, float(freed), f"region-free rdd={block.rdd_id}"
@@ -356,13 +352,7 @@ class RegionManager:
             return 0
         machine = self.heap.machine
         cpu_ns = freed * RESET_NS_PER_BYTE
-        device = arena.device
-        # Byte-identical across cost planes: one cpu-only row vs one
-        # cpu-only access (the scheduler's gated-site pattern).
-        if _charging.VECTORISED_COST_PLANE:
-            machine.run_rows(((device, 0.0, 0.0, 0, 0, cpu_ns),))
-        else:
-            machine.access(device, cpu_ns=cpu_ns)
+        machine.run_rows(((arena.device, 0.0, 0.0, 0, 0, cpu_ns),))
         if self.heap.trace is not None:
             self.heap.trace.region_reset(arena.name, float(freed), reason)
         arena.reset()

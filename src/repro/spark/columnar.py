@@ -1,23 +1,22 @@
 """Columnar whole-stage execution for the numeric workloads.
 
-This module is the home of the data plane's fifth A/B switch,
-:data:`COLUMNAR_DATA_PLANE` (env ``REPRO_COLUMNAR_DATA_PLANE``, the
-same family as ``BATCHED_DEPOSITS`` / ``LEGACY_DATA_PLANE`` /
-``VECTORISED_COST_PLANE`` / ``SERIALIZED_TIER``).  With the flag on, a
-partition of numeric records flows through the miniature Spark as one
-:class:`ColumnBatch` — packed numpy columns extending the serialized
-tier's representation (:mod:`repro.spark.serialized`) — and workload
-UDFs with a registered kernel transform whole batches at once: the
-K-Means assign step becomes one distance matrix + ``argmin``, the LR
-gradient becomes matrix–vector products, and ``reduce_by_key`` becomes
-a stable key grouping with per-segment ordered folds.  Shuffle
-bucketing over int-key columns is one vectorised ``& 0x7FFFFFFF`` /
-``% n`` pass instead of a per-record loop.
+Whenever numpy is importable, a partition of numeric records flows
+through the miniature Spark as one :class:`ColumnBatch` — packed numpy
+columns extending the serialized tier's representation
+(:mod:`repro.spark.serialized`) — and workload UDFs with a registered
+kernel transform whole batches at once: the K-Means assign step becomes
+one distance matrix + ``argmin``, the LR gradient becomes matrix–vector
+products, and ``reduce_by_key`` becomes a stable key grouping with
+per-segment ordered folds.  Shuffle bucketing over int-key columns is
+one vectorised ``& 0x7FFFFFFF`` / ``% n`` pass instead of a per-record
+loop.  Without numpy no batch is ever built and everything runs on the
+per-record plane.
 
 The house rule is byte-identity: simulated time, GC logs, trace
 streams, bandwidth CSVs, fault checksums *and computed workload
-answers* are identical under both flag settings.  Three disciplines
-make the float kernels reproduce the record plane exactly:
+answers* are identical with and without the columnar plane (the
+golden-digest corpus checks both).  Three disciplines make the float
+kernels reproduce the record plane exactly:
 
 * **Sequential fold order.**  Every reduction replays the record
   plane's left fold: per-dimension ``acc += term`` loops and
@@ -40,11 +39,9 @@ fall back to the per-record path, so the plane is a pure optimisation.
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.spark import partition as _partition
 from repro.spark.serialized import _INT64_MAX, _INT64_MIN
 
 try:  # numpy is optional, never required
@@ -52,28 +49,15 @@ try:  # numpy is optional, never required
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
 
-#: A/B switch for the columnar execution plane.  The default (True,
-#: overridable per process with ``REPRO_COLUMNAR_DATA_PLANE=0``) packs
-#: numeric partitions into column batches and runs registered kernels
-#: over them; False restores the per-record data plane.  Results are
-#: byte-identical either way — only wall-clock time differs.
-COLUMNAR_DATA_PLANE = os.environ.get(
-    "REPRO_COLUMNAR_DATA_PLANE", "1"
-) not in ("0", "false", "off")
-
 _MASK = 0x7FFFFFFF
 
 
 def columnar_active() -> bool:
-    """Whether batches should be built: flag on, numpy importable, and
-    the legacy per-record plane not forced (the columnar plane is an
-    optimisation *of* the optimised plane; under ``LEGACY_DATA_PLANE``
-    it stands down entirely so the legacy oracle stays pristine)."""
-    return (
-        COLUMNAR_DATA_PLANE
-        and _np is not None
-        and not _partition.LEGACY_DATA_PLANE
-    )
+    """Whether batches are built and kernels run: numpy is importable.
+    Kernel registration is harmless without numpy — batches simply
+    never exist — but workloads use this to skip building kernel
+    closures."""
+    return _np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +586,6 @@ def concat_segments(segments: list):
 # ---------------------------------------------------------------------------
 # workload kernel helpers
 # ---------------------------------------------------------------------------
-
-
-def kernels_available() -> bool:
-    """Whether kernels can ever run (numpy importable).  Registration
-    is harmless without numpy — batches simply never exist — but
-    workloads use this to skip building kernel closures."""
-    return _np is not None
 
 
 def vec_matrix(column) -> Optional[Any]:

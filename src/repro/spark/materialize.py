@@ -19,7 +19,6 @@ from repro.heap.managed_heap import ManagedHeap
 from repro.heap.object_model import HeapObject, ObjKind
 from repro.memory.machine import Machine
 from repro.spark.costmodel import MutatorCosts
-from repro.spark import partition as _partition
 from repro.spark.partition import Record
 from repro.spark.storage import TaggedStorageLevel
 
@@ -227,10 +226,7 @@ class Materializer:
             arrays.append(array)
             slabs.append(partition_slabs)
         # The block shares the scheduler's partition lists: nothing in
-        # the system mutates a record list after it is built (the legacy
-        # data plane deep-copies instead).
-        if _partition.LEGACY_DATA_PLANE:
-            records_by_partition = [list(p) for p in records_by_partition]
+        # the system mutates a record list after it is built.
         return MaterializedBlock(
             rdd_id=rdd.id,
             top=top,

@@ -4,13 +4,13 @@ A record is a plain ``(key, value)`` tuple; its byte weight lives on the
 owning RDD (``bytes_per_record``), which keeps the data plane cheap while
 the cost plane stays byte-accurate.
 
-This module is also the home of the data plane's A/B switch: every
-wall-clock optimisation introduced by the scale-sweep overhaul (cached
-key hashing, one-pass bucketing, shared record batches, copy elision in
-the scheduler and materialiser) is guarded by :data:`LEGACY_DATA_PLANE`,
-mirroring ``repro.gc.charging.BATCHED_DEPOSITS``.  Flipping the flag
-restores the original per-record code paths, which is how the identity
-tests prove the optimised plane is byte-for-byte equivalent.
+Every bucket is ``_stable_hash(key) % n``.  :class:`HashPartitioner`
+computes that faster for the common key types — exact ``int`` keys
+inline, exact ``str`` keys through a per-partitioner cache — and the
+fast paths are exact: the cache stores only exact-``str`` keys, whose
+equality implies identical characters and therefore an identical
+polynomial hash, and the inline ``int`` path computes exactly what
+``_stable_hash`` computes for ints.
 """
 
 from __future__ import annotations
@@ -19,18 +19,6 @@ import math
 from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 Record = Tuple[Any, Any]
-
-#: A/B switch for the optimised data plane.  The default (False) enables
-#: cached hashing, one-pass bucketing and shared (copy-elided) record
-#: batches; True restores the original per-record implementations.
-#: Results are byte-identical either way — only wall-clock time differs —
-#: because (a) the hash cache stores only exact-``str`` keys, whose
-#: equality implies identical characters and therefore an identical
-#: polynomial hash, (b) the inline ``int`` path computes exactly what
-#: ``_stable_hash`` computes for ints, and (c) no consumer of a record
-#: list ever mutates it in place (transformations build fresh output
-#: lists), so sharing a list is observationally equal to copying it.
-LEGACY_DATA_PLANE = False
 
 #: Bound on the per-partitioner key-hash cache.  Larger key universes
 #: simply stop caching; correctness never depends on a hit.
@@ -63,8 +51,6 @@ class HashPartitioner:
 
     def partition_of(self, key: Hashable) -> int:
         """Partition index for a key."""
-        if LEGACY_DATA_PLANE:
-            return _stable_hash(key) % self.num_partitions
         tk = type(key)
         if tk is int:
             return (key & 0x7FFFFFFF) % self.num_partitions
@@ -97,10 +83,6 @@ class HashPartitioner:
         ``partition_of`` call entirely.  Bucket assignment is identical
         to ``buckets[self.partition_of(record[0])].append(record)``.
         """
-        if LEGACY_DATA_PLANE:
-            for record in records:
-                buckets[self.partition_of(record[0])].append(record)
-            return buckets
         n = self.num_partitions
         cache = self._hash_cache
         cache_get = cache.get

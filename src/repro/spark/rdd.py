@@ -15,7 +15,6 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.core.tags import MemoryTag
 from repro.errors import SparkError
 from repro.spark import columnar as _columnar
-from repro.spark import partition as _partition
 from repro.spark.partition import _MISSING, HashPartitioner, Record
 from repro.spark.storage import StorageLevel
 
@@ -208,8 +207,6 @@ class RDD:
         """Project to values (keyed by their original key for bookkeeping
         simplicity: downstream flatMaps receive (key, value) pairs)."""
         def apply_values(records: List[Record]) -> List[Record]:
-            if _partition.LEGACY_DATA_PLANE:
-                return list(records)
             return records
 
         return self._narrow(apply_values, 1.0, name, preserves=False)
@@ -275,17 +272,13 @@ class RDD:
 
         def group(records: List[Record]) -> List[Record]:
             grouped: dict = {}
-            if _partition.LEGACY_DATA_PLANE:
-                for k, v in records:
-                    grouped.setdefault(k, []).append(v)
-            else:
-                get = grouped.get
-                for k, v in records:
-                    values = get(k)
-                    if values is None:
-                        grouped[k] = [v]
-                    else:
-                        values.append(v)
+            get = grouped.get
+            for k, v in records:
+                values = get(k)
+                if values is None:
+                    grouped[k] = [v]
+                else:
+                    values.append(v)
             return list(grouped.items())
 
         return ShuffledRDD(
@@ -313,14 +306,10 @@ class RDD:
             if folded is not None:
                 return folded
             acc: dict = {}
-            if _partition.LEGACY_DATA_PLANE:
-                for k, v in records:
-                    acc[k] = fn(acc[k], v) if k in acc else v
-            else:
-                get = acc.get
-                for k, v in records:
-                    prev = get(k, _MISSING)
-                    acc[k] = v if prev is _MISSING else fn(prev, v)
+            get = acc.get
+            for k, v in records:
+                prev = get(k, _MISSING)
+                acc[k] = v if prev is _MISSING else fn(prev, v)
             return list(acc.items())
 
         return ShuffledRDD(
@@ -357,28 +346,18 @@ class RDD:
 
         def seq_fold(records: List[Record]) -> List[Record]:
             acc: dict = {}
-            if _partition.LEGACY_DATA_PLANE:
-                for k, v in records:
-                    acc[k] = seq_fn(acc[k] if k in acc else zero, v)
-            else:
-                get = acc.get
-                for k, v in records:
-                    prev = get(k, _MISSING)
-                    acc[k] = seq_fn(zero if prev is _MISSING else prev, v)
+            get = acc.get
+            for k, v in records:
+                prev = get(k, _MISSING)
+                acc[k] = seq_fn(zero if prev is _MISSING else prev, v)
             return list(acc.items())
 
         def comb_fold(records: List[Record]) -> List[Record]:
             acc: dict = {}
-            if _partition.LEGACY_DATA_PLANE:
-                for k, partial in records:
-                    acc[k] = comb_fn(acc[k], partial) if k in acc else partial
-            else:
-                get = acc.get
-                for k, partial in records:
-                    prev = get(k, _MISSING)
-                    acc[k] = (
-                        partial if prev is _MISSING else comb_fn(prev, partial)
-                    )
+            get = acc.get
+            for k, partial in records:
+                prev = get(k, _MISSING)
+                acc[k] = partial if prev is _MISSING else comb_fn(prev, partial)
             return list(acc.items())
 
         return ShuffledRDD(
@@ -558,9 +537,7 @@ class SourceRDD(RDD):
         task.charge_source_read(self, records)
         # Source partitions are shared, not copied: downstream
         # transformations build fresh output lists and never mutate
-        # their input (the legacy data plane copies anyway).
-        if _partition.LEGACY_DATA_PLANE:
-            return list(records)
+        # their input.
         if _columnar.columnar_active():
             batch = self._column_parts.get(pidx, _MISSING)
             if batch is _MISSING:
@@ -713,12 +690,7 @@ class CoGroupedRDD(RDD):
             else:
                 sides.append(task.get_records(dep.parent, pidx))
         grouped: dict = {}
-        if _partition.LEGACY_DATA_PLANE:
-            for side_idx, side in enumerate(sides):
-                for k, v in side:
-                    slots = grouped.setdefault(k, tuple([] for _ in sides))
-                    slots[side_idx].append(v)
-        elif len(sides) == 2:
+        if len(sides) == 2:
             # The join/cogroup hot path: single dict probe per record and
             # no per-record slot-tuple allocation.  Insertion order (side
             # 0 fully, then side 1) and per-slot append order match the

@@ -24,12 +24,10 @@ from repro.config import DeviceKind
 from repro.core.lineage_propagation import propagate_tags
 from repro.core.tags import MemoryTag
 from repro.errors import OutOfMemoryError, SparkError
-from repro.gc import charging as _charging
 from repro.heap.object_model import ObjKind
 from repro.heap.regions import LifetimeClass
 from repro.spark.materialize import MaterializedBlock
 from repro.spark import columnar as _columnar
-from repro.spark import partition as _partition
 from repro.spark.partition import _MISSING, Record
 from repro.spark.rdd import (
     RDD,
@@ -202,12 +200,11 @@ class Scheduler:
         # within-partition record order.
         use_columnar = _columnar.columnar_active()
         segments: List[list] = [[] for _ in range(n_out)]
-        # Under the vectorised cost plane each partition's machine
-        # charges (the combine probe and the spill write) settle as one
-        # run_rows wave; the rows replay access()'s arithmetic row by
-        # row, and nothing between them touches the machine, so clocks,
-        # counters and bandwidth windows stay byte-identical.
-        vectorised = _charging.VECTORISED_COST_PLANE
+        # Each partition's machine charges (the combine probe and the
+        # spill write) settle as one run_rows wave; the rows replay
+        # access()'s arithmetic row by row, and nothing between them
+        # touches the machine, so clocks, counters and bandwidth windows
+        # equal one access() call per charge.
         self._push_scope()
         try:
             for pidx in range(dep.parent.num_partitions):
@@ -231,20 +228,11 @@ class Scheduler:
                             # fold below, vectorised.
                             records = folded
                             n_records = len(folded)
-                        elif _partition.LEGACY_DATA_PLANE:
-                            combined = {}
-                            for k, v in records:
-                                combined[k] = (
-                                    fn(combined[k], v) if k in combined else v
-                                )
-                            records = combined.items()
-                            n_records = len(combined)
                         else:
-                            # Single dict probe per record; fn sees the
-                            # same (accumulator, value) order as before.
-                            # Streaming combined.items() straight into
-                            # the buckets skips the intermediate list
-                            # the legacy plane built (identical tuples).
+                            # Single dict probe per record, fn folding
+                            # each key's values in record order;
+                            # combined.items() streams straight into
+                            # the buckets.
                             combined = {}
                             get = combined.get
                             for k, v in records:
@@ -254,24 +242,16 @@ class Scheduler:
                                 )
                             records = combined.items()
                             n_records = len(combined)
-                    if vectorised:
-                        rows.append(
-                            (
-                                DeviceKind.DRAM,
-                                0.0,
-                                0.0,
-                                costs.hash_probes_for(in_bytes),
-                                0,
-                                in_bytes * costs.cpu_ns_per_byte / threads,
-                            )
-                        )
-                    else:
-                        self.ctx.machine.access(
+                    rows.append(
+                        (
                             DeviceKind.DRAM,
-                            random_reads=costs.hash_probes_for(in_bytes),
-                            threads=threads,
-                            cpu_ns=in_bytes * costs.cpu_ns_per_byte / threads,
+                            0.0,
+                            0.0,
+                            costs.hash_probes_for(in_bytes),
+                            0,
+                            in_bytes * costs.cpu_ns_per_byte / threads,
                         )
+                    )
                 if use_columnar:
                     _columnar.bucket_into_segments(
                         dep.partitioner, records, segments
@@ -282,25 +262,17 @@ class Scheduler:
                     n_records * dep.parent.bytes_per_record * dep.combine_factor
                 )
                 ser_bytes = out_bytes * costs.ser_factor
-                if vectorised:
-                    rows.append(
-                        (
-                            DeviceKind.DISK,
-                            0.0,
-                            ser_bytes,
-                            0,
-                            0,
-                            out_bytes * costs.cpu_ns_per_byte / threads,
-                        )
-                    )
-                    self.ctx.machine.run_rows(rows, threads=threads)
-                else:
-                    self.ctx.machine.access(
+                rows.append(
+                    (
                         DeviceKind.DISK,
-                        write_bytes=ser_bytes,
-                        threads=threads,
-                        cpu_ns=out_bytes * costs.cpu_ns_per_byte / threads,
+                        0.0,
+                        ser_bytes,
+                        0,
+                        0,
+                        out_bytes * costs.cpu_ns_per_byte / threads,
                     )
+                )
+                self.ctx.machine.run_rows(rows, threads=threads)
         finally:
             self._pop_scope()
         if use_columnar:
@@ -405,8 +377,8 @@ class Scheduler:
         # GCs (§4.2.2).
         self.ctx.on_rdd_call(rdd)
         # Served partitions are shared, not copied: consumers never
-        # mutate record lists (the legacy data plane copies anyway).
-        return list(records) if _partition.LEGACY_DATA_PLANE else records
+        # mutate record lists.
+        return records
 
     def _read_serialized_partition(
         self, rdd: RDD, block: MaterializedBlock, pidx: int
@@ -425,24 +397,13 @@ class Scheduler:
         packed_bytes = part_bytes * costs.ser_factor
         deser_cpu = part_bytes * costs.cpu_ns_per_byte / threads
         device = self.ctx.heap.native.device
-        if _charging.VECTORISED_COST_PLANE:
-            self.ctx.machine.run_rows(
-                (
-                    (device, packed_bytes, 0.0, 0, 0, deser_cpu),
-                    (DeviceKind.DRAM, 0.0, part_bytes, 0, 0, 0.0),
-                ),
-                threads=threads,
-            )
-        else:
-            self.ctx.machine.access(
-                device,
-                read_bytes=packed_bytes,
-                threads=threads,
-                cpu_ns=deser_cpu,
-            )
-            self.ctx.machine.access(
-                DeviceKind.DRAM, write_bytes=part_bytes, threads=threads
-            )
+        self.ctx.machine.run_rows(
+            (
+                (device, packed_bytes, 0.0, 0, 0, deser_cpu),
+                (DeviceKind.DRAM, 0.0, part_bytes, 0, 0, 0.0),
+            ),
+            threads=threads,
+        )
         if self.ctx.heap.trace is not None:
             self.ctx.heap.trace.deserialize(rdd.id, part_bytes)
         self.ctx.on_rdd_call(rdd)
@@ -509,11 +470,7 @@ class Scheduler:
                 top=top,
                 arrays=[],
                 slabs=[[] for _ in parts],
-                records=(
-                    [list(p) for p in parts]
-                    if _partition.LEGACY_DATA_PLANE
-                    else parts
-                ),
+                records=parts,
                 data_bytes=total_bytes,
                 on_disk=True,
             )
@@ -542,7 +499,6 @@ class Scheduler:
         top = heap.new_object(ObjKind.CONTROL, 64, rdd.id)
         arrays = []
         total_packed = 0.0
-        vectorised = _charging.VECTORISED_COST_PLANE
         for records in parts:
             part_bytes = len(records) * rdd.bytes_per_record
             packed_bytes = part_bytes * costs.ser_factor
@@ -556,26 +512,13 @@ class Scheduler:
             # paying the serialisation CPU.  Row 2: land the packed
             # batch on the native device.
             ser_cpu = part_bytes * costs.cpu_ns_per_byte / threads
-            if vectorised:
-                self.ctx.machine.run_rows(
-                    (
-                        (DeviceKind.DRAM, part_bytes, 0.0, 0, 0, ser_cpu),
-                        (heap.native.device, 0.0, packed_bytes, 0, 0, 0.0),
-                    ),
-                    threads=threads,
-                )
-            else:
-                self.ctx.machine.access(
-                    DeviceKind.DRAM,
-                    read_bytes=part_bytes,
-                    threads=threads,
-                    cpu_ns=ser_cpu,
-                )
-                self.ctx.machine.access(
-                    heap.native.device,
-                    write_bytes=packed_bytes,
-                    threads=threads,
-                )
+            self.ctx.machine.run_rows(
+                (
+                    (DeviceKind.DRAM, part_bytes, 0.0, 0, 0, ser_cpu),
+                    (heap.native.device, 0.0, packed_bytes, 0, 0, 0.0),
+                ),
+                threads=threads,
+            )
         if heap.trace is not None:
             heap.trace.serialize(rdd.id, total_packed)
         return MaterializedBlock(
@@ -616,11 +559,7 @@ class Scheduler:
             top=top,
             arrays=arrays,
             slabs=[[] for _ in parts],
-            records=(
-                [list(p) for p in parts]
-                if _partition.LEGACY_DATA_PLANE
-                else parts
-            ),
+            records=parts,
             data_bytes=total,
         )
 
@@ -694,32 +633,21 @@ class Scheduler:
         ser_bytes = self.ctx.shuffles.serialized_bytes(dep.shuffle_id, pidx)
         raw_bytes = ser_bytes / costs.ser_factor if costs.ser_factor else ser_bytes
         self._ephemeral(raw_bytes)
-        if _charging.VECTORISED_COST_PLANE:
-            # Disk read + DRAM landing settle as one two-row wave — the
-            # rows are back-to-back accesses with nothing between them.
-            self.ctx.machine.run_rows(
+        # Disk read + DRAM landing settle as one two-row wave — the rows
+        # are back-to-back accesses with nothing between them.
+        self.ctx.machine.run_rows(
+            (
                 (
-                    (
-                        DeviceKind.DISK,
-                        ser_bytes,
-                        0.0,
-                        0,
-                        0,
-                        raw_bytes * costs.cpu_ns_per_byte / threads,
-                    ),
-                    (DeviceKind.DRAM, 0.0, raw_bytes, 0, 0, 0.0),
+                    DeviceKind.DISK,
+                    ser_bytes,
+                    0.0,
+                    0,
+                    0,
+                    raw_bytes * costs.cpu_ns_per_byte / threads,
                 ),
-                threads=threads,
-            )
-            return records
-        self.ctx.machine.access(
-            DeviceKind.DISK,
-            read_bytes=ser_bytes,
+                (DeviceKind.DRAM, 0.0, raw_bytes, 0, 0, 0.0),
+            ),
             threads=threads,
-            cpu_ns=raw_bytes * costs.cpu_ns_per_byte / threads,
-        )
-        self.ctx.machine.access(
-            DeviceKind.DRAM, write_bytes=raw_bytes, threads=threads
         )
         return records
 
@@ -816,28 +744,17 @@ class Scheduler:
         threads = self.ctx.config.mutator_threads
         nbytes = len(records) * rdd.bytes_per_record
         self._ephemeral(nbytes)
-        if _charging.VECTORISED_COST_PLANE:
-            self.ctx.machine.run_rows(
+        self.ctx.machine.run_rows(
+            (
                 (
-                    (
-                        DeviceKind.DISK,
-                        nbytes,
-                        0.0,
-                        0,
-                        0,
-                        nbytes * costs.source_cpu_ns_per_byte / threads,
-                    ),
-                    (DeviceKind.DRAM, 0.0, nbytes, 0, 0, 0.0),
+                    DeviceKind.DISK,
+                    nbytes,
+                    0.0,
+                    0,
+                    0,
+                    nbytes * costs.source_cpu_ns_per_byte / threads,
                 ),
-                threads=threads,
-            )
-            return
-        self.ctx.machine.access(
-            DeviceKind.DISK,
-            read_bytes=nbytes,
+                (DeviceKind.DRAM, 0.0, nbytes, 0, 0, 0.0),
+            ),
             threads=threads,
-            cpu_ns=nbytes * costs.source_cpu_ns_per_byte / threads,
-        )
-        self.ctx.machine.access(
-            DeviceKind.DRAM, write_bytes=nbytes, threads=threads
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.errors import SparkError
-from repro.spark import partition as _partition
 from repro.spark.partition import Record
 
 
@@ -103,7 +102,7 @@ class ShuffleManager:
 
         The returned list is shared with the stored output (no consumer
         mutates record lists, and :meth:`invalidate` replaces rather than
-        mutates bucket entries); the legacy data plane copies it.
+        mutates bucket entries).
         """
         if self.is_lost(shuffle_id, pidx):
             raise SparkError(
@@ -114,7 +113,7 @@ class ShuffleManager:
             records = self._outputs[shuffle_id][pidx]
         except KeyError:
             raise SparkError(f"shuffle {shuffle_id} has not been written") from None
-        return list(records) if _partition.LEGACY_DATA_PLANE else records
+        return records
 
     def serialized_bytes(self, shuffle_id: int, pidx: int) -> float:
         """Serialised on-disk size of one reduce partition."""

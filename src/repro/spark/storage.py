@@ -28,8 +28,7 @@ from typing import Optional
 from repro.core.tags import MemoryTag
 from repro.errors import ConfigError
 
-#: A/B flag for the serialized off-heap tier, in the BATCHED_DEPOSITS /
-#: LEGACY_DATA_PLANE / VECTORISED_COST_PLANE family.  On (the default),
+#: Switch for the serialized off-heap tier.  On (the default),
 #: ``MEMORY_ONLY_SER`` and ``OFF_HEAP`` persists are stored as packed
 #: column batches in native memory, invisible to minor/major GC tracing.
 #: Off, every level takes the legacy object-heap path and all outputs

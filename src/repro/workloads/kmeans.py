@@ -78,7 +78,7 @@ def build_kmeans(
     def merge(a, b):
         return (_vec_add(a[0], b[0]), a[1] + b[1])
 
-    if _columnar.kernels_available():
+    if _columnar.columnar_active():
         import numpy as np
 
         def assign_kernel(batch):

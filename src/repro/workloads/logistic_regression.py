@@ -58,7 +58,7 @@ def build_logistic_regression(
     def merge(a, b):
         return (tuple(x + y for x, y in zip(a[0], b[0])), a[1] + b[1])
 
-    if _columnar.kernels_available():
+    if _columnar.columnar_active():
         import numpy as np
 
         def gradient_kernel(batch):

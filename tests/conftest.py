@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.config import MiB, PolicyName, SystemConfig
@@ -84,3 +86,17 @@ def small_context(
 def ctx() -> SparkContext:
     """A Panthera SparkContext."""
     return small_context()
+
+
+@contextmanager
+def numpy_absent(*modules):
+    """Run the body as on an install without numpy: each module's ``_np``
+    is ``None`` (its numpy-free path runs), restored on exit."""
+    saved = [module._np for module in modules]
+    for module in modules:
+        module._np = None
+    try:
+        yield
+    finally:
+        for module, np_module in zip(modules, saved):
+            module._np = np_module

@@ -1,33 +1,21 @@
-"""Tests for the columnar execution plane (``COLUMNAR_DATA_PLANE``).
+"""Tests for the columnar execution plane.
 
-Covers A/B byte-identity on traced + fault-injected numeric cells (the
-house rule: simulated time, GC logs, trace streams, bandwidth series,
-fault checksums and computed answers identical with the flag on and
-off), composition with the four existing A/B flags, the kernel
-machinery (grouped ordered folds, first-occurrence key order, the
-``np.add.at`` in-order accumulation the folds rely on), vectorised
-shuffle bucketing, pack/unpack round-trips over every workload's real
-record shapes, the ``_stable_hash`` non-finite float fix, and the env
-override.
+Covers its activation (numpy importable), the kernel machinery (grouped
+ordered folds, first-occurrence key order, the ``np.add.at`` in-order
+accumulation the folds rely on), vectorised shuffle bucketing,
+pack/unpack round-trips over every workload's real record shapes, the
+``_stable_hash`` non-finite float fix, and the per-record fallback for
+unregistered UDFs, and byte-identity with the per-record plane (numpy
+absent) on traced + fault-injected cells and random pipelines.
 """
 
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import PolicyName
-from repro.faults import FaultInjector, FaultPlan, KillSpec, action_checksums
-from repro.gc import charging as _charging
-from repro.gc.gclog import render_log
-from repro.harness.configs import paper_config
-from repro.harness.experiment import run_experiment
 from repro.spark import columnar as _columnar
-from repro.spark import partition as _partition
-from repro.spark import storage as _storage
 from repro.spark.columnar import (
     ColumnBatch,
     ConstColumn,
@@ -41,89 +29,19 @@ from repro.spark.columnar import (
     split_batch,
 )
 from repro.spark.partition import HashPartitioner, _stable_hash
-from repro.trace import TraceSession
-from tests.conftest import small_context
-from tests.test_costplane import _bandwidth_fingerprint
-from tests.test_properties_spark import DATASET, STEP, build_pipeline
+from repro.spark.storage import StorageLevel
+from tests.conftest import numpy_absent, small_context
+from tests.golden import corpus
+from tests.test_properties_spark import DATASET, STEP, run_traced_pipeline
 
 np = pytest.importorskip("numpy")
 
 
-def _under_columnar(enabled, fn):
-    """Call ``fn()`` with the columnar flag forced to ``enabled``."""
-    saved = _columnar.COLUMNAR_DATA_PLANE
-    _columnar.COLUMNAR_DATA_PLANE = enabled
-    try:
-        return fn()
-    finally:
-        _columnar.COLUMNAR_DATA_PLANE = saved
-
-
-def _flip(module, attr, value, fn):
-    """Call ``fn()`` with one module flag temporarily forced."""
-    saved = getattr(module, attr)
-    setattr(module, attr, value)
-    try:
-        return fn()
-    finally:
-        setattr(module, attr, saved)
-
-
-# -- the flag itself --------------------------------------------------------
-
-
-class TestFlag:
-    def test_default_is_on(self):
-        """With no env override the flag defaults to on (checked in a
-        fresh process so a CI matrix forcing the env can't skew it)."""
-        env = {
-            k: v
-            for k, v in os.environ.items()
-            if k != "REPRO_COLUMNAR_DATA_PLANE"
-        }
-        env["PYTHONPATH"] = "src"
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.spark import columnar; "
-                "print(columnar.COLUMNAR_DATA_PLANE)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "True"
-
-    def test_active_requires_optimised_data_plane(self):
-        """Under LEGACY_DATA_PLANE the columnar plane stands down, so
-        the legacy oracle replays the original per-record code only."""
-        assert _under_columnar(True, _columnar.columnar_active) is True
-        assert _under_columnar(False, _columnar.columnar_active) is False
-        assert _flip(
-            _partition, "LEGACY_DATA_PLANE", True, _columnar.columnar_active
-        ) is False
-
-    @pytest.mark.parametrize(
-        "value,expected", [("0", False), ("1", True), ("off", False)]
-    )
-    def test_flag_follows_the_environment(self, value, expected):
-        env = dict(os.environ, REPRO_COLUMNAR_DATA_PLANE=value)
-        env["PYTHONPATH"] = "src"
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.spark import columnar; "
-                "print(columnar.COLUMNAR_DATA_PLANE)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == str(expected)
+class TestActivation:
+    def test_active_iff_numpy_importable(self, monkeypatch):
+        assert _columnar.columnar_active() is True
+        monkeypatch.setattr(_columnar, "_np", None)
+        assert _columnar.columnar_active() is False
 
 
 # -- pack / unpack round-trips ----------------------------------------------
@@ -380,112 +298,51 @@ class TestStableHashFloats:
     @pytest.mark.parametrize("key", [math.inf, -math.inf, math.nan, 1e308])
     def test_bucketing_agrees_across_planes(self, key):
         part = HashPartitioner(7)
-        legacy = _flip(
-            _partition, "LEGACY_DATA_PLANE", True,
-            lambda: part.partition_of(key),
-        )
-        optimised = _flip(
-            _partition, "LEGACY_DATA_PLANE", False,
-            lambda: part.partition_of(key),
-        )
-        assert legacy == optimised
+        reference = _stable_hash(key) % 7
+        assert part.partition_of(key) == reference
         buckets = part.split([(key, "v")])
-        assert buckets[legacy] == [(key, "v")]
+        assert buckets[reference] == [(key, "v")]
 
 
-# -- A/B byte-identity on traced + faulted cells ----------------------------
+# -- byte-identity with the per-record plane -------------------------------
 
 
 class TestColumnarIdentity:
-    def _run_cell(self, workload, workload_kwargs=None):
-        config = paper_config(64, 1 / 3, PolicyName.PANTHERA, 0.01)
-        plan = FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=7)
-        result = run_experiment(
-            workload,
-            config,
-            scale=0.01,
-            workload_kwargs=(
-                {"iterations": 2} if workload_kwargs is None else workload_kwargs
-            ),
-            keep_context=True,
-            trace=True,
-            faults=plan,
-        )
-        stats = result.context.collector.stats
-        return {
-            "elapsed": repr(result.elapsed_s),
-            "gclog": render_log(stats, result.elapsed_s, tail=50),
-            "checksums": action_checksums(result.action_results),
-            "events": [repr(e) for e in result.trace_events],
-            "bandwidth": _bandwidth_fingerprint(result.context.machine),
-        }
-
     @pytest.mark.parametrize("workload", ["KM", "LR", "PR"])
     def test_traced_faulted_cell_identical_either_plane(self, workload):
-        columnar = _under_columnar(True, lambda: self._run_cell(workload))
-        record = _under_columnar(False, lambda: self._run_cell(workload))
-        assert columnar["elapsed"] == record["elapsed"]
-        assert columnar["gclog"] == record["gclog"]
-        assert columnar["checksums"] == record["checksums"]
-        assert columnar["events"] == record["events"]
-        assert columnar["bandwidth"] == record["bandwidth"]
-
-    def test_naive_bayes_cell_identical_either_plane(self):
-        columnar = _under_columnar(True, lambda: self._run_cell("BC", {}))
-        record = _under_columnar(False, lambda: self._run_cell("BC", {}))
+        """The corpus's traced, shuffle-killed s0.01 cell digests the
+        same on the columnar plane and on the per-record plane."""
+        cell = corpus.Cell(workload, PolicyName.PANTHERA, corpus.PRESSURES[0])
+        columnar = cell.run()
+        with numpy_absent(_columnar):
+            record = cell.run()
         assert columnar == record
 
-    def test_composes_with_every_existing_flag(self):
-        """Columnar on/off identity must hold under each of the other
-        four A/B flags forced to its non-default setting."""
-
-        def km():
-            return self._run_cell("KM")
-
-        for module, attr, forced in (
-            (_charging, "BATCHED_DEPOSITS", False),
-            (_charging, "VECTORISED_COST_PLANE", False),
-            (_storage, "SERIALIZED_TIER", False),
-            (_partition, "LEGACY_DATA_PLANE", True),
-        ):
-            pair = _flip(
-                module,
-                attr,
-                forced,
-                lambda: (
-                    _under_columnar(True, km),
-                    _under_columnar(False, km),
-                ),
-            )
-            assert pair[0] == pair[1], f"mismatch under {attr}={forced}"
+    def test_naive_bayes_cell_identical_either_plane(self):
+        cell = corpus.Cell("BC", PolicyName.PANTHERA, corpus.PRESSURES[0])
+        columnar = cell.run()
+        with numpy_absent(_columnar):
+            record = cell.run()
+        assert columnar == record
 
     def test_serialized_persist_identical_either_plane(self):
         """The columnar plane feeding the serialized tier (batches
         packed into SerializedColumnBatch at persist) changes nothing."""
-
-        def cell():
-            config = paper_config(64, 1 / 3, PolicyName.PANTHERA, 0.01)
-            result = run_experiment(
-                "KM",
-                config,
-                scale=0.01,
-                workload_kwargs={
-                    "iterations": 2,
-                    "persist_level": _storage.StorageLevel.MEMORY_ONLY_SER,
-                },
-                keep_context=True,
-            )
-            return {
-                "elapsed": repr(result.elapsed_s),
-                "checksums": action_checksums(result.action_results),
-            }
-
-        assert _under_columnar(True, cell) == _under_columnar(False, cell)
+        cell = corpus.Cell(
+            "KM",
+            PolicyName.PANTHERA,
+            corpus.PRESSURES[0],
+            StorageLevel.MEMORY_ONLY_SER,
+        )
+        columnar = cell.run()
+        with numpy_absent(_columnar):
+            record = cell.run()
+        assert columnar == record
 
 
 class TestColumnarPropertyAB:
     """Random traced (and sometimes faulted) pipelines are byte-identical
-    with the columnar plane on and off."""
+    on the columnar plane and on the per-record plane."""
 
     @settings(
         max_examples=12,
@@ -500,23 +357,10 @@ class TestColumnarPropertyAB:
     def test_random_pipelines_identical_across_planes(
         self, records, steps, kill
     ):
-        def run():
-            ctx = small_context(PolicyName.PANTHERA)
-            session = TraceSession.attach_to_context(ctx)
-            if kill:
-                plan = FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=3)
-                FaultInjector.attach(plan, ctx)
-            rdd = build_pipeline(ctx, records, steps)
-            result = ctx.scheduler.run_action(rdd, "collect")
-            return {
-                "result": sorted(result, key=repr),
-                "checksums": action_checksums({"collect": result}),
-                "elapsed": repr(ctx.machine.elapsed_s),
-                "events": [repr(e) for e in session.events],
-                "bandwidth": _bandwidth_fingerprint(ctx.machine),
-            }
-
-        assert _under_columnar(True, run) == _under_columnar(False, run)
+        columnar = run_traced_pipeline(records, steps, kill)
+        with numpy_absent(_columnar):
+            record = run_traced_pipeline(records, steps, kill)
+        assert columnar == record
 
 
 # -- fallbacks --------------------------------------------------------------
@@ -525,16 +369,14 @@ class TestColumnarPropertyAB:
 class TestFallbacks:
     def test_unregistered_udf_falls_back_per_record(self):
         """A batch reaching a kernel-less map unpacks and maps per
-        record — same answer as the record plane."""
-
-        def run():
-            ctx = small_context(PolicyName.PANTHERA)
-            rdd = ctx.parallelize(
-                [(i, float(i)) for i in range(40)], 3, 2**20, name="fb-src"
-            ).map(lambda r: (r[0] % 4, r[1] * 2.0))
-            return sorted(ctx.scheduler.run_action(rdd, "collect"))
-
-        assert _under_columnar(True, run) == _under_columnar(False, run)
+        record — same answer as mapping the plain records."""
+        records = [(i, float(i)) for i in range(40)]
+        ctx = small_context(PolicyName.PANTHERA)
+        source = ctx.parallelize(records, 3, 2**20, name="fb-src")
+        rdd = source.map(lambda r: (r[0] % 4, r[1] * 2.0))
+        result = sorted(ctx.scheduler.run_action(rdd, "collect"))
+        assert isinstance(source._column_parts[0], ColumnBatch)
+        assert result == sorted((k % 4, v * 2.0) for k, v in records)
 
     def test_kernel_registry_is_weak(self):
         import gc as _gc

@@ -1,24 +1,22 @@
-"""Tests for the vectorised cost plane (``VECTORISED_COST_PLANE``).
+"""Tests for the cost plane: column charging and wave settling.
 
-Covers the column-charging overhaul behind ``charging.VECTORISED_COST_PLANE``:
-``ChargeColumns`` reduction exactness and first-touch ordering (numpy and
-``array``-module fallback), the two-row coalescing of the charge
-primitives, ``Machine.run_rows`` equivalence with per-call ``access``,
-the environment-variable override, and A/B byte-identity — simulated
-time, GC logs, bandwidth series, trace streams and fault checksums — on
-traced + faulted experiment cells and random hypothesis pipelines.
+Covers ``ChargeColumns`` reduction exactness and first-touch ordering
+(numpy and ``array``-module fallback), ``ChargeAccumulator`` totals and
+device order against one ``TrafficSet.add`` per charge, the two-row
+coalescing of the charge primitives, ``Machine.run_rows`` equivalence
+with per-call ``access``, and end-to-end byte-identity of the numpy and
+``array``-loop reductions on traced + fault-injected cells and random
+pipelines.
 """
 
-import os
-import subprocess
-import sys
+from contextlib import contextmanager
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import CACHE_LINE_BYTES, PolicyName, DeviceKind
-from repro.faults import FaultInjector, FaultPlan, KillSpec, action_checksums
 from repro.gc import charging as _charging
 from repro.gc.charging import (
     KIND_RANDOM_READ,
@@ -27,34 +25,12 @@ from repro.gc.charging import (
     ChargeAccumulator,
     ChargeColumns,
 )
-from repro.gc.gclog import render_log
-from repro.harness.configs import paper_config
-from repro.harness.experiment import run_experiment
 from repro.heap.object_model import HEADER_BYTES
 from repro.memory.machine import Machine, TrafficSet
-from repro.trace import TraceSession
-from tests.conftest import small_config, small_context
-from tests.test_properties_spark import DATASET, STEP, build_pipeline
-
-
-def _under_costplane(vectorised, fn):
-    """Call ``fn()`` with the cost-plane flag set to ``vectorised``."""
-    saved = _charging.VECTORISED_COST_PLANE
-    _charging.VECTORISED_COST_PLANE = vectorised
-    try:
-        return fn()
-    finally:
-        _charging.VECTORISED_COST_PLANE = saved
-
-
-def _bandwidth_fingerprint(machine):
-    """Every bandwidth series, repr'd: float bins make byte-identity
-    visible (any reordering of float adds would change some repr)."""
-    return {
-        (device.value, is_write): repr(machine.bandwidth.series(device, is_write))
-        for device in DeviceKind
-        for is_write in (False, True)
-    }
+from tests.conftest import numpy_absent, small_config
+from tests.golden import corpus
+from tests.golden.corpus import bandwidth_series
+from tests.test_properties_spark import DATASET, STEP, run_traced_pipeline
 
 
 # -- ChargeColumns: reduction exactness and ordering -----------------------
@@ -134,7 +110,7 @@ class TestChargeColumns:
         assert entry[KIND_READ] == big * max(_charging._NUMPY_MIN_ROWS, 200)
 
 
-# -- ChargeAccumulator: primitives vs the scalar oracle --------------------
+# -- ChargeAccumulator: primitives vs one deposit per charge --------------
 
 
 def _fake_obj(device, size=96):
@@ -149,21 +125,70 @@ def _dst_space(device, top=0x2000, end=0x3000):
     return SimpleNamespace(device_of=lambda addr: device, top=top, end=end)
 
 
-def _drive(acc):
+class PerChargeDeposits:
+    """The reference cost plane: one ``TrafficSet.add`` per charge."""
+
+    def __init__(self, traffic):
+        self.traffic = traffic
+
+    def visit(self, obj):
+        device = obj.space.device
+        if device is None:
+            device = obj.space.chunk_map.device_of(obj.addr)
+        self.traffic.add(device, read_bytes=HEADER_BYTES, random_reads=1)
+
+    def visit_all(self, objs):
+        for obj in objs:
+            self.visit(obj)
+
+    def stream_read(self, obj):
+        for device, nbytes in obj.space.object_traffic(obj):
+            self.traffic.add(device, read_bytes=nbytes)
+
+    def copy(self, src_pieces, obj, dst_space):
+        for device, nbytes in src_pieces:
+            self.traffic.add(device, read_bytes=nbytes)
+        dst = dst_space.device_of(min(dst_space.top, dst_space.end - 1))
+        self.traffic.add(dst, write_bytes=obj.size)
+        return obj.size
+
+    def read(self, device, nbytes):
+        self.traffic.add(device, read_bytes=nbytes)
+
+    def write(self, device, nbytes):
+        self.traffic.add(device, write_bytes=nbytes)
+
+    def flush(self):
+        pass
+
+
+def _drive(sink, flush_each=False):
     """One mixed charge sequence touching every primitive."""
     dram_objs = [_fake_obj(DeviceKind.DRAM) for _ in range(20)]
     nvm_objs = [_fake_obj(DeviceKind.NVM) for _ in range(3)]
-    for obj in dram_objs[:4]:
-        acc.visit(obj)
-    acc.visit_all(dram_objs + nvm_objs)  # long: run-grouping path
-    acc.visit_all(nvm_objs)  # short: per-object fallback path
-    acc.stream_read(_fake_obj(DeviceKind.NVM, size=4096))
-    for obj in dram_objs[:5]:
-        acc.copy([(DeviceKind.NVM, obj.size)], obj, _dst_space(DeviceKind.DRAM))
-    acc.read(DeviceKind.DISK, 512)
-    acc.write(DeviceKind.DISK, 128)
-    acc.write(DeviceKind.DRAM, 64)
-    acc.flush()
+    charges = [partial(sink.visit, obj) for obj in dram_objs[:4]]
+    charges += [
+        partial(sink.visit_all, dram_objs + nvm_objs),  # long: run-grouping path
+        partial(sink.visit_all, nvm_objs),  # short: per-object path
+        partial(sink.stream_read, _fake_obj(DeviceKind.NVM, size=4096)),
+    ]
+    charges += [
+        partial(
+            sink.copy, [(DeviceKind.NVM, obj.size)], obj, _dst_space(DeviceKind.DRAM)
+        )
+        for obj in dram_objs[:5]
+    ]
+    charges += [
+        partial(sink.read, DeviceKind.DISK, 512),
+        partial(sink.write, DeviceKind.DISK, 128),
+        partial(sink.write, DeviceKind.DRAM, 64),
+    ]
+    for charge in charges:
+        charge()
+        if flush_each:
+            sink.flush()
+    sink.flush()
+    return sink.traffic
 
 
 def _traffic_fingerprint(traffic):
@@ -175,35 +200,17 @@ def _traffic_fingerprint(traffic):
 
 class TestChargeAccumulator:
     def test_vectorised_matches_scalar_totals_and_device_order(self):
-        fingerprints = {}
-        for vectorised in (False, True):
-            traffic = TrafficSet()
-            _drive(ChargeAccumulator(traffic, batched=True, vectorised=vectorised))
-            fingerprints[vectorised] = _traffic_fingerprint(traffic)
-        assert fingerprints[True] == fingerprints[False]
+        batched = _drive(ChargeAccumulator(TrafficSet()))
+        reference = _drive(PerChargeDeposits(TrafficSet()))
+        assert _traffic_fingerprint(batched) == _traffic_fingerprint(reference)
 
     def test_per_charge_flushing_matches_too(self):
-        batched = TrafficSet()
-        _drive(ChargeAccumulator(batched, batched=True, vectorised=True))
-        unbatched = TrafficSet()
-        _drive(ChargeAccumulator(unbatched, batched=False))
-        assert _traffic_fingerprint(batched) == _traffic_fingerprint(unbatched)
-
-    def test_unbatched_accumulator_forces_the_scalar_path(self):
-        acc = ChargeAccumulator(TrafficSet(), batched=False, vectorised=True)
-        assert acc.vectorised is False
-
-    def test_defaults_follow_the_module_flags(self):
-        assert ChargeAccumulator(TrafficSet()).vectorised is (
-            _charging.VECTORISED_COST_PLANE and _charging.BATCHED_DEPOSITS
-        )
-        on = _under_costplane(True, lambda: ChargeAccumulator(TrafficSet()))
-        off = _under_costplane(False, lambda: ChargeAccumulator(TrafficSet()))
-        assert on.vectorised is True
-        assert off.vectorised is False
+        flushed = _drive(ChargeAccumulator(TrafficSet()), flush_each=True)
+        reference = _drive(PerChargeDeposits(TrafficSet()))
+        assert _traffic_fingerprint(flushed) == _traffic_fingerprint(reference)
 
     def test_visit_pair_merge_collapses_rows(self):
-        acc = ChargeAccumulator(TrafficSet(), batched=True, vectorised=True)
+        acc = ChargeAccumulator(TrafficSet())
         for obj in [_fake_obj(DeviceKind.DRAM) for _ in range(50)]:
             acc.visit(obj)
         # 50 visits on one device coalesce into one [header, random] pair.
@@ -214,7 +221,7 @@ class TestChargeAccumulator:
         assert t.random_reads == 50
 
     def test_copy_pair_merge_collapses_rows(self):
-        acc = ChargeAccumulator(TrafficSet(), batched=True, vectorised=True)
+        acc = ChargeAccumulator(TrafficSet())
         dst = _dst_space(DeviceKind.DRAM)
         for _ in range(30):
             obj = _fake_obj(DeviceKind.NVM, size=128)
@@ -225,22 +232,22 @@ class TestChargeAccumulator:
         assert acc.traffic.per_device[DeviceKind.DRAM].write_bytes == 30 * 128
 
     def test_flush_clears_and_is_idempotent(self):
-        acc = ChargeAccumulator(TrafficSet(), batched=True, vectorised=True)
+        acc = ChargeAccumulator(TrafficSet())
         acc.read(DeviceKind.DRAM, 10)
         acc.flush()
         acc.flush()
         t = acc.traffic.per_device[DeviceKind.DRAM]
         assert t.read_bytes == 10
 
-    def test_visit_all_long_path_matches_per_object(self, monkeypatch):
+    def test_visit_all_long_path_matches_per_object(self):
         objs = [
             _fake_obj([DeviceKind.DRAM, DeviceKind.NVM][i % 3 == 2])
             for i in range(40)
         ]
-        bulk = ChargeAccumulator(TrafficSet(), batched=True, vectorised=True)
+        bulk = ChargeAccumulator(TrafficSet())
         bulk.visit_all(objs)
         bulk.flush()
-        single = ChargeAccumulator(TrafficSet(), batched=True, vectorised=True)
+        single = ChargeAccumulator(TrafficSet())
         for obj in objs:
             single.visit(obj)
         single.flush()
@@ -273,7 +280,7 @@ def _machine_fingerprint(machine):
             )
             for kind, dev in machine.devices.items()
         },
-        _bandwidth_fingerprint(machine),
+        bandwidth_series(machine),
     )
 
 
@@ -341,70 +348,34 @@ class TestRunRows:
         assert counters.write_bytes == 3 * CACHE_LINE_BYTES
 
 
-# -- the environment-variable override -------------------------------------
+# -- end-to-end byte-identity of the two reductions ------------------------
 
 
-class TestEnvOverride:
-    @pytest.mark.parametrize(
-        "value,expected", [("0", False), ("1", True), ("off", False)]
-    )
-    def test_flag_follows_the_environment(self, value, expected):
-        env = dict(os.environ, REPRO_VECTORISED_COST_PLANE=value)
-        env["PYTHONPATH"] = "src"
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.gc import charging; "
-                "print(charging.VECTORISED_COST_PLANE)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == str(expected)
-
-
-# -- A/B byte-identity on traced + faulted cells ---------------------------
+@contextmanager
+def numpy_reduction():
+    """Reduce every flush with numpy, however few rows it holds (the
+    coalesced columns of a small cell stay under ``_NUMPY_MIN_ROWS``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_charging, "_NUMPY_MIN_ROWS", 1)
+        yield
 
 
 class TestCostPlaneIdentity:
-    def _run_cell(self, workload):
-        config = paper_config(64, 1 / 3, PolicyName.PANTHERA, 0.01)
-        plan = FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=7)
-        result = run_experiment(
-            workload,
-            config,
-            scale=0.01,
-            workload_kwargs={"iterations": 2},
-            keep_context=True,
-            trace=True,
-            faults=plan,
-        )
-        stats = result.context.collector.stats
-        return {
-            "elapsed": repr(result.elapsed_s),
-            "gclog": render_log(stats, result.elapsed_s, tail=50),
-            "checksums": action_checksums(result.action_results),
-            "events": [repr(e) for e in result.trace_events],
-            "bandwidth": _bandwidth_fingerprint(result.context.machine),
-        }
-
     @pytest.mark.parametrize("workload", ["PR", "CC"])
     def test_traced_faulted_cell_identical_either_plane(self, workload):
-        vectorised = _under_costplane(True, lambda: self._run_cell(workload))
-        scalar = _under_costplane(False, lambda: self._run_cell(workload))
-        assert vectorised["elapsed"] == scalar["elapsed"]
-        assert vectorised["gclog"] == scalar["gclog"]
-        assert vectorised["checksums"] == scalar["checksums"]
-        assert vectorised["events"] == scalar["events"]
-        assert vectorised["bandwidth"] == scalar["bandwidth"]
+        """The corpus's traced, shuffle-killed s0.01 cell digests the
+        same whether charge columns reduce with numpy or the array loop."""
+        cell = corpus.Cell(workload, PolicyName.PANTHERA, corpus.PRESSURES[0])
+        with numpy_reduction():
+            vectorised = cell.run()
+        with numpy_absent(_charging):
+            scalar = cell.run()
+        assert vectorised == scalar
 
 
 class TestCostPlanePropertyAB:
     """Random traced (and sometimes faulted) pipelines are byte-identical
-    under the scalar and vectorised cost planes."""
+    under the numpy and ``array``-loop reductions."""
 
     @settings(
         max_examples=12,
@@ -417,20 +388,8 @@ class TestCostPlanePropertyAB:
         kill=st.booleans(),
     )
     def test_random_pipelines_identical_across_planes(self, records, steps, kill):
-        def run():
-            ctx = small_context(PolicyName.PANTHERA)
-            session = TraceSession.attach_to_context(ctx)
-            if kill:
-                plan = FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=3)
-                FaultInjector.attach(plan, ctx)
-            rdd = build_pipeline(ctx, records, steps)
-            result = ctx.scheduler.run_action(rdd, "collect")
-            return {
-                "result": sorted(result, key=repr),
-                "checksums": action_checksums({"collect": result}),
-                "elapsed": repr(ctx.machine.elapsed_s),
-                "events": [repr(e) for e in session.events],
-                "bandwidth": _bandwidth_fingerprint(ctx.machine),
-            }
-
-        assert _under_costplane(True, run) == _under_costplane(False, run)
+        with numpy_reduction():
+            vectorised = run_traced_pipeline(records, steps, kill)
+        with numpy_absent(_charging):
+            scalar = run_traced_pipeline(records, steps, kill)
+        assert vectorised == scalar

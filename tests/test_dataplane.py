@@ -1,50 +1,55 @@
-"""Tests for the scale-sweep data-plane overhaul.
+"""Tests for the scale-sweep data plane.
 
-Covers the optimised data plane behind ``partition.LEGACY_DATA_PLANE``:
-cached shuffle hashing (O(1) hash work on repeated shuffles), shared
-record batches (alias safety and the peak-memory win), the O(1) shuffle
-byte counter, dataset memoisation, A/B byte-identity on traced and
-fault-injected runs (fixed cells and random hypothesis pipelines), the
-scale-sweep mechanics, and the ``bench_compare`` sweep kinds.
+Covers cached shuffle hashing (O(1) hash work on repeated shuffles) and
+its exactness against the reference bucket ``_stable_hash(key) % n``
+for every key type, shared record batches (alias safety and equal
+answers), byte-identity of the fast bucketing with the reference
+bucketing on traced + fault-injected cells and random pipelines, the
+O(1) shuffle byte counter, dataset memoisation, the scale-sweep
+mechanics, and the ``bench_compare`` sweep kinds.
 """
 
-import tracemalloc
+import copy
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import PolicyName
-from repro.faults import FaultInjector, FaultPlan, KillSpec, action_checksums
-from repro.gc.gclog import render_log
-from repro.harness.configs import paper_config
-from repro.harness.experiment import run_experiment
 from repro.spark import partition as _partition
 from repro.spark.partition import HashPartitioner, _stable_hash
 from repro.spark.shuffle import ShuffleManager
-from repro.trace import TraceSession
 from tests.conftest import small_context
-from tests.test_properties_spark import DATASET, STEP, build_pipeline
+from tests.golden import corpus
+from tests.test_properties_spark import DATASET, STEP, run_traced_pipeline
 
 
-@pytest.fixture
-def legacy_plane():
-    """Run a test under the legacy (pre-overhaul) data plane."""
-    saved = _partition.LEGACY_DATA_PLANE
-    _partition.LEGACY_DATA_PLANE = True
-    try:
+def _reference_partition_of(self, key):
+    """The reference bucket: ``_stable_hash(key) % n``."""
+    return _stable_hash(key) % self.num_partitions
+
+
+def _reference_bucket_into(self, records, buckets):
+    for record in records:
+        buckets[_reference_partition_of(self, record[0])].append(record)
+    return buckets
+
+
+def _reference_split(records, n):
+    """The reference bucketing: each record to ``_stable_hash(key) % n``."""
+    return _reference_bucket_into(
+        HashPartitioner(n), records, [[] for _ in range(n)]
+    )
+
+
+@contextmanager
+def reference_bucketing():
+    """Bucket every record to ``_stable_hash(key) % n`` — no hash cache
+    and no exact-type fast paths."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HashPartitioner, "partition_of", _reference_partition_of)
+        mp.setattr(HashPartitioner, "bucket_into", _reference_bucket_into)
         yield
-    finally:
-        _partition.LEGACY_DATA_PLANE = saved
-
-
-def _under_plane(legacy, fn):
-    """Call ``fn()`` with the data-plane flag set to ``legacy``."""
-    saved = _partition.LEGACY_DATA_PLANE
-    _partition.LEGACY_DATA_PLANE = legacy
-    try:
-        return fn()
-    finally:
-        _partition.LEGACY_DATA_PLANE = saved
 
 
 # -- satellite: cached shuffle hashing -------------------------------------
@@ -81,13 +86,12 @@ class TestHashCache:
     )
     def test_bucketing_identical_to_legacy_per_key(self, key):
         """Equal-but-differently-typed keys (1 vs 1.0 vs True) must keep
-        their legacy buckets: only exact-type fast paths are allowed."""
+        their reference buckets: only exact-type fast paths are allowed."""
         part = HashPartitioner(7)
-        legacy = _under_plane(True, lambda: part.partition_of(key))
-        optimised = _under_plane(False, lambda: part.partition_of(key))
-        assert optimised == legacy
+        reference = _stable_hash(key) % 7
+        assert part.partition_of(key) == reference
         buckets = part.split([(key, "v")])
-        assert buckets[legacy] == [(key, "v")]
+        assert buckets[reference] == [(key, "v")]
 
     def test_split_matches_legacy_on_mixed_keys(self):
         records = [
@@ -97,10 +101,7 @@ class TestHashCache:
                  (2, 1), ("x", 2), True, b"raw", (7,)] * 4
             )
         ]
-        part_a, part_b = HashPartitioner(5), HashPartitioner(5)
-        legacy = _under_plane(True, lambda: part_a.split(records))
-        optimised = _under_plane(False, lambda: part_b.split(records))
-        assert optimised == legacy
+        assert HashPartitioner(5).split(records) == _reference_split(records, 5)
 
     @pytest.mark.parametrize(
         "key",
@@ -108,15 +109,13 @@ class TestHashCache:
     )
     def test_bool_tuples_dodge_the_int_pair_fast_path(self, key):
         """bucket_into's inline 2-int-tuple path uses ``type(...) is int``
-        so bool elements (a subclass of int whose legacy hash path
-        differs) must take the slow path and keep their legacy bucket."""
+        so bool elements (a subclass of int whose reference hash path
+        differs) must take the slow path and keep their reference bucket."""
         part = HashPartitioner(7)
-        legacy = _under_plane(True, lambda: part.partition_of(key))
-        optimised = _under_plane(False, lambda: part.partition_of(key))
-        assert optimised == legacy
-        buckets = [[] for _ in range(7)]
-        _under_plane(False, lambda: part.bucket_into([(key, "v")], buckets))
-        assert buckets[legacy] == [(key, "v")]
+        reference = _stable_hash(key) % 7
+        assert part.partition_of(key) == reference
+        buckets = part.bucket_into([(key, "v")], [[] for _ in range(7)])
+        assert buckets[reference] == [(key, "v")]
 
     def test_non_finite_float_keys_bucket_without_raising(self):
         """Regression: ``_stable_hash`` used to raise OverflowError on
@@ -129,10 +128,8 @@ class TestHashCache:
                 [math.inf, -math.inf, math.nan, 1e308, -1e308, 0.5] * 3
             )
         ]
-        part_a, part_b = HashPartitioner(5), HashPartitioner(5)
-        legacy = _under_plane(True, lambda: part_a.split(records))
-        optimised = _under_plane(False, lambda: part_b.split(records))
-        assert repr(optimised) == repr(legacy)
+        split = HashPartitioner(5).split(records)
+        assert repr(split) == repr(_reference_split(records, 5))
 
 
 MIXED_KEY = st.one_of(
@@ -152,7 +149,8 @@ MIXED_KEY = st.one_of(
 
 
 class TestMixedKeyPropertyAB:
-    """Property: both shuffle planes bucket any mix of key types alike."""
+    """Property: the partitioner's fast paths bucket any mix of key types
+    exactly as the reference ``_stable_hash(key) % n``."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -161,15 +159,11 @@ class TestMixedKeyPropertyAB:
     )
     def test_partition_of_and_bucket_into_agree_across_planes(self, keys, n):
         records = [(k, i) for i, k in enumerate(keys)]
-        part_a, part_b = HashPartitioner(n), HashPartitioner(n)
-        legacy = _under_plane(True, lambda: part_a.split(records))
-        optimised = _under_plane(False, lambda: part_b.split(records))
+        part = HashPartitioner(n)
         # repr-compare so nan keys (unequal to themselves) still match.
-        assert repr(optimised) == repr(legacy)
+        assert repr(part.split(records)) == repr(_reference_split(records, n))
         for key in keys:
-            assert _under_plane(
-                True, lambda: part_a.partition_of(key)
-            ) == _under_plane(False, lambda: part_b.partition_of(key))
+            assert part.partition_of(key) == _stable_hash(key) % n
 
 
 # -- satellite: shared record batches --------------------------------------
@@ -189,46 +183,59 @@ class TestSharedBatches:
         ctx = small_context(PolicyName.PANTHERA)
         rdd, first = self._collect_twice(ctx)
         baseline = list(first)
+        assert sorted(baseline) == sorted((i % 5, i + 1) for i in range(40))
         first.append(("junk", -1))
         first[0] = ("junk", -2)
         second = ctx.scheduler.run_action(rdd, "collect")
         assert second == baseline
 
     def test_shared_and_legacy_planes_compute_equal_results(self):
-        def run():
-            ctx = small_context(PolicyName.PANTHERA)
-            rdd, first = self._collect_twice(ctx)
-            return first, ctx.scheduler.run_action(rdd, "collect")
+        """Both collects (computed, then read from the shared cached
+        block) equal the answer computed over a private deep copy of the
+        input, as a copying plane would."""
+        source = [(i % 5, i) for i in range(40)]
+        expected = sorted((k, v + 1) for k, v in copy.deepcopy(source))
+        ctx = small_context(PolicyName.PANTHERA)
+        rdd, first = self._collect_twice(ctx)
+        second = ctx.scheduler.run_action(rdd, "collect")
+        assert sorted(first) == expected
+        assert second == first
 
-        opt_first, opt_second = _under_plane(False, run)
-        leg_first, leg_second = _under_plane(True, run)
-        assert opt_first == leg_first
-        assert opt_second == leg_second
 
-    def test_peak_memory_drops_without_deep_copies(self):
-        """Sharing batches instead of deep-copying lowers the Python-level
-        peak allocation of a CC cell (datasets pre-warmed for both)."""
-        config = paper_config(64, 1 / 3, PolicyName.PANTHERA, 0.5)
+# -- byte-identity with the reference bucketing ----------------------------
 
-        def run_cell():
-            return run_experiment(
-                "CC", config, scale=0.5, workload_kwargs={"iterations": 2}
-            )
 
-        run_cell()  # warm the dataset memo and import state for both sides
+class TestDataPlaneIdentity:
+    @pytest.mark.parametrize("workload", ["PR", "CC"])
+    def test_traced_faulted_cell_identical_either_plane(self, workload):
+        """The corpus's traced, shuffle-killed s0.01 cell digests the
+        same with the fast bucketing and the reference bucketing."""
+        cell = corpus.Cell(workload, PolicyName.PANTHERA, corpus.PRESSURES[0])
+        fast = cell.run()
+        with reference_bucketing():
+            reference = cell.run()
+        assert fast == reference
 
-        def peak(legacy):
-            def measured():
-                tracemalloc.start()
-                try:
-                    run_cell()
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
 
-            return _under_plane(legacy, measured)
+class TestDataPlanePropertyAB:
+    """Random traced (and sometimes faulted) pipelines are byte-identical
+    with the fast and the reference bucketing."""
 
-        assert peak(False) < peak(True)
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        records=DATASET,
+        steps=st.lists(STEP, min_size=1, max_size=5),
+        kill=st.booleans(),
+    )
+    def test_random_pipelines_identical_across_planes(self, records, steps, kill):
+        fast = run_traced_pipeline(records, steps, kill)
+        with reference_bucketing():
+            reference = run_traced_pipeline(records, steps, kill)
+        assert fast == reference
 
 
 # -- satellite: O(1) shuffle byte accounting -------------------------------
@@ -288,75 +295,6 @@ class TestDatasetMemoisation:
         datasets.clear_dataset_caches()
         _, misses = datasets.dataset_cache_info()["pagerank_graph"]
         assert misses == 0
-
-
-# -- satellite: A/B byte-identity on traced + faulted cells ----------------
-
-
-class TestDataPlaneIdentity:
-    def _run_cell(self, workload):
-        config = paper_config(64, 1 / 3, PolicyName.PANTHERA, 0.01)
-        plan = FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=7)
-        result = run_experiment(
-            workload,
-            config,
-            scale=0.01,
-            workload_kwargs={"iterations": 2},
-            keep_context=True,
-            trace=True,
-            faults=plan,
-        )
-        stats = result.context.collector.stats
-        return {
-            "elapsed": repr(result.elapsed_s),
-            "gclog": render_log(stats, result.elapsed_s, tail=50),
-            "checksums": action_checksums(result.action_results),
-            "events": [repr(e) for e in result.trace_events],
-        }
-
-    @pytest.mark.parametrize("workload", ["PR", "CC"])
-    def test_traced_faulted_cell_identical_either_plane(self, workload):
-        optimised = _under_plane(False, lambda: self._run_cell(workload))
-        legacy = _under_plane(True, lambda: self._run_cell(workload))
-        assert optimised["elapsed"] == legacy["elapsed"]
-        assert optimised["gclog"] == legacy["gclog"]
-        assert optimised["checksums"] == legacy["checksums"]
-        assert optimised["events"] == legacy["events"]
-
-
-class TestDataPlanePropertyAB:
-    """Random traced (and sometimes faulted) pipelines are byte-identical
-    under the legacy and optimised data planes."""
-
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        records=DATASET,
-        steps=st.lists(STEP, min_size=1, max_size=5),
-        kill=st.booleans(),
-    )
-    def test_random_pipelines_identical_across_planes(
-        self, records, steps, kill
-    ):
-        def run():
-            ctx = small_context(PolicyName.PANTHERA)
-            session = TraceSession.attach_to_context(ctx)
-            if kill:
-                plan = FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=3)
-                FaultInjector.attach(plan, ctx)
-            rdd = build_pipeline(ctx, records, steps)
-            result = ctx.scheduler.run_action(rdd, "collect")
-            return {
-                "result": sorted(result, key=repr),
-                "checksums": action_checksums({"collect": result}),
-                "elapsed": repr(ctx.machine.elapsed_s),
-                "events": [repr(e) for e in session.events],
-            }
-
-        assert _under_plane(False, run) == _under_plane(True, run)
 
 
 # -- satellite: scale-sweep mechanics and bench_compare kinds --------------

@@ -1,0 +1,41 @@
+"""The golden-digest corpus: the simulator's output is byte-identical to
+the committed ``tests/golden/digests.json``.
+
+Every cell runs twice: with numpy, and with numpy forced absent (the
+cost plane's ``array`` reduction, the per-record data plane and the
+``array``-module serialized packing), which must reproduce the same
+digests.  A failure names the cell and the differing digests; rerun
+``scripts/golden.py --accept`` only if the change is meant to alter
+simulated output.
+"""
+
+import pytest
+
+from repro.gc import charging
+from repro.spark import columnar, serialized
+from tests.golden import corpus
+
+CELLS = {cell.key: cell for cell in corpus.cells()}
+EXPECTED = corpus.load_digests()
+
+
+@pytest.fixture(params=["numpy", "no-numpy"])
+def platform(request, monkeypatch):
+    """Run the test with numpy, or as on an install without it."""
+    if request.param == "no-numpy":
+        for module in (charging, columnar, serialized):
+            monkeypatch.setattr(module, "_np", None)
+    return request.param
+
+
+def test_corpus_covers_exactly_the_cells():
+    assert set(EXPECTED) == set(CELLS) | {corpus.CLUSTER_KEY}
+
+
+@pytest.mark.parametrize("key", sorted(CELLS))
+def test_cell_matches_golden(key, platform):
+    assert CELLS[key].run() == EXPECTED[key]
+
+
+def test_cluster_replay_matches_golden(platform):
+    assert corpus.run_cluster() == EXPECTED[corpus.CLUSTER_KEY]

@@ -4,8 +4,8 @@ Covers the two bug fixes that rode along with the optimisation work (the
 card-padding promotion guarantee and the sparse bandwidth series), the
 incremental Space counters (a hypothesis property against the recomputed
 oracle plus ``verify_heap`` drift detection), the sweep-time card-table
-hygiene, the batched-deposit byte-identity A/B check, and the ``repro
-bench`` comparison gate.
+hygiene, byte-identity of batched GC-phase deposits with one deposit
+per charge, and the ``repro bench`` comparison gate.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ from repro.cli import main as cli_main
 from repro.config import DeviceKind, PolicyName
 from repro.core.tags import MemoryTag
 from repro.errors import GCError
-from repro.gc import charging
+from repro.gc import major, minor
 from repro.gc.collector import Collector
-from repro.gc.gclog import render_log
 from repro.heap.object_model import HeapObject, ObjKind
 from repro.heap.spaces import Space, recompute_live_bytes
 from repro.heap.verify import verify_heap
 from repro.memory.bandwidth import BandwidthTracker
 from tests.conftest import make_stack
+from tests.golden import corpus
+from tests.test_costplane import PerChargeDeposits
 
 
 # -- promotion guarantee under card padding (§4.2.3) -----------------------
@@ -262,47 +263,20 @@ class TestSweepCardHygiene:
         assert not table.pending_scan()  # padded array: never stuck
 
 
-# -- batched deposits are byte-identical to per-charge deposits ------------
+# -- batched deposits vs one deposit per charge ----------------------------
 
 
 class TestBatchedDepositIdentity:
-    def _run_cell(self):
-        from repro.faults import FaultPlan, KillSpec, action_checksums
-        from repro.harness.configs import paper_config
-        from repro.harness.experiment import run_experiment
-
-        config = paper_config(64, 1 / 3, PolicyName.PANTHERA, 0.01)
-        plan = FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=7)
-        result = run_experiment(
-            "PR",
-            config,
-            scale=0.01,
-            workload_kwargs={"iterations": 2},
-            keep_context=True,
-            trace=True,
-            faults=plan,
-        )
-        stats = result.context.collector.stats
-        return {
-            "elapsed": repr(result.elapsed_s),
-            "gclog": render_log(stats, result.elapsed_s, tail=50),
-            "checksums": action_checksums(result.action_results),
-            "events": [repr(e) for e in result.trace_events],
-        }
-
-    def test_traced_faulted_run_identical_either_way(self):
-        saved = charging.BATCHED_DEPOSITS
-        try:
-            charging.BATCHED_DEPOSITS = True
-            batched = self._run_cell()
-            charging.BATCHED_DEPOSITS = False
-            legacy = self._run_cell()
-        finally:
-            charging.BATCHED_DEPOSITS = saved
-        assert batched["elapsed"] == legacy["elapsed"]
-        assert batched["gclog"] == legacy["gclog"]
-        assert batched["checksums"] == legacy["checksums"]
-        assert batched["events"] == legacy["events"]
+    def test_traced_faulted_run_identical_either_way(self, monkeypatch):
+        """The corpus's traced, shuffle-killed s0.01 PR cell digests the
+        same when the GC phases deposit one ``TrafficSet.add`` per charge
+        instead of batching through ``ChargeAccumulator``."""
+        cell = corpus.Cell("PR", PolicyName.PANTHERA, corpus.PRESSURES[0])
+        batched = cell.run()
+        monkeypatch.setattr(minor, "ChargeAccumulator", PerChargeDeposits)
+        monkeypatch.setattr(major, "ChargeAccumulator", PerChargeDeposits)
+        per_charge = cell.run()
+        assert batched == per_charge
 
 
 # -- bench comparison gate --------------------------------------------------

@@ -150,3 +150,43 @@ class TestMigrationPlanning:
         object.__setattr__(config, "policy", "bogus")
         with pytest.raises((ConfigError, KeyError, TypeError)):
             make_policy(config)
+
+
+class _BrokenSpace:
+    """An old space whose lookup fails with a bug, not a HeapError."""
+
+    @property
+    def name(self):
+        raise RuntimeError("broken space")
+
+
+class TestOldDramLookup:
+    """A layout without ``old-dram`` is a typed miss; any other failure
+    of the lookup propagates instead of reading as "no DRAM"."""
+
+    def _stack(self, policy, other_space, broken):
+        stack = make_stack(policy)
+        heap = stack.heap
+        heap.old_spaces = [heap.old_space_named(other_space)]
+        if broken:
+            heap.old_spaces.append(_BrokenSpace())
+        return stack
+
+    def test_panthera_without_old_dram_falls_back_to_nvm(self):
+        stack = self._stack(PolicyName.PANTHERA, "old-nvm", broken=False)
+        space = stack.policy.array_allocation_space(stack.heap, MemoryTag.DRAM, 64)
+        assert space.name == "old-nvm"
+
+    def test_panthera_lookup_bug_propagates(self):
+        stack = self._stack(PolicyName.PANTHERA, "old-nvm", broken=True)
+        with pytest.raises(RuntimeError, match="broken space"):
+            stack.policy.array_allocation_space(stack.heap, MemoryTag.DRAM, 64)
+
+    def test_kingsguard_writes_without_old_dram_plans_nothing(self):
+        stack = self._stack(PolicyName.KINGSGUARD_WRITES, "old", broken=False)
+        assert stack.policy.plan_migrations(stack.heap, stack.monitor) == []
+
+    def test_kingsguard_writes_lookup_bug_propagates(self):
+        stack = self._stack(PolicyName.KINGSGUARD_WRITES, "old", broken=True)
+        with pytest.raises(RuntimeError, match="broken space"):
+            stack.policy.plan_migrations(stack.heap, stack.monitor)

@@ -9,8 +9,13 @@ DRAM-only, unmanaged and Panthera — only time/energy may differ.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import PolicyName
+from repro.faults import FaultInjector, FaultPlan, KillSpec, action_checksums
+from repro.spark.partition import split_evenly
+from repro.spark.rdd import SourceRDD
 from repro.spark.storage import StorageLevel
+from repro.trace import TraceSession
 from tests.conftest import small_context
+from tests.golden.corpus import bandwidth_series
 
 POLICIES = [PolicyName.DRAM_ONLY, PolicyName.UNMANAGED, PolicyName.PANTHERA]
 
@@ -82,6 +87,25 @@ def _add(a, b):
     return a
 
 
+def run_traced_pipeline(records, steps, kill):
+    """Collect a random pipeline on a traced PANTHERA context (with a
+    shuffle kill when ``kill``); returns everything a byte-identity A/B
+    compares: the answer, its checksums, elapsed time, the trace event
+    stream and the bandwidth series."""
+    ctx = small_context(PolicyName.PANTHERA)
+    session = TraceSession.attach_to_context(ctx)
+    if kill:
+        FaultInjector.attach(FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=3), ctx)
+    result = ctx.scheduler.run_action(build_pipeline(ctx, records, steps), "collect")
+    return {
+        "result": sorted(result, key=repr),
+        "checksums": action_checksums({"collect": result}),
+        "elapsed": repr(ctx.machine.elapsed_s),
+        "events": [repr(e) for e in session.events],
+        "bandwidth": bandwidth_series(ctx.machine),
+    }
+
+
 def run_pipeline(policy, records, steps):
     ctx = small_context(policy)
     rdd = build_pipeline(ctx, records, steps)
@@ -104,9 +128,13 @@ class TestPolicyInvariance:
     @settings(max_examples=15, deadline=None)
     @given(records=DATASET, steps=st.lists(STEP, min_size=1, max_size=5))
     def test_reexecution_is_deterministic(self, records, steps):
-        a, _ = run_pipeline(PolicyName.PANTHERA, records, steps)
+        a, ctx = run_pipeline(PolicyName.PANTHERA, records, steps)
         b, _ = run_pipeline(PolicyName.PANTHERA, records, steps)
         assert a == b
+        # Record lists are shared between stages, blocks and shuffle
+        # files, never copied: the run must leave its input unmodified.
+        [source] = [r for r in ctx._rdds.values() if isinstance(r, SourceRDD)]
+        assert source._partitions == split_evenly(list(records), 3)
 
     @settings(max_examples=15, deadline=None)
     @given(records=DATASET, steps=st.lists(STEP, min_size=1, max_size=5))

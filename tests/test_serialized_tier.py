@@ -14,6 +14,7 @@ system exactly on traced + faulted experiment cells.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,7 +24,6 @@ from repro.core.tags import MemoryTag, Placement
 from repro.core.static_analysis import analyze_program
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, KillSpec, action_checksums
-from repro.gc.gclog import render_log
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
 from repro.spark import storage as _storage
@@ -39,7 +39,7 @@ from repro.trace import TraceSession
 from repro.trace.replay import replay_events
 from repro.workloads.registry import WORKLOADS, build_workload
 from tests.conftest import small_context
-from tests.test_costplane import _bandwidth_fingerprint
+from tests.golden.corpus import PRESSURES, Cell
 
 
 def _under_tier(enabled, fn):
@@ -426,36 +426,10 @@ class TestSerializedTierIdentity:
     series or fault checksums in either position.
     """
 
-    def _run_cell(self, workload):
-        config = paper_config(64, 1 / 3, PolicyName.PANTHERA, 0.01)
-        plan = FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=7)
-        result = run_experiment(
-            workload,
-            config,
-            scale=0.01,
-            workload_kwargs={"iterations": 2},
-            keep_context=True,
-            trace=True,
-            faults=plan,
-        )
-        stats = result.context.collector.stats
-        return {
-            "elapsed": repr(result.elapsed_s),
-            "gclog": render_log(stats, result.elapsed_s, tail=50),
-            "checksums": action_checksums(result.action_results),
-            "events": [repr(e) for e in result.trace_events],
-            "bandwidth": _bandwidth_fingerprint(result.context.machine),
-        }
-
     @pytest.mark.parametrize("workload", ["PR", "CC"])
     def test_traced_faulted_cell_identical_either_flag(self, workload):
-        tier = _under_tier(True, lambda: self._run_cell(workload))
-        legacy = _under_tier(False, lambda: self._run_cell(workload))
-        assert tier["elapsed"] == legacy["elapsed"]
-        assert tier["gclog"] == legacy["gclog"]
-        assert tier["checksums"] == legacy["checksums"]
-        assert tier["events"] == legacy["events"]
-        assert tier["bandwidth"] == legacy["bandwidth"]
+        tier_on = Cell(workload, PolicyName.PANTHERA, PRESSURES[0], tier=True)
+        assert tier_on.run() == replace(tier_on, tier=False).run()
 
     @pytest.mark.parametrize(
         "value,expected", [("0", False), ("1", True), ("off", False)]

@@ -18,26 +18,11 @@ class TestShuffleManager:
         assert manager.read(0, 1) == [(2, "b")]
 
     def test_read_shares_stored_records(self):
-        # The optimised data plane serves the stored list itself (no
-        # internal consumer mutates record lists); the legacy plane
-        # still copies defensively.
+        # Reads serve the stored list itself: no internal consumer
+        # mutates record lists.
         manager = ShuffleManager()
         manager.write(0, [[(1, "a")]], [10.0])
         assert manager.read(0, 0) is manager._outputs[0][0]
-
-    def test_legacy_read_returns_copy(self):
-        from repro.spark import partition
-
-        saved = partition.LEGACY_DATA_PLANE
-        partition.LEGACY_DATA_PLANE = True
-        try:
-            manager = ShuffleManager()
-            manager.write(0, [[(1, "a")]], [10.0])
-            records = manager.read(0, 0)
-            records.append((9, "z"))
-            assert manager.read(0, 0) == [(1, "a")]
-        finally:
-            partition.LEGACY_DATA_PLANE = saved
 
     def test_double_write_rejected(self):
         manager = ShuffleManager()
