@@ -13,11 +13,13 @@ The corpus pins that output for a fixed matrix of cells in the committed
 A cell that aborts with a typed :class:`~repro.errors.ReproError` pins
 that error (its type and message) as its expected outcome instead.
 
-The matrix: PR/CC/KM/LR/BC under four policies at default persist, plus
-KM/LR/PR at ``MEMORY_ONLY_SER`` with the serialized tier on and off, at
-two pressure points (s0.01 on a 64 GB heap with a shuffle kill; s0.1 on
-a 36 GB heap with a shuffle kill and an NVM throttle, which forces major
-GCs, spills and drops), plus one small two-executor cluster replay with
+The matrix: PR/CC/SSSP/KM/LR/BC under four policies at default persist,
+plus KM/LR/PR at ``MEMORY_ONLY_SER`` with the serialized tier on and
+off, at two pressure points (s0.01 on a 64 GB heap with a shuffle kill;
+s0.1 on a 36 GB heap with a shuffle kill and an NVM throttle, which
+forces major GCs, spills and drops); TC under four policies at the
+s0.01 point only (its duplicate-key self-join makes an s0.1 cell cost
+about half a second); plus one small two-executor cluster replay with
 an executor kill.
 
 ``tests/test_golden.py`` checks the committed digests (with numpy and
@@ -47,7 +49,9 @@ from repro.trace.export import events_to_jsonl
 #: The committed corpus, next to this module.
 DIGESTS_PATH = Path(__file__).with_name("digests.json")
 
-WORKLOADS = ("PR", "CC", "KM", "LR", "BC")
+WORKLOADS = ("PR", "CC", "SSSP", "KM", "LR", "BC")
+#: Workloads pinned at the first (cheapest) pressure point only.
+LIGHT_WORKLOADS = ("TC",)
 POLICIES = (
     PolicyName.PANTHERA,
     PolicyName.DRAM_ONLY,
@@ -138,7 +142,10 @@ def cells() -> List[Cell]:
     """Every single-node cell of the corpus, in a fixed order."""
     out: List[Cell] = []
     for pressure in PRESSURES:
-        for workload in WORKLOADS:
+        workloads = WORKLOADS
+        if pressure == PRESSURES[0]:
+            workloads += LIGHT_WORKLOADS
+        for workload in workloads:
             for policy in POLICIES:
                 out.append(Cell(workload, policy, pressure))
         for workload in SER_WORKLOADS:
