@@ -200,6 +200,33 @@ def setup_columnar_kernel() -> Callable[[], None]:
     return run
 
 
+def setup_graph_kernel() -> Callable[[], None]:
+    """The columnar graph plane's hot path over one 4096-edge
+    partition: group the edges into CSR adjacency, fan out PageRank's
+    contributions, fold them with the grouped ``min`` kernel (the
+    CC/SSSP message combiner) and split the fold across shuffle
+    buckets."""
+    import random as _random
+
+    from repro.spark import columnar as _columnar
+    from repro.spark.partition import HashPartitioner
+
+    rng = _random.Random(7)
+    edges = _columnar.ColumnBatch.from_records(
+        [(rng.randrange(512), rng.randrange(512)) for _ in range(4096)]
+    )
+    part = HashPartitioner(8)
+
+    def run() -> None:
+        links = _columnar.group_lists_kernel(edges).values
+        ranks = _columnar.ones_float(len(links)).arr
+        contribs = _columnar.csr_spread(links, ranks / links.lengths().clip(1))
+        folded = _columnar.min_reduce_kernel(contribs)
+        _columnar.split_batch(folded, part)
+
+    return run
+
+
 #: name -> (setup, inner iterations per round)
 MICRO_BENCHES: Dict[str, Any] = {
     "micro.ephemeral_churn": (setup_ephemeral_churn, 20),
@@ -210,6 +237,7 @@ MICRO_BENCHES: Dict[str, Any] = {
     "micro.static_analysis": (setup_static_analysis, 20),
     "micro.ser_roundtrip": (setup_ser_roundtrip, 50),
     "micro.columnar_kernel": (setup_columnar_kernel, 50),
+    "micro.graph_kernel": (setup_graph_kernel, 50),
 }
 
 #: (workload, policy) cells measured as end-to-end experiments.  The

@@ -23,6 +23,7 @@ SparkContext` handle is dropped (see
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import os
@@ -44,6 +45,7 @@ from typing import (
 
 import repro
 from repro.config import SystemConfig
+from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.spark import storage
@@ -127,8 +129,24 @@ class ExperimentPoint:
             "workload": self.workload,
             "workload_kwargs": dict(sorted(self.workload_kwargs.items())),
         }
-        canonical = json.dumps(payload, sort_keys=True, default=repr)
+        canonical = json.dumps(payload, sort_keys=True, default=_key_material)
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _key_material(value: Any) -> Any:
+    """``json.dumps`` fallback for the fingerprint payload.
+
+    Enum members (``StorageLevel``, ``PolicyName``) encode by value.
+    Anything else that is not JSON raises: a ``repr`` fallback would key
+    the cache on memory addresses (functions, arbitrary objects) and
+    silently miss on every run.
+    """
+    if isinstance(value, enum.Enum):
+        return value.value
+    raise ConfigError(
+        f"cannot fingerprint {type(value).__name__} value {value!r}: "
+        "experiment points must hold JSON values or Enum members"
+    )
 
 
 @dataclass

@@ -10,7 +10,8 @@ materialisation points.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+import weakref
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import PolicyName, SystemConfig
 from repro.core.monitor import AccessMonitor
@@ -28,6 +29,32 @@ from repro.spark.partition import Record, split_evenly
 from repro.spark.rdd import RDD, SourceRDD
 from repro.spark.scheduler import Scheduler
 from repro.spark.shuffle import ShuffleManager
+
+
+#: ``(id(dataset), num_partitions)`` -> ``(weakref to the dataset,
+#: split partitions, {pidx: packed batch})``.  Contexts live for one run
+#: but memoised datasets live for the process, so every run over the
+#: same dataset shares one split and one pack of it.  Keyed on object
+#: identity: a frozen ``DatasetSpec``'s value hash would hash every
+#: record.  An entry dies with its dataset.
+_SPLITS: Dict[Tuple[int, int], tuple] = {}
+
+
+def _dataset_splits(dataset, num_partitions: int) -> tuple:
+    """The shared ``(partitions, packed batches)`` of one dataset."""
+    key = (id(dataset), num_partitions)
+    entry = _SPLITS.get(key)
+    if entry is not None and entry[0]() is dataset:
+        return entry[1], entry[2]
+
+    def forget(ref, key=key) -> None:
+        if _SPLITS.get(key, (None,))[0] is ref:
+            del _SPLITS[key]
+
+    parts = split_evenly(dataset.records, num_partitions)
+    packed: dict = {}
+    _SPLITS[key] = (weakref.ref(dataset, forget), parts, packed)
+    return parts, packed
 
 
 class SparkContext:
@@ -148,11 +175,15 @@ class SparkContext:
         cached = self._sources.get(dataset.name)
         if cached is not None:
             return cached
-        source = self.parallelize(
-            dataset.records,
-            dataset.num_partitions,
-            dataset.total_bytes,
+        if not dataset.records:
+            raise SparkError("cannot parallelize an empty dataset")
+        partitions, packed = _dataset_splits(dataset, dataset.num_partitions)
+        source = SourceRDD(
+            self,
+            partitions,
+            bytes_per_record=dataset.total_bytes / len(dataset.records),
             name=dataset.name,
+            column_parts=packed,
         )
         self._sources[dataset.name] = source
         return source

@@ -170,6 +170,11 @@ class RDD:
     ) -> "RDD":
         """Apply ``fn`` to each record and flatten the results."""
         def apply_flat_map(records: List[Record]) -> List[Record]:
+            if _columnar.is_batch(records):
+                out = _columnar.apply_flat_map_batch(fn, records)
+                if out is not None:
+                    return out
+                records = records.to_records()
             return list(
                 itertools.chain.from_iterable(map(fn, records))
             )
@@ -271,6 +276,9 @@ class RDD:
         partitioner = self._default_partitioner(num_partitions)
 
         def group(records: List[Record]) -> List[Record]:
+            batch = _columnar.group_by_key_batch(records)
+            if batch is not None:
+                return batch
             grouped: dict = {}
             get = grouped.get
             for k, v in records:
@@ -442,6 +450,9 @@ class RDD:
         cogrouped = CoGroupedRDD(self.ctx, [self, other], partitioner, name="cogroup")
 
         def flatten(records: List[Record]) -> List[Record]:
+            batch = _columnar.flatten_join(records)
+            if batch is not None:
+                return batch
             out: List[Record] = []
             for k, (left, right) in records:
                 for lv in left:
@@ -519,6 +530,7 @@ class SourceRDD(RDD):
         partitions: List[List[Record]],
         bytes_per_record: float,
         name: str = "source",
+        column_parts: Optional[dict] = None,
     ) -> None:
         super().__init__(
             ctx,
@@ -529,8 +541,10 @@ class SourceRDD(RDD):
         )
         self._partitions = partitions
         #: pidx -> packed ColumnBatch (None = proven unpackable), built
-        #: lazily so iterative jobs pack each source partition once.
-        self._column_parts: dict = {}
+        #: lazily so iterative jobs pack each source partition once;
+        #: ``column_parts`` shares one such dict across every source of
+        #: the same partitions (see ``SparkContext.source_rdd``).
+        self._column_parts: dict = {} if column_parts is None else column_parts
 
     def compute_partition(self, pidx: int, task) -> List[Record]:
         records = self._partitions[pidx]
@@ -689,6 +703,11 @@ class CoGroupedRDD(RDD):
                 sides.append(task.fetch_shuffle(dep, pidx))
             else:
                 sides.append(task.get_records(dep.parent, pidx))
+        if self.inner and len(sides) == 2:
+            out = _columnar.join_batches(*sides)
+            if out is not None:
+                task.charge_cogroup(self, sides, out)
+                return out
         grouped: dict = {}
         if len(sides) == 2:
             # The join/cogroup hot path: single dict probe per record and

@@ -24,6 +24,7 @@ from __future__ import annotations
 import pickle
 from typing import List, Optional, Sequence, Tuple
 
+from repro.spark import columnar as _columnar
 from repro.spark.partition import Record
 
 try:  # numpy is optional, never required
@@ -88,11 +89,22 @@ class SerializedColumnBatch:
     __slots__ = ("count", "columnar", "_keys", "_values", "_payload")
 
     def __init__(self, records: Sequence[Record]) -> None:
-        records = list(records)
-        self.count = len(records)
         self._keys = None
         self._values = None
         self._payload: Optional[bytes] = None
+        if _np is not None and _columnar.is_batch(records):
+            keys = _columnar.int_array(records.keys)
+            values = records.values
+            if keys is not None and type(values) is _columnar.ScalarColumn:
+                # A batch of scalar int64/float64 columns already *is*
+                # the packed form: adopt its arrays (never mutated).
+                self.count = len(records)
+                self.columnar = True
+                self._keys = keys
+                self._values = values.arr
+                return
+        records = list(records)
+        self.count = len(records)
         key_code = value_code = None
         if records and all(
             type(r) is tuple and len(r) == 2 for r in records
@@ -114,12 +126,20 @@ class SerializedColumnBatch:
     def unpack(self) -> List[Record]:
         """Rebuild the exact record list that was packed.
 
-        Columnar batches zip their columns back into tuples
-        (``tolist()`` returns plain Python ints/floats, so int64 and
-        float64 columns reproduce the original objects bit-exactly);
-        byte-packed batches unpickle.
+        Columnar batches come back as a
+        :class:`~repro.spark.columnar.ColumnBatch` over the packed arrays
+        when the columnar plane is active, so the read stays on it;
+        otherwise they zip their columns back into tuples (``tolist()``
+        returns plain Python ints/floats, so int64 and float64 columns
+        reproduce the original objects bit-exactly).  Byte-packed
+        batches unpickle.
         """
         if self.columnar:
+            if _np is not None and _columnar.columnar_active():
+                return _columnar.ColumnBatch(
+                    _columnar.ScalarColumn(self._keys),
+                    _columnar.ScalarColumn(self._values),
+                )
             return list(zip(self._keys.tolist(), self._values.tolist()))
         return pickle.loads(self._payload)
 
@@ -151,5 +171,5 @@ def pack_partitions(
 
 def roundtrip_ok(records: Sequence[Record]) -> Tuple[bool, List[Record]]:
     """Pack + unpack one partition; returns (exact?, unpacked)."""
-    out = SerializedColumnBatch.pack(records).unpack()
+    out = list(SerializedColumnBatch.pack(records).unpack())
     return out == list(records), out

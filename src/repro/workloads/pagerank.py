@@ -40,6 +40,28 @@ def _contribs_record(record):
     return [(url, rank / size) for url in urls]
 
 
+def _contribs_kernel(batch):
+    values = batch.values
+    if type(values) is not _columnar.PairColumn:
+        return None
+    urls = values.first
+    ranks = _columnar.float_array(values.second)
+    if type(urls) is not _columnar.ListColumn or ranks is None:
+        return None
+    # rank / max(1, len(urls)) per row, one record per url: float64
+    # division by the (exactly converted) int degree is the same
+    # correctly-rounded division Python's float / int performs.
+    return _columnar.csr_spread(urls, ranks / urls.lengths().clip(1))
+
+
+def _initial_rank(_links):
+    return 1.0
+
+
+def _initial_rank_kernel(batch):
+    return _columnar.ColumnBatch(batch.keys, _columnar.ones_float(len(batch)))
+
+
 def _edge(record):
     """(src, dst) -> (src, dst): identity over the 2-tuple edge records
     (named so the columnar plane can register a whole-batch kernel)."""
@@ -70,6 +92,8 @@ _columnar.register_reduce_kernel(
     _add, _columnar.make_scalar_add_reduce_kernel()
 )
 _columnar.register_map_values_kernel(_damp, _damp_kernel)
+_columnar.register_map_values_kernel(_initial_rank, _initial_rank_kernel)
+_columnar.register_flat_map_kernel(_contribs_record, _contribs_kernel)
 
 
 def build_pagerank(
@@ -98,7 +122,7 @@ def build_pagerank(
         .group_by_key(size_factor=fanout)
         .persist(StorageLevel.MEMORY_ONLY),
     )
-    ranks = p.let("ranks", links.map_values(lambda _: 1.0, size_factor=0.1))
+    ranks = p.let("ranks", links.map_values(_initial_rank, size_factor=0.1))
     with p.loop(iterations):
         contribs = p.let(
             "contribs",

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.config import PolicyName
+from repro.errors import ConfigError
 from repro.harness.configs import paper_config
 from repro.harness.engine import (
     ExperimentEngine,
@@ -50,6 +51,26 @@ class TestFingerprint:
         kw = _point()
         kw.workload_kwargs = {"iterations": 3}
         assert kw.fingerprint() != _point().fingerprint()
+
+    def test_enum_kwargs_key_by_value(self):
+        """Enum members fingerprint by value, never by a repr."""
+        def with_level(level):
+            point = _point()
+            point.workload_kwargs = {"persist_level": level}
+            return point.fingerprint()
+
+        ser = with_level(StorageLevel.MEMORY_ONLY_SER)
+        assert ser == with_level("MEMORY_ONLY_SER")
+        assert ser != with_level(StorageLevel.MEMORY_ONLY)
+
+    @pytest.mark.parametrize("value", [lambda r: r, object(), {1, 2}])
+    def test_non_json_kwargs_raise_config_error(self, value):
+        """A function or arbitrary object would key the cache on its
+        memory address and miss on every run: refuse it instead."""
+        point = _point()
+        point.workload_kwargs = {"fn": value}
+        with pytest.raises(ConfigError, match="cannot fingerprint"):
+            point.fingerprint()
 
     def test_embeds_code_version(self, monkeypatch):
         base = _point().fingerprint()
