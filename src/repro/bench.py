@@ -227,6 +227,31 @@ def setup_graph_kernel() -> Callable[[], None]:
     return run
 
 
+def setup_distinct_kernel() -> Callable[[], None]:
+    """``distinct``'s columnar path over one 4096-edge partition (a
+    quarter of the edges duplicated): key the edges as 2-int tuple
+    keys, keep the first occurrence of each edge (the map-side
+    combine) and split the survivors across shuffle buckets by the
+    tuple hash."""
+    import random as _random
+
+    from repro.spark import columnar as _columnar
+    from repro.spark.partition import HashPartitioner
+
+    rng = _random.Random(7)
+    unique = [(rng.randrange(512), rng.randrange(512)) for _ in range(3072)]
+    edges = _columnar.ColumnBatch.from_records(
+        unique + [rng.choice(unique) for _ in range(1024)]
+    )
+    part = HashPartitioner(8)
+
+    def run() -> None:
+        keyed = _columnar.distinct_key_kernel(edges)
+        _columnar.split_batch(_columnar.keep_first_kernel(keyed), part)
+
+    return run
+
+
 #: name -> (setup, inner iterations per round)
 MICRO_BENCHES: Dict[str, Any] = {
     "micro.ephemeral_churn": (setup_ephemeral_churn, 20),
@@ -238,6 +263,7 @@ MICRO_BENCHES: Dict[str, Any] = {
     "micro.ser_roundtrip": (setup_ser_roundtrip, 50),
     "micro.columnar_kernel": (setup_columnar_kernel, 50),
     "micro.graph_kernel": (setup_graph_kernel, 50),
+    "micro.distinct_kernel": (setup_distinct_kernel, 50),
 }
 
 #: (workload, policy) cells measured as end-to-end experiments.  The

@@ -19,7 +19,10 @@ in :class:`PairColumn` for the ``(vid, (state, [nbr…]))`` graph rows;
 ``group_by_key`` is a first-occurrence grouping plus a stable
 reordering of the values, an inner join of two unique-keyed int
 batches is one ``searchsorted`` match, and the message fan-outs are
-``np.repeat`` over the CSR lengths.
+``np.repeat`` over the CSR lengths.  PageRank's ``distinct`` prologue
+keys its edges by a 2-int tuple-key column (a :class:`PairColumn` of
+two int64 columns), buckets it by ``_stable_hash``'s tuple rule and
+keeps each edge's first occurrence.
 
 The house rule is byte-identity: simulated time, GC logs, trace
 streams, bandwidth CSVs, fault checksums *and computed workload
@@ -251,7 +254,10 @@ def _concat_columns(cols: Sequence[Any]) -> Optional[Any]:
             return None
         return ScalarColumn(_np.concatenate([c.arr for c in cols]))
     if t is ConstColumn:
-        if any(c.value != head.value for c in cols):
+        # Equal is not enough: 1 == 1.0 == True, and the merged column
+        # would unpack one segment's value type for every row.
+        vt = type(head.value)
+        if any(type(c.value) is not vt or c.value != head.value for c in cols):
             return None
         return ConstColumn(head.value, sum(c.n for c in cols))
     if t is VecColumn:
@@ -569,9 +575,9 @@ def _group_structure(keys):
     if type(keys) is ConstColumn:
         n = len(keys)
         return (
-            ConstColumn(keys.value, 1),
+            ConstColumn(keys.value, min(n, 1)),
             _np.zeros(n, dtype=_np.intp),
-            _np.zeros(1, dtype=_np.intp),
+            _np.zeros(min(n, 1), dtype=_np.intp),
         )
     if type(keys) is ScalarColumn and keys.is_int:
         arr = keys.arr
@@ -747,6 +753,71 @@ def group_by_key_batch(records: Any) -> Optional[ColumnBatch]:
     return group_lists_kernel(batch)
 
 
+def int_pair_arrays(keys) -> Optional[tuple]:
+    """The two int64 arrays of a 2-int tuple-key column (a
+    :class:`PairColumn` of int :class:`ScalarColumn` s), else None."""
+    if type(keys) is not PairColumn:
+        return None
+    first = int_array(keys.first)
+    second = int_array(keys.second)
+    if first is None or second is None:
+        return None
+    return first, second
+
+
+def distinct_key_kernel(batch: ColumnBatch) -> Optional[ColumnBatch]:
+    """``distinct``'s keying ``r -> (r, None)`` over an int-key /
+    int-value batch: the ``(src, dst)`` pairs become a 2-int tuple-key
+    column, the values a column of None.  Other schemas decline."""
+    if int_array(batch.keys) is None or int_array(batch.values) is None:
+        return None
+    return ColumnBatch(
+        PairColumn(batch.keys, batch.values), ConstColumn(None, len(batch))
+    )
+
+
+def distinct_unkey_kernel(batch: ColumnBatch) -> Optional[ColumnBatch]:
+    """``distinct``'s unkeying ``r -> r[0]`` over a tuple-key batch: the
+    key pair's two columns become the key and value columns again."""
+    keys = batch.keys
+    if type(keys) is not PairColumn:
+        return None
+    return ColumnBatch(keys.first, keys.second)
+
+
+def keep_first_kernel(batch: ColumnBatch) -> Optional[ColumnBatch]:
+    """Grouped-fold kernel for ``fn(a, b) = a`` over 2-int tuple keys:
+    the first row of each key, rows kept in input order (the dict
+    fold's first-occurrence order, holding each key's first value).
+
+    Each pair packs into one int64 code ``(a - a_lo) * span_b +
+    (b - b_lo)``; a plain argsort of the codes groups equal pairs, and
+    the minimum original position per run is the first occurrence.
+    Declines when the code span reaches 2**62 (it could not pack).
+    """
+    pair = int_pair_arrays(batch.keys)
+    if pair is None:
+        return None
+    a, b = pair
+    n = len(a)
+    if n < 2:
+        return batch
+    a_lo = int(a.min())
+    b_lo = int(b.min())
+    span_b = int(b.max()) - b_lo + 1
+    if (int(a.max()) - a_lo + 1) * span_b >= 1 << 62:
+        return None
+    code = (a - a_lo) * span_b + (b - b_lo)
+    order = _np.argsort(code)
+    run = code[order]
+    starts = _np.flatnonzero(run[1:] != run[:-1]) + 1
+    if len(starts) == n - 1:
+        return batch  # no duplicate pair
+    first = _np.minimum.reduceat(order, _np.concatenate(([0], starts)))
+    first.sort()
+    return batch.select(first)
+
+
 def join_batches(left: Any, right: Any) -> Optional[ColumnBatch]:
     """The vectorised inner cogroup of two int-keyed batches whose keys
     are unique on each side, or None to fall back to the dict cogroup.
@@ -838,24 +909,33 @@ def split_batch(batch: ColumnBatch, partitioner) -> Optional[list]:
     ``& 0x7FFFFFFF`` then ``% n``, exactly the inline int path of
     ``HashPartitioner.bucket_into`` (identical for every int64 key:
     numpy's two's-complement ``&`` matches Python's) — with
-    order-preserving row selection per bucket.  Constant keys hash
-    once through ``partition_of``.  None when the key column needs the
-    per-record path (non-int scalars).
+    order-preserving row selection per bucket.  2-int tuple keys hash
+    by ``_stable_hash``'s tuple rule, ``((a & M) * 1_000_003 + (b & M))
+    & M`` (below 2**52 before the mask, so int64 cannot overflow).
+    Constant keys hash once through ``partition_of``.  None when the
+    key column needs the per-record path (other key types).
     """
     keys = batch.keys
     n = partitioner.num_partitions
     if type(keys) is ConstColumn:
         return [(partitioner.partition_of(keys.value), batch)]
-    if type(keys) is ScalarColumn and keys.is_int:
-        if n == 1:
-            return [(0, batch)]
-        bucket_of = (keys.arr & _MASK) % n
-        pieces = []
-        for bidx in _np.unique(bucket_of):
-            idx = _np.flatnonzero(bucket_of == bidx)
-            pieces.append((int(bidx), batch.select(idx)))
-        return pieces
-    return None
+    arr = int_array(keys)
+    if arr is not None:
+        hashed = arr & _MASK
+    else:
+        pair = int_pair_arrays(keys)
+        if pair is None:
+            return None
+        a, b = pair
+        hashed = ((a & _MASK) * 1_000_003 + (b & _MASK)) & _MASK
+    if n == 1:
+        return [(0, batch)]
+    bucket_of = hashed % n
+    pieces = []
+    for bidx in _np.unique(bucket_of):
+        idx = _np.flatnonzero(bucket_of == bidx)
+        pieces.append((int(bidx), batch.select(idx)))
+    return pieces
 
 
 def bucket_into_segments(partitioner, records, segments: List[list]) -> None:

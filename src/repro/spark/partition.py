@@ -103,8 +103,10 @@ class HashPartitioner:
                 and type(key[0]) is int
                 and type(key[1]) is int
             ):
-                # distinct()'s (record, None) keying shuffles 2-int
-                # tuples; inline the recursion for exactly that shape.
+                # 2-int tuple keys (distinct()'s (record, None) keying
+                # of edges, where the columnar plane is off or declined;
+                # split_batch hashes its tuple-key columns by the same
+                # rule): inline the recursion for exactly that shape.
                 h = (
                     (key[0] & 0x7FFFFFFF) * 1_000_003 + (key[1] & 0x7FFFFFFF)
                 ) & 0x7FFFFFFF

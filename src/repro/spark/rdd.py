@@ -19,6 +19,26 @@ from repro.spark.partition import _MISSING, HashPartitioner, Record
 from repro.spark.storage import StorageLevel
 
 
+def _distinct_key(record: Record) -> Record:
+    """``distinct``'s keying: the whole record is the key."""
+    return (record, None)
+
+
+def _keep_first(a: Any, _b: Any) -> Any:
+    """``distinct``'s fold: each key keeps its first value."""
+    return a
+
+
+def _distinct_unkey(record: Record) -> Record:
+    """``distinct``'s unkeying: back to the original record."""
+    return record[0]
+
+
+_columnar.register_map_kernel(_distinct_key, _columnar.distinct_key_kernel)
+_columnar.register_reduce_kernel(_keep_first, _columnar.keep_first_kernel)
+_columnar.register_map_kernel(_distinct_unkey, _columnar.distinct_unkey_kernel)
+
+
 class Dependency:
     """Base class for RDD dependencies."""
 
@@ -333,9 +353,9 @@ class RDD:
 
     def distinct(self, num_partitions: Optional[int] = None) -> "RDD":
         """Remove duplicate records (wide)."""
-        keyed = self.map(lambda r: (r, None), name="distinct-key")
-        deduped = keyed.reduce_by_key(lambda a, b: a, num_partitions, name="distinct")
-        return deduped.map(lambda r: r[0], name="distinct-unkey")
+        keyed = self.map(_distinct_key, name="distinct-key")
+        deduped = keyed.reduce_by_key(_keep_first, num_partitions, name="distinct")
+        return deduped.map(_distinct_unkey, name="distinct-unkey")
 
     def aggregate_by_key(
         self,

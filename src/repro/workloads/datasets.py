@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import GiB, MiB
@@ -44,6 +44,21 @@ class DatasetSpec:
     def bytes_per_record(self) -> float:
         """Average byte weight of one record."""
         return self.total_bytes / max(1, len(self.records))
+
+    # Edge datasets only.  Memoised on the instance: the dataset
+    # factories are memoised, so every program built over one dataset
+    # shares a single count.
+
+    @cached_property
+    def n_sources(self) -> int:
+        """Distinct source vertices of an edge dataset."""
+        return len({src for src, _ in self.records})
+
+    @cached_property
+    def n_vertices(self) -> int:
+        """Distinct vertices (sources or destinations) of an edge
+        dataset."""
+        return len({v for edge in self.records for v in edge})
 
 
 def powerlaw_graph(

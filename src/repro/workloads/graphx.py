@@ -151,8 +151,7 @@ def _adjacency_program(
     undirected view of the graph (as GraphX's ``connectedComponents``
     does); SSSP follows edge direction.
     """
-    n_vertices = len({v for edge in ds.records for v in edge})
-    fanout = max(1.0, len(ds.records) / max(1, n_vertices))
+    fanout = max(1.0, len(ds.records) / max(1, ds.n_vertices))
     lines = p.let("lines", p.source(ds))
     if undirected:
         edges_expr = lines.flat_map(_both_directions, size_factor=0.5)

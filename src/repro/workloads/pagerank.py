@@ -110,8 +110,7 @@ def build_pagerank(
     default object-heap form and ``MEMORY_ONLY_SER`` (serialized tier).
     """
     ds = dataset or pagerank_graph(scale=scale, seed=seed)
-    n_vertices = len({src for src, _ in ds.records})
-    fanout = max(1.0, len(ds.records) / max(1, n_vertices))
+    fanout = max(1.0, len(ds.records) / max(1, ds.n_sources))
 
     p = Program()
     lines = p.let("lines", p.source(ds))

@@ -217,6 +217,32 @@ class TestGroupedFolds:
         folded = make_vec_count_merge_kernel()(batch)
         assert folded.to_records() == [("grad", ((7.0,), 3))]
 
+    def test_empty_const_key_batch_folds_to_nothing(self):
+        """An empty constant-key batch has no group: the fold returns an
+        empty batch instead of indexing a phantom first row."""
+        from repro.workloads.pagerank import _add
+
+        batch = ColumnBatch(
+            ConstColumn("grad", 0), ScalarColumn(np.zeros(0, dtype=np.float64))
+        )
+        folded = _columnar.apply_reduce_kernel(_add, batch)
+        assert isinstance(folded, ColumnBatch)
+        assert folded.to_records() == []
+
+    def test_const_columns_of_equal_values_but_different_types_stay_apart(self):
+        """1 == 1.0 == True: merging such segments would unpack one
+        segment's value type for every row."""
+        int_ones, float_ones = ConstColumn(1, 2), ConstColumn(1.0, 2)
+        assert _columnar._concat_columns([int_ones, float_ones]) is None
+        assert _columnar._concat_columns([int_ones, ConstColumn(True, 1)]) is None
+        merged = concat_segments(
+            [
+                ColumnBatch(int_ones, ScalarColumn(np.arange(2))),
+                ColumnBatch(float_ones, ScalarColumn(np.arange(2))),
+            ]
+        )
+        assert [repr(k) for k, _ in merged] == ["1", "1", "1.0", "1.0"]
+
     def test_kernels_decline_foreign_schemas(self):
         ints = ColumnBatch.from_records([(1, 2), (3, 4)])
         assert make_scalar_add_reduce_kernel()(ints) is None
@@ -662,8 +688,8 @@ class TestGraphKernels:
 
 class TestGraphPlaneEngagement:
     """Guards against a silent fallback: at s1 with numpy, PageRank's
-    contribs and CC's msgs shuffle through ``split_batch`` and never
-    reach the per-record ``bucket_into``."""
+    distinct prologue and contribs and CC's msgs shuffle through
+    ``split_batch`` and never reach the per-record ``bucket_into``."""
 
     @pytest.mark.parametrize(
         "workload, value_type", [("PR", float), ("CC", int)]
@@ -697,13 +723,11 @@ class TestGraphPlaneEngagement:
             and type(b.values.arr.tolist()[0]) is value_type
             for b in split
         )
-        if workload == "CC":
-            assert per_record == []
-        else:
-            # Only the per-record distinct prologue buckets per record:
-            # (edge, None) keys and the deduplicated (src, dst) edges.
-            for records in per_record:
-                assert all(type(v) is not float for _, v in records)
+        assert per_record == []
+        if workload == "PR":
+            # The distinct prologue shuffles its (edge, None) records
+            # under 2-int tuple keys.
+            assert any(type(b.keys) is PairColumn for b in split)
 
 
 class TestGraphPlaneSharing:
@@ -786,3 +810,142 @@ class TestGraphPlaneIdentity:
         with numpy_absent(_columnar, serialized):
             record = cell.run()
         assert columnar == record
+
+
+# -- distinct: tuple-key column and keep-first fold ------------------------
+
+#: Ids with duplicates (a small range) plus the hash's edge cases.
+_DISTINCT_ID = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([2**31 - 1, 2**31, -(2**31) - 1, 2**63 - 1, -(2**63)]),
+)
+
+
+def _int_pairs(pairs):
+    return ColumnBatch(
+        PairColumn(
+            ScalarColumn(np.asarray([a for a, _ in pairs], dtype=np.int64)),
+            ScalarColumn(np.asarray([b for _, b in pairs], dtype=np.int64)),
+        ),
+        ConstColumn(None, len(pairs)),
+    )
+
+
+def _distinct_then_group(partitions, num_partitions):
+    """Persisted partition contents of ``distinct()`` and of the
+    ``group_by_key()`` after it, over explicit source partitions."""
+    from repro.spark.rdd import SourceRDD
+
+    ctx = small_context(PolicyName.PANTHERA)
+    source = SourceRDD(ctx, [list(p) for p in partitions], 64.0, name="pairs")
+    deduped = source.distinct(num_partitions).persist(StorageLevel.MEMORY_ONLY)
+    grouped = deduped.group_by_key().persist(StorageLevel.MEMORY_ONLY)
+    grouped.count()
+    return [
+        list(ctx.block_manager.get(rdd.id).records)
+        for rdd in (deduped, grouped)
+    ]
+
+
+def _unpacked(rdds):
+    return [[list(part) for part in parts] for parts in rdds]
+
+
+class TestDistinctPlane:
+    _IDS = [0, 1, -1, 5, 2**31 - 1, 2**31, -(2**31), 2**63 - 1, -(2**63)]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_pair_key_split_is_the_stable_tuple_hash(self, n):
+        pairs = [(a, b) for a in self._IDS for b in self._IDS]
+        part = HashPartitioner(n)
+        expected = [[] for _ in range(n)]
+        for key in pairs:
+            expected[_stable_hash(key) % n].append(key)
+        got = [[] for _ in range(n)]
+        for bidx, sub in split_batch(_int_pairs(pairs), part):
+            got[bidx].extend(k for k, _ in sub.to_records())
+        assert got == expected
+
+    def test_keying_roundtrips_through_the_tuple_key_column(self):
+        edges = [(3, -1), (2**63 - 1, 0), (3, -1)]
+        keyed = _columnar.distinct_key_kernel(ColumnBatch.from_records(edges))
+        assert type(keyed.keys) is PairColumn
+        assert keyed.to_records() == [(e, None) for e in edges]
+        assert _columnar.distinct_unkey_kernel(keyed).to_records() == edges
+
+    @_GRAPH_SETTINGS
+    @given(st.lists(st.tuples(_DISTINCT_ID, _DISTINCT_ID), max_size=40))
+    def test_keep_first_matches_the_dict_fold(self, pairs):
+        batch = _int_pairs(pairs)
+        folded = _columnar.keep_first_kernel(batch)
+        if folded is None:  # the code span would overflow int64
+            a = [x for x, _ in pairs]
+            b = [y for _, y in pairs]
+            assert (max(a) - min(a) + 1) * (max(b) - min(b) + 1) >= 2**62
+            return
+        assert folded.to_records() == [(k, None) for k in dict.fromkeys(pairs)]
+
+    @_GRAPH_SETTINGS
+    @given(
+        st.lists(
+            st.lists(st.tuples(_DISTINCT_ID, _DISTINCT_ID), max_size=12),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_distinct_then_group_identical_either_plane(
+        self, partitions, num_partitions
+    ):
+        with _min_group_rows(1):
+            columnar = _distinct_then_group(partitions, num_partitions)
+            with numpy_absent(_columnar):
+                record = _distinct_then_group(partitions, num_partitions)
+        assert _same(_unpacked(columnar), _unpacked(record))
+        edges = {e for p in partitions for e in p}
+        deduped = [e for part in record[0] for e in part]
+        assert sorted(deduped) == sorted(edges)
+
+    def test_pagerank_links_prologue_stays_columnar(self):
+        edges = [(i % 50, (i * 7) % 50) for i in range(600)]
+        with _min_group_rows(1):
+            deduped, grouped = _distinct_then_group([edges[:300], edges[300:]], 3)
+        assert all(isinstance(p, ColumnBatch) for p in deduped + grouped)
+        assert type(deduped[0].keys) is ScalarColumn
+        assert type(grouped[0].values) is ListColumn
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(True, 1), (1, 1), (True, 1)],  # bools never pack
+            [(1.0, 2.0), (1.0, 2.0), (-0.0, 0.0)],  # float pairs
+            [(1, 2.0), (1, 2), (1, 2.0)],  # mixed pairs
+            [(-(2**63), 0), (2**63 - 1, 5), (-(2**63), 0)],  # code span
+        ],
+    )
+    def test_unsupported_pairs_decline_to_the_record_path(self, edges):
+        columnar = _distinct_then_group([edges, edges[::-1]], 2)
+        with numpy_absent(_columnar):
+            record = _distinct_then_group([edges, edges[::-1]], 2)
+        assert _same(_unpacked(columnar), _unpacked(record))
+
+    def test_kernels_decline_what_they_cannot_replay(self):
+        floats = ColumnBatch.from_records([(1, 2.0), (1, 2.0)])
+        assert _columnar.distinct_key_kernel(floats) is None
+        assert _columnar.keep_first_kernel(floats) is None
+        assert _columnar.distinct_unkey_kernel(floats) is None
+        mixed_key = ColumnBatch(
+            PairColumn(floats.keys, floats.values), ConstColumn(None, 2)
+        )
+        assert split_batch(mixed_key, HashPartitioner(3)) is None
+        assert _columnar.keep_first_kernel(mixed_key) is None
+        wide = _int_pairs([(-(2**63), 0), (2**63 - 1, 1), (-(2**63), 0)])
+        assert _columnar.keep_first_kernel(wide) is None
+        # Just inside the bound the codes still pack.
+        edge = _int_pairs([(0, 0), (2**31 - 1, 2**31 - 1)])
+        assert _columnar.keep_first_kernel(edge) is None  # span 2**62
+        narrow = _int_pairs([(0, 0), (2**31 - 1, 2**31 - 2), (0, 0)])
+        assert _columnar.keep_first_kernel(narrow).to_records() == [
+            ((0, 0), None),
+            ((2**31 - 1, 2**31 - 2), None),
+        ]
