@@ -18,9 +18,8 @@ plus KM/LR/PR at ``MEMORY_ONLY_SER`` with the serialized tier on and
 off, at two pressure points (s0.01 on a 64 GB heap with a shuffle kill;
 s0.1 on a 36 GB heap with a shuffle kill and an NVM throttle, which
 forces major GCs, spills and drops); TC under four policies at the
-s0.01 point only (its duplicate-key self-join makes an s0.1 cell cost
-about half a second); plus one small two-executor cluster replay with
-an executor kill.
+s0.01 point and under panthera and deca at the s0.1 point; plus one
+small two-executor cluster replay with an executor kill.
 
 ``tests/test_golden.py`` checks the committed digests (with numpy and
 with numpy forced absent); ``scripts/golden.py --accept`` rewrites them.
@@ -50,7 +49,8 @@ from repro.trace.export import events_to_jsonl
 DIGESTS_PATH = Path(__file__).with_name("digests.json")
 
 WORKLOADS = ("PR", "CC", "SSSP", "KM", "LR", "BC")
-#: Workloads pinned at the first (cheapest) pressure point only.
+#: Workloads pinned under every policy at the first (cheapest) pressure
+#: point only, and under :data:`LIGHT_POLICIES` at the others.
 LIGHT_WORKLOADS = ("TC",)
 POLICIES = (
     PolicyName.PANTHERA,
@@ -58,6 +58,7 @@ POLICIES = (
     PolicyName.DECA,
     PolicyName.UNMANAGED,
 )
+LIGHT_POLICIES = (PolicyName.PANTHERA, PolicyName.DECA)
 #: Workloads whose cached RDD takes a ``persist_level``.
 SER_WORKLOADS = ("KM", "LR", "PR")
 
@@ -142,11 +143,12 @@ def cells() -> List[Cell]:
     """Every single-node cell of the corpus, in a fixed order."""
     out: List[Cell] = []
     for pressure in PRESSURES:
-        workloads = WORKLOADS
-        if pressure == PRESSURES[0]:
-            workloads += LIGHT_WORKLOADS
-        for workload in workloads:
+        for workload in WORKLOADS:
             for policy in POLICIES:
+                out.append(Cell(workload, policy, pressure))
+        light = POLICIES if pressure == PRESSURES[0] else LIGHT_POLICIES
+        for workload in LIGHT_WORKLOADS:
+            for policy in light:
                 out.append(Cell(workload, policy, pressure))
         for workload in SER_WORKLOADS:
             for policy in POLICIES:
