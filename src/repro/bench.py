@@ -252,6 +252,43 @@ def setup_distinct_kernel() -> Callable[[], None]:
     return run
 
 
+def setup_shuffle_exchange() -> Callable[[], None]:
+    """One shuffle map stage's bucketing, in two shapes: TC's (128 map
+    outputs of 2-int tuple-key rows, about 17k rows, into 256 buckets)
+    and ``graph``'s (4 map outputs of int-key / float-value rows, 26k
+    rows, into 4 buckets).  Each stage splits once over the
+    concatenation of its outputs."""
+    import random as _random
+
+    from repro.spark import columnar as _columnar
+    from repro.spark.partition import HashPartitioner
+
+    rng = _random.Random(7)
+
+    def tc_output(n: int):
+        keyed = _columnar.ColumnBatch.from_records(
+            [(rng.randrange(4096), rng.randrange(4096)) for _ in range(n)]
+        )
+        return _columnar.distinct_key_kernel(keyed)
+
+    def graph_output(n: int):
+        return _columnar.ColumnBatch.from_records(
+            [(rng.randrange(8192), rng.random()) for _ in range(n)]
+        )
+
+    stages = [
+        ([tc_output(133) for _ in range(128)], HashPartitioner(256)),
+        ([graph_output(6500) for _ in range(4)], HashPartitioner(4)),
+    ]
+
+    def run() -> None:
+        for outputs, part in stages:
+            buckets = [[] for _ in range(part.num_partitions)]
+            _columnar.bucket_into_segments(part, outputs, buckets)
+
+    return run
+
+
 #: name -> (setup, inner iterations per round)
 MICRO_BENCHES: Dict[str, Any] = {
     "micro.ephemeral_churn": (setup_ephemeral_churn, 20),
@@ -264,6 +301,7 @@ MICRO_BENCHES: Dict[str, Any] = {
     "micro.columnar_kernel": (setup_columnar_kernel, 50),
     "micro.graph_kernel": (setup_graph_kernel, 50),
     "micro.distinct_kernel": (setup_distinct_kernel, 50),
+    "micro.shuffle_exchange": (setup_shuffle_exchange, 20),
 }
 
 #: (workload, policy) cells measured as end-to-end experiments.  The

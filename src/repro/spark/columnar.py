@@ -9,20 +9,24 @@ one distance matrix + ``argmin``, the LR gradient becomes matrix–vector
 products, and ``reduce_by_key`` becomes a stable key grouping with
 per-segment ordered folds.  Shuffle bucketing over int-key columns is
 one vectorised ``& 0x7FFFFFFF`` / ``% n`` pass instead of a per-record
-loop.  Without numpy no batch is ever built and everything runs on the
-per-record plane.
+loop, and a map stage whose outputs are all batches splits once: one
+stable radix sort of the bucket ids, one gather per column, each bucket
+a slice.  Without numpy no batch is ever built and everything runs on
+the per-record plane.
 
 The graph programs (PageRank, connected components, SSSP) stay in
 batches from ``group_by_key`` to the final ``collect``: adjacency lists
 are one CSR :class:`ListColumn` (int64 ``offsets`` + ``flat``), nested
 in :class:`PairColumn` for the ``(vid, (state, [nbr…]))`` graph rows;
 ``group_by_key`` is a first-occurrence grouping plus a stable
-reordering of the values, an inner join of two unique-keyed int
-batches is one ``searchsorted`` match, and the message fan-outs are
-``np.repeat`` over the CSR lengths.  PageRank's ``distinct`` prologue
-keys its edges by a 2-int tuple-key column (a :class:`PairColumn` of
-two int64 columns), buckets it by ``_stable_hash``'s tuple rule and
-keeps each edge's first occurrence.
+reordering of the values, an inner join of two int-keyed batches is
+one ``searchsorted`` match (duplicate keys group into CSR lists on
+both sides first, and the join's flatten expands each key's cross
+product in left-major order), and the message fan-outs are
+``np.repeat`` over the CSR lengths.  ``distinct`` (PageRank's prologue,
+transitive closure) keys its pairs by a 2-int tuple-key column (a
+:class:`PairColumn` of two int64 columns), buckets it by
+``_stable_hash``'s tuple rule and keeps each pair's first occurrence.
 
 The house rule is byte-identity: simulated time, GC logs, trace
 streams, bandwidth CSVs, fault checksums *and computed workload
@@ -45,8 +49,9 @@ kernels reproduce the record plane exactly:
 
 Order-sensitive operations a kernel cannot replay decline instead: the
 grouped ``min`` declines float batches holding a NaN or a ``-0.0`` (the
-only values for which ``min``'s fold order shows), and the join
-declines duplicate keys.  Unpacking is exact by the same argument as
+only values for which ``min``'s fold order shows).  Schemas a kernel
+does not cover decline too: a join with duplicate keys needs int64
+values on both sides, since its CSR lists hold int64 only.  Unpacking is exact by the same argument as
 the serialized tier: ``tolist()`` on int64/float64 columns rebuilds the
 original Python ints/floats bit-for-bit.  Records and UDFs with no
 registered kernel fall back to the per-record path, so the plane is a
@@ -102,6 +107,14 @@ class ScalarColumn:
         """Row subset by fancy index (order-preserving)."""
         return ScalarColumn(self.arr[idx])
 
+    def slice(self, lo: int, hi: int) -> "ScalarColumn":
+        """Rows ``lo:hi`` as a view."""
+        return ScalarColumn(self.arr[lo:hi])
+
+    @property
+    def nbytes(self) -> int:
+        return self.arr.nbytes
+
     @property
     def is_int(self) -> bool:
         return self.arr.dtype.kind == "i"
@@ -127,6 +140,13 @@ class ConstColumn:
         """Row subset: the same constant, fewer rows."""
         return ConstColumn(self.value, len(idx))
 
+    def slice(self, lo: int, hi: int) -> "ConstColumn":
+        """Rows ``lo:hi``: the same constant, fewer rows."""
+        return ConstColumn(self.value, hi - lo)
+
+    #: No array behind it.
+    nbytes = 0
+
 
 class VecColumn:
     """A tuple-of-floats column as one ``(N, D)`` float64 matrix."""
@@ -146,6 +166,14 @@ class VecColumn:
     def select(self, idx) -> "VecColumn":
         """Row subset by fancy index (order-preserving)."""
         return VecColumn(self.mat[idx])
+
+    def slice(self, lo: int, hi: int) -> "VecColumn":
+        """Rows ``lo:hi`` as a view."""
+        return VecColumn(self.mat[lo:hi])
+
+    @property
+    def nbytes(self) -> int:
+        return self.mat.nbytes
 
 
 class PairColumn:
@@ -168,6 +196,14 @@ class PairColumn:
     def select(self, idx) -> "PairColumn":
         """Row subset by fancy index (order-preserving)."""
         return PairColumn(self.first.select(idx), self.second.select(idx))
+
+    def slice(self, lo: int, hi: int) -> "PairColumn":
+        """Rows ``lo:hi`` (views of both inner columns)."""
+        return PairColumn(self.first.slice(lo, hi), self.second.slice(lo, hi))
+
+    @property
+    def nbytes(self) -> int:
+        return self.first.nbytes + self.second.nbytes
 
 
 class ListColumn:
@@ -205,6 +241,16 @@ class ListColumn:
         )
         return ListColumn(offsets, self.flat[flat_idx])
 
+    def slice(self, lo: int, hi: int) -> "ListColumn":
+        """Rows ``lo:hi``: a view of their entries, offsets rebased to 0."""
+        offsets = self.offsets[lo : hi + 1]
+        base = offsets[0]
+        return ListColumn(offsets - base, self.flat[base : offsets[-1]])
+
+    @property
+    def nbytes(self) -> int:
+        return self.offsets.nbytes + self.flat.nbytes
+
     def emptied(self, keep) -> "ListColumn":
         """The same rows, with every row where ``keep`` is False made
         an empty list."""
@@ -234,6 +280,14 @@ class SingletonColumn:
     def select(self, idx) -> "SingletonColumn":
         """Row subset by fancy index (order-preserving)."""
         return SingletonColumn(self.inner.select(idx))
+
+    def slice(self, lo: int, hi: int) -> "SingletonColumn":
+        """Rows ``lo:hi`` (a view of the inner column)."""
+        return SingletonColumn(self.inner.slice(lo, hi))
+
+    @property
+    def nbytes(self) -> int:
+        return self.inner.nbytes
 
 
 def offsets_of(lengths):
@@ -332,6 +386,15 @@ class ColumnBatch:
     def select(self, idx) -> "ColumnBatch":
         """Row subset (order-preserving fancy index)."""
         return ColumnBatch(self.keys.select(idx), self.values.select(idx))
+
+    def slice(self, lo: int, hi: int) -> "ColumnBatch":
+        """Rows ``lo:hi``, as views of this batch's arrays."""
+        return ColumnBatch(self.keys.slice(lo, hi), self.values.slice(lo, hi))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays behind every column, nested ones included."""
+        return self.keys.nbytes + self.values.nbytes
 
     # -- packing -----------------------------------------------------------
 
@@ -819,67 +882,87 @@ def keep_first_kernel(batch: ColumnBatch) -> Optional[ColumnBatch]:
 
 
 def join_batches(left: Any, right: Any) -> Optional[ColumnBatch]:
-    """The vectorised inner cogroup of two int-keyed batches whose keys
-    are unique on each side, or None to fall back to the dict cogroup.
+    """The vectorised inner cogroup of two int-keyed batches, or None to
+    fall back to the dict cogroup.
 
-    Rows are ``(k, ([lv], [rv]))`` in the left side's order, filtered to
-    keys the right side holds — exactly the dict cogroup's insertion
-    order (left keys first) once keys present on one side only are
-    dropped.  Duplicate keys decline: their cross products need the
-    dict path.
+    Rows are ``(k, ([lv…], [rv…]))`` in the left side's first-occurrence
+    key order, filtered to keys the right side holds — exactly the dict
+    cogroup's insertion order (left keys first) once keys present on one
+    side only are dropped — with each side's values in record order.
+    When keys are unique on both sides each slot is a
+    :class:`SingletonColumn` around that side's values (any schema).
+    Otherwise both sides group into CSR :class:`ListColumn` s
+    (:func:`group_lists_kernel`), which takes int64 values; other value
+    schemas decline.  An inner join with an empty side is empty (``[]``).
     """
+    if not len(left) or not len(right):
+        return []
     if type(left) is not ColumnBatch or type(right) is not ColumnBatch:
         return None
-    lk = int_array(left.keys)
-    rk = int_array(right.keys)
-    if lk is None or rk is None or _has_duplicates(lk):
+    if int_array(left.keys) is None or int_array(right.keys) is None:
         return None
-    r_order = _np.argsort(rk)
-    r_sorted = rk[r_order]
-    if _has_duplicates(r_sorted, is_sorted=True):
-        return None
-    if len(rk) == 0:
-        hit = _np.zeros(len(lk), dtype=bool)
-        pos = _np.zeros(len(lk), dtype=_np.intp)
-    else:
-        pos = _np.minimum(_np.searchsorted(r_sorted, lk), len(rk) - 1)
-        hit = r_sorted[pos] == lk
-    rsel = r_order[pos[hit]]
+    unique = not (
+        _has_duplicates(left.keys.arr) or _has_duplicates(right.keys.arr)
+    )
+    if not unique:
+        left = group_lists_kernel(left)
+        right = None if left is None else group_lists_kernel(right)
+        if right is None:
+            return None
+    lk = left.keys.arr
+    r_order = _np.argsort(right.keys.arr)
+    r_sorted = right.keys.arr[r_order]
+    pos = _np.minimum(_np.searchsorted(r_sorted, lk), len(r_sorted) - 1)
+    hit = r_sorted[pos] == lk
+    rvalues = right.values.select(r_order[pos[hit]])
     if hit.all():
         keys, lvalues = left.keys, left.values
     else:
         lsel = _np.flatnonzero(hit)
         keys, lvalues = left.keys.select(lsel), left.values.select(lsel)
-    return ColumnBatch(
-        keys,
-        PairColumn(
-            SingletonColumn(lvalues), SingletonColumn(right.values.select(rsel))
-        ),
-    )
+    if unique:
+        lvalues, rvalues = SingletonColumn(lvalues), SingletonColumn(rvalues)
+    return ColumnBatch(keys, PairColumn(lvalues, rvalues))
 
 
-def _has_duplicates(arr, is_sorted: bool = False) -> bool:
+def _has_duplicates(arr) -> bool:
     if len(arr) < 2:
         return False
-    if not is_sorted:
-        arr = _np.sort(arr)
+    arr = _np.sort(arr)
     return bool((arr[1:] == arr[:-1]).any())
 
 
 def flatten_join(batch: Any) -> Optional[ColumnBatch]:
-    """``join``'s flatten over a :func:`join_batches` result: one
-    ``(k, (lv, rv))`` row per key, or None when ``batch`` is not one."""
+    """``join``'s flatten over a :func:`join_batches` result, or None
+    when ``batch`` is not one.
+
+    Singleton slots give one ``(k, (lv, rv))`` row per key.  CSR slots
+    expand each key's cross product in the record plane's left-major
+    order: with ``a``/``b`` the per-key list lengths and ``c = a·b``,
+    output entry ``j`` of key ``g`` pairs left entry ``j // b[g]`` with
+    right entry ``j % b[g]``.
+    """
     if type(batch) is not ColumnBatch:
         return None
     values = batch.values
-    if (
-        type(values) is not PairColumn
-        or type(values.first) is not SingletonColumn
-        or type(values.second) is not SingletonColumn
-    ):
+    if type(values) is not PairColumn:
         return None
+    left, right = values.first, values.second
+    if type(left) is SingletonColumn and type(right) is SingletonColumn:
+        return ColumnBatch(batch.keys, PairColumn(left.inner, right.inner))
+    if type(left) is not ListColumn or type(right) is not ListColumn:
+        return None
+    b = right.lengths()
+    c = left.lengths() * b
+    starts = offsets_of(c)
+    row = _np.repeat(_np.arange(len(c)), c)
+    j = _np.arange(starts[-1]) - starts[:-1][row]
+    b_row = b[row]
+    li = left.offsets[:-1][row] + j // b_row
+    ri = right.offsets[:-1][row] + j % b_row
     return ColumnBatch(
-        batch.keys, PairColumn(values.first.inner, values.second.inner)
+        batch.keys.select(row),
+        PairColumn(ScalarColumn(left.flat[li]), ScalarColumn(right.flat[ri])),
     )
 
 
@@ -903,17 +986,23 @@ def apply_reduce_kernel(fn: Callable, records: Any):
 
 
 def split_batch(batch: ColumnBatch, partitioner) -> Optional[list]:
-    """Partition a batch into ``(bucket_index, sub_batch)`` pieces.
+    """Partition a batch into ``(bucket_index, sub_batch)`` pieces, in
+    ascending bucket order, each holding its rows in batch order.
 
     Int-key columns bucket in one vectorised pass — bulk
     ``& 0x7FFFFFFF`` then ``% n``, exactly the inline int path of
     ``HashPartitioner.bucket_into`` (identical for every int64 key:
-    numpy's two's-complement ``&`` matches Python's) — with
-    order-preserving row selection per bucket.  2-int tuple keys hash
-    by ``_stable_hash``'s tuple rule, ``((a & M) * 1_000_003 + (b & M))
-    & M`` (below 2**52 before the mask, so int64 cannot overflow).
-    Constant keys hash once through ``partition_of``.  None when the
-    key column needs the per-record path (other key types).
+    numpy's two's-complement ``&`` matches Python's).  2-int tuple keys
+    hash by ``_stable_hash``'s tuple rule, ``((a & M) * 1_000_003 + (b
+    & M)) & M`` (below 2**52 before the mask, so int64 cannot
+    overflow).  Constant keys hash once through ``partition_of``.
+
+    The rows are then gathered once, in the stable order of their
+    bucket ids — cast to ``uint8`` / ``uint16`` where the bucket count
+    allows, so the stable argsort is a radix sort — and each bucket is a
+    contiguous slice (views) of the gathered columns, bounded by
+    ``np.bincount``.  None when the key column needs the per-record
+    path (other key types).
     """
     keys = batch.keys
     n = partitioner.num_partitions
@@ -931,50 +1020,53 @@ def split_batch(batch: ColumnBatch, partitioner) -> Optional[list]:
     if n == 1:
         return [(0, batch)]
     bucket_of = hashed % n
-    pieces = []
-    for bidx in _np.unique(bucket_of):
-        idx = _np.flatnonzero(bucket_of == bidx)
-        pieces.append((int(bidx), batch.select(idx)))
-    return pieces
+    counts = _np.bincount(bucket_of, minlength=n)
+    filled = _np.flatnonzero(counts).tolist()
+    if len(filled) <= 1:
+        return [(b, batch) for b in filled]
+    if n <= 1 << 8:
+        bucket_of = bucket_of.astype(_np.uint8)
+    elif n <= 1 << 16:
+        bucket_of = bucket_of.astype(_np.uint16)
+    ordered = batch.select(_np.argsort(bucket_of, kind="stable"))
+    bounds = offsets_of(counts).tolist()
+    return [(b, ordered.slice(bounds[b], bounds[b + 1])) for b in filled]
 
 
-def bucket_into_segments(partitioner, records, segments: List[list]) -> None:
-    """Bucket one map partition's output, batch-aware.
+def bucket_into_segments(partitioner, outputs: list, buckets: List[list]) -> None:
+    """Bucket a whole shuffle map stage into ``buckets`` (one empty
+    list per reduce partition), from its map outputs in map-partition
+    order.
 
-    ``segments[b]`` collects ordered per-partition pieces (sub-batches
-    or record lists) for bucket ``b``; :func:`concat_segments` fuses
-    them after the map stage.  The resulting per-bucket record sequence
-    is identical to ``bucket_into`` over the unpacked records.
+    When every non-empty output is a batch and their schemas
+    concatenate (:func:`concat_segments`), the stage splits once
+    (:func:`split_batch`) and each filled bucket becomes one sub-batch:
+    a stable split of the map-ordered concatenation holds exactly the
+    per-bucket record sequence ``bucket_into`` appends, map partition
+    by map partition.  Any other stage — record lists, schemas that do
+    not concatenate, keys ``split_batch`` declines — goes through the
+    per-record ``bucket_into``, partition by partition.
     """
-    if type(records) is ColumnBatch:
-        pieces = split_batch(records, partitioner)
-        if pieces is not None:
-            for bidx, sub in pieces:
-                segments[bidx].append(sub)
-            return
-        records = records.to_records()
-    # Per-record path: append into each bucket's trailing plain-list
-    # segment, creating one only where a sub-batch (or nothing) is last.
-    # When no batch ever lands in a bucket this degenerates to the
-    # single shared bucket list bucket_into always used — no extra
-    # copies, same peak memory.
-    tails: List[list] = []
-    for seg in segments:
-        if seg and type(seg[-1]) is list:
-            tails.append(seg[-1])
-        else:
-            tail: list = []
-            seg.append(tail)
-            tails.append(tail)
-    partitioner.bucket_into(records, tails)
+    if all(type(out) is ColumnBatch or not out for out in outputs):
+        fused = concat_segments(outputs)
+        if type(fused) is ColumnBatch:
+            pieces = split_batch(fused, partitioner)
+            if pieces is not None:
+                for bidx, sub in pieces:
+                    buckets[bidx] = sub
+                return
+    for out in outputs:
+        partitioner.bucket_into(
+            out.to_records() if type(out) is ColumnBatch else out, buckets
+        )
 
 
 def concat_segments(segments: list):
-    """Fuse one bucket's ordered pieces into its reduce partition:
-    one concatenated batch when every piece is schema-compatible,
+    """Fuse ordered pieces (batches or record sequences) into one:
+    a single concatenated batch when every piece is schema-compatible,
     else the flattened record list (identical contents either way).
-    Empty trailing lists (tails no record landed in) drop out first."""
-    segments = [p for p in segments if type(p) is ColumnBatch or p]
+    Empty pieces drop out first."""
+    segments = [p for p in segments if p]
     if not segments:
         return []
     if len(segments) == 1:

@@ -193,14 +193,12 @@ class Scheduler:
         threads = self.ctx.config.mutator_threads
         n_out = dep.partitioner.num_partitions
         buckets: List[List[Record]] = [[] for _ in range(n_out)]
-        # Under the columnar plane each bucket accumulates *ordered
-        # segments* (sub-batches or record lists, one or more per map
-        # partition) fused after the loop — the concatenation yields the
-        # same per-bucket record sequence the per-record bucket_into
-        # appends produce, because both preserve map-partition order and
-        # within-partition record order.
+        # Under the columnar plane the stage's map outputs are collected
+        # in map-partition order and bucketed together after the loop,
+        # so an all-batch stage splits once rather than once per map
+        # partition (nothing between partitions reads the buckets).
         use_columnar = _columnar.columnar_active()
-        segments: List[list] = [[] for _ in range(n_out)]
+        outputs: list = []
         # Each partition's machine charges (the combine probe and the
         # spill write) settle as one run_rows wave; the rows replay
         # access()'s arithmetic row by row, and nothing between them
@@ -254,9 +252,7 @@ class Scheduler:
                         )
                     )
                 if use_columnar:
-                    _columnar.bucket_into_segments(
-                        dep.partitioner, records, segments
-                    )
+                    outputs.append(records)
                 else:
                     dep.partitioner.bucket_into(records, buckets)
                 out_bytes = (
@@ -277,7 +273,7 @@ class Scheduler:
         finally:
             self._pop_scope()
         if use_columnar:
-            buckets = [_columnar.concat_segments(segs) for segs in segments]
+            _columnar.bucket_into_segments(dep.partitioner, outputs, buckets)
         bpr = dep.parent.bytes_per_record * dep.combine_factor
         sizes = [len(b) * bpr * costs.ser_factor for b in buckets]
         self.ctx.shuffles.write(dep.shuffle_id, buckets, sizes, overwrite=force)

@@ -3,13 +3,18 @@
 A persisted RDD landing in the serialized tier (see
 :mod:`repro.spark.storage`) stores each partition as one
 :class:`SerializedColumnBatch` — a packed, GC-invisible buffer in the
-native region.  Numeric ``(key, value)`` partitions pack into two
+native region.  A partition that is already a
+:class:`~repro.spark.columnar.ColumnBatch` (any column schema: scalar,
+vector, pair, CSR list, tuple-key or constant columns) *is* the packed
+form, and the tier adopts it by reference and reads it back as that
+batch, so a serialized persist keeps its readers on the columnar
+plane.  A record list of numeric ``(key, value)`` pairs packs into two
 columnar arrays (numpy-backed when numpy is importable, ``array``
 module otherwise — the same ladder the vectorised cost plane uses);
-everything else byte-packs through ``pickle``.  Both forms round-trip
-bit-exactly: ``unpack()`` rebuilds the exact record tuples that went
-in, which the hypothesis property suite pins for every workload's
-record shapes.
+any other record list byte-packs through ``pickle``.  Every form
+round-trips bit-exactly: ``unpack()`` rebuilds the exact records that
+went in, which the hypothesis property suite pins for every workload's
+record shapes and every column schema.
 
 The batches are the *data plane* only.  The simulated costs — the
 serialize-on-persist and deserialize-on-access rows charged through
@@ -81,28 +86,25 @@ class SerializedColumnBatch:
 
     Attributes:
         count: number of records in the batch.
-        columnar: True when the batch packed into numeric key/value
-            columns (the numpy-or-``array`` fast path) rather than the
-            pickled byte fallback.
+        columnar: True when the partition is held as columns (an adopted
+            :class:`~repro.spark.columnar.ColumnBatch`, or numeric
+            key/value arrays) rather than as pickled bytes.
     """
 
-    __slots__ = ("count", "columnar", "_keys", "_values", "_payload")
+    __slots__ = ("count", "columnar", "_batch", "_keys", "_values", "_payload")
 
     def __init__(self, records: Sequence[Record]) -> None:
+        self._batch = None
         self._keys = None
         self._values = None
         self._payload: Optional[bytes] = None
-        if _np is not None and _columnar.is_batch(records):
-            keys = _columnar.int_array(records.keys)
-            values = records.values
-            if keys is not None and type(values) is _columnar.ScalarColumn:
-                # A batch of scalar int64/float64 columns already *is*
-                # the packed form: adopt its arrays (never mutated).
-                self.count = len(records)
-                self.columnar = True
-                self._keys = keys
-                self._values = values.arr
-                return
+        if _columnar.is_batch(records):
+            # A column batch already *is* the packed form, whatever its
+            # schema: adopt it (batches are never mutated).
+            self.count = len(records)
+            self.columnar = True
+            self._batch = records
+            return
         records = list(records)
         self.count = len(records)
         key_code = value_code = None
@@ -113,8 +115,14 @@ class SerializedColumnBatch:
             value_code = _column_code([v for _, v in records]) if key_code else None
         self.columnar = key_code is not None and value_code is not None
         if self.columnar:
-            self._keys = _pack_column([k for k, _ in records], key_code)
-            self._values = _pack_column([v for _, v in records], value_code)
+            keys = _pack_column([k for k, _ in records], key_code)
+            values = _pack_column([v for _, v in records], value_code)
+            if _np is not None:
+                self._batch = _columnar.ColumnBatch(
+                    _columnar.ScalarColumn(keys), _columnar.ScalarColumn(values)
+                )
+            else:
+                self._keys, self._values = keys, values
         else:
             self._payload = pickle.dumps(records, protocol=4)
 
@@ -126,29 +134,28 @@ class SerializedColumnBatch:
     def unpack(self) -> List[Record]:
         """Rebuild the exact record list that was packed.
 
-        Columnar batches come back as a
-        :class:`~repro.spark.columnar.ColumnBatch` over the packed arrays
-        when the columnar plane is active, so the read stays on it;
-        otherwise they zip their columns back into tuples (``tolist()``
-        returns plain Python ints/floats, so int64 and float64 columns
-        reproduce the original objects bit-exactly).  Byte-packed
-        batches unpickle.
+        Columnar partitions come back as their
+        :class:`~repro.spark.columnar.ColumnBatch` when the columnar
+        plane is active, so the read stays on it; otherwise they come
+        back as records (``tolist()`` returns plain Python ints/floats,
+        so int64 and float64 columns reproduce the original objects
+        bit-exactly).  Byte-packed partitions unpickle.
         """
-        if self.columnar:
-            if _np is not None and _columnar.columnar_active():
-                return _columnar.ColumnBatch(
-                    _columnar.ScalarColumn(self._keys),
-                    _columnar.ScalarColumn(self._values),
-                )
+        if self._batch is not None:
+            if _columnar.columnar_active():
+                return self._batch
+            return self._batch.to_records()
+        if self.columnar:  # ``array`` module columns: numpy is absent
             return list(zip(self._keys.tolist(), self._values.tolist()))
         return pickle.loads(self._payload)
 
     def payload_bytes(self) -> int:
         """Actual packed size in this process (reporting only — the
-        simulated packed size is ``bytes_per_record × ser_factor``)."""
+        simulated packed size is ``bytes_per_record × ser_factor``):
+        the bytes of every array behind the columns, or of the pickle."""
+        if self._batch is not None:
+            return self._batch.nbytes
         if self.columnar:
-            if _np is not None:
-                return int(self._keys.nbytes + self._values.nbytes)
             return len(self._keys) * self._keys.itemsize + len(
                 self._values
             ) * self._values.itemsize

@@ -13,7 +13,7 @@ import math
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.config import PolicyName
 from repro.spark import columnar as _columnar
@@ -23,6 +23,7 @@ from repro.spark.columnar import (
     ListColumn,
     PairColumn,
     ScalarColumn,
+    SingletonColumn,
     VecColumn,
     bucket_into_segments,
     concat_segments,
@@ -272,35 +273,139 @@ class TestVectorisedBucketing:
         assert len(sub) == 4
 
     def test_segments_preserve_map_partition_order(self):
-        """Batch and plain-record pieces interleave per map partition;
-        the fused bucket replays bucket_into's append order exactly."""
+        """A stage mixing batch and plain-record outputs buckets
+        per-record, replaying bucket_into's append order exactly."""
         part = HashPartitioner(2)
         p0 = ColumnBatch.from_records([(0, 1.0), (1, 2.0), (2, 3.0)])
         p1 = [(0, 4.0), (1, 5.0)]  # a per-record map partition
         p2 = ColumnBatch.from_records([(2, 6.0), (3, 7.0)])
-        segments = [[] for _ in range(2)]
-        for records in (p0, p1, p2):
-            bucket_into_segments(part, records, segments)
-        fused = [concat_segments(segs) for segs in segments]
+        buckets = [[] for _ in range(2)]
+        bucket_into_segments(part, [p0, p1, p2], buckets)
         expected = [[] for _ in range(2)]
         for records in (p0.to_records(), p1, p2.to_records()):
             part.bucket_into(records, expected)
-        assert [list(b) for b in fused] == expected
+        assert buckets == expected
 
     def test_all_batch_segments_fuse_to_one_batch(self):
         part = HashPartitioner(1)
-        segments = [[]]
-        for lo in (0, 10):
-            bucket_into_segments(
-                part,
-                ColumnBatch.from_records(
-                    [(i, float(i)) for i in range(lo, lo + 5)]
-                ),
-                segments,
+        buckets = [[]]
+        outputs = [
+            ColumnBatch.from_records([(i, float(i)) for i in range(lo, lo + 5)])
+            for lo in (0, 10)
+        ]
+        bucket_into_segments(part, outputs + [[]], buckets)
+        assert isinstance(buckets[0], ColumnBatch)
+        assert len(buckets[0]) == 10
+
+
+#: Key ids for stage splits: duplicates, negatives and the int64 edges.
+_STAGE_ID = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+_STAGE_VALUE_KINDS = ("int", "float", "mixed", "vec", "pair", "list", "singleton")
+
+
+def _stage_keys(data, kind, size):
+    if kind == "const":
+        return ConstColumn("grad", size)
+    ids = st.lists(_STAGE_ID, min_size=size, max_size=size)
+    first = ScalarColumn(np.asarray(data.draw(ids), dtype=np.int64))
+    if kind == "int":
+        return first
+    return PairColumn(first, ScalarColumn(np.asarray(data.draw(ids), dtype=np.int64)))
+
+
+def _stage_values(data, kind, size, dim):
+    ints = ScalarColumn(
+        np.asarray(
+            data.draw(st.lists(_STAGE_ID, min_size=size, max_size=size)),
+            dtype=np.int64,
+        )
+    )
+    if kind == "mixed":  # int or float per output: the concat declines
+        kind = data.draw(st.sampled_from(["int", "float"]))
+    if kind == "int":
+        return ints
+    if kind == "singleton":
+        return SingletonColumn(ints)
+    if kind == "list":
+        lists = data.draw(
+            st.lists(st.lists(_VID, max_size=4), min_size=size, max_size=size)
+        )
+        return _columnar._pack_value_column(lists)
+    floats = data.draw(
+        st.lists(_FLOAT, min_size=size * dim, max_size=size * dim)
+    )
+    if kind == "float":
+        return ScalarColumn(np.asarray(floats[:size], dtype=np.float64))
+    vecs = VecColumn(np.asarray(floats, dtype=np.float64).reshape(size, dim))
+    return vecs if kind == "vec" else PairColumn(vecs, ints)
+
+
+class TestStageSplit:
+    """A shuffle map stage's outputs bucket exactly as the per-record
+    ``bucket_into`` over their unpacked records, map partition by map
+    partition — one split of the whole stage when it is all batches."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.data(),
+        st.sampled_from(["int", "pair", "const"]),
+        st.sampled_from(_STAGE_VALUE_KINDS),
+        st.integers(min_value=1, max_value=300),
+        st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    def test_stage_split_matches_per_record_bucketing(
+        self, data, key_kind, value_kind, n, sizes, some_lists
+    ):
+        dim = data.draw(st.integers(min_value=1, max_value=3))
+        outputs = []
+        for size in sizes:
+            if size == 0:
+                outputs.append([])
+                continue
+            batch = ColumnBatch(
+                _stage_keys(data, key_kind, size),
+                _stage_values(data, value_kind, size, dim),
             )
-        fused = concat_segments(segments[0])
-        assert isinstance(fused, ColumnBatch)
-        assert len(fused) == 10
+            as_list = some_lists and data.draw(st.booleans())
+            outputs.append(batch.to_records() if as_list else batch)
+        part = HashPartitioner(n)
+        buckets = [[] for _ in range(n)]
+        bucket_into_segments(part, outputs, buckets)
+        expected = [[] for _ in range(n)]
+        for out in outputs:
+            part.bucket_into(list(out), expected)
+        assert _same([list(b) for b in buckets], expected)
+        whole_stage_split = value_kind != "mixed" and all(
+            type(out) is ColumnBatch or not out for out in outputs
+        )
+        if whole_stage_split:
+            assert all(type(b) is ColumnBatch for b in buckets if len(b))
+
+    def test_split_pieces_are_slices_of_one_gather(self):
+        """Buckets come out ascending, as views of one gathered copy; a
+        CSR list column's slices rebase their offsets to 0."""
+        lists = [[i] * (i % 3) for i in range(40)]
+        batch = ColumnBatch(
+            ScalarColumn(np.arange(40, dtype=np.int64)),
+            _columnar._pack_value_column(lists),
+        )
+        pieces = split_batch(batch, HashPartitioner(7))
+        assert [b for b, _ in pieces] == sorted(b for b, _ in pieces)
+        bases = {id(sub.values.flat.base) for _, sub in pieces}
+        assert len(bases) == 1
+        for bidx, sub in pieces:
+            assert sub.values.offsets[0] == 0
+            assert sub.to_records() == [
+                (k, lists[k]) for k in range(40) if k % 7 == bidx
+            ]
 
 
 # -- _stable_hash: non-finite floats (satellite fix) ------------------------
@@ -638,27 +743,46 @@ class TestGraphKernels:
 
     @_GRAPH_SETTINGS
     @given(
-        st.lists(st.tuples(_VID, _VID), min_size=1, max_size=20),
-        st.lists(st.tuples(_VID, _FLOAT), min_size=1, max_size=20),
+        st.lists(st.tuples(_VID, _VID), max_size=20),
+        st.one_of(
+            st.lists(st.tuples(_VID, _VID), max_size=20),
+            st.lists(st.tuples(_VID, _FLOAT), max_size=20),
+        ),
     )
+    @example(left=[(1, 10), (1, 11), (2, 12)], right=[(1, 20), (2, 21)])
+    @example(left=[(1, 10), (2, 11)], right=[(2, 20), (1, 21), (2, 22)])
+    @example(
+        left=[(1, 10), (2, 11), (1, 12), (3, 13)],
+        right=[(2, 20), (1, 21), (1, 22), (4, 23), (2, 24)],
+    )
+    @example(left=[(1, 10), (1, 11)], right=[(2, 20), (2, 21)])
+    @example(left=[(5, 1), (6, 2)], right=[(6, 3.5), (7, -0.0)])
     def test_inner_join_matches_dict_cogroup(self, left, right):
+        """Unique keys, duplicates on either or both sides, and keys on
+        one side only: the cogroup rows equal the dict cogroup's and
+        their flatten equals the record plane's nested loop.  Only
+        duplicate keys over non-int values decline."""
         grouped = {}
         for k, v in left:
             grouped.setdefault(k, ([], []))[0].append(v)
         for k, v in right:
             grouped.setdefault(k, ([], []))[1].append(v)
         expected = [(k, v) for k, v in grouped.items() if all(v)]
+        flat = [(k, (lv, rv)) for k, (ls, rs) in expected for lv in ls for rv in rs]
         joined = _columnar.join_batches(
-            ColumnBatch.from_records(left), ColumnBatch.from_records(right)
+            ColumnBatch.from_records(left) if left else [],
+            ColumnBatch.from_records(right) if right else [],
         )
+        if not left or not right:
+            assert joined == []
+            return
         unique = len({k for k, _ in left}) == len(left) and len(
             {k for k, _ in right}
         ) == len(right)
-        if not unique:
-            assert joined is None  # duplicate keys: the dict cogroup
+        if not unique and type(right[0][1]) is float:
+            assert joined is None  # grouping takes int64 values only
             return
         assert _same(joined.to_records(), expected)
-        flat = [(k, (l[0], r[0])) for k, (l, r) in expected]
         assert _same(_columnar.flatten_join(joined).to_records(), flat)
 
     @_GRAPH_SETTINGS
@@ -730,6 +854,43 @@ class TestGraphPlaneEngagement:
             assert any(type(b.keys) is PairColumn for b in split)
 
 
+    def test_transitive_closure_stays_columnar(self, monkeypatch):
+        """TC at s0.1 (all six iterations, whose later joins meet empty
+        buckets): its duplicate-key self-join runs as CSR cogroups and
+        a cross-product flatten, and every shuffle (distinct, both join
+        sides) splits vectorised — nothing reaches the per-record
+        ``bucket_into`` or the dict cogroup loop."""
+        from repro.harness.configs import paper_config
+        from repro.harness.experiment import run_experiment
+
+        per_record = []
+        declined = []
+        cogroups = []
+        bucket_into = HashPartitioner.bucket_into
+        join_batches = _columnar.join_batches
+
+        def spy_bucket_into(self, records, buckets):
+            records = list(records)
+            per_record.append(records)
+            return bucket_into(self, records, buckets)
+
+        def spy_join_batches(left, right):
+            out = join_batches(left, right)
+            (declined if out is None else cogroups).append(out)
+            return out
+
+        monkeypatch.setattr(HashPartitioner, "bucket_into", spy_bucket_into)
+        monkeypatch.setattr(_columnar, "join_batches", spy_join_batches)
+        config = paper_config(36, 1 / 3, PolicyName.PANTHERA, 0.1)
+        run_experiment("TC", config, scale=0.1)
+        assert per_record == []
+        assert declined == []
+        assert any(
+            type(out) is ColumnBatch and type(out.values.first) is ListColumn
+            for out in cogroups
+        )
+
+
 class TestGraphPlaneSharing:
     def test_runs_share_the_packed_source_batch(self):
         """Every run over a memoised dataset reuses one split and one
@@ -758,15 +919,19 @@ class TestGraphPlaneSharing:
         assert isinstance(sources[0]._column_parts[0], ColumnBatch)
         assert corpus.fingerprint(runs[0]) == corpus.fingerprint(runs[1])
 
-    def test_ser_persisted_batch_reads_back_as_a_batch(self):
+    def test_ser_persisted_batch_reads_back_as_a_batch(self, monkeypatch):
         """MEMORY_ONLY_SER keeps a scalar batch columnar: the serialized
-        tier adopts its arrays and reads back a batch, equal records."""
+        tier adopts the batch and reads it back, equal records.  The
+        tier is pinned on, whatever ``REPRO_SERIALIZED_TIER`` says."""
+        from repro.spark import storage
         from repro.spark.serialized import SerializedColumnBatch
+
+        monkeypatch.setattr(storage, "SERIALIZED_TIER", True)
 
         records = [(i % 7 - 3, 0.5 * i) for i in range(30)]
         batch = ColumnBatch.from_records(records)
         packed = SerializedColumnBatch.pack(batch)
-        assert packed.columnar and packed._keys is batch.keys.arr
+        assert packed.columnar and packed._batch is batch
         out = packed.unpack()
         assert isinstance(out, ColumnBatch)
         assert out.to_records() == records

@@ -414,6 +414,127 @@ class TestRoundTrip:
             assert type(out[0][0]) is type(records[0][0])
 
 
+# -- column-batch adoption --------------------------------------------------
+
+
+def _column_schemas(np):
+    """One batch per column schema the data plane builds, with the
+    arrays behind it: ``{name: (batch, arrays)}``."""
+    from repro.spark import columnar as col
+
+    ids = np.asarray([3, -1, 3, 2**62], dtype=np.int64)
+    floats = np.asarray([0.5, -0.0, 1e300, 2.0], dtype=np.float64)
+    mat = np.asarray([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
+    counts = np.asarray([1, 2, 3, 4], dtype=np.int64)
+    offsets = np.asarray([0, 2, 2, 3, 5], dtype=np.int64)
+    flat = np.asarray([7, 8, 9, 10, 11], dtype=np.int64)
+    lists = col.ListColumn(offsets, flat)
+    scalar = col.ScalarColumn
+    return {
+        "scalar": (col.ColumnBatch(scalar(ids), scalar(floats)), [ids, floats]),
+        "vec": (col.ColumnBatch(scalar(ids), col.VecColumn(mat)), [ids, mat]),
+        "vec-count": (
+            col.ColumnBatch(scalar(ids), col.vec_count_column(mat, counts)),
+            [ids, mat, counts],
+        ),
+        "const-key": (
+            col.ColumnBatch(col.ConstColumn("grad", 4), col.vec_count_column(mat, counts)),
+            [mat, counts],
+        ),
+        "csr-list": (col.ColumnBatch(scalar(ids), lists), [ids, offsets, flat]),
+        "graph-rows": (
+            col.ColumnBatch(scalar(ids), col.PairColumn(scalar(floats), lists)),
+            [ids, floats, offsets, flat],
+        ),
+        "tuple-key": (
+            col.ColumnBatch(col.PairColumn(scalar(ids), scalar(counts)), col.ConstColumn(None, 4)),
+            [ids, counts],
+        ),
+        "singleton-slots": (
+            col.ColumnBatch(
+                scalar(ids),
+                col.PairColumn(col.SingletonColumn(scalar(counts)), col.SingletonColumn(scalar(floats))),
+            ),
+            [ids, counts, floats],
+        ),
+        "csr-slots": (
+            col.ColumnBatch(scalar(ids), col.PairColumn(lists, lists)),
+            [ids, offsets, flat, offsets, flat],
+        ),
+    }
+
+
+_SCHEMA_NAMES = (
+    "scalar",
+    "vec",
+    "vec-count",
+    "const-key",
+    "csr-list",
+    "graph-rows",
+    "tuple-key",
+    "singleton-slots",
+    "csr-slots",
+)
+
+
+class TestBatchAdoption:
+    """The tier adopts a column batch of any schema by reference and
+    reads it back as that batch; records stay exact either way."""
+
+    @pytest.mark.parametrize("schema", _SCHEMA_NAMES)
+    def test_every_column_schema_is_adopted(self, schema, monkeypatch):
+        np = pytest.importorskip("numpy")
+        from repro.spark import columnar as _columnar
+
+        batch, arrays = _column_schemas(np)[schema]
+        records = batch.to_records()
+        packed = SerializedColumnBatch.pack(batch)
+        assert packed.columnar and len(packed) == len(records)
+        assert packed.unpack() is batch
+        assert packed.payload_bytes() == sum(a.nbytes for a in arrays)
+        monkeypatch.setattr(_columnar, "_np", None)
+        out = packed.unpack()
+        assert type(out) is list
+        assert repr(out) == repr(records)
+
+    def test_payload_bytes_count_views_not_their_base(self):
+        np = pytest.importorskip("numpy")
+        from repro.spark import columnar as _columnar
+
+        batch, _ = _column_schemas(np)["csr-list"]
+        view = batch.slice(1, 3)
+        packed = SerializedColumnBatch.pack(view)
+        # 2 keys, 3 offsets, 1 list entry, 8 bytes each
+        assert packed.payload_bytes() == (2 + 3 + 1) * 8
+        assert packed.unpack().to_records() == [(-1, []), (3, [9])]
+        assert isinstance(packed.unpack(), _columnar.ColumnBatch)
+
+    def test_ser_persist_keeps_vector_batches_columnar(self):
+        """A MEMORY_ONLY_SER persist of K-Means-shaped rows reads back as
+        the same vector batch, not as pickled tuples."""
+        pytest.importorskip("numpy")
+        from repro.spark import columnar as _columnar
+
+        def same(record):
+            return record
+
+        _columnar.register_map_kernel(same, _columnar.identity_kernel)
+        ctx = small_context(PolicyName.PANTHERA)
+        records = [(i % 5, (0.5 * i, -1.0 * i)) for i in range(40)]
+        source = ctx.parallelize(records, 2, 2**20, name="ser-vec")
+        persisted = _under_tier(
+            True,
+            lambda: source.map(same).persist(StorageLevel.MEMORY_ONLY_SER),
+        )
+        assert _under_tier(True, persisted.count) == 40
+        block = ctx.block_manager.get(persisted.id)
+        assert block.ser_batches is not None
+        read = ctx.scheduler.get_records(persisted, 0)
+        assert isinstance(read, _columnar.ColumnBatch)
+        assert type(read.values) is _columnar.VecColumn
+        assert read.to_records() == list(source._partitions[0])
+
+
 # -- A/B byte-identity ------------------------------------------------------
 
 
