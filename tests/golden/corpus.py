@@ -18,8 +18,10 @@ plus KM/LR/PR at ``MEMORY_ONLY_SER`` with the serialized tier on and
 off, at two pressure points (s0.01 on a 64 GB heap with a shuffle kill;
 s0.1 on a 36 GB heap with a shuffle kill and an NVM throttle, which
 forces major GCs, spills and drops); TC under four policies at the
-s0.01 point and under panthera and deca at the s0.1 point; plus one
-small two-executor cluster replay with an executor kill.
+s0.01 point and under panthera and deca at the s0.1 point; KM at
+``DISK_ONLY`` and at ``OFF_HEAP`` with the tier off; plus one small
+two-executor cluster replay with an executor kill and one Hadoop
+HashJoin run on a bare heap.
 
 ``tests/test_golden.py`` checks the committed digests (with numpy and
 with numpy forced absent); ``scripts/golden.py --accept`` rewrites them.
@@ -35,12 +37,21 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.cluster import Cluster, ClusterFaultPlan, ExecutorKill, generate_traffic
-from repro.config import DeviceKind, PolicyName
+from repro.config import DeviceKind, MiB, PolicyName, SystemConfig
+from repro.core.monitor import AccessMonitor
+from repro.core.runtime_api import PantheraRuntime
+from repro.core.tags import MemoryTag
 from repro.errors import ReproError
 from repro.faults import FaultPlan, KillSpec, ThrottleSpec, action_checksums
+from repro.gc.collector import Collector
 from repro.gc.gclog import render_log
+from repro.gc.policies import make_policy
+from repro.hadoop.hashjoin import HashJoin
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
+from repro.heap.layout import HEAP_BASE, young_span_bytes
+from repro.heap.managed_heap import ManagedHeap
+from repro.memory.machine import Machine
 from repro.spark import storage
 from repro.spark.storage import StorageLevel
 from repro.trace.export import events_to_jsonl
@@ -61,6 +72,13 @@ POLICIES = (
 LIGHT_POLICIES = (PolicyName.PANTHERA, PolicyName.DECA)
 #: Workloads whose cached RDD takes a ``persist_level``.
 SER_WORKLOADS = ("KM", "LR", "PR")
+#: ``(level, tier)`` persists no other cell reaches, run as KM under
+#: panthera at the first pressure point: the ``DISK_ONLY`` write and
+#: read, and ``OFF_HEAP`` in native memory with the tier off.
+EXTRA_PERSISTS = (
+    (StorageLevel.DISK_ONLY, True),
+    (StorageLevel.OFF_HEAP, False),
+)
 
 
 @dataclass(frozen=True)
@@ -162,6 +180,8 @@ def cells() -> List[Cell]:
                             tier,
                         )
                     )
+    for level, tier in EXTRA_PERSISTS:
+        out.append(Cell("KM", PolicyName.PANTHERA, PRESSURES[0], level, tier))
     return out
 
 
@@ -185,6 +205,58 @@ def run_cluster() -> Dict[str, str]:
         "checksums": sha256(
             ([sorted(a.checksums.items()) for a in artifacts], report.to_json())
         ),
+    }
+
+
+#: The key of the Hadoop HashJoin's corpus entry.
+HADOOP_KEY = "hadoop/hashjoin/panthera"
+
+
+def run_hadoop() -> Dict[str, str]:
+    """Two HashJoins on a bare 48 MiB panthera heap (no Spark): a
+    DRAM-tagged build table, then a monitored NVM-tagged one.  Digested
+    over the clock, the device counters, the bandwidth series, the GC
+    log and the join results."""
+    heap_bytes = 48 * MiB
+    config = SystemConfig(
+        heap_bytes=heap_bytes,
+        dram_bytes=heap_bytes // 3,
+        nvm_bytes=heap_bytes - heap_bytes // 3,
+        policy=PolicyName.PANTHERA,
+        interleave_chunk_bytes=MiB,
+        large_array_threshold=64 * 1024,
+    )
+    machine = Machine(config)
+    policy = make_policy(config)
+    old_spaces = policy.build_old_spaces(HEAP_BASE + young_span_bytes(config))
+    heap = ManagedHeap(config, machine, old_spaces, card_padding=policy.card_padding)
+    monitor = AccessMonitor(machine)
+    collector = Collector(heap, machine, policy, monitor=monitor)
+    runtime = PantheraRuntime(heap, monitor)
+    build = [(key, f"dim{key}") for key in range(16)]
+    probe = [[(k % 16, f"fact{k}") for k in range(s, s + 4)] for s in range(0, 48, 4)]
+    results = []
+    for tag, monitored in ((MemoryTag.DRAM, False), (MemoryTag.NVM, True)):
+        join = HashJoin(
+            heap,
+            machine,
+            runtime,
+            build_records=build,
+            build_nbytes=2 * MiB,
+            tag=tag,
+            monitored=monitored,
+        )
+        results.append(sorted(join.join(probe, bytes_per_record=MiB).items()))
+    counters = [
+        (kind.value, vars(device.counters))
+        for kind, device in machine.devices.items()
+    ]
+    return {
+        "elapsed": sha256(repr(machine.clock.now_ns)),
+        "counters": sha256(counters),
+        "bandwidth": sha256(bandwidth_series(machine)),
+        "gclog": sha256("\n".join(render_log(collector.stats, machine.elapsed_s))),
+        "checksums": sha256(results),
     }
 
 
@@ -236,6 +308,7 @@ def compute_corpus() -> Dict[str, Dict[str, str]]:
     """Run every cell of the corpus; returns ``{key: digests}``."""
     corpus = {cell.key: cell.run() for cell in cells()}
     corpus[CLUSTER_KEY] = run_cluster()
+    corpus[HADOOP_KEY] = run_hadoop()
     return corpus
 
 

@@ -29,7 +29,7 @@ def platform(request, monkeypatch):
 
 
 def test_corpus_covers_exactly_the_cells():
-    assert set(EXPECTED) == set(CELLS) | {corpus.CLUSTER_KEY}
+    assert set(EXPECTED) == set(CELLS) | {corpus.CLUSTER_KEY, corpus.HADOOP_KEY}
 
 
 @pytest.mark.parametrize("key", sorted(CELLS))
@@ -39,3 +39,7 @@ def test_cell_matches_golden(key, platform):
 
 def test_cluster_replay_matches_golden(platform):
     assert corpus.run_cluster() == EXPECTED[corpus.CLUSTER_KEY]
+
+
+def test_hadoop_join_matches_golden(platform):
+    assert corpus.run_hadoop() == EXPECTED[corpus.HADOOP_KEY]
