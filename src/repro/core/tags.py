@@ -71,11 +71,6 @@ class Placement(enum.Enum):
             return MEMORY_BITS_SERIALIZED
         return MEMORY_BITS_NONE
 
-    @property
-    def in_object_heap(self) -> bool:
-        """Whether this placement keeps the payload GC-traceable."""
-        return self in (Placement.DRAM_HEAP, Placement.NVM_HEAP)
-
 
 def placement_for(
     tag: Optional[MemoryTag], serialized_tier: bool

@@ -105,11 +105,9 @@ class MapReduceJob:
             if table.monitored:
                 self.runtime.track(owner)
             device = table.array.space.device_of(table.array.addr)
-            self.machine.access(
-                device,
-                write_bytes=table.nbytes,
-                threads=self.threads,
-                cpu_ns=table.nbytes * CPU_NS_PER_BYTE / self.threads,
+            cpu_ns = table.nbytes * CPU_NS_PER_BYTE / self.threads
+            self.machine.run_rows(
+                ((device, 0.0, table.nbytes, 0, 0, cpu_ns),), threads=self.threads
             )
             table.index.clear()
             for key, value in table.records:
@@ -128,7 +126,9 @@ class MapReduceJob:
             raise ReproError(f"side table {table.name!r} not loaded")
         probes = max(1, int(nbytes / HASH_GRAIN))
         device = table.array.space.device_of(table.array.addr)
-        self.machine.access(device, random_reads=probes, threads=self.threads)
+        self.machine.run_rows(
+            ((device, 0.0, 0.0, probes, 0, 0.0),), threads=self.threads
+        )
         owner = self._table_owner[table.name]
         if table.monitored:
             self.runtime.record_call(owner)
@@ -168,11 +168,9 @@ class MapReduceJob:
     ) -> None:
         in_bytes = len(split) * bytes_per_record
         # Input read from HDFS (disk) into the young generation.
-        self.machine.access(
-            DeviceKind.DISK,
-            read_bytes=in_bytes,
-            threads=self.threads,
-            cpu_ns=in_bytes * CPU_NS_PER_BYTE / self.threads,
+        cpu_ns = in_bytes * CPU_NS_PER_BYTE / self.threads
+        self.machine.run_rows(
+            ((DeviceKind.DISK, in_bytes, 0.0, 0, 0, cpu_ns),), threads=self.threads
         )
         self._ephemeral(in_bytes)
         out: List[Record] = []
@@ -180,22 +178,19 @@ class MapReduceJob:
             out.extend(self.map_fn(record))
         out_bytes = len(out) * bytes_per_record
         self._ephemeral(out_bytes)
-        self.machine.access(
-            DeviceKind.DRAM,
-            write_bytes=out_bytes,
-            threads=self.threads,
-            cpu_ns=(
-                in_bytes * CPU_NS_PER_BYTE + len(split) * CPU_NS_PER_RECORD
-            )
-            / self.threads,
+        cpu_ns = (
+            in_bytes * CPU_NS_PER_BYTE + len(split) * CPU_NS_PER_RECORD
+        ) / self.threads
+        self.machine.run_rows(
+            ((DeviceKind.DRAM, 0.0, out_bytes, 0, 0, cpu_ns),), threads=self.threads
         )
         for table in self.side_tables:
             self._charge_probe(table, in_bytes)
         for key, value in out:
             buckets[hash(key) % self.num_reducers].append((key, value))
         # Shuffle spill to local disk.
-        self.machine.access(
-            DeviceKind.DISK, write_bytes=out_bytes * 0.4, threads=self.threads
+        self.machine.run_rows(
+            ((DeviceKind.DISK, 0.0, out_bytes * 0.4, 0, 0, 0.0),), threads=self.threads
         )
 
     def _run_reduce_task(
@@ -205,19 +200,19 @@ class MapReduceJob:
         output: Dict[Any, Any],
     ) -> None:
         in_bytes = len(bucket) * bytes_per_record
-        self.machine.access(
-            DeviceKind.DISK, read_bytes=in_bytes * 0.4, threads=self.threads
+        self.machine.run_rows(
+            ((DeviceKind.DISK, in_bytes * 0.4, 0.0, 0, 0, 0.0),), threads=self.threads
         )
         self._ephemeral(in_bytes)
         grouped: Dict[Any, List[Any]] = {}
         for key, value in bucket:
             grouped.setdefault(key, []).append(value)
-        self.machine.access(
-            DeviceKind.DRAM,
-            random_reads=max(1, int(in_bytes / HASH_GRAIN)),
-            threads=self.threads,
-            cpu_ns=(in_bytes * CPU_NS_PER_BYTE + len(bucket) * CPU_NS_PER_RECORD)
-            / self.threads,
+        probes = max(1, int(in_bytes / HASH_GRAIN))
+        cpu_ns = (
+            in_bytes * CPU_NS_PER_BYTE + len(bucket) * CPU_NS_PER_RECORD
+        ) / self.threads
+        self.machine.run_rows(
+            ((DeviceKind.DRAM, 0.0, 0.0, probes, 0, cpu_ns),), threads=self.threads
         )
         for key, values in grouped.items():
             output[key] = self.reduce_fn(key, values)

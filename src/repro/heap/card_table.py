@@ -151,11 +151,6 @@ class CardTable:
     # -- introspection ---------------------------------------------------------
 
     @property
-    def stuck_objects(self) -> Set[HeapObject]:
-        """Objects currently stuck dirty (for tests and stats)."""
-        return set(self._stuck)
-
-    @property
     def dirty_objects(self) -> Set[HeapObject]:
         """Freshly dirty objects (for tests)."""
         return set(self._dirty)

@@ -106,10 +106,6 @@ class HeapObject:
         heap's job)."""
         self.refs.append(target)
 
-    def clear_refs(self) -> None:
-        """Drop all outgoing references."""
-        self.refs.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.space.name if self.space is not None else "unplaced"
         return (

@@ -195,10 +195,6 @@ class RegionManager:
             return None
         return self._classes.get(rdd_id)
 
-    def in_region(self, obj: HeapObject) -> bool:
-        """Whether the object currently resides in a region arena."""
-        return obj.space is not None and obj.space.generation == "region"
-
     # -- allocation -----------------------------------------------------
 
     def take_object(self, obj: HeapObject) -> bool:

@@ -8,13 +8,12 @@ model, and a windowed bandwidth tracker used to regenerate Figure 8.
 
 from repro.memory.bandwidth import BandwidthSample, BandwidthTracker
 from repro.memory.clock import SimClock
-from repro.memory.device import AccessKind, MemoryDevice
+from repro.memory.device import MemoryDevice
 from repro.memory.energy import EnergyBreakdown, EnergyMeter
 from repro.memory.interleave import ChunkMap
 from repro.memory.machine import Machine
 
 __all__ = [
-    "AccessKind",
     "BandwidthSample",
     "BandwidthTracker",
     "ChunkMap",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import DeviceKind
 
@@ -45,54 +45,18 @@ class BandwidthTracker:
             lambda: defaultdict(float)
         )
 
-    def record(
-        self,
-        device: DeviceKind,
-        is_write: bool,
-        nbytes: float,
-        start_ns: float,
-        duration_ns: float,
-    ) -> None:
-        """Spread ``nbytes`` moved during [start, start+duration) over windows.
-
-        Long accesses are apportioned to every window they overlap so the
-        series shows sustained plateaus rather than spikes.
-        """
-        if nbytes <= 0:
-            return
-        bins = self._bins[(device, is_write)]
-        if duration_ns < 1.0:  # sub-nanosecond: effectively instantaneous
-            bins[int(start_ns // self.window_ns)] += nbytes
-            return
-        end_ns = start_ns + duration_ns
-        first = int(start_ns // self.window_ns)
-        last = int(end_ns // self.window_ns)
-        if first == last:  # the common case: the access fits one window
-            # Same arithmetic as the general loop below ((end - start) is
-            # not exactly duration_ns in floats), so traces stay
-            # bit-identical whichever path runs.
-            bins[first] += nbytes * ((end_ns - start_ns) / duration_ns)
-            return
-        for idx in range(first, last + 1):
-            w_start = idx * self.window_ns
-            w_end = w_start + self.window_ns
-            overlap = min(end_ns, w_end) - max(start_ns, w_start)
-            if overlap > 0:
-                bins[idx] += nbytes * (overlap / duration_ns)
-
     def record_rows(
         self,
         rows: List[Tuple[DeviceKind, bool, float, float, float]],
     ) -> None:
-        """Record a sequence of accesses in one call.
+        """Spread each access's bytes over the windows it overlaps.
 
-        Each row is ``(device, is_write, nbytes, start_ns, duration_ns)``
-        and is deposited with exactly :meth:`record`'s per-row window
-        arithmetic, in row order — so bin values (float accumulation
-        order matters) and bin-key insertion order match the equivalent
-        sequence of single calls.  The bulk entry point exists to hoist
-        the tracker's attribute lookups out of the hot wave-settling
-        loop of the vectorised cost plane.
+        Each row is ``(device, is_write, nbytes, start_ns, duration_ns)``:
+        ``nbytes`` moved during ``[start, start + duration)``.  Long
+        accesses are apportioned to every window they overlap, so the
+        series shows sustained plateaus rather than spikes.  Rows are
+        deposited in order, which fixes both the float accumulation
+        order of each bin and the insertion order of the bin keys.
         """
         bins_map = self._bins
         window_ns = self.window_ns
@@ -106,7 +70,9 @@ class BandwidthTracker:
             end_ns = start_ns + duration_ns
             first = int(start_ns // window_ns)
             last = int(end_ns // window_ns)
-            if first == last:
+            if first == last:  # the common case: the access fits one window
+                # Same arithmetic as the general loop below ((end - start)
+                # is not exactly duration_ns in floats).
                 bins[first] += nbytes * ((end_ns - start_ns) / duration_ns)
                 continue
             for idx in range(first, last + 1):
@@ -163,7 +129,3 @@ class BandwidthTracker:
         """Total bytes moved on one device in one direction."""
         bins = self._bins.get((device, is_write))
         return sum(bins.values()) if bins else 0.0
-
-    def iter_keys(self) -> Iterator[Tuple[DeviceKind, bool]]:
-        """Iterate over (device, is_write) pairs that saw traffic."""
-        return iter(self._bins.keys())

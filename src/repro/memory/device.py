@@ -24,14 +24,6 @@ from repro.config import CACHE_LINE_BYTES, DeviceSpec
 
 
 @dataclass
-class AccessKind:
-    """Constants naming the two access directions."""
-
-    READ = False
-    WRITE = True
-
-
-@dataclass
 class TrafficCounters:
     """Cumulative traffic on one device."""
 
@@ -65,42 +57,12 @@ class MemoryDevice:
     counters: TrafficCounters = field(default_factory=TrafficCounters)
 
     def __post_init__(self) -> None:
-        # batch_ns is the innermost arithmetic of the whole simulator;
+        # charge_row is the innermost arithmetic of the whole simulator;
         # resolve the spec's derived rates once instead of per batch.
         self._read_latency_ns = self.spec.read_latency_ns
         self._write_latency_ns = self.spec.write_latency_ns
         self._bytes_per_ns_read = self.spec.bytes_per_ns_read()
         self._bytes_per_ns_write = self.spec.bytes_per_ns_write()
-
-    def batch_ns(
-        self,
-        read_bytes: float = 0.0,
-        write_bytes: float = 0.0,
-        random_reads: int = 0,
-        random_writes: int = 0,
-        threads: int = 1,
-        mlp: int = 1,
-    ) -> float:
-        """Duration in ns of a batch on this device, without recording it.
-
-        Args:
-            read_bytes: sequentially streamed bytes read.
-            write_bytes: sequentially streamed bytes written.
-            random_reads: latency-bound (pointer-chasing) read count.
-            random_writes: latency-bound write count.
-            threads: workers issuing the batch.
-            mlp: outstanding misses per worker.
-        """
-        parallelism = max(1, threads) * max(1, mlp)
-        latency_ns = (
-            random_reads * self._read_latency_ns
-            + random_writes * self._write_latency_ns
-        ) / parallelism
-        bandwidth_ns = (
-            read_bytes / self._bytes_per_ns_read
-            + write_bytes / self._bytes_per_ns_write
-        )
-        return max(latency_ns, bandwidth_ns)
 
     def charge_row(
         self,
@@ -110,14 +72,18 @@ class MemoryDevice:
         random_writes: int,
         parallelism: int,
     ) -> float:
-        """Duration of a batch *and* its counter update, in one call.
+        """Duration in ns of a batch on this device, recorded in the counters.
 
-        Exactly :meth:`batch_ns` followed by :meth:`record` — the
-        vectorised cost plane settles shuffle-wave rows through this to
-        shave one method dispatch per row off the hot loop.
-        ``parallelism`` is :meth:`batch_ns`'s ``max(1, threads) *
-        max(1, mlp)``, hoisted out of the per-row path (it is constant
-        across a wave).
+        Args:
+            read_bytes: sequentially streamed bytes read.
+            write_bytes: sequentially streamed bytes written.
+            random_reads: latency-bound (pointer-chasing) read count.
+            random_writes: latency-bound write count.
+            parallelism: workers issuing the batch times the outstanding
+                misses per worker (at least 1).
+
+        Random (latency-bound) accesses also move one cache line each, so
+        they contribute to the byte counters for the energy model.
         """
         latency_ns = (
             random_reads * self._read_latency_ns
@@ -133,23 +99,6 @@ class MemoryDevice:
         counters.read_bytes += read_bytes + random_reads * CACHE_LINE_BYTES
         counters.write_bytes += write_bytes + random_writes * CACHE_LINE_BYTES
         return latency_ns if latency_ns > bandwidth_ns else bandwidth_ns
-
-    def record(
-        self,
-        read_bytes: float = 0.0,
-        write_bytes: float = 0.0,
-        random_reads: int = 0,
-        random_writes: int = 0,
-    ) -> None:
-        """Add a batch's traffic to the counters.
-
-        Random (latency-bound) accesses also move one cache line each, so
-        they contribute to byte counters for the energy model.
-        """
-        self.counters.random_reads += random_reads
-        self.counters.random_writes += random_writes
-        self.counters.read_bytes += read_bytes + random_reads * CACHE_LINE_BYTES
-        self.counters.write_bytes += write_bytes + random_writes * CACHE_LINE_BYTES
 
     def dynamic_energy_pj(self) -> float:
         """Dynamic energy consumed so far, in pJ."""

@@ -1,12 +1,21 @@
 """The simulated machine: clock + devices + bandwidth traces + energy.
 
-Every cost in the simulation flows through :meth:`Machine.run_batch`:
-the heap allocator, the GC phases and the Spark mutator all describe
-their work as per-device traffic, and the machine converts that into
-elapsed nanoseconds (devices operate concurrently, so a phase touching
-both DRAM and NVM takes the maximum of the two device times) and into
-counter updates that later feed the energy model and Figure 8's
-bandwidth series.
+Every cost in the simulation is charged through one of two entry points:
+
+* :meth:`Machine.run_rows` for sequential single-device work — the
+  mutator's operators, persists, spills, shuffle waves and source
+  reads.  Each row is one device's traffic plus the CPU time it
+  overlaps, and rows are charged back to back.
+* :meth:`Machine.run_batch` for concurrent multi-device work — the GC
+  phases and a cached-partition read whose pieces live on several
+  devices.  Devices proceed in parallel, so the batch takes the maximum
+  of the device times and its CPU component.
+
+Both price traffic through
+:meth:`~repro.memory.device.MemoryDevice.charge_row`, which also updates
+the device counters that feed the energy model, and deposit it into
+Figure 8's bandwidth windows through
+:meth:`~repro.memory.bandwidth.BandwidthTracker.record_rows`.
 """
 
 from __future__ import annotations
@@ -27,11 +36,11 @@ from repro.memory.energy import EnergyMeter
 
 
 class Traffic:
-    """Traffic issued to one device within a batch.
+    """Traffic issued to one device within a :meth:`Machine.run_batch`.
 
-    A ``__slots__`` class rather than a dataclass: every batch the
-    simulator charges allocates at least one, so the ``__dict__`` per
-    instance and the generated ``__init__`` overhead are measurable.
+    A ``__slots__`` class rather than a dataclass: every GC phase
+    allocates some, so the ``__dict__`` per instance and the generated
+    ``__init__`` overhead are measurable.
     """
 
     __slots__ = ("read_bytes", "write_bytes", "random_reads", "random_writes")
@@ -47,43 +56,6 @@ class Traffic:
         self.write_bytes = write_bytes
         self.random_reads = random_reads
         self.random_writes = random_writes
-
-    def merged(self, other: "Traffic") -> "Traffic":
-        """Return the sum of two traffic descriptions."""
-        return Traffic(
-            read_bytes=self.read_bytes + other.read_bytes,
-            write_bytes=self.write_bytes + other.write_bytes,
-            random_reads=self.random_reads + other.random_reads,
-            random_writes=self.random_writes + other.random_writes,
-        )
-
-    @property
-    def is_empty(self) -> bool:
-        """True when no traffic is described."""
-        return (
-            self.read_bytes == 0
-            and self.write_bytes == 0
-            and self.random_reads == 0
-            and self.random_writes == 0
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Traffic):
-            return NotImplemented
-        return (
-            self.read_bytes == other.read_bytes
-            and self.write_bytes == other.write_bytes
-            and self.random_reads == other.random_reads
-            and self.random_writes == other.random_writes
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Traffic(read_bytes={self.read_bytes!r}, "
-            f"write_bytes={self.write_bytes!r}, "
-            f"random_reads={self.random_reads!r}, "
-            f"random_writes={self.random_writes!r})"
-        )
 
 
 class TrafficSet:
@@ -149,7 +121,7 @@ class Machine:
         }
         self.bandwidth = BandwidthTracker(window_ns=bandwidth_window_ns)
         #: device -> bound charge_row, resolved once (devices are fixed
-        #: for the machine's lifetime); run_rows' per-row dispatch.
+        #: for the machine's lifetime); both entry points price through it.
         self._row_charger = {
             kind: dev.charge_row for kind, dev in self.devices.items()
         }
@@ -168,7 +140,6 @@ class Machine:
         self,
         traffic: Mapping[DeviceKind, Traffic],
         threads: int = 1,
-        mlp: Optional[int] = None,
         cpu_ns: float = 0.0,
     ) -> float:
         """Charge a batch of concurrent per-device traffic.
@@ -178,80 +149,55 @@ class Machine:
                 parallel, so batch time is the max over devices (and the
                 CPU component).
             threads: worker count for latency-bound components.
-            mlp: outstanding misses per worker (defaults to the config).
             cpu_ns: pure-CPU time of the batch, already divided by however
                 many cores the caller runs on.
 
         Returns:
             The batch duration in nanoseconds (the clock is advanced).
         """
-        effective_mlp = self.config.mlp if mlp is None else mlp
+        parallelism = max(1, threads) * max(1, self.config.mlp)
         start_ns = self.clock.now_ns
         duration = float(cpu_ns)
+        charged = []
         for kind, t in traffic.items():
-            if (
-                t.read_bytes == 0
-                and t.write_bytes == 0
-                and t.random_reads == 0
-                and t.random_writes == 0
-            ):
+            row = (t.read_bytes, t.write_bytes, t.random_reads, t.random_writes)
+            if not any(row):
                 continue
-            device_ns = self.devices[kind].batch_ns(
-                t.read_bytes,
-                t.write_bytes,
-                t.random_reads,
-                t.random_writes,
-                threads,
-                effective_mlp,
-            )
+            device_ns = self._row_charger[kind](*row, parallelism)
             if kind is DeviceKind.NVM and self.nvm_throttle is not None:
                 device_ns = self.nvm_throttle.apply(start_ns, device_ns)
             if device_ns > duration:
                 duration = device_ns
-        for kind, t in traffic.items():
-            if (
-                t.read_bytes == 0
-                and t.write_bytes == 0
-                and t.random_reads == 0
-                and t.random_writes == 0
-            ):
-                continue
-            self.devices[kind].record(
-                t.read_bytes, t.write_bytes, t.random_reads, t.random_writes
-            )
-            read_total = t.read_bytes + t.random_reads * 64
-            write_total = t.write_bytes + t.random_writes * 64
+            charged.append((kind, row))
+        # Every device's bytes spread over the whole batch's duration.
+        bw_rows = []
+        for kind, (read_bytes, write_bytes, random_reads, random_writes) in charged:
+            read_total = read_bytes + random_reads * 64
+            write_total = write_bytes + random_writes * 64
             if read_total > 0:
-                self.bandwidth.record(kind, False, read_total, start_ns, duration)
+                bw_rows.append((kind, False, read_total, start_ns, duration))
             if write_total > 0:
-                self.bandwidth.record(kind, True, write_total, start_ns, duration)
+                bw_rows.append((kind, True, write_total, start_ns, duration))
+        if bw_rows:
+            self.bandwidth.record_rows(bw_rows)
         self.clock.advance(duration)
         return duration
 
-    def run_rows(
-        self,
-        rows,
-        threads: int = 1,
-        mlp: Optional[int] = None,
-    ) -> float:
+    def run_rows(self, rows, threads: int = 1) -> float:
         """Charge a sequence of single-device accesses back to back.
 
         Each row is ``(device, read_bytes, write_bytes, random_reads,
-        random_writes, cpu_ns)``.  Equivalent to one :meth:`access` call
-        per row — the same per-row duration arithmetic, the same clock
-        advances, counter updates and bandwidth-window deposits in the
-        same order — with the per-call scaffolding (a ``Traffic``, a
-        dict, two loops) fused into a single loop and the bandwidth
-        deposits settled through one
-        :meth:`~repro.memory.bandwidth.BandwidthTracker.record_rows`
-        call.  The vectorised cost plane settles shuffle waves through
-        this; ``tests/test_costplane.py`` proves the equivalence.
+        random_writes, cpu_ns)``.  A row lasts the longer of its
+        device's time and its CPU time; the clock advances by each row
+        in turn, the device counters take each row's traffic, and each
+        row's bytes spread over its own span of the bandwidth windows.
+        A one-row call is the single-device case of :meth:`run_batch`
+        (``tests/test_costplane.py`` proves the equivalence).
 
         Returns:
             The clock advance across all rows, in nanoseconds.
         """
-        effective_mlp = self.config.mlp if mlp is None else mlp
-        parallelism = max(1, threads) * max(1, effective_mlp)
+        parallelism = max(1, threads) * max(1, self.config.mlp)
         chargers = self._row_charger
         clock = self.clock
         nvm = DeviceKind.NVM
@@ -297,45 +243,6 @@ class Machine:
         if bw_rows:
             self.bandwidth.record_rows(bw_rows)
         return now - start
-
-    def access(
-        self,
-        device: DeviceKind,
-        read_bytes: float = 0.0,
-        write_bytes: float = 0.0,
-        random_reads: int = 0,
-        random_writes: int = 0,
-        threads: int = 1,
-        mlp: Optional[int] = None,
-        cpu_ns: float = 0.0,
-    ) -> float:
-        """Charge a single-device batch (see :meth:`run_batch`)."""
-        return self.run_batch(
-            {
-                device: Traffic(
-                    read_bytes=read_bytes,
-                    write_bytes=write_bytes,
-                    random_reads=random_reads,
-                    random_writes=random_writes,
-                )
-            },
-            threads=threads,
-            mlp=mlp,
-            cpu_ns=cpu_ns,
-        )
-
-    def transfer(
-        self,
-        src: DeviceKind,
-        dst: DeviceKind,
-        nbytes: float,
-        threads: int = 1,
-    ) -> float:
-        """Charge a streamed copy of ``nbytes`` from ``src`` to ``dst``."""
-        traffic = TrafficSet()
-        traffic.add(src, read_bytes=nbytes)
-        traffic.add(dst, write_bytes=nbytes)
-        return self.run_batch(traffic.per_device, threads=threads)
 
     # -- metrics ---------------------------------------------------------
 

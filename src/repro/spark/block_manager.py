@@ -206,15 +206,14 @@ class BlockManager:
         threads = self.heap.config.mutator_threads
         # Read the block from wherever it lives, write the serialised
         # form to disk.
-        for pidx in range(len(block.arrays)):
-            for device, piece in block.partition_traffic(pidx):
-                self.machine.access(device, read_bytes=piece, threads=threads)
-        self.machine.access(
-            DeviceKind.DISK,
-            write_bytes=ser_bytes,
-            threads=threads,
-            cpu_ns=block.data_bytes * self.costs.cpu_ns_per_byte / threads,
-        )
+        rows = [
+            (device, piece, 0.0, 0, 0, 0.0)
+            for pidx in range(len(block.arrays))
+            for device, piece in block.partition_traffic(pidx)
+        ]
+        cpu_ns = block.data_bytes * self.costs.cpu_ns_per_byte / threads
+        rows.append((DeviceKind.DISK, 0.0, ser_bytes, 0, 0, cpu_ns))
+        self.machine.run_rows(rows, threads=threads)
         self._release_heap_objects(block)
         block.on_disk = True
         self.spilled_count += 1

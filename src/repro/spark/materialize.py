@@ -77,30 +77,12 @@ class MaterializedBlock:
             for o in objs
         )
 
-    def partition_records(self, pidx: int) -> List[Record]:
-        """The record list of one partition, unpacking serialized-tier
-        batches on demand (every access re-deserialises — that is the
-        tier's trade)."""
-        if self.ser_batches is not None:
-            return self.ser_batches[pidx].unpack()
-        return self.records[pidx]
-
-    def partition_count(self, pidx: int) -> int:
-        """Number of records in one partition, without unpacking."""
-        if self.ser_batches is not None:
-            return self.ser_batches[pidx].count
-        return len(self.records[pidx])
-
     def heap_objects(self) -> List[HeapObject]:
         """Every heap object belonging to this block."""
         objs = [self.top] + list(self.arrays)
         for partition_slabs in self.slabs:
             objs.extend(partition_slabs)
         return objs
-
-    def partition_bytes(self, pidx: int) -> float:
-        """Tuple payload bytes of one partition."""
-        return float(sum(s.size for s in self.slabs[pidx]))
 
     def partition_traffic(self, pidx: int) -> List[Tuple[DeviceKind, int]]:
         """Per-device byte pieces a streamed read of one partition touches
@@ -184,11 +166,9 @@ class Materializer:
             array_size = costs.array_bytes_for(part_bytes)
             array = heap.allocate_rdd_array(array_size, rdd.id)
             device = array.space.device_of(array.addr)
-            self.machine.access(
-                device,
-                write_bytes=array_size,
-                threads=threads,
-                cpu_ns=array_size * costs.cpu_ns_per_byte / threads,
+            cpu_ns = array_size * costs.cpu_ns_per_byte / threads
+            self.machine.run_rows(
+                ((device, 0.0, array_size, 0, 0, cpu_ns),), threads=threads
             )
             heap.write_ref(top, array)
             partition_slabs: List[HeapObject] = []
@@ -215,11 +195,9 @@ class Materializer:
                     if slab.space is not None and slab.addr is not None
                     else DeviceKind.DRAM
                 )
-                self.machine.access(
-                    slab_device,
-                    write_bytes=slab.size,
-                    threads=threads,
-                    cpu_ns=slab.size * costs.cpu_ns_per_byte / threads,
+                cpu_ns = slab.size * costs.cpu_ns_per_byte / threads
+                self.machine.run_rows(
+                    ((slab_device, 0.0, slab.size, 0, 0, cpu_ns),), threads=threads
                 )
                 heap.write_ref(array, slab)
                 partition_slabs.append(slab)

@@ -200,10 +200,9 @@ class Scheduler:
         use_columnar = _columnar.columnar_active()
         outputs: list = []
         # Each partition's machine charges (the combine probe and the
-        # spill write) settle as one run_rows wave; the rows replay
-        # access()'s arithmetic row by row, and nothing between them
+        # spill write) settle as one run_rows wave: nothing between them
         # touches the machine, so clocks, counters and bandwidth windows
-        # equal one access() call per charge.
+        # equal one call per charge.
         self._push_scope()
         try:
             for pidx in range(dep.parent.num_partitions):
@@ -338,11 +337,10 @@ class Scheduler:
         records = block.records[pidx]
         if block.on_disk:
             part_bytes = len(records) * rdd.bytes_per_record
-            self.ctx.machine.access(
-                DeviceKind.DISK,
-                read_bytes=part_bytes * self.ctx.costs.ser_factor,
-                threads=threads,
-                cpu_ns=part_bytes * self.ctx.costs.cpu_ns_per_byte / threads,
+            disk_bytes = part_bytes * self.ctx.costs.ser_factor
+            cpu_ns = part_bytes * self.ctx.costs.cpu_ns_per_byte / threads
+            self.ctx.machine.run_rows(
+                ((DeviceKind.DISK, disk_bytes, 0.0, 0, 0, cpu_ns),), threads=threads
             )
         else:
             traffic: Dict[DeviceKind, float] = {}
@@ -472,11 +470,10 @@ class Scheduler:
                 data_bytes=total_bytes,
                 on_disk=True,
             )
-            self.ctx.machine.access(
-                DeviceKind.DISK,
-                write_bytes=total_bytes * costs.ser_factor,
-                threads=threads,
-                cpu_ns=total_bytes * costs.cpu_ns_per_byte / threads,
+            disk_bytes = total_bytes * costs.ser_factor
+            cpu_ns = total_bytes * costs.cpu_ns_per_byte / threads
+            self.ctx.machine.run_rows(
+                ((DeviceKind.DISK, 0.0, disk_bytes, 0, 0, cpu_ns),), threads=threads
             )
         expanded = expand_level(level, tag)
         self.ctx.block_manager.put(block, expanded)
@@ -545,11 +542,10 @@ class Scheduler:
                 native_obj = heap.allocate_native(part_bytes, rdd.id)
             except OutOfMemoryError as exc:
                 raise SparkError(str(exc)) from exc
-            self.ctx.machine.access(
-                heap.native.device,
-                write_bytes=part_bytes,
+            cpu_ns = part_bytes * self.ctx.costs.cpu_ns_per_byte / threads
+            self.ctx.machine.run_rows(
+                ((heap.native.device, 0.0, part_bytes, 0, 0, cpu_ns),),
                 threads=threads,
-                cpu_ns=part_bytes * self.ctx.costs.cpu_ns_per_byte / threads,
             )
             arrays.append(native_obj)
         return MaterializedBlock(
@@ -688,12 +684,9 @@ class Scheduler:
             + self._write_overhead_ns(out_bytes)
         ) / threads
         self._ephemeral(out_bytes)
-        self.ctx.machine.access(
-            DeviceKind.DRAM,
-            write_bytes=out_bytes,
-            random_reads=costs.hash_probes_for(probe_bytes),
-            threads=threads,
-            cpu_ns=cpu,
+        probes = costs.hash_probes_for(probe_bytes)
+        self.ctx.machine.run_rows(
+            ((DeviceKind.DRAM, 0.0, out_bytes, probes, 0, cpu),), threads=threads
         )
 
     def charge_narrow_op(

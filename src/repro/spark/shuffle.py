@@ -93,10 +93,6 @@ class ShuffleManager:
         """Whether a reduce partition is currently lost to a kill."""
         return pidx in self._lost.get(shuffle_id, ())
 
-    def lost_partitions(self, shuffle_id: int) -> Set[int]:
-        """The currently-lost reduce partitions of one shuffle."""
-        return set(self._lost.get(shuffle_id, ()))
-
     def read(self, shuffle_id: int, pidx: int) -> List[Record]:
         """Fetch one reduce partition's records.
 

@@ -45,14 +45,14 @@ class TestSimClock:
 class TestBandwidthTracker:
     def test_single_event_lands_in_one_window(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record(DeviceKind.DRAM, False, 3e9, start_ns=0, duration_ns=1e9)
+        bw.record_rows([(DeviceKind.DRAM, False, 3e9, 0, 1e9)])
         series = bw.series(DeviceKind.DRAM, False)
         assert len(series) == 1
         assert series[0].gbps == pytest.approx(3.0, rel=1e-6)
 
     def test_long_event_spreads_over_windows(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record(DeviceKind.NVM, True, 10e9, start_ns=0, duration_ns=5e9)
+        bw.record_rows([(DeviceKind.NVM, True, 10e9, 0, 5e9)])
         series = bw.series(DeviceKind.NVM, True)
         # 10 GB over 5 s = 2 GB/s sustained.
         sustained = [s.gbps for s in series[:5]]
@@ -61,24 +61,24 @@ class TestBandwidthTracker:
 
     def test_zero_duration_event(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record(DeviceKind.DRAM, False, 1e6, start_ns=5e8, duration_ns=0)
+        bw.record_rows([(DeviceKind.DRAM, False, 1e6, 5e8, 0)])
         assert bw.total_bytes(DeviceKind.DRAM, False) == pytest.approx(1e6)
 
     def test_directions_are_separate(self):
         bw = BandwidthTracker()
-        bw.record(DeviceKind.DRAM, False, 100, 0, 10)
+        bw.record_rows([(DeviceKind.DRAM, False, 100, 0, 10)])
         assert bw.series(DeviceKind.DRAM, True) == []
 
     def test_peak(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record(DeviceKind.DRAM, False, 5e9, 0, 1e9)
-        bw.record(DeviceKind.DRAM, False, 1e9, 3e9, 1e9)
+        bw.record_rows([(DeviceKind.DRAM, False, 5e9, 0, 1e9)])
+        bw.record_rows([(DeviceKind.DRAM, False, 1e9, 3e9, 1e9)])
         assert bw.peak_gbps(DeviceKind.DRAM, False) == pytest.approx(5.0, rel=0.01)
 
     def test_gap_windows_reported_as_zero(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record(DeviceKind.DRAM, False, 1e9, 0, 0.5e9)
-        bw.record(DeviceKind.DRAM, False, 1e9, 4e9, 0.5e9)
+        bw.record_rows([(DeviceKind.DRAM, False, 1e9, 0, 0.5e9)])
+        bw.record_rows([(DeviceKind.DRAM, False, 1e9, 4e9, 0.5e9)])
         series = bw.series(DeviceKind.DRAM, False)
         assert any(s.gbps == 0.0 for s in series)
 
@@ -93,7 +93,7 @@ class TestBandwidthTracker:
     )
     def test_bytes_conserved(self, nbytes, start, duration):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record(DeviceKind.NVM, False, nbytes, start, duration)
+        bw.record_rows([(DeviceKind.NVM, False, nbytes, start, duration)])
         assert bw.total_bytes(DeviceKind.NVM, False) == pytest.approx(
             nbytes, rel=1e-2
         )

@@ -4,9 +4,9 @@ Covers ``ChargeColumns`` reduction exactness and first-touch ordering
 (numpy and ``array``-module fallback), ``ChargeAccumulator`` totals and
 device order against one ``TrafficSet.add`` per charge, the two-row
 coalescing of the charge primitives, ``Machine.run_rows`` equivalence
-with per-call ``access``, and end-to-end byte-identity of the numpy and
-``array``-loop reductions on traced + fault-injected cells and random
-pipelines.
+with one single-device ``run_batch`` per row, and end-to-end
+byte-identity of the numpy and ``array``-loop reductions on traced +
+fault-injected cells and random pipelines.
 """
 
 from contextlib import contextmanager
@@ -26,7 +26,7 @@ from repro.gc.charging import (
     ChargeColumns,
 )
 from repro.heap.object_model import HEADER_BYTES
-from repro.memory.machine import Machine, TrafficSet
+from repro.memory.machine import Machine, Traffic, TrafficSet
 from tests.conftest import numpy_absent, small_config
 from tests.golden import corpus
 from tests.golden.corpus import bandwidth_series
@@ -256,7 +256,7 @@ class TestChargeAccumulator:
         )
 
 
-# -- Machine.run_rows vs per-call access -----------------------------------
+# -- Machine.run_rows vs one single-device run_batch per row ---------------
 
 
 _ROWS = [
@@ -284,27 +284,26 @@ def _machine_fingerprint(machine):
     )
 
 
+def _run_one_batch_per_row(machine, rows, threads):
+    """The per-row reference: each row as its own one-device batch."""
+    for device, rb, wb, rr, rw, cpu in rows:
+        machine.run_batch(
+            {device: Traffic(rb, wb, rr, rw)}, threads=threads, cpu_ns=cpu
+        )
+
+
 class TestRunRows:
-    def _fresh_machine(self):
-        return Machine(small_config(PolicyName.PANTHERA))
+    def _fresh_machine(self, **kwargs):
+        return Machine(small_config(PolicyName.PANTHERA, **kwargs))
 
     @pytest.mark.parametrize("threads,mlp", [(1, None), (8, None), (4, 2)])
     def test_rows_match_sequential_access_calls(self, threads, mlp):
-        bulk = self._fresh_machine()
-        returned = bulk.run_rows(_ROWS * 7, threads=threads, mlp=mlp)
-        scalar = self._fresh_machine()
+        kwargs = {} if mlp is None else {"mlp": mlp}
+        bulk = self._fresh_machine(**kwargs)
+        returned = bulk.run_rows(_ROWS * 7, threads=threads)
+        scalar = self._fresh_machine(**kwargs)
         start = scalar.clock.now_ns
-        for device, rb, wb, rr, rw, cpu in _ROWS * 7:
-            scalar.access(
-                device,
-                read_bytes=rb,
-                write_bytes=wb,
-                random_reads=rr,
-                random_writes=rw,
-                threads=threads,
-                mlp=mlp,
-                cpu_ns=cpu,
-            )
+        _run_one_batch_per_row(scalar, _ROWS * 7, threads)
         assert _machine_fingerprint(bulk) == _machine_fingerprint(scalar)
         assert repr(returned) == repr(scalar.clock.now_ns - start)
 
@@ -318,16 +317,7 @@ class TestRunRows:
         bulk.run_rows(_ROWS, threads=2)
         scalar = self._fresh_machine()
         scalar.nvm_throttle = Halver()
-        for device, rb, wb, rr, rw, cpu in _ROWS:
-            scalar.access(
-                device,
-                read_bytes=rb,
-                write_bytes=wb,
-                random_reads=rr,
-                random_writes=rw,
-                threads=2,
-                cpu_ns=cpu,
-            )
+        _run_one_batch_per_row(scalar, _ROWS, 2)
         assert _machine_fingerprint(bulk) == _machine_fingerprint(scalar)
 
     def test_empty_rows_are_free(self):

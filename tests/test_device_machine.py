@@ -21,43 +21,46 @@ class TestDeviceCostModel:
 
     def test_pure_streaming_is_bandwidth_bound(self):
         device = self.make()
-        ns = device.batch_ns(read_bytes=30 * GiB)
+        ns = device.charge_row(30 * GiB, 0.0, 0, 0, 1)
         # 30 GiB at 30 GB/s is just over one second (GiB vs GB).
         assert ns == pytest.approx(30 * GiB / 30.0, rel=1e-9)
 
     def test_pure_random_is_latency_bound(self):
         device = self.make()
-        ns = device.batch_ns(random_reads=1000, threads=1, mlp=1)
+        ns = device.charge_row(0.0, 0.0, 1000, 0, 1)
         assert ns == pytest.approx(1000 * 120.0)
 
     def test_threads_and_mlp_divide_latency(self):
-        device = self.make()
-        serial = device.batch_ns(random_reads=1000, threads=1, mlp=1)
-        parallel = device.batch_ns(random_reads=1000, threads=4, mlp=2)
+        serial = Machine(small_config(mlp=1)).run_rows(
+            ((DeviceKind.DRAM, 0.0, 0.0, 1000, 0, 0.0),), threads=1
+        )
+        parallel = Machine(small_config(mlp=2)).run_rows(
+            ((DeviceKind.DRAM, 0.0, 0.0, 1000, 0, 0.0),), threads=4
+        )
         assert parallel == pytest.approx(serial / 8)
 
     def test_threads_do_not_help_bandwidth(self):
         device = self.make()
-        one = device.batch_ns(read_bytes=GiB, threads=1)
-        many = device.batch_ns(read_bytes=GiB, threads=16)
+        one = device.charge_row(GiB, 0.0, 0, 0, 1)
+        many = device.charge_row(GiB, 0.0, 0, 0, 16)
         assert one == many
 
     def test_nvm_streaming_three_times_slower_than_dram(self):
         dram = self.make(DRAM_SPEC)
         nvm = self.make(NVM_SPEC)
-        ratio = nvm.batch_ns(read_bytes=GiB) / dram.batch_ns(read_bytes=GiB)
+        ratio = nvm.charge_row(GiB, 0.0, 0, 0, 1) / dram.charge_row(GiB, 0.0, 0, 0, 1)
         assert ratio == pytest.approx(3.0)
 
     def test_mixed_batch_takes_max_of_components(self):
         device = self.make()
-        lat = device.batch_ns(random_reads=10**6, threads=1, mlp=1)
-        combo = device.batch_ns(read_bytes=1024, random_reads=10**6, threads=1, mlp=1)
+        lat = device.charge_row(0.0, 0.0, 10**6, 0, 1)
+        combo = device.charge_row(1024, 0.0, 10**6, 0, 1)
         assert combo == lat
 
     def test_record_accumulates_bytes(self):
         device = self.make()
-        device.record(read_bytes=100, write_bytes=50)
-        device.record(random_reads=2)
+        device.charge_row(100, 50, 0, 0, 1)
+        device.charge_row(0.0, 0.0, 2, 0, 1)
         assert device.counters.read_bytes == 100 + 2 * CACHE_LINE_BYTES
         assert device.counters.write_bytes == 50
         assert device.counters.random_reads == 2
@@ -69,7 +72,7 @@ class TestDeviceCostModel:
 
     def test_dynamic_energy_from_lines(self):
         device = self.make()
-        device.record(read_bytes=CACHE_LINE_BYTES * 10)
+        device.charge_row(CACHE_LINE_BYTES * 10, 0.0, 0, 0, 1)
         assert device.dynamic_energy_pj() == pytest.approx(
             10 * DRAM_SPEC.read_energy_pj
         )
@@ -81,10 +84,8 @@ class TestDeviceCostModel:
     )
     def test_batch_time_nonnegative_and_monotone(self, read, write, rr):
         device = self.make()
-        base = device.batch_ns(read_bytes=read, write_bytes=write, random_reads=rr)
-        more = device.batch_ns(
-            read_bytes=read * 2, write_bytes=write, random_reads=rr
-        )
+        base = device.charge_row(read, write, rr, 0, 1)
+        more = device.charge_row(read * 2, write, rr, 0, 1)
         assert base >= 0
         assert more >= base
 
@@ -95,7 +96,7 @@ class TestMachine:
 
     def test_access_advances_clock(self):
         machine = self.make()
-        machine.access(DeviceKind.DRAM, read_bytes=30 * GiB)
+        machine.run_rows(((DeviceKind.DRAM, 30 * GiB, 0.0, 0, 0, 0.0),))
         assert machine.clock.now_ns > 0
 
     def test_devices_run_concurrently(self):
@@ -115,19 +116,24 @@ class TestMachine:
 
     def test_transfer_is_pipelined(self):
         machine = self.make()
-        duration = machine.transfer(DeviceKind.DRAM, DeviceKind.NVM, GiB)
+        duration = machine.run_batch(
+            {
+                DeviceKind.DRAM: Traffic(read_bytes=GiB),
+                DeviceKind.NVM: Traffic(write_bytes=GiB),
+            }
+        )
         # Bound by the slower side (NVM write at 10 GB/s).
         assert duration == pytest.approx(GiB / 10.0, rel=1e-9)
 
     def test_energy_counts_traffic(self):
         machine = self.make()
-        machine.access(DeviceKind.NVM, write_bytes=GiB)
+        machine.run_rows(((DeviceKind.NVM, 0.0, GiB, 0, 0, 0.0),))
         breakdown = machine.energy_breakdown()
         assert breakdown[DeviceKind.NVM].dynamic_j > 0
 
     def test_bandwidth_traces_recorded(self):
         machine = self.make()
-        machine.access(DeviceKind.DRAM, read_bytes=GiB)
+        machine.run_rows(((DeviceKind.DRAM, GiB, 0.0, 0, 0, 0.0),))
         assert machine.bandwidth.total_bytes(DeviceKind.DRAM, False) == pytest.approx(
             GiB
         )
@@ -137,12 +143,3 @@ class TestMachine:
         machine.run_batch({DeviceKind.DRAM: Traffic()})
         assert machine.clock.now_ns == 0
         assert machine.bandwidth.series(DeviceKind.DRAM, False) == []
-
-    def test_traffic_merged(self):
-        a = Traffic(read_bytes=10, random_writes=1)
-        b = Traffic(write_bytes=5, random_reads=2)
-        merged = a.merged(b)
-        assert merged.read_bytes == 10
-        assert merged.write_bytes == 5
-        assert merged.random_reads == 2
-        assert merged.random_writes == 1

@@ -39,7 +39,7 @@ class TestEnergyModel:
 
     def test_static_factor_scales_static_only(self):
         devices, meter = make_meter(static_factor=5.0)
-        devices[DeviceKind.DRAM].record(read_bytes=CACHE_LINE_BYTES * 100)
+        devices[DeviceKind.DRAM].charge_row(CACHE_LINE_BYTES * 100, 0.0, 0, 0, 1)
         _, plain_meter = make_meter(static_factor=1.0)
         scaled = meter.breakdown(1.0)[DeviceKind.DRAM]
         plain = plain_meter.breakdown(1.0)[DeviceKind.DRAM]
@@ -47,7 +47,7 @@ class TestEnergyModel:
 
     def test_dynamic_energy_from_counters(self):
         devices, meter = make_meter()
-        devices[DeviceKind.NVM].record(write_bytes=CACHE_LINE_BYTES * 1000)
+        devices[DeviceKind.NVM].charge_row(0.0, CACHE_LINE_BYTES * 1000, 0, 0, 1)
         dynamic = meter.breakdown(0.0)[DeviceKind.NVM].dynamic_j
         assert dynamic == pytest.approx(1000 * NVM_SPEC.write_energy_pj / 1e12)
 
@@ -59,7 +59,7 @@ class TestEnergyModel:
 
     def test_total_sums_devices(self):
         devices, meter = make_meter()
-        devices[DeviceKind.DRAM].record(read_bytes=GiB)
+        devices[DeviceKind.DRAM].charge_row(GiB, 0.0, 0, 0, 1)
         total = meter.total_j(10.0)
         parts = sum(b.total_j for b in meter.breakdown(10.0).values())
         assert total == pytest.approx(parts)
@@ -71,6 +71,6 @@ class TestEnergyModel:
 
     def test_breakdown_total_property(self):
         devices, meter = make_meter()
-        devices[DeviceKind.DRAM].record(write_bytes=GiB)
+        devices[DeviceKind.DRAM].charge_row(0.0, GiB, 0, 0, 1)
         b = meter.breakdown(1.0)[DeviceKind.DRAM]
         assert b.total_j == pytest.approx(b.static_j + b.dynamic_j)

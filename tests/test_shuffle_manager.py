@@ -69,8 +69,8 @@ class TestNvmSpecOverride:
     def test_slower_nvm_costs_more(self):
         fast = Machine(small_config())
         slow = Machine(small_config(nvm_bandwidth_factor=0.25))
-        fast_ns = fast.devices[DeviceKind.NVM].batch_ns(read_bytes=GiB)
-        slow_ns = slow.devices[DeviceKind.NVM].batch_ns(read_bytes=GiB)
+        fast_ns = fast.devices[DeviceKind.NVM].charge_row(GiB, 0.0, 0, 0, 1)
+        slow_ns = slow.devices[DeviceKind.NVM].charge_row(GiB, 0.0, 0, 0, 1)
         assert slow_ns == pytest.approx(4 * fast_ns)
 
     def test_dram_unaffected_by_nvm_factors(self):
