@@ -38,7 +38,7 @@ from repro.harness.experiment import run_experiment
 from repro.heap.layout import HEAP_BASE, young_span_bytes
 from repro.heap.managed_heap import ManagedHeap
 from repro.heap.object_model import ObjKind
-from repro.memory.machine import Machine, TrafficSet
+from repro.memory.machine import Machine
 from repro.workloads.pagerank import build_pagerank
 
 SCHEMA_VERSION = 1
@@ -121,7 +121,8 @@ def setup_major_gc() -> Callable[[], None]:
 
 def setup_charge_trace() -> Callable[[], None]:
     """Bulk visit charging over 4 096 eden objects plus 64 old-gen RDD
-    arrays — the mark/trace shape of the cost plane."""
+    arrays, then building the phase's batch rows — the mark/trace shape
+    of the cost plane."""
     stack = make_stack(PolicyName.PANTHERA)
     objs = [stack.heap.new_object(ObjKind.DATA, 256) for _ in range(4096)]
     objs.extend(
@@ -129,9 +130,9 @@ def setup_charge_trace() -> Callable[[], None]:
     )
 
     def charge() -> None:
-        charges = ChargeAccumulator(TrafficSet())
+        charges = ChargeAccumulator()
         charges.visit_all(objs)
-        charges.flush()
+        charges.rows()
 
     return charge
 

@@ -1,174 +1,62 @@
-"""Column-batched GC cost charging.
+"""Per-device charge totals of one GC phase.
 
-The GC phases charge per-object costs (trace visits, card-scan streams,
-evacuation copies) to a :class:`~repro.memory.machine.TrafficSet`.  Doing
-that with one ``TrafficSet.add`` call per object is the single hottest
-path of the simulator: each call pays keyword marshalling, a dict
-``setdefault`` and four attribute updates for what is arithmetically just
-"+= a few integers".
+A collection is priced per device: tracing is latency-bound, copying and
+card scanning are bandwidth-bound (§5.3: NVM's bandwidth binds Parallel
+Scavenge).  A GC phase's cost therefore depends on four integers per
+device — streamed bytes read and written, latency-bound reads and
+writes — and :class:`ChargeAccumulator` holds exactly those: one flat
+list of integer totals indexed ``device_index * 4 + kind``.  The charge
+primitives add straight into it; :meth:`ChargeAccumulator.visit_all`
+counts a whole visit sequence per device before adding.
 
-:class:`ChargeAccumulator` instead stores one phase's charges as parallel
-``(device*4 + kind, amount)`` columns — :class:`ChargeColumns`,
-``array``-module buffers with a numpy reduction when numpy is importable
-— and the GC phases charge *runs* of objects in bulk
-(:meth:`ChargeAccumulator.visit_all`) instead of one Python call per
-object.  ``flush`` settles the columns into per-device sums and deposits
-them with one ``TrafficSet.add`` per device per phase.
+:meth:`ChargeAccumulator.settle` charges the phase as one concurrent
+:meth:`~repro.memory.machine.Machine.run_batch`, its rows in
+``DeviceKind`` order.  Which device a phase touched first is not
+observable:
 
-This is bit-identical to depositing every charge on its own:
-
-* all increments are integers (object sizes, header bytes, access
-  counts), so the per-device sums are exact regardless of addition order;
-* devices are deposited in first-touch order — the columns preserve row
-  order, so the first row naming a device is where a per-charge deposit
-  would first have inserted it — and the ``TrafficSet``'s dict insertion
-  order, which downstream float reductions iterate in, matches.
+* device counters and bandwidth bins are kept per device;
+* a batch's duration is a max over devices;
+* the one sum across devices, the GC CPU term, adds exact integers —
+  except the minor GC's non-integer DRAM floor, which is added after the
+  integer sums and is DRAM's, so it comes first in any order.
 
 The golden-digest corpus (``tests/golden/``) pins the resulting GC logs,
-traces and bandwidth series byte for byte, with and without numpy.
+traces and bandwidth series byte for byte.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.config import DeviceKind
 from repro.errors import GCError
 from repro.heap.object_model import HEADER_BYTES, HeapObject
-from repro.memory.machine import TrafficSet
 
-try:  # numpy accelerates the column reduction; the array fallback is exact
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback path
-    _np = None
-
-#: Charge-kind codes within one device's column block; the order matches
-#: the ``[read_bytes, write_bytes, random_reads, random_writes]`` totals
-#: :meth:`ChargeColumns.reduce` returns and the keyword order of
-#: ``TrafficSet.add``.
+#: Charge kinds within one device's block of four totals, in the column
+#: order of a :meth:`~repro.memory.machine.Machine.run_batch` row.
 KIND_READ = 0
 KIND_WRITE = 1
 KIND_RANDOM_READ = 2
 KIND_RANDOM_WRITE = 3
 
-#: Device index tables: a column row stores ``device_index * 4 + kind``
-#: in a signed byte, so the whole row fits two machine words.
 _DEVICE_LIST: Tuple[DeviceKind, ...] = tuple(DeviceKind)
 _DEV_BASE: Dict[DeviceKind, int] = {
     device: index * 4 for index, device in enumerate(_DEVICE_LIST)
 }
 
-#: Below this many rows the scalar reduction beats numpy's fixed call
-#: overhead (measured crossover ~160 rows on CPython 3.11 / numpy 2.4 —
-#: ``np.add.at`` plus ``np.unique`` cost ~16 us flat); the cutover only
-#: changes wall time (both reductions are exact integer sums), never
-#: results.
-_NUMPY_MIN_ROWS = 192
-
-
-class ChargeColumns:
-    """Parallel columns of one phase's charges: ``codes[i]`` is
-    ``device_index * 4 + kind`` and ``amounts[i]`` the integer amount.
-
-    The zero-dependency representation is a pair of ``array`` buffers
-    (``'b'`` codes, ``'q'`` amounts); :meth:`reduce` sums them into
-    per-device ``[read, write, random_reads, random_writes]`` totals with
-    numpy (``np.add.at`` over an ``int64`` accumulator — exact) when it
-    is importable and the column is long enough to amortise the call
-    overhead, else with a plain loop.  Row order is preserved, so the
-    first row naming a device defines its first-touch position.
-    """
-
-    __slots__ = ("codes", "amounts")
-
-    def __init__(self) -> None:
-        self.codes = array("b")
-        self.amounts = array("q")
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def clear(self) -> None:
-        """Drop all rows (the phase was settled)."""
-        del self.codes[:]
-        del self.amounts[:]
-
-    def reduce(self) -> List[Tuple[DeviceKind, List[int]]]:
-        """Sum the columns into per-device totals, in first-touch order."""
-        codes = self.codes
-        n = len(codes)
-        if _np is not None and n >= _NUMPY_MIN_ROWS:
-            code_arr = _np.frombuffer(codes, dtype=_np.int8)
-            amount_arr = _np.frombuffer(self.amounts, dtype=_np.int64)
-            acc = _np.zeros(len(_DEVICE_LIST) * 4, dtype=_np.int64)
-            _np.add.at(acc, code_arr, amount_arr)
-            device_codes = code_arr >> 2
-            uniq, first = _np.unique(device_codes, return_index=True)
-            out: List[Tuple[DeviceKind, List[int]]] = []
-            for dev in uniq[_np.argsort(first)]:
-                base = int(dev) * 4
-                out.append(
-                    (
-                        _DEVICE_LIST[int(dev)],
-                        [int(v) for v in acc[base : base + 4]],
-                    )
-                )
-            return out
-        by_device: Dict[int, List[int]] = {}
-        get = by_device.get
-        for code, amount in zip(codes, self.amounts):
-            dev = code >> 2
-            entry = get(dev)
-            if entry is None:
-                entry = by_device[dev] = [0, 0, 0, 0]
-            entry[code & 3] += amount
-        return [(_DEVICE_LIST[dev], entry) for dev, entry in by_device.items()]
-
 
 class ChargeAccumulator:
-    """Accumulates one GC phase's per-device traffic as charge columns,
-    then deposits it into the phase's
-    :class:`~repro.memory.machine.TrafficSet`.
+    """One GC phase's traffic as per-device integer totals.
 
-    Args:
-        traffic: the phase batch to deposit into.
+    Attributes:
+        totals: ``totals[device_index * 4 + kind]`` is the phase's
+            integer total of that charge kind on that device.
     """
 
-    __slots__ = ("traffic", "_cols", "_code_append", "_amount_append")
+    __slots__ = ("totals",)
 
-    def __init__(self, traffic: TrafficSet) -> None:
-        self.traffic = traffic
-        cols = self._cols = ChargeColumns()
-        # Bound appends: clear() empties the buffers in place, so these
-        # stay valid across flushes.
-        self._code_append = cols.codes.append
-        self._amount_append = cols.amounts.append
-
-    def _charge_row(self, code: int, amount: int) -> None:
-        """Append one column row, coalescing into either of the last two
-        rows when the code matches.
-
-        Merging into an earlier row is identity-safe: per-(device, kind)
-        totals are exact integer sums in any order, and the device's
-        first-touch position was fixed when that row was first appended.
-        The two-row lookback collapses the alternating patterns the GC
-        singles produce — copy loops (src-read / dst-write), compaction
-        (read / write) and repeated visits (header-read / random-read) —
-        so singles cost O(1) rows instead of O(charges).
-        """
-        cols = self._cols
-        codes = cols.codes
-        n = len(codes)
-        if n:
-            if codes[n - 1] == code:
-                cols.amounts[n - 1] += amount
-                return
-            if n > 1 and codes[n - 2] == code:
-                cols.amounts[n - 2] += amount
-                return
-        self._code_append(code)
-        self._amount_append(amount)
+    def __init__(self) -> None:
+        self.totals: List[int] = [0] * (len(_DEVICE_LIST) * 4)
 
     # -- charge primitives ----------------------------------------------
 
@@ -182,74 +70,41 @@ class ChargeAccumulator:
         if device is None:
             device = space.chunk_map.device_of(obj.addr)
         base = _DEV_BASE[device]
-        # Fast pair-merge: a previous visit on the same device left
-        # [header-read, random-read] as the last two rows.
-        cols = self._cols
-        codes = cols.codes
-        n = len(codes)
-        if n > 1 and codes[n - 2] == base and codes[n - 1] == base + KIND_RANDOM_READ:
-            amounts = cols.amounts
-            amounts[n - 2] += HEADER_BYTES
-            amounts[n - 1] += 1
-            return
-        self._charge_row(base, HEADER_BYTES)  # KIND_READ
-        self._charge_row(base + KIND_RANDOM_READ, 1)
+        totals = self.totals
+        totals[base] += HEADER_BYTES  # KIND_READ
+        totals[base + KIND_RANDOM_READ] += 1
 
-    def visit_all(self, objs: Sequence[HeapObject]) -> None:
-        """Tracing cost of a whole visit sequence, charged in bulk.
-
-        Consecutive same-device objects group into one
-        ``(n * HEADER_BYTES, n)`` run — O(runs) rows instead of
-        O(objects), and O(1) rows for the common case of a
-        young-generation trace (eden and the survivors are one DRAM
-        run).  Totals and first-touch order equal one :meth:`visit` per
-        object.
-        """
-        if len(objs) < 12:
-            # Small segments (card-scan children, mostly 1-3 objects):
-            # the coalescing single-row path beats the run-grouping
-            # loop's setup.  Identical totals and first-touch order
-            # either way, so the cutover is a pure wall-time choice.
-            for obj in objs:
-                self.visit(obj)
-            return
-        charge_row = self._charge_row
-        run_base = -1
-        run_n = 0
+    def visit_all(self, objs: Iterable[HeapObject]) -> None:
+        """Tracing cost of a whole visit sequence: one :meth:`visit` per
+        object, counted per device and added once."""
+        counts = [0] * len(self.totals)  # visits per device block
         prev_space = None
-        prev_device = None
+        base = 0
         for obj in objs:
             space = obj.space
             if space is None or obj.addr is None:
                 raise GCError(f"tracing an unplaced object: {obj!r}")
-            if space is prev_space:
-                device = prev_device
-            else:
+            if space is not prev_space:
                 device = space.device
                 if device is None:
                     device = space.chunk_map.device_of(obj.addr)
                     prev_space = None  # chunked: resolve per object
                 else:
                     prev_space = space
-                prev_device = device
-            base = _DEV_BASE[device]
-            if base == run_base:
-                run_n += 1
-                continue
-            if run_n:
-                charge_row(run_base, run_n * HEADER_BYTES)
-                charge_row(run_base + KIND_RANDOM_READ, run_n)
-            run_base = base
-            run_n = 1
-        if run_n:
-            charge_row(run_base, run_n * HEADER_BYTES)
-            charge_row(run_base + KIND_RANDOM_READ, run_n)
+                base = _DEV_BASE[device]
+            counts[base] += 1
+        totals = self.totals
+        for base in _DEV_BASE.values():
+            n = counts[base]
+            if n:
+                totals[base] += n * HEADER_BYTES  # KIND_READ
+                totals[base + KIND_RANDOM_READ] += n
 
     def stream_read(self, obj: HeapObject) -> None:
         """Streamed read of an object's full payload (card scanning)."""
-        charge_row = self._charge_row
+        totals = self.totals
         for device, nbytes in obj.space.object_traffic(obj):
-            charge_row(_DEV_BASE[device], nbytes)  # KIND_READ
+            totals[_DEV_BASE[device]] += nbytes  # KIND_READ
 
     def copy(self, src_pieces, obj: HeapObject, dst_space) -> int:
         """Streamed copy of an object into ``dst_space``.
@@ -260,46 +115,65 @@ class ChargeAccumulator:
         the copying GC streams into its allocation cursor).
         """
         dst_device = dst_space.device_of(min(dst_space.top, dst_space.end - 1))
-        dst_code = _DEV_BASE[dst_device] + KIND_WRITE
-        if len(src_pieces) == 1:
-            # Fast pair-merge: a previous same-shaped copy left
-            # [src-read, dst-write] as the last two rows.
-            src_device, src_bytes = src_pieces[0]
-            src_code = _DEV_BASE[src_device]
-            cols = self._cols
-            codes = cols.codes
-            n = len(codes)
-            if n > 1 and codes[n - 2] == src_code and codes[n - 1] == dst_code:
-                amounts = cols.amounts
-                amounts[n - 2] += src_bytes
-                amounts[n - 1] += obj.size
-                return obj.size
-            self._charge_row(src_code, src_bytes)
-            self._charge_row(dst_code, obj.size)
-            return obj.size
-        charge_row = self._charge_row
+        totals = self.totals
         for device, nbytes in src_pieces:
-            charge_row(_DEV_BASE[device], nbytes)  # KIND_READ
-        charge_row(dst_code, obj.size)
+            totals[_DEV_BASE[device]] += nbytes  # KIND_READ
+        totals[_DEV_BASE[dst_device] + KIND_WRITE] += obj.size
         return obj.size
 
     def read(self, device: DeviceKind, nbytes: int) -> None:
         """Streamed read of ``nbytes`` on one device."""
-        self._charge_row(_DEV_BASE[device], nbytes)
+        self.totals[_DEV_BASE[device]] += nbytes
 
     def write(self, device: DeviceKind, nbytes: int) -> None:
         """Streamed write of ``nbytes`` on one device."""
-        self._charge_row(_DEV_BASE[device] + KIND_WRITE, nbytes)
+        self.totals[_DEV_BASE[device] + KIND_WRITE] += nbytes
 
-    # -- deposit ---------------------------------------------------------
+    # -- settling --------------------------------------------------------
 
-    def flush(self) -> None:
-        """Deposit the accumulated charges into the phase batch (one
-        ``TrafficSet.add`` per device, in first-touch order) and clear."""
-        cols = self._cols
-        if not cols.codes:
+    def rows(self, dram_stream: float = 0.0) -> List[tuple]:
+        """The phase's :meth:`~repro.memory.machine.Machine.run_batch`
+        rows: one per touched device, in ``DeviceKind`` order.
+
+        ``dram_stream`` bytes (the minor GC's floor) are added to DRAM's
+        read and write totals after the integer sums, and a positive
+        floor makes DRAM a touched device.
+        """
+        totals = self.totals
+        rows = []
+        for device, base in _DEV_BASE.items():
+            read_bytes, write_bytes, random_reads, random_writes = totals[
+                base : base + 4
+            ]
+            if device is DeviceKind.DRAM and dram_stream > 0:
+                read_bytes = dram_stream + read_bytes
+                write_bytes = dram_stream + write_bytes
+            elif not (read_bytes or write_bytes or random_reads or random_writes):
+                continue
+            rows.append((device, read_bytes, write_bytes, random_reads, random_writes))
+        return rows
+
+    def settle(self, machine, config, dram_stream: float = 0.0) -> None:
+        """Charge the phase to ``machine`` as one concurrent batch of
+        ``config.gc_threads`` (nothing when no device was touched).
+
+        The batch's CPU term is the GC's object work: tracing, copying
+        and card scanning are header checks, forwarding updates and
+        reference fix-ups, not pure memcpy, so aggregate GC throughput
+        is CPU-capped at ``gc_ns_per_byte`` per streamed byte (~20 GB/s
+        for 16 threads at the default 0.05 ns/B).  On DRAM this cap
+        binds; on NVM the 10 GB/s device bandwidth binds instead, which
+        is §5.3's observation that Parallel Scavenge's parallelism is
+        crippled by NVM bandwidth.
+        """
+        rows = self.rows(dram_stream)
+        if not rows:
             return
-        add = self.traffic.add
-        for device, entry in cols.reduce():
-            add(device, entry[0], entry[1], entry[2], entry[3])
-        cols.clear()
+        processed = 0.0
+        for _, read_bytes, write_bytes, _, _ in rows:
+            processed += read_bytes + write_bytes
+        machine.run_batch(
+            rows,
+            threads=config.gc_threads,
+            cpu_ns=processed * config.gc_ns_per_byte,
+        )

@@ -9,11 +9,12 @@ monitored call frequency says they are mis-placed move between the DRAM
 and NVM components (together with their reachable data objects); under
 Kingsguard-Writes, write-hot objects move into the DRAM region.
 
-Costs are accumulated through
-:class:`~repro.gc.charging.ChargeAccumulator` (one deposit per device per
-batch, bit-identical to per-object depositing), and the card table is
-only refreshed for arrays compaction actually moved — objects in the
-dense prefix keep their addresses, so their spans are already correct.
+The mark and the moves (compaction, promotion, migration) each add
+their charges into a :class:`~repro.gc.charging.ChargeAccumulator` —
+per-device integer totals — and settle as one batch each.  The card
+table is only refreshed for arrays compaction actually moved — objects
+in the dense prefix keep their addresses, so their spans are already
+correct.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from typing import Set
 from repro.config import DeviceKind
 from repro.errors import GCError
 from repro.gc.charging import ChargeAccumulator
+from repro.gc.minor import _propagate_tag
 from repro.heap.object_model import HeapObject
-from repro.memory.machine import TrafficSet
-from repro.gc.minor import _gc_processing_ns, _propagate_tag
 from repro.trace.events import (
     MIGRATE_DRAM_TO_NVM,
     MIGRATE_NVM_TO_DRAM,
@@ -45,14 +45,12 @@ def run_major_gc(collector) -> None:
     start_ns = machine.clock.now_ns
     # Marking and moving (compaction / promotion / migration) are charged
     # as two serialized batches: moving starts only after the mark.
-    mark_traffic = TrafficSet()
-    move_traffic = TrafficSet()
+    mark_charges = ChargeAccumulator()
+    move_charges = ChargeAccumulator()
 
     # Phase 1: mark.  Full trace over both generations.  The mark issues
     # nothing but visit charges, so the whole phase is one `visit_all`
-    # over the mark order — same sequence, same device first-touch
-    # order, one bulk settle.
-    charges = ChargeAccumulator(mark_traffic)
+    # over the mark order.
     mark_order: list = []
     note = mark_order.append
     visited: Set[HeapObject] = set()
@@ -67,9 +65,7 @@ def run_major_gc(collector) -> None:
             _propagate_tag(obj, child)
             if child not in visited:
                 stack.append(child)
-    if mark_order:
-        charges.visit_all(mark_order)
-    charges.flush()
+    mark_charges.visit_all(mark_order)
 
     # Phase 2: sweep the old generation.  The dead list is sorted only
     # when tracing, for a deterministic free-event order; the collection
@@ -114,7 +110,6 @@ def run_major_gc(collector) -> None:
     # left untouched: objects at the bottom of the space with little dead
     # space beneath them are not worth moving, which is what keeps stable
     # persisted RDDs from being rewritten (on NVM!) at every full GC.
-    charges = ChargeAccumulator(move_traffic)
     for space in heap.old_spaces:
         live = space.begin_compaction()
         waste_budget = int(space.size * config.dense_prefix_waste)
@@ -139,9 +134,9 @@ def run_major_gc(collector) -> None:
             obj.padded = align is not None
             if obj.addr != old_addr:
                 for device, nbytes in old_pieces:
-                    charges.read(device, nbytes)
+                    move_charges.read(device, nbytes)
                 for device, nbytes in space.object_traffic(obj):
-                    charges.write(device, nbytes)
+                    move_charges.write(device, nbytes)
                 stats.compacted_bytes += obj.size
                 if obj.is_array:
                     # The address changed: refresh the card-table span.
@@ -151,11 +146,11 @@ def run_major_gc(collector) -> None:
     # Now promote the young survivors into the compacted old spaces.
     for obj in live_young:
         dest = policy.promotion_space(heap, obj)
-        charges.read(heap.eden.device, obj.size)
+        move_charges.read(heap.eden.device, obj.size)
         if not heap._place_in_old(obj, dest):
             raise GCError("full GC could not tenure a young survivor")
         for device, nbytes in obj.space.object_traffic(obj):
-            charges.write(device, nbytes)
+            move_charges.write(device, nbytes)
         stats.promoted_bytes += obj.size
         obj.age = 0
         if trace is not None:
@@ -176,9 +171,9 @@ def run_major_gc(collector) -> None:
         if not dst_space.place(obj, align_end_to=align):
             continue  # destination filled up; skip the rest of the group
         for device, nbytes in src_pieces:
-            charges.read(device, nbytes)
+            move_charges.read(device, nbytes)
         for device, nbytes in dst_space.object_traffic(obj):
-            charges.write(device, nbytes)
+            move_charges.write(device, nbytes)
         if obj.is_array:
             card_table.register(obj)
             if obj.rdd_id is not None:
@@ -192,7 +187,6 @@ def run_major_gc(collector) -> None:
                 else MIGRATE_DRAM_TO_NVM
             )
             trace.move(kind, obj, src_space_name, src_device.value)
-    charges.flush()
 
     # Phase 6: housekeeping.  Every card is cleaned; write counters and
     # RDD call frequencies start a new cycle; old objects age one major
@@ -209,11 +203,6 @@ def run_major_gc(collector) -> None:
         monitor.reset()
 
     machine.clock.advance(config.gc_fixed_pause_ns)
-    for batch in (mark_traffic, move_traffic):
-        if batch.per_device:
-            machine.run_batch(
-                batch.per_device,
-                threads=config.gc_threads,
-                cpu_ns=_gc_processing_ns(batch, config),
-            )
+    mark_charges.settle(machine, config)
+    move_charges.settle(machine, config)
     stats.record_major(start_ns, machine.clock.now_ns - start_ns)

@@ -18,22 +18,21 @@ constraint whenever card scanning touches NVM-resident arrays):
    their MEMORY_BITS; untagged objects age through the survivor spaces
    and are promoted after ``tenuring_threshold`` survivals.
 
-Per-object costs are accumulated through
-:class:`~repro.gc.charging.ChargeAccumulator` and deposited once per
-device per phase — bit-identical to per-object depositing, several times
-faster (see :mod:`repro.gc.charging`).
+Scanning (phases 1-2) and evacuation (phase 3) each add their charges
+into a :class:`~repro.gc.charging.ChargeAccumulator` — per-device
+integer totals — and settle as one batch each.  The scan phase's visits
+are every root plus every young object the trace reached, so they are
+charged in bulk after the trace.
 """
 
 from __future__ import annotations
 
 from typing import List, Set
 
-from repro.config import DeviceKind
 from repro.core.tags import MEMORY_BITS_NONE, MemoryTag, merge_tags
 from repro.errors import GCError
 from repro.gc.charging import ChargeAccumulator
 from repro.heap.object_model import HeapObject
-from repro.memory.machine import TrafficSet
 from repro.trace.events import PROMOTE, SURVIVOR_COPY
 
 
@@ -61,35 +60,23 @@ def run_minor_gc(collector) -> None:
     # (survivor/promotion copying) are charged as two serialized batches:
     # Parallel Scavenge's threads cannot overlap copy work behind the
     # card scan that discovers it.
-    scan_traffic = TrafficSet()
-    copy_traffic = TrafficSet()
+    scan_charges = ChargeAccumulator()
+    copy_charges = ChargeAccumulator()
     visited: Set[HeapObject] = set()
     young_live: List[HeapObject] = []
 
     # Floor cost: in-flight young data (aggregation buffers, iterator
     # state) that survives this one scavenge and is copied to a survivor
     # space, in every configuration — the young generation is always
-    # DRAM-resident.
+    # DRAM-resident.  Settled as DRAM stream bytes of the copy batch.
     eden = heap.eden
     floor_bytes = (eden.top - eden.base) * config.minor_live_fraction
-    if floor_bytes > 0:
-        copy_traffic.add(
-            DeviceKind.DRAM, read_bytes=floor_bytes, write_bytes=floor_bytes
-        )
 
     in_young = heap.in_young
     roots = heap.iter_roots()
     card_table = heap.card_table
     fresh = stuck = None
     if roots or card_table.pending_scan():
-        charges = ChargeAccumulator(scan_traffic)
-        # Visit charges are deferred into `pending` and settled with one
-        # bulk `visit_all` call per segment; segments end wherever a
-        # non-visit charge (a holder's stream_read) comes next, so the
-        # charge sequence — and with it the device first-touch order —
-        # matches charging each visit inline.
-        pending: List[HeapObject] = []
-        note = pending.append
 
         def trace_young(entry: HeapObject) -> None:
             """Trace the young subgraph reachable from ``entry``."""
@@ -100,7 +87,6 @@ def run_minor_gc(collector) -> None:
                     continue
                 visited.add(obj)
                 young_live.append(obj)
-                note(obj)
                 for child in obj.refs:
                     if in_young(child):
                         _propagate_tag(obj, child)
@@ -111,18 +97,14 @@ def run_minor_gc(collector) -> None:
         # young roots are traced.  Root objects with MEMORY_BITS set by
         # rdd_alloc are recognised here (§4.2.2's modified root-task).
         for root in roots:
-            note(root)
             if in_young(root):
                 trace_young(root)
-        if pending:
-            charges.visit_all(pending)
-            pending.clear()
 
         # Phase 2: old-to-young card scan (deterministic order).
         fresh, stuck = card_table.scan_plan()
         if fresh or stuck:
             for holder in sorted(fresh | stuck, key=lambda o: o.oid):
-                charges.stream_read(holder)
+                scan_charges.stream_read(holder)
                 stats.card_scanned_bytes += holder.size
                 if holder in stuck:
                     stats.stuck_rescans += 1
@@ -130,10 +112,11 @@ def run_minor_gc(collector) -> None:
                     if in_young(child):
                         _propagate_tag(holder, child)
                         trace_young(child)
-                if pending:
-                    charges.visit_all(pending)
-                    pending.clear()
-        charges.flush()
+
+        # Every root is visited, and so is every young object the trace
+        # reached (a young root once more).
+        scan_charges.visit_all(roots)
+        scan_charges.visit_all(young_live)
 
     # Phase 3: copy / promote (skipped outright when nothing survived —
     # the common case for pure streaming churn).
@@ -141,7 +124,6 @@ def run_minor_gc(collector) -> None:
     survivor_to = heap.survivor_to
     threshold = config.tenuring_threshold
     promoted: List[HeapObject] = []
-    charges = ChargeAccumulator(copy_traffic) if young_live else None
     for obj in young_live:
         src = obj.space
         src_pieces = src.object_traffic(obj)
@@ -158,7 +140,7 @@ def run_minor_gc(collector) -> None:
             dest = survivor_to
         if dest is survivor_to:
             if survivor_to.end - survivor_to.top >= obj.size and survivor_to.place(obj):
-                charges.copy(src_pieces, obj, survivor_to)
+                copy_charges.copy(src_pieces, obj, survivor_to)
                 obj.age += 1
                 stats.copied_bytes += obj.size
                 if trace is not None:
@@ -166,7 +148,7 @@ def run_minor_gc(collector) -> None:
                 continue
             # Survivor overflow: fall through to promotion.
             dest = policy.promotion_space(heap, obj)
-        nbytes = charges.copy(src_pieces, obj, dest)
+        nbytes = copy_charges.copy(src_pieces, obj, dest)
         if not heap._place_in_old(obj, dest):
             raise GCError(
                 "promotion failed: the collector must guarantee old-gen "
@@ -177,8 +159,6 @@ def run_minor_gc(collector) -> None:
         promoted.append(obj)
         if trace is not None:
             trace.move(PROMOTE, obj, src_space, src_device)
-    if charges is not None:
-        charges.flush()
 
     # Phase 4: card hygiene.  Freshly-scanned cards are cleaned unless the
     # object still holds young references (e.g. its tuples are still aging
@@ -206,29 +186,6 @@ def run_minor_gc(collector) -> None:
     heap.survivor_from, heap.survivor_to = heap.survivor_to, heap.survivor_from
 
     machine.clock.advance(config.gc_fixed_pause_ns)
-    for batch in (scan_traffic, copy_traffic):
-        # An empty batch is a no-op (zero duration, nothing recorded);
-        # skipping it avoids the run_batch call on trivial scavenges.
-        if batch.per_device:
-            machine.run_batch(
-                batch.per_device,
-                threads=config.gc_threads,
-                cpu_ns=_gc_processing_ns(batch, config),
-            )
+    scan_charges.settle(machine, config)
+    copy_charges.settle(machine, config, dram_stream=floor_bytes)
     stats.record_minor(start_ns, machine.clock.now_ns - start_ns)
-
-
-def _gc_processing_ns(traffic: TrafficSet, config) -> float:
-    """Object-work cost of the collection across all GC threads.
-
-    Tracing, copying and card scanning are header checks, forwarding
-    updates and reference fix-ups — not pure memcpy — so aggregate GC
-    throughput is CPU-capped (~20 GB/s for 16 threads at the default
-    0.05 ns/B).  On DRAM this cap binds; on NVM the 10 GB/s device
-    bandwidth binds instead, which is §5.3's observation that Parallel
-    Scavenge's parallelism is crippled by NVM bandwidth.
-    """
-    processed = 0.0
-    for t in traffic.per_device.values():
-        processed += t.read_bytes + t.write_bytes
-    return processed * config.gc_ns_per_byte

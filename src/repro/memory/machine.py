@@ -1,15 +1,17 @@
 """The simulated machine: clock + devices + bandwidth traces + energy.
 
-Every cost in the simulation is charged through one of two entry points:
+Every cost in the simulation is charged through one of two entry points,
+and both take rows of one device's traffic, ``(device, read_bytes,
+write_bytes, random_reads, random_writes, ...)``:
 
 * :meth:`Machine.run_rows` for sequential single-device work — the
   mutator's operators, persists, spills, shuffle waves and source
-  reads.  Each row is one device's traffic plus the CPU time it
-  overlaps, and rows are charged back to back.
+  reads.  Each row also carries the CPU time it overlaps, and rows are
+  charged back to back.
 * :meth:`Machine.run_batch` for concurrent multi-device work — the GC
   phases and a cached-partition read whose pieces live on several
-  devices.  Devices proceed in parallel, so the batch takes the maximum
-  of the device times and its CPU component.
+  devices.  Its rows proceed in parallel, so the batch takes the
+  maximum of the device times and one CPU component.
 
 Both price traffic through
 :meth:`~repro.memory.device.MemoryDevice.charge_row`, which also updates
@@ -20,7 +22,7 @@ Figure 8's bandwidth windows through
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
 from repro.config import (
     DISK_SPEC,
@@ -33,57 +35,6 @@ from repro.memory.bandwidth import BandwidthTracker
 from repro.memory.clock import SimClock
 from repro.memory.device import MemoryDevice
 from repro.memory.energy import EnergyMeter
-
-
-class Traffic:
-    """Traffic issued to one device within a :meth:`Machine.run_batch`.
-
-    A ``__slots__`` class rather than a dataclass: every GC phase
-    allocates some, so the ``__dict__`` per instance and the generated
-    ``__init__`` overhead are measurable.
-    """
-
-    __slots__ = ("read_bytes", "write_bytes", "random_reads", "random_writes")
-
-    def __init__(
-        self,
-        read_bytes: float = 0.0,
-        write_bytes: float = 0.0,
-        random_reads: int = 0,
-        random_writes: int = 0,
-    ) -> None:
-        self.read_bytes = read_bytes
-        self.write_bytes = write_bytes
-        self.random_reads = random_reads
-        self.random_writes = random_writes
-
-
-class TrafficSet:
-    """A mutable batch of per-device traffic, built up by GC phases."""
-
-    __slots__ = ("per_device",)
-
-    def __init__(self, per_device: Optional[Dict[DeviceKind, Traffic]] = None) -> None:
-        self.per_device: Dict[DeviceKind, Traffic] = (
-            {} if per_device is None else per_device
-        )
-
-    def add(
-        self,
-        device: DeviceKind,
-        read_bytes: float = 0.0,
-        write_bytes: float = 0.0,
-        random_reads: int = 0,
-        random_writes: int = 0,
-    ) -> None:
-        """Accumulate traffic for ``device``."""
-        current = self.per_device.get(device)
-        if current is None:
-            current = self.per_device[device] = Traffic()
-        current.read_bytes += read_bytes
-        current.write_bytes += write_bytes
-        current.random_reads += random_reads
-        current.random_writes += random_writes
 
 
 class Machine:
@@ -136,18 +87,14 @@ class Machine:
 
     # -- cost charging ---------------------------------------------------
 
-    def run_batch(
-        self,
-        traffic: Mapping[DeviceKind, Traffic],
-        threads: int = 1,
-        cpu_ns: float = 0.0,
-    ) -> float:
+    def run_batch(self, rows, threads: int = 1, cpu_ns: float = 0.0) -> float:
         """Charge a batch of concurrent per-device traffic.
 
         Args:
-            traffic: traffic description per device; devices proceed in
-                parallel, so batch time is the max over devices (and the
-                CPU component).
+            rows: ``(device, read_bytes, write_bytes, random_reads,
+                random_writes)`` per device; devices proceed in parallel,
+                so batch time is the max over devices (and the CPU
+                component).
             threads: worker count for latency-bound components.
             cpu_ns: pure-CPU time of the batch, already divided by however
                 many cores the caller runs on.
@@ -156,28 +103,31 @@ class Machine:
             The batch duration in nanoseconds (the clock is advanced).
         """
         parallelism = max(1, threads) * max(1, self.config.mlp)
+        chargers = self._row_charger
         start_ns = self.clock.now_ns
         duration = float(cpu_ns)
         charged = []
-        for kind, t in traffic.items():
-            row = (t.read_bytes, t.write_bytes, t.random_reads, t.random_writes)
-            if not any(row):
+        for row in rows:
+            device, read_bytes, write_bytes, random_reads, random_writes = row
+            if not (read_bytes or write_bytes or random_reads or random_writes):
                 continue
-            device_ns = self._row_charger[kind](*row, parallelism)
-            if kind is DeviceKind.NVM and self.nvm_throttle is not None:
+            device_ns = chargers[device](
+                read_bytes, write_bytes, random_reads, random_writes, parallelism
+            )
+            if device is DeviceKind.NVM and self.nvm_throttle is not None:
                 device_ns = self.nvm_throttle.apply(start_ns, device_ns)
             if device_ns > duration:
                 duration = device_ns
-            charged.append((kind, row))
+            charged.append(row)
         # Every device's bytes spread over the whole batch's duration.
         bw_rows = []
-        for kind, (read_bytes, write_bytes, random_reads, random_writes) in charged:
+        for device, read_bytes, write_bytes, random_reads, random_writes in charged:
             read_total = read_bytes + random_reads * 64
             write_total = write_bytes + random_writes * 64
             if read_total > 0:
-                bw_rows.append((kind, False, read_total, start_ns, duration))
+                bw_rows.append((device, False, read_total, start_ns, duration))
             if write_total > 0:
-                bw_rows.append((kind, True, write_total, start_ns, duration))
+                bw_rows.append((device, True, write_total, start_ns, duration))
         if bw_rows:
             self.bandwidth.record_rows(bw_rows)
         self.clock.advance(duration)

@@ -346,8 +346,6 @@ class Scheduler:
             traffic: Dict[DeviceKind, float] = {}
             for device, nbytes in block.partition_traffic(pidx):
                 traffic[device] = traffic.get(device, 0.0) + nbytes
-            from repro.memory.machine import Traffic
-
             # Serialised blocks pay deserialisation CPU on every read.
             deser_cpu = 0.0
             if block.serialized:
@@ -356,7 +354,7 @@ class Scheduler:
                     part_bytes * self.ctx.costs.cpu_ns_per_byte / threads
                 )
             self.ctx.machine.run_batch(
-                {d: Traffic(read_bytes=b) for d, b in traffic.items()},
+                [(d, b, 0.0, 0, 0) for d, b in traffic.items()],
                 threads=threads,
                 cpu_ns=deser_cpu,
             )

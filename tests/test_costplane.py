@@ -1,113 +1,30 @@
-"""Tests for the cost plane: column charging and wave settling.
+"""Tests for the cost plane: GC charge totals and batch settling.
 
-Covers ``ChargeColumns`` reduction exactness and first-touch ordering
-(numpy and ``array``-module fallback), ``ChargeAccumulator`` totals and
-device order against one ``TrafficSet.add`` per charge, the two-row
-coalescing of the charge primitives, ``Machine.run_rows`` equivalence
-with one single-device ``run_batch`` per row, and end-to-end
-byte-identity of the numpy and ``array``-loop reductions on traced +
-fault-injected cells and random pipelines.
+Covers ``ChargeAccumulator`` totals against one deposit per charge
+(``PerChargeDeposits``, the first-touch-order reference), ``visit_all``
+over a chunk-interleaved space, ``settle``'s ``DeviceKind`` row order and
+DRAM floor arithmetic, and ``Machine.run_rows`` equivalence with one
+single-device ``run_batch`` per row.
 """
 
-from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import CACHE_LINE_BYTES, PolicyName, DeviceKind
-from repro.gc import charging as _charging
 from repro.gc.charging import (
     KIND_RANDOM_READ,
     KIND_READ,
     KIND_WRITE,
     ChargeAccumulator,
-    ChargeColumns,
 )
-from repro.heap.object_model import HEADER_BYTES
-from repro.memory.machine import Machine, Traffic, TrafficSet
-from tests.conftest import numpy_absent, small_config
-from tests.golden import corpus
+from repro.heap.object_model import HEADER_BYTES, HeapObject, ObjKind
+from repro.heap.spaces import Space
+from repro.memory.interleave import ChunkMap
+from repro.memory.machine import Machine
+from tests.conftest import make_stack, small_config
 from tests.golden.corpus import bandwidth_series
-from tests.test_properties_spark import DATASET, STEP, run_traced_pipeline
-
-
-# -- ChargeColumns: reduction exactness and ordering -----------------------
-
-
-def _dram_base():
-    return _charging._DEV_BASE[DeviceKind.DRAM]
-
-
-def _nvm_base():
-    return _charging._DEV_BASE[DeviceKind.NVM]
-
-
-class TestChargeColumns:
-    def test_reduce_sums_by_device_and_kind(self):
-        cols = ChargeColumns()
-        base = _dram_base()
-        for code, amount in [
-            (base + KIND_READ, 100),
-            (base + KIND_WRITE, 7),
-            (base + KIND_READ, 23),
-            (base + KIND_RANDOM_READ, 5),
-        ]:
-            cols.codes.append(code)
-            cols.amounts.append(amount)
-        assert cols.reduce() == [(DeviceKind.DRAM, [123, 7, 5, 0])]
-
-    def test_first_touch_order_is_row_order(self):
-        cols = ChargeColumns()
-        for code in [_nvm_base(), _dram_base(), _nvm_base() + KIND_WRITE]:
-            cols.codes.append(code)
-            cols.amounts.append(1)
-        devices = [device for device, _ in cols.reduce()]
-        assert devices == [DeviceKind.NVM, DeviceKind.DRAM]
-
-    def test_clear_empties_but_keeps_buffer_objects(self):
-        cols = ChargeColumns()
-        codes_buf, amounts_buf = cols.codes, cols.amounts
-        cols.codes.append(_dram_base())
-        cols.amounts.append(9)
-        cols.clear()
-        assert len(cols) == 0
-        # The accumulator caches bound .append methods; clear() must
-        # empty in place, not rebind fresh arrays.
-        assert cols.codes is codes_buf and cols.amounts is amounts_buf
-
-    @pytest.mark.skipif(_charging._np is None, reason="numpy not available")
-    def test_numpy_and_fallback_reductions_agree(self, monkeypatch):
-        import random
-
-        rng = random.Random(42)
-        cols = ChargeColumns()
-        all_codes = [
-            base + kind
-            for base in (_dram_base(), _nvm_base())
-            for kind in (KIND_READ, KIND_WRITE, KIND_RANDOM_READ, 3)
-        ]
-        for _ in range(1000):
-            cols.codes.append(rng.choice(all_codes))
-            cols.amounts.append(rng.randrange(1, 10**12))
-        with_numpy = cols.reduce()
-        monkeypatch.setattr(_charging, "_np", None)
-        scalar = cols.reduce()
-        assert with_numpy == scalar
-
-    @pytest.mark.skipif(_charging._np is None, reason="numpy not available")
-    def test_numpy_reduce_is_integer_exact(self):
-        cols = ChargeColumns()
-        # 2**53 + 1 is not representable in float64: a float accumulator
-        # would round it away, the int64 accumulator must not.
-        big = 2**53 + 1
-        for _ in range(max(_charging._NUMPY_MIN_ROWS, 200)):
-            cols.codes.append(_dram_base())
-            cols.amounts.append(big)
-        [(device, entry)] = cols.reduce()
-        assert device is DeviceKind.DRAM
-        assert entry[KIND_READ] == big * max(_charging._NUMPY_MIN_ROWS, 200)
 
 
 # -- ChargeAccumulator: primitives vs one deposit per charge --------------
@@ -126,16 +43,30 @@ def _dst_space(device, top=0x2000, end=0x3000):
 
 
 class PerChargeDeposits:
-    """The reference cost plane: one ``TrafficSet.add`` per charge."""
+    """The reference cost plane: every charge deposited on its own into
+    per-device totals kept in first-touch order, and settled in that
+    order.
 
-    def __init__(self, traffic):
-        self.traffic = traffic
+    Swapped in for ``ChargeAccumulator`` it reproduces a whole run byte
+    for byte (``TestBatchedDepositIdentity``), the end-to-end proof that
+    the ``DeviceKind`` settle order is unobservable.
+    """
+
+    def __init__(self):
+        self.per_device = {}
+
+    def _add(self, device, kind, amount):
+        entry = self.per_device.get(device)
+        if entry is None:
+            entry = self.per_device[device] = [0, 0, 0, 0]
+        entry[kind] += amount
 
     def visit(self, obj):
         device = obj.space.device
         if device is None:
             device = obj.space.chunk_map.device_of(obj.addr)
-        self.traffic.add(device, read_bytes=HEADER_BYTES, random_reads=1)
+        self._add(device, KIND_READ, HEADER_BYTES)
+        self._add(device, KIND_RANDOM_READ, 1)
 
     def visit_all(self, objs):
         for obj in objs:
@@ -143,34 +74,57 @@ class PerChargeDeposits:
 
     def stream_read(self, obj):
         for device, nbytes in obj.space.object_traffic(obj):
-            self.traffic.add(device, read_bytes=nbytes)
+            self._add(device, KIND_READ, nbytes)
 
     def copy(self, src_pieces, obj, dst_space):
         for device, nbytes in src_pieces:
-            self.traffic.add(device, read_bytes=nbytes)
+            self._add(device, KIND_READ, nbytes)
         dst = dst_space.device_of(min(dst_space.top, dst_space.end - 1))
-        self.traffic.add(dst, write_bytes=obj.size)
+        self._add(dst, KIND_WRITE, obj.size)
         return obj.size
 
     def read(self, device, nbytes):
-        self.traffic.add(device, read_bytes=nbytes)
+        self._add(device, KIND_READ, nbytes)
 
     def write(self, device, nbytes):
-        self.traffic.add(device, write_bytes=nbytes)
+        self._add(device, KIND_WRITE, nbytes)
 
-    def flush(self):
-        pass
+    def rows(self, dram_stream=0.0):
+        per_device = self.per_device
+        if dram_stream > 0:
+            # The floor is charged before any object: DRAM comes first.
+            dram = per_device.get(DeviceKind.DRAM, [0, 0, 0, 0])
+            per_device = {DeviceKind.DRAM: dram, **per_device}
+        rows = []
+        for device, (read_bytes, write_bytes, rr, rw) in per_device.items():
+            if device is DeviceKind.DRAM and dram_stream > 0:
+                read_bytes = dram_stream + read_bytes
+                write_bytes = dram_stream + write_bytes
+            rows.append((device, read_bytes, write_bytes, rr, rw))
+        return rows
+
+    def settle(self, machine, config, dram_stream=0.0):
+        rows = self.rows(dram_stream)
+        if rows:
+            processed = 0.0
+            for _, read_bytes, write_bytes, _, _ in rows:
+                processed += read_bytes + write_bytes
+            machine.run_batch(
+                rows,
+                threads=config.gc_threads,
+                cpu_ns=processed * config.gc_ns_per_byte,
+            )
 
 
-def _drive(sink, flush_each=False):
-    """One mixed charge sequence touching every primitive."""
+def _drive(sink, rows_each=False):
+    """One mixed charge sequence touching every primitive, NVM first."""
     dram_objs = [_fake_obj(DeviceKind.DRAM) for _ in range(20)]
     nvm_objs = [_fake_obj(DeviceKind.NVM) for _ in range(3)]
-    charges = [partial(sink.visit, obj) for obj in dram_objs[:4]]
+    charges = [partial(sink.stream_read, _fake_obj(DeviceKind.NVM, size=4096))]
+    charges += [partial(sink.visit, obj) for obj in dram_objs[:4]]
     charges += [
-        partial(sink.visit_all, dram_objs + nvm_objs),  # long: run-grouping path
-        partial(sink.visit_all, nvm_objs),  # short: per-object path
-        partial(sink.stream_read, _fake_obj(DeviceKind.NVM, size=4096)),
+        partial(sink.visit_all, dram_objs + nvm_objs),
+        partial(sink.visit_all, nvm_objs),
     ]
     charges += [
         partial(
@@ -185,75 +139,151 @@ def _drive(sink, flush_each=False):
     ]
     for charge in charges:
         charge()
-        if flush_each:
-            sink.flush()
-    sink.flush()
-    return sink.traffic
+        if rows_each:
+            sink.rows()
+    return sink
 
 
-def _traffic_fingerprint(traffic):
-    return [
-        (device.value, t.read_bytes, t.write_bytes, t.random_reads, t.random_writes)
-        for device, t in traffic.per_device.items()
-    ]
+def _in_device_kind_order(rows):
+    order = list(DeviceKind)
+    return sorted(rows, key=lambda row: order.index(row[0]))
 
 
 class TestChargeAccumulator:
     def test_vectorised_matches_scalar_totals_and_device_order(self):
-        batched = _drive(ChargeAccumulator(TrafficSet()))
-        reference = _drive(PerChargeDeposits(TrafficSet()))
-        assert _traffic_fingerprint(batched) == _traffic_fingerprint(reference)
+        batched = _drive(ChargeAccumulator()).rows()
+        reference = _drive(PerChargeDeposits()).rows()
+        assert [row[0] for row in reference] == [
+            DeviceKind.NVM,
+            DeviceKind.DRAM,
+            DeviceKind.DISK,
+        ]
+        assert batched == _in_device_kind_order(reference)
 
     def test_per_charge_flushing_matches_too(self):
-        flushed = _drive(ChargeAccumulator(TrafficSet()), flush_each=True)
-        reference = _drive(PerChargeDeposits(TrafficSet()))
-        assert _traffic_fingerprint(flushed) == _traffic_fingerprint(reference)
-
-    def test_visit_pair_merge_collapses_rows(self):
-        acc = ChargeAccumulator(TrafficSet())
-        for obj in [_fake_obj(DeviceKind.DRAM) for _ in range(50)]:
-            acc.visit(obj)
-        # 50 visits on one device coalesce into one [header, random] pair.
-        assert len(acc._cols) == 2
-        acc.flush()
-        t = acc.traffic.per_device[DeviceKind.DRAM]
-        assert t.read_bytes == 50 * HEADER_BYTES
-        assert t.random_reads == 50
-
-    def test_copy_pair_merge_collapses_rows(self):
-        acc = ChargeAccumulator(TrafficSet())
-        dst = _dst_space(DeviceKind.DRAM)
-        for _ in range(30):
-            obj = _fake_obj(DeviceKind.NVM, size=128)
-            acc.copy([(DeviceKind.NVM, 128)], obj, dst)
-        assert len(acc._cols) == 2
-        acc.flush()
-        assert acc.traffic.per_device[DeviceKind.NVM].read_bytes == 30 * 128
-        assert acc.traffic.per_device[DeviceKind.DRAM].write_bytes == 30 * 128
-
-    def test_flush_clears_and_is_idempotent(self):
-        acc = ChargeAccumulator(TrafficSet())
-        acc.read(DeviceKind.DRAM, 10)
-        acc.flush()
-        acc.flush()
-        t = acc.traffic.per_device[DeviceKind.DRAM]
-        assert t.read_bytes == 10
+        """Building the rows mid-phase leaves the totals untouched."""
+        built = _drive(ChargeAccumulator(), rows_each=True).rows()
+        reference = _drive(PerChargeDeposits()).rows()
+        assert built == _in_device_kind_order(reference)
 
     def test_visit_all_long_path_matches_per_object(self):
         objs = [
             _fake_obj([DeviceKind.DRAM, DeviceKind.NVM][i % 3 == 2])
             for i in range(40)
         ]
-        bulk = ChargeAccumulator(TrafficSet())
+        bulk = ChargeAccumulator()
         bulk.visit_all(objs)
-        bulk.flush()
-        single = ChargeAccumulator(TrafficSet())
+        single = ChargeAccumulator()
         for obj in objs:
             single.visit(obj)
-        single.flush()
-        assert _traffic_fingerprint(bulk.traffic) == _traffic_fingerprint(
-            single.traffic
-        )
+        assert bulk.totals == single.totals
+        dram = bulk.rows()[0]
+        assert dram == (DeviceKind.DRAM, 27 * HEADER_BYTES, 0, 27, 0)
+
+    def test_visit_all_over_chunk_interleaved_space(self):
+        """Consecutive objects of one chunk-mapped space (the unmanaged
+        policy's old generation) can sit on different devices, so the
+        device is resolved per object, never cached per space."""
+        chunk = 4096
+        chunk_map = ChunkMap(0, 16 * chunk, chunk, dram_probability=0.5, seed=3)
+        space = Space("old-chunked", 0, 16 * chunk, "old", chunk_map=chunk_map)
+        objs = [HeapObject(ObjKind.DATA, chunk) for _ in range(16)]
+        for obj in objs:
+            assert space.place(obj)
+        devices = [chunk_map.device_of(obj.addr) for obj in objs]
+        assert devices[0] is not devices[1]
+        bulk = ChargeAccumulator()
+        bulk.visit_all(objs)
+        reference = PerChargeDeposits()
+        reference.visit_all(objs)
+        assert bulk.rows() == _in_device_kind_order(reference.rows())
+
+
+# -- settle: DeviceKind row order and the DRAM floor -----------------------
+
+
+class _BatchRecorder:
+    """A machine stand-in that records each ``run_batch`` call."""
+
+    def __init__(self):
+        self.batches = []
+
+    def run_batch(self, rows, threads=1, cpu_ns=0.0):
+        self.batches.append((list(rows), threads, cpu_ns))
+
+
+_GC_CONFIG = SimpleNamespace(gc_threads=16, gc_ns_per_byte=0.05)
+#: A non-integer floor, and two DRAM reads whose sum lands on a different
+#: float when they are added to the floor one at a time.
+_FLOOR = 12345.678
+_DRAM_READS = (3012671, 3642239)
+
+
+class TestSettle:
+    def test_nvm_charged_first_settles_in_device_kind_order(self):
+        acc = ChargeAccumulator()
+        acc.read(DeviceKind.NVM, 4096)
+        acc.write(DeviceKind.NVM, 512)
+        for nbytes in _DRAM_READS:
+            acc.read(DeviceKind.DRAM, nbytes)
+        acc.write(DeviceKind.DRAM, 64)
+        machine = _BatchRecorder()
+        acc.settle(machine, _GC_CONFIG, dram_stream=_FLOOR)
+        [(rows, threads, cpu_ns)] = machine.batches
+        dram_read = _FLOOR + sum(_DRAM_READS)
+        assert dram_read != (_FLOOR + _DRAM_READS[0]) + _DRAM_READS[1]
+        assert rows == [
+            (DeviceKind.DRAM, dram_read, _FLOOR + 64, 0, 0),
+            (DeviceKind.NVM, 4096, 512, 0, 0),
+        ]
+        assert threads == 16
+        processed = 0.0 + (dram_read + (_FLOOR + 64)) + (4096 + 512)
+        assert cpu_ns == processed * 0.05
+
+    def test_floor_alone_charges_dram(self):
+        machine = _BatchRecorder()
+        ChargeAccumulator().settle(machine, _GC_CONFIG, dram_stream=_FLOOR)
+        [(rows, _, _)] = machine.batches
+        assert rows == [(DeviceKind.DRAM, _FLOOR, _FLOOR, 0, 0)]
+
+    def test_untouched_phase_settles_nothing(self):
+        machine = _BatchRecorder()
+        ChargeAccumulator().settle(machine, _GC_CONFIG)
+        assert machine.batches == []
+
+    def test_minor_gc_adds_floor_after_the_copy_sum(self, monkeypatch):
+        """A real scavenge copies two rooted young objects; its copy
+        batch reads ``floor + (a + b)`` on DRAM, not ``(floor + a) + b``
+        (a small live fraction keeps the floor far below the copies, so
+        the two roundings differ)."""
+        stack = make_stack(minor_live_fraction=0.0137)
+        heap = stack.heap
+        sizes = (487587, 1398421)
+        for nbytes in sizes:
+            heap.add_root(heap.new_object(ObjKind.DATA, nbytes))
+        heap.allocate_ephemeral(1215613)
+        floor = (heap.eden.top - heap.eden.base) * 0.0137
+        assert floor + sum(sizes) != (floor + sizes[0]) + sizes[1]
+        recorder = _BatchRecorder()
+        run_batch = stack.machine.run_batch
+
+        def recording(rows, threads=1, cpu_ns=0.0):
+            recorder.run_batch(rows, threads, cpu_ns)
+            return run_batch(rows, threads=threads, cpu_ns=cpu_ns)
+
+        monkeypatch.setattr(stack.machine, "run_batch", recording)
+        stack.collector.collect_minor()
+        [_, (copy_rows, _, _)] = recorder.batches
+        assert copy_rows[0][:2] == (DeviceKind.DRAM, floor + sum(sizes))
+
+    @pytest.mark.parametrize("dram_stream", [0.0, _FLOOR])
+    def test_settle_matches_first_touch_reference(self, dram_stream):
+        config = small_config(PolicyName.PANTHERA)
+        batched = Machine(config)
+        _drive(ChargeAccumulator()).settle(batched, config, dram_stream)
+        reference = Machine(config)
+        _drive(PerChargeDeposits()).settle(reference, config, dram_stream)
+        assert _machine_fingerprint(batched) == _machine_fingerprint(reference)
 
 
 # -- Machine.run_rows vs one single-device run_batch per row ---------------
@@ -287,9 +317,7 @@ def _machine_fingerprint(machine):
 def _run_one_batch_per_row(machine, rows, threads):
     """The per-row reference: each row as its own one-device batch."""
     for device, rb, wb, rr, rw, cpu in rows:
-        machine.run_batch(
-            {device: Traffic(rb, wb, rr, rw)}, threads=threads, cpu_ns=cpu
-        )
+        machine.run_batch([(device, rb, wb, rr, rw)], threads=threads, cpu_ns=cpu)
 
 
 class TestRunRows:
@@ -336,50 +364,3 @@ class TestRunRows:
         counters = machine.devices[DeviceKind.DRAM].counters
         assert counters.read_bytes == 5 * CACHE_LINE_BYTES
         assert counters.write_bytes == 3 * CACHE_LINE_BYTES
-
-
-# -- end-to-end byte-identity of the two reductions ------------------------
-
-
-@contextmanager
-def numpy_reduction():
-    """Reduce every flush with numpy, however few rows it holds (the
-    coalesced columns of a small cell stay under ``_NUMPY_MIN_ROWS``)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_charging, "_NUMPY_MIN_ROWS", 1)
-        yield
-
-
-class TestCostPlaneIdentity:
-    @pytest.mark.parametrize("workload", ["PR", "CC"])
-    def test_traced_faulted_cell_identical_either_plane(self, workload):
-        """The corpus's traced, shuffle-killed s0.01 cell digests the
-        same whether charge columns reduce with numpy or the array loop."""
-        cell = corpus.Cell(workload, PolicyName.PANTHERA, corpus.PRESSURES[0])
-        with numpy_reduction():
-            vectorised = cell.run()
-        with numpy_absent(_charging):
-            scalar = cell.run()
-        assert vectorised == scalar
-
-
-class TestCostPlanePropertyAB:
-    """Random traced (and sometimes faulted) pipelines are byte-identical
-    under the numpy and ``array``-loop reductions."""
-
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        records=DATASET,
-        steps=st.lists(STEP, min_size=1, max_size=5),
-        kill=st.booleans(),
-    )
-    def test_random_pipelines_identical_across_planes(self, records, steps, kill):
-        with numpy_reduction():
-            vectorised = run_traced_pipeline(records, steps, kill)
-        with numpy_absent(_charging):
-            scalar = run_traced_pipeline(records, steps, kill)
-        assert vectorised == scalar

@@ -11,7 +11,7 @@ from repro.config import (
     GiB,
 )
 from repro.memory.device import MemoryDevice
-from repro.memory.machine import Machine, Traffic, TrafficSet
+from repro.memory.machine import Machine
 from tests.conftest import small_config
 
 
@@ -101,26 +101,28 @@ class TestMachine:
 
     def test_devices_run_concurrently(self):
         machine = self.make()
-        traffic = TrafficSet()
-        traffic.add(DeviceKind.DRAM, read_bytes=3 * GiB)
-        traffic.add(DeviceKind.NVM, read_bytes=GiB)
-        duration = machine.run_batch(traffic.per_device)
+        duration = machine.run_batch(
+            [
+                (DeviceKind.DRAM, 3 * GiB, 0.0, 0, 0),
+                (DeviceKind.NVM, GiB, 0.0, 0, 0),
+            ]
+        )
         # DRAM: 3 GiB / 30 GB/s; NVM: 1 GiB / 10 GB/s — equal; the batch
         # takes the max, not the sum.
         assert duration == pytest.approx(GiB / 10.0, rel=1e-9)
 
     def test_cpu_component_can_dominate(self):
         machine = self.make()
-        duration = machine.run_batch({}, cpu_ns=12345.0)
+        duration = machine.run_batch([], cpu_ns=12345.0)
         assert duration == pytest.approx(12345.0)
 
     def test_transfer_is_pipelined(self):
         machine = self.make()
         duration = machine.run_batch(
-            {
-                DeviceKind.DRAM: Traffic(read_bytes=GiB),
-                DeviceKind.NVM: Traffic(write_bytes=GiB),
-            }
+            [
+                (DeviceKind.DRAM, GiB, 0.0, 0, 0),
+                (DeviceKind.NVM, 0.0, GiB, 0, 0),
+            ]
         )
         # Bound by the slower side (NVM write at 10 GB/s).
         assert duration == pytest.approx(GiB / 10.0, rel=1e-9)
@@ -140,6 +142,6 @@ class TestMachine:
 
     def test_empty_traffic_is_skipped(self):
         machine = self.make()
-        machine.run_batch({DeviceKind.DRAM: Traffic()})
+        machine.run_batch([(DeviceKind.DRAM, 0.0, 0.0, 0, 0)])
         assert machine.clock.now_ns == 0
         assert machine.bandwidth.series(DeviceKind.DRAM, False) == []

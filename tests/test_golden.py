@@ -2,16 +2,14 @@
 the committed ``tests/golden/digests.json``.
 
 Every cell runs twice: with numpy, and with numpy forced absent (the
-cost plane's ``array`` reduction, the per-record data plane and the
-``array``-module serialized packing), which must reproduce the same
-digests.  A failure names the cell and the differing digests; rerun
-``scripts/golden.py --accept`` only if the change is meant to alter
-simulated output.
+per-record data plane and the ``array``-module serialized packing),
+which must reproduce the same digests.  A failure names the cell and the
+differing digests; rerun ``scripts/golden.py --accept`` only if the
+change is meant to alter simulated output.
 """
 
 import pytest
 
-from repro.gc import charging
 from repro.spark import columnar, serialized
 from tests.golden import corpus
 
@@ -23,7 +21,7 @@ EXPECTED = corpus.load_digests()
 def platform(request, monkeypatch):
     """Run the test with numpy, or as on an install without it."""
     if request.param == "no-numpy":
-        for module in (charging, columnar, serialized):
+        for module in (columnar, serialized):
             monkeypatch.setattr(module, "_np", None)
     return request.param
 

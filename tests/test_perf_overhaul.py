@@ -269,8 +269,10 @@ class TestSweepCardHygiene:
 class TestBatchedDepositIdentity:
     def test_traced_faulted_run_identical_either_way(self, monkeypatch):
         """The corpus's traced, shuffle-killed s0.01 PR cell digests the
-        same when the GC phases deposit one ``TrafficSet.add`` per charge
-        instead of batching through ``ChargeAccumulator``."""
+        same when the GC phases deposit every charge on its own and
+        settle devices in first-touch order (``PerChargeDeposits``)
+        instead of settling ``ChargeAccumulator``'s totals in
+        ``DeviceKind`` order."""
         cell = corpus.Cell("PR", PolicyName.PANTHERA, corpus.PRESSURES[0])
         batched = cell.run()
         monkeypatch.setattr(minor, "ChargeAccumulator", PerChargeDeposits)
