@@ -450,12 +450,6 @@ def cmd_analyze(args) -> int:
     if analysis.ser_candidates:
         names = ", ".join(sorted(analysis.ser_candidates))
         print(f"  serialization candidates (NVM-tagged persists): {names}")
-    if analysis.tier_inactive:
-        names = ", ".join(sorted(analysis.tier_inactive))
-        print(
-            "  note: SERIALIZED_TIER is off — serialized-level persists "
-            f"stay on the object heap: {names}"
-        )
     if getattr(args, "lifetimes", False):
         from repro.core.static_analysis import classify_lifetimes
 

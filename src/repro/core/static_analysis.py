@@ -69,7 +69,7 @@ class StaticAnalysis:
         loops: the loop structure the analysis saw.
         placements: variable -> the three-way storage decision
             (object-heap-DRAM / object-heap-NVM / serialized-NVM),
-            folding the tag inference with the live ``SERIALIZED_TIER``
+            folding the tag inference with the serialized-tier
             routing of the variable's persist level.
         ser_candidates: variables the analysis marks
             serialization-friendly — persisted, taggable and
@@ -77,9 +77,6 @@ class StaticAnalysis:
             where dropping GC tracing beats paying deserialisation,
             arXiv 2111.10589).  Advisory: the decision stays with the
             developer-written storage level.
-        tier_inactive: variables whose persist level *would* route to
-            the serialized tier, reported with their legacy object-heap
-            placement because ``SERIALIZED_TIER`` is off.
     """
 
     tags: Dict[str, Optional[MemoryTag]]
@@ -88,7 +85,6 @@ class StaticAnalysis:
     loops: List[LoopInfo]
     placements: Dict[str, Placement] = field(default_factory=dict)
     ser_candidates: Set[str] = field(default_factory=set)
-    tier_inactive: Set[str] = field(default_factory=set)
 
     def tag_of(self, var: str) -> Optional[MemoryTag]:
         """Tag for one variable (None if untagged/unknown)."""
@@ -221,26 +217,15 @@ def analyze_program(program: Program) -> StaticAnalysis:
         }
 
     # The three-way placement: the developer-written level decides the
-    # serialized tier (per the live SERIALIZED_TIER routing); the tag
-    # inference decides DRAM-heap vs NVM-heap for everything else.
-    from repro.spark.storage import (
-        routes_to_serialized_tier,
-        serialized_tier_active,
-    )
+    # serialized tier; the tag inference decides DRAM-heap vs NVM-heap
+    # for everything else.
+    from repro.spark.storage import routes_to_serialized_tier
 
     tier_routed = {
         p.var
         for p in points
-        if p.level is not None and serialized_tier_active(p.level)
-    }
-    # Levels that *would* route to the tier but hit an inactive flag are
-    # reported with their legacy object-heap placement, flagged so the
-    # report does not silently look like a tier placement decision.
-    tier_inactive = {
-        p.var
-        for p in points
         if p.level is not None and routes_to_serialized_tier(p.level)
-    } - tier_routed
+    }
     placements = {
         var: placement_for(tag, var in tier_routed)
         for var, tag in tags.items()
@@ -248,11 +233,6 @@ def analyze_program(program: Program) -> StaticAnalysis:
     for var in tier_routed:
         rationale[var] += (
             "; placed in the serialized tier (level routes off-heap)"
-        )
-    for var in tier_inactive:
-        rationale[var] += (
-            "; level routes to the serialized tier, but SERIALIZED_TIER "
-            "is off: legacy object-heap placement"
         )
 
     return StaticAnalysis(
@@ -262,7 +242,6 @@ def analyze_program(program: Program) -> StaticAnalysis:
         loops=loops,
         placements=placements,
         ser_candidates=ser_candidates,
-        tier_inactive=tier_inactive,
     )
 
 

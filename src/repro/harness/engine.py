@@ -48,7 +48,6 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.spark import storage
 
 #: Signature of the progress callback: ``fn(event)``.
 EventCallback = Callable[["EngineEvent"], None]
@@ -110,9 +109,7 @@ class ExperimentPoint:
 
         Two points share a fingerprint iff they would produce identical
         results: same workload, same configuration (every field), same
-        scale, same workload arguments, same simulator source, same live
-        ``SERIALIZED_TIER`` setting (it decides where serialized persists
-        live, so it changes outputs).
+        scale, same workload arguments, same simulator source.
 
         The dataset memo in :mod:`repro.workloads.datasets` needs no
         extra key material here: its cache key (scale, seed) is a pure
@@ -124,7 +121,6 @@ class ExperimentPoint:
             "config": self.config.to_dict(),
             "faults": self.faults.to_dict() if self.faults is not None else None,
             "scale": self.scale,
-            "serialized_tier": storage.SERIALIZED_TIER,
             "trace": self.trace,
             "workload": self.workload,
             "workload_kwargs": dict(sorted(self.workload_kwargs.items())),

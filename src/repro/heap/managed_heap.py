@@ -250,11 +250,11 @@ class ManagedHeap:
         )
 
     def allocate_native(self, size: int, rdd_id: Optional[int]) -> HeapObject:
-        """Place an OFF_HEAP RDD array in the native (non-GC'd) region.
+        """Place a serialized-tier RDD array in the native (non-GC'd)
+        region (§4.1's off-heap NVM storage).
 
-        Native objects are never collected: they live until the end of
-        the run, outside the generational machinery (§4.1's off-heap
-        NVM storage).
+        Native objects are never collected: they live outside the
+        generational machinery until :meth:`free_native` releases them.
         """
         obj = HeapObject(ObjKind.RDD_ARRAY, int(size), rdd_id=rdd_id)
         if not self.native.place(obj):
@@ -266,11 +266,11 @@ class ManagedHeap:
     def free_native(self, obj: HeapObject) -> bool:
         """Explicitly release a native-region object.
 
-        Unlike the legacy OFF_HEAP blocks (which live until the end of
-        the run), serialized-tier blocks are unpersistable and killable:
-        their packed buffers are freed here so the native region's live
-        bytes — and the trace-replay oracle's reconstruction of them —
-        track the block manager's registry exactly.
+        Every native object belongs to a serialized-tier block, and
+        those blocks are unpersistable and killable: their packed
+        buffers are freed here so the native region's live bytes — and
+        the trace-replay oracle's reconstruction of them — track the
+        block manager's registry exactly.
 
         Returns:
             True when the object was resident in the native region.

@@ -104,8 +104,7 @@ class BlockManager:
         """Unroot a block and stop card-scanning its (now garbage) arrays.
 
         Serialized-tier blocks additionally free their native batches
-        explicitly — nothing else ever reclaims native memory (legacy
-        OFF_HEAP blocks live until the end of the run, §4.1).
+        explicitly — nothing else ever reclaims native memory (§4.1).
         Region-resident blocks free their whole region (Deca's
         wholesale container free)."""
         self.heap.remove_root(block.top)

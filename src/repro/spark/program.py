@@ -159,19 +159,6 @@ class Expr:
         self.persist_level = level
         return self
 
-    def persist_serialized(self) -> "Expr":
-        """Persist into the serialized off-heap tier, explicitly.
-
-        Unlike ``persist(StorageLevel.MEMORY_ONLY_SER)`` — which
-        degrades to the legacy object-heap serialised buffer when the
-        ``SERIALIZED_TIER`` flag is off — this surface raises
-        :class:`~repro.errors.ConfigError` when the tier is disabled.
-        """
-        from repro.spark.storage import require_serialized_tier
-
-        require_serialized_tier()
-        return self.persist(StorageLevel.MEMORY_ONLY_SER)
-
     # -- traversal helpers -----------------------------------------------------
 
     def children(self) -> List["Expr"]:

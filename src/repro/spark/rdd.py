@@ -127,18 +127,6 @@ class RDD:
         self.ctx.on_rdd_call(self)
         return self
 
-    def persist_serialized(self) -> "RDD":
-        """Persist into the serialized off-heap tier, explicitly.
-
-        Raises :class:`~repro.errors.ConfigError` when the
-        ``SERIALIZED_TIER`` flag is off, instead of silently degrading
-        to the object-heap serialised buffer like the enum level does.
-        """
-        from repro.spark.storage import require_serialized_tier
-
-        require_serialized_tier()
-        return self.persist(StorageLevel.MEMORY_ONLY_SER)
-
     def checkpoint(self) -> "RDD":
         """Mark for checkpointing: at first computation the RDD is
         written to reliable storage and the lineage above it is never

@@ -35,12 +35,7 @@ from repro.spark.rdd import (
     ShuffledRDD,
 )
 from repro.spark.serialized import pack_partitions
-from repro.spark.storage import (
-    expand_level,
-    routes_to_serialized_tier,
-    serialized_tier_active,
-    warn_legacy_serialized_fallthrough,
-)
+from repro.spark.storage import expand_level, routes_to_serialized_tier
 
 
 class Scheduler:
@@ -193,11 +188,10 @@ class Scheduler:
         threads = self.ctx.config.mutator_threads
         n_out = dep.partitioner.num_partitions
         buckets: List[List[Record]] = [[] for _ in range(n_out)]
-        # Under the columnar plane the stage's map outputs are collected
-        # in map-partition order and bucketed together after the loop,
-        # so an all-batch stage splits once rather than once per map
-        # partition (nothing between partitions reads the buckets).
-        use_columnar = _columnar.columnar_active()
+        # The stage's map outputs are collected in map-partition order
+        # and bucketed together after the loop, so an all-batch stage
+        # splits once rather than once per map partition (nothing
+        # between partitions reads the buckets).
         outputs: list = []
         # Each partition's machine charges (the combine probe and the
         # spill write) settle as one run_rows wave: nothing between them
@@ -216,9 +210,7 @@ class Scheduler:
                         n_records = len(records)
                     else:
                         fn = dep.map_side_combine
-                        folded = None
-                        if use_columnar:
-                            folded = self._columnar_combine(fn, records)
+                        folded = self._columnar_combine(fn, records)
                         if folded is not None:
                             # The kernel's grouped fold: same groups in
                             # the same first-occurrence order, each
@@ -229,8 +221,8 @@ class Scheduler:
                         else:
                             # Single dict probe per record, fn folding
                             # each key's values in record order;
-                            # combined.items() streams straight into
-                            # the buckets.
+                            # combined.items() is bucketed as is, with
+                            # no intermediate list.
                             combined = {}
                             get = combined.get
                             for k, v in records:
@@ -250,10 +242,7 @@ class Scheduler:
                             in_bytes * costs.cpu_ns_per_byte / threads,
                         )
                     )
-                if use_columnar:
-                    outputs.append(records)
-                else:
-                    dep.partitioner.bucket_into(records, buckets)
+                outputs.append(records)
                 out_bytes = (
                     n_records * dep.parent.bytes_per_record * dep.combine_factor
                 )
@@ -271,8 +260,7 @@ class Scheduler:
                 self.ctx.machine.run_rows(rows, threads=threads)
         finally:
             self._pop_scope()
-        if use_columnar:
-            _columnar.bucket_into_segments(dep.partitioner, outputs, buckets)
+        _columnar.bucket_into_segments(dep.partitioner, outputs, buckets)
         bpr = dep.parent.bytes_per_record * dep.combine_factor
         sizes = [len(b) * bpr * costs.ser_factor for b in buckets]
         self.ctx.shuffles.write(dep.shuffle_id, buckets, sizes, overwrite=force)
@@ -424,17 +412,9 @@ class Scheduler:
         total_bytes = sum(len(p) for p in parts) * rdd.bytes_per_record
         costs = self.ctx.costs
         threads = self.ctx.config.mutator_threads
-        if serialized_tier_active(level):
+        if routes_to_serialized_tier(level):
             block = self._materialize_serialized_tier(rdd, parts)
-        elif level.off_heap:
-            warn_legacy_serialized_fallthrough(level)
-            block = self._materialize_off_heap(rdd, parts)
         elif level.use_memory:
-            if routes_to_serialized_tier(level):
-                # MEMORY_ONLY_SER with the tier off: the pre-tier
-                # object-heap serialised buffer, bit-for-bit — but no
-                # longer silently.
-                warn_legacy_serialized_fallthrough(level)
             in_heap_bytes = (
                 total_bytes * costs.ser_factor if level.serialized else total_bytes
             )
@@ -523,36 +503,6 @@ class Scheduler:
             data_bytes=total_packed,
             serialized=True,
             ser_batches=pack_partitions(parts),
-        )
-
-    def _materialize_off_heap(self, rdd: RDD, parts: List[List[Record]]):
-        """OFF_HEAP persistence: native NVM memory, outside the GC (§4.1)."""
-        heap = self.ctx.heap
-
-        top = heap.new_object(ObjKind.CONTROL, 64, rdd.id)
-        arrays = []
-        threads = self.ctx.config.mutator_threads
-        total = 0.0
-        for records in parts:
-            part_bytes = len(records) * rdd.bytes_per_record
-            total += part_bytes
-            try:
-                native_obj = heap.allocate_native(part_bytes, rdd.id)
-            except OutOfMemoryError as exc:
-                raise SparkError(str(exc)) from exc
-            cpu_ns = part_bytes * self.ctx.costs.cpu_ns_per_byte / threads
-            self.ctx.machine.run_rows(
-                ((heap.native.device, 0.0, part_bytes, 0, 0, cpu_ns),),
-                threads=threads,
-            )
-            arrays.append(native_obj)
-        return MaterializedBlock(
-            rdd_id=rdd.id,
-            top=top,
-            arrays=arrays,
-            slabs=[[] for _ in parts],
-            records=parts,
-            data_bytes=total,
         )
 
     def _active_transient_bytes(self) -> float:

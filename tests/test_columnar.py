@@ -919,14 +919,10 @@ class TestGraphPlaneSharing:
         assert isinstance(sources[0]._column_parts[0], ColumnBatch)
         assert corpus.fingerprint(runs[0]) == corpus.fingerprint(runs[1])
 
-    def test_ser_persisted_batch_reads_back_as_a_batch(self, monkeypatch):
+    def test_ser_persisted_batch_reads_back_as_a_batch(self):
         """MEMORY_ONLY_SER keeps a scalar batch columnar: the serialized
-        tier adopts the batch and reads it back, equal records.  The
-        tier is pinned on, whatever ``REPRO_SERIALIZED_TIER`` says."""
-        from repro.spark import storage
+        tier adopts the batch and reads it back, equal records."""
         from repro.spark.serialized import SerializedColumnBatch
-
-        monkeypatch.setattr(storage, "SERIALIZED_TIER", True)
 
         records = [(i % 7 - 3, 0.5 * i) for i in range(30)]
         batch = ColumnBatch.from_records(records)

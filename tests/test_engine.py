@@ -16,7 +16,6 @@ from repro.harness.engine import (
 )
 from repro.harness.experiment import run_experiment
 from repro.harness.matrix import matrix_report, run_matrix
-from repro.spark import storage
 from repro.spark.storage import StorageLevel
 
 SCALE = 0.02
@@ -131,23 +130,6 @@ class TestResultCache:
         changed.run([_point(nursery_fraction=0.25)])
         assert changed.stats.executed == 1
         assert changed.stats.cached == 0
-
-    def test_serialized_tier_setting_is_part_of_the_key(self, tmp_path, monkeypatch):
-        """The tier decides where MEMORY_ONLY_SER persists live, so a
-        cache filled with it on must not serve a run with it off."""
-        kwargs = {"persist_level": StorageLevel.MEMORY_ONLY_SER}
-        config = paper_config(64, 1 / 3, PolicyName.PANTHERA, SCALE)
-        point = ExperimentPoint("KM", config, SCALE, workload_kwargs=kwargs)
-        monkeypatch.setattr(storage, "SERIALIZED_TIER", True)
-        (tier_on,) = ExperimentEngine(jobs=1, cache_dir=tmp_path).run([point])
-        monkeypatch.setattr(storage, "SERIALIZED_TIER", False)
-        engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-        with pytest.warns(UserWarning, match="SERIALIZED_TIER is off"):
-            (tier_off,) = engine.run([point])
-            fresh = run_experiment("KM", config, scale=SCALE, workload_kwargs=kwargs)
-        assert engine.stats.executed == 1
-        assert tier_off.elapsed_s == fresh.elapsed_s
-        assert tier_off.elapsed_s != tier_on.elapsed_s
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

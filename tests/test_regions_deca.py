@@ -7,15 +7,11 @@ incremental space counters attribute to the arenas — no drift vs
 ``verify_heap``), strict trace replay tolerating the informational
 ``region_alloc``/``region_reset`` kinds, the ``--jobs 1`` vs ``--jobs 4``
 byte-identity of a Deca run, the zero-GC acceptance criterion, and the
-``repro analyze`` inactive-tier regression (``MEMORY_ONLY_SER`` /
-``OFF_HEAP`` persists must not be reported as ``serialized-nvm`` when
-``SERIALIZED_TIER`` is off).
+``repro analyze`` placement of a ``MEMORY_ONLY_SER`` persist in the
+serialized tier.
 """
 
 import itertools
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -29,7 +25,6 @@ from repro.harness.experiment import run_experiment
 from repro.heap.object_model import ObjKind
 from repro.heap.regions import LifetimeClass, _ExtentAllocator
 from repro.heap.verify import verify_heap
-from repro.spark import storage as _storage
 from repro.spark.storage import StorageLevel
 from repro.trace import events_to_jsonl, oracle_check
 from repro.trace.events import REGION_ALLOC, REGION_RESET
@@ -42,16 +37,6 @@ SCALE = 0.02
 
 def _deca_config():
     return paper_config(64, 1 / 3, PolicyName.DECA, SCALE)
-
-
-def _under_tier(enabled, fn):
-    """Call ``fn()`` with the serialized-tier flag forced to ``enabled``."""
-    saved = _storage.SERIALIZED_TIER
-    _storage.SERIALIZED_TIER = enabled
-    try:
-        return fn()
-    finally:
-        _storage.SERIALIZED_TIER = saved
 
 
 # -- the lifetime classifier -------------------------------------------------
@@ -259,35 +244,10 @@ def test_deca_trace_byte_identical_serial_vs_parallel():
         )
 
 
-# -- satellite: analyze must not report serialized-nvm when the tier is off --
+# -- analyze: a serialized-level persist is placed in the tier --------------
 
 
-class TestAnalyzeInactiveTier:
-    def test_ser_persist_reports_legacy_placement_when_tier_off(self):
-        spec = build_workload(
-            "KM",
-            scale=0.01,
-            iterations=2,
-            persist_level=StorageLevel.MEMORY_ONLY_SER,
-        )
-        analysis = _under_tier(False, lambda: analyze_program(spec.program))
-        placement = analysis.placement_of("points")
-        assert placement is not Placement.SERIALIZED_NVM
-        assert placement is Placement.DRAM_HEAP
-        assert "points" in analysis.tier_inactive
-        assert "SERIALIZED_TIER is off" in analysis.rationale["points"]
-
-    def test_off_heap_persist_is_flagged_too(self):
-        spec = build_workload(
-            "KM",
-            scale=0.01,
-            iterations=2,
-            persist_level=StorageLevel.OFF_HEAP,
-        )
-        analysis = _under_tier(False, lambda: analyze_program(spec.program))
-        assert analysis.placement_of("points") is not Placement.SERIALIZED_NVM
-        assert "points" in analysis.tier_inactive
-
+class TestAnalyzeTierPlacement:
     def test_active_tier_keeps_the_serialized_placement(self):
         spec = build_workload(
             "KM",
@@ -295,28 +255,5 @@ class TestAnalyzeInactiveTier:
             iterations=2,
             persist_level=StorageLevel.MEMORY_ONLY_SER,
         )
-        analysis = _under_tier(True, lambda: analyze_program(spec.program))
+        analysis = analyze_program(spec.program)
         assert analysis.placement_of("points") is Placement.SERIALIZED_NVM
-        assert analysis.tier_inactive == set()
-
-    def test_cli_analyze_prints_the_inactive_note(self):
-        env = dict(os.environ, REPRO_SERIALIZED_TIER="0")
-        env["PYTHONPATH"] = "src"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "analyze",
-                "KM",
-                "--persist",
-                "MEMORY_ONLY_SER",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "SERIALIZED_TIER is off" in proc.stdout
-        assert "serialized-nvm" not in proc.stdout

@@ -1,20 +1,13 @@
-"""The serialized off-heap tier (``SERIALIZED_TIER``).
+"""The serialized off-heap tier.
 
 Covers the third placement target beyond the DRAM/NVM object heaps:
 packed-column-batch placement in the native region, serialize-on-persist
-and deserialize-on-access charging, the legacy fallthrough bugfix (the
-pre-tier silent object-heap degradation of ``MEMORY_ONLY_SER`` /
-``OFF_HEAP`` is gone), kill + lineage recovery of native blocks, strict
-trace-replay of tier runs, ``TaggedStorageLevel`` edge cases, the
-bit-exact pack/unpack round-trip property over every workload's record
-batches, and A/B byte-identity — flag off must reproduce the pre-tier
-system exactly on traced + faulted experiment cells.
+and deserialize-on-access charging, the fallthrough bugfix (the old
+silent object-heap degradation of ``MEMORY_ONLY_SER`` / ``OFF_HEAP`` is
+gone), kill + lineage recovery of native blocks, strict trace-replay of
+tier runs, ``TaggedStorageLevel`` edge cases and the bit-exact
+pack/unpack round-trip property over every workload's record batches.
 """
-
-import os
-import subprocess
-import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -22,15 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import MiB, PolicyName
 from repro.core.tags import MemoryTag, Placement
 from repro.core.static_analysis import analyze_program
-from repro.errors import ConfigError
 from repro.faults import FaultPlan, KillSpec, action_checksums
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
-from repro.spark import storage as _storage
 from repro.spark.serialized import SerializedColumnBatch, pack_partitions
 from repro.spark.storage import (
     StorageLevel,
-    StorageTier,
     TaggedStorageLevel,
     expand_level,
     routes_to_serialized_tier,
@@ -39,17 +29,6 @@ from repro.trace import TraceSession
 from repro.trace.replay import replay_events
 from repro.workloads.registry import WORKLOADS, build_workload
 from tests.conftest import small_context
-from tests.golden.corpus import PRESSURES, Cell
-
-
-def _under_tier(enabled, fn):
-    """Call ``fn()`` with the serialized-tier flag forced to ``enabled``."""
-    saved = _storage.SERIALIZED_TIER
-    _storage.SERIALIZED_TIER = enabled
-    try:
-        return fn()
-    finally:
-        _storage.SERIALIZED_TIER = saved
 
 
 def cached_rdd(ctx, level, n=12, total_bytes=6 * MiB, name="tier-src"):
@@ -66,46 +45,35 @@ def cached_rdd(ctx, level, n=12, total_bytes=6 * MiB, name="tier-src"):
 
 class TestTierPlacement:
     def test_ser_block_lands_in_native_region(self):
-        def run():
-            ctx = small_context()
-            rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
-            block = ctx.block_manager.get(rdd.id)
-            assert block.in_serialized_tier
-            assert block.serialized
-            assert block.ser_batches is not None
-            for array in block.arrays:
-                assert array.space is ctx.heap.native
-            return block, ctx
-
-        block, ctx = _under_tier(True, run)
+        ctx = small_context()
+        rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
+        block = ctx.block_manager.get(rdd.id)
+        assert block.in_serialized_tier
+        assert block.serialized
+        assert block.ser_batches is not None
+        for array in block.arrays:
+            assert array.space is ctx.heap.native
         # No object-heap payload structure at all: nothing for a GC to
         # trace (the old silent fallthrough built slabs in the heap).
         assert all(not slabs for slabs in block.slabs)
         assert all(not recs for recs in block.records)
 
     def test_off_heap_block_packs_batches_too(self):
-        def run():
-            ctx = small_context()
-            rdd = cached_rdd(ctx, StorageLevel.OFF_HEAP)
-            return ctx.block_manager.get(rdd.id), ctx
-
-        block, ctx = _under_tier(True, run)
+        ctx = small_context()
+        rdd = cached_rdd(ctx, StorageLevel.OFF_HEAP)
+        block = ctx.block_manager.get(rdd.id)
         assert block.in_serialized_tier
         assert all(a.space is ctx.heap.native for a in block.arrays)
 
     def test_packed_bytes_shrink_by_ser_factor(self):
-        def run():
-            ctx = small_context()
-            plain = cached_rdd(ctx, StorageLevel.MEMORY_ONLY, name="obj")
-            ser = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER, name="ser")
-            return (
-                ctx.block_manager.get(ser.id).data_bytes
-                / ctx.block_manager.get(plain.id).data_bytes,
-                ctx.costs.ser_factor,
-            )
-
-        ratio, ser_factor = _under_tier(True, run)
-        assert ratio == pytest.approx(ser_factor, rel=0.05)
+        ctx = small_context()
+        plain = cached_rdd(ctx, StorageLevel.MEMORY_ONLY, name="obj")
+        ser = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER, name="ser")
+        ratio = (
+            ctx.block_manager.get(ser.id).data_bytes
+            / ctx.block_manager.get(plain.id).data_bytes
+        )
+        assert ratio == pytest.approx(ctx.costs.ser_factor, rel=0.05)
 
     def test_results_identical_to_object_mode(self):
         def collect(level):
@@ -113,67 +81,32 @@ class TestTierPlacement:
             rdd = cached_rdd(ctx, level)
             return sorted(ctx.scheduler.run_action(rdd, "collect"))
 
-        tier = _under_tier(True, lambda: collect(StorageLevel.MEMORY_ONLY_SER))
-        plain = _under_tier(True, lambda: collect(StorageLevel.MEMORY_ONLY))
-        assert tier == plain
+        tier = collect(StorageLevel.MEMORY_ONLY_SER)
+        assert tier == collect(StorageLevel.MEMORY_ONLY)
 
     def test_tier_bytes_invisible_to_block_manager_pressure(self):
-        def run():
-            ctx = small_context()
-            cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
-            return (
-                ctx.block_manager.in_memory_bytes(),
-                ctx.block_manager.serialized_tier_bytes(),
-            )
-
-        in_mem, tier = _under_tier(True, run)
-        assert in_mem == 0.0
-        assert tier > 0.0
+        ctx = small_context()
+        cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
+        assert ctx.block_manager.in_memory_bytes() == 0.0
+        assert ctx.block_manager.serialized_tier_bytes() > 0.0
 
     def test_regression_silent_object_heap_fallthrough_is_gone(self):
-        """The pre-tier system placed MEMORY_ONLY_SER as object-heap
-        slabs with no warning.  With the flag on, the slabs are gone;
-        with it off, the old placement still happens but warns."""
-
-        def tier_run():
-            ctx = small_context()
-            rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
-            return ctx.block_manager.get(rdd.id)
-
-        block = _under_tier(True, tier_run)
+        """An old build placed MEMORY_ONLY_SER as object-heap slabs with
+        no warning; the tier leaves no slabs behind."""
+        ctx = small_context()
+        rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
+        block = ctx.block_manager.get(rdd.id)
         assert block.in_serialized_tier
         assert not any(block.slabs[p] for p in range(len(block.slabs)))
 
-        def legacy_run():
-            ctx = small_context()
-            with pytest.warns(UserWarning, match="SERIALIZED_TIER is off"):
-                rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
-            return ctx.block_manager.get(rdd.id)
-
-        legacy = _under_tier(False, legacy_run)
-        assert not legacy.in_serialized_tier
-        assert any(legacy.slabs[p] for p in range(len(legacy.slabs)))
-
-    def test_persist_serialized_raises_config_error_when_off(self):
-        def run():
-            ctx = small_context()
-            rdd = ctx.parallelize([(1, 1)], 1, MiB).map(lambda r: r)
-            with pytest.raises(ConfigError, match="SERIALIZED_TIER"):
-                rdd.persist_serialized()
-
-        _under_tier(False, run)
-
-    def test_persist_serialized_routes_when_on(self):
-        def run():
-            ctx = small_context()
-            rdd = ctx.parallelize(
-                [(i, i) for i in range(6)], 2, 2 * MiB
-            ).map(lambda r: r)
-            rdd.persist_serialized()
-            rdd.count()
-            return ctx.block_manager.get(rdd.id)
-
-        assert _under_tier(True, run).in_serialized_tier
+    def test_persist_ser_level_routes_to_tier(self):
+        ctx = small_context()
+        rdd = ctx.parallelize(
+            [(i, i) for i in range(6)], 2, 2 * MiB
+        ).map(lambda r: r)
+        rdd.persist(StorageLevel.MEMORY_ONLY_SER)
+        rdd.count()
+        assert ctx.block_manager.get(rdd.id).in_serialized_tier
 
 
 # -- kill + recovery --------------------------------------------------------
@@ -181,38 +114,32 @@ class TestTierPlacement:
 
 class TestTierKillRecovery:
     def test_killed_tier_block_frees_native_and_recovers(self):
-        def run():
-            ctx = small_context()
-            rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
-            live_before = ctx.heap.native.live_bytes()
-            assert live_before > 0
-            killed = ctx.block_manager.kill(rdd.id)
-            assert killed is not None
-            assert ctx.heap.native.live_bytes() == 0
-            assert ctx.block_manager.get(rdd.id) is None
-            # Lineage recomputes and re-packs on next access.
-            assert rdd.count() == 12
-            block = ctx.block_manager.get(rdd.id)
-            assert block is not None and block.in_serialized_tier
-            assert ctx.heap.native.live_bytes() == live_before
-            assert ctx.block_manager.killed_count == 1
-
-        _under_tier(True, run)
+        ctx = small_context()
+        rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
+        live_before = ctx.heap.native.live_bytes()
+        assert live_before > 0
+        killed = ctx.block_manager.kill(rdd.id)
+        assert killed is not None
+        assert ctx.heap.native.live_bytes() == 0
+        assert ctx.block_manager.get(rdd.id) is None
+        # Lineage recomputes and re-packs on next access.
+        assert rdd.count() == 12
+        block = ctx.block_manager.get(rdd.id)
+        assert block is not None and block.in_serialized_tier
+        assert ctx.heap.native.live_bytes() == live_before
+        assert ctx.block_manager.killed_count == 1
 
     def test_unpersist_frees_native_bytes(self):
-        def run():
-            ctx = small_context()
-            rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
-            assert ctx.heap.native.live_bytes() > 0
-            rdd.unpersist()
-            assert ctx.heap.native.live_bytes() == 0
-
-        _under_tier(True, run)
+        ctx = small_context()
+        rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
+        assert ctx.heap.native.live_bytes() > 0
+        rdd.unpersist()
+        assert ctx.heap.native.live_bytes() == 0
 
     def test_injected_block_kill_converges(self):
         def run(plan):
             config = paper_config(64, 1 / 3, PolicyName.PANTHERA, 0.01)
-            result = run_experiment(
+            return run_experiment(
                 "KM",
                 config,
                 scale=0.01,
@@ -223,11 +150,9 @@ class TestTierKillRecovery:
                 keep_context=True,
                 faults=plan,
             )
-            return result
 
-        plan = FaultPlan(kills=[KillSpec("block", 1, 0)], seed=7)
-        faulted = _under_tier(True, lambda: run(plan))
-        clean = _under_tier(True, lambda: run(None))
+        faulted = run(FaultPlan(kills=[KillSpec("block", 1, 0)], seed=7))
+        clean = run(None)
         assert action_checksums(faulted.action_results) == action_checksums(
             clean.action_results
         )
@@ -238,71 +163,40 @@ class TestTierKillRecovery:
 
 class TestTierTracing:
     def test_strict_replay_reconstructs_native_bytes(self):
-        def run():
-            ctx = small_context()
-            session = TraceSession.attach_to_context(ctx)
-            rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
-            rdd.count()
-            # Mid-run: the replayed native live bytes match the heap.
-            replayed = replay_events(session.events, strict=True)
-            assert replayed.live_bytes.get("native", 0) == (
-                ctx.heap.native.live_bytes()
-            )
-            assert ctx.heap.native.live_bytes() > 0
-            rdd.unpersist()
-            replayed = replay_events(session.events, strict=True)
-            assert replayed.live_bytes.get("native", 0) == 0
-            assert ctx.heap.native.live_bytes() == 0
-            # And the full oracle (every space + pause list) closes.
-            assert session.check() == []
-            kinds = {e.kind for e in session.events}
-            assert "serialize" in kinds
-            assert "deserialize" in kinds
-
-        _under_tier(True, run)
+        ctx = small_context()
+        session = TraceSession.attach_to_context(ctx)
+        rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
+        rdd.count()
+        # Mid-run: the replayed native live bytes match the heap.
+        replayed = replay_events(session.events, strict=True)
+        assert replayed.live_bytes.get("native", 0) == (
+            ctx.heap.native.live_bytes()
+        )
+        assert ctx.heap.native.live_bytes() > 0
+        rdd.unpersist()
+        replayed = replay_events(session.events, strict=True)
+        assert replayed.live_bytes.get("native", 0) == 0
+        assert ctx.heap.native.live_bytes() == 0
+        # And the full oracle (every space + pause list) closes.
+        assert session.check() == []
+        kinds = {e.kind for e in session.events}
+        assert "serialize" in kinds
+        assert "deserialize" in kinds
 
     def test_deserialize_charged_on_every_access(self):
-        def run():
-            ctx = small_context()
-            session = TraceSession.attach_to_context(ctx)
-            rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
-            before = len(
-                [e for e in session.events if e.kind == "deserialize"]
-            )
-            rdd.count()
-            after = len(
-                [e for e in session.events if e.kind == "deserialize"]
-            )
-            assert after - before == rdd.num_partitions
-            return ctx
-
-        _under_tier(True, run)
+        ctx = small_context()
+        session = TraceSession.attach_to_context(ctx)
+        rdd = cached_rdd(ctx, StorageLevel.MEMORY_ONLY_SER)
+        before = len([e for e in session.events if e.kind == "deserialize"])
+        rdd.count()
+        after = len([e for e in session.events if e.kind == "deserialize"])
+        assert after - before == rdd.num_partitions
 
 
 # -- TaggedStorageLevel edge cases -----------------------------------------
 
 
 class TestTaggedStorageLevelEdges:
-    def test_is_off_heap_and_replicated_flags(self):
-        off = TaggedStorageLevel(StorageLevel.OFF_HEAP, MemoryTag.NVM)
-        assert off.is_off_heap and not off.replicated
-        rep = TaggedStorageLevel(StorageLevel.MEMORY_AND_DISK_SER_2, None)
-        assert rep.replicated and rep.serialized and not rep.is_off_heap
-        plain2 = TaggedStorageLevel(StorageLevel.MEMORY_ONLY_2, MemoryTag.DRAM)
-        assert plain2.replicated and not plain2.serialized
-
-    def test_tier_follows_live_flag(self):
-        tagged = TaggedStorageLevel(StorageLevel.MEMORY_ONLY_SER, MemoryTag.NVM)
-        assert _under_tier(True, lambda: tagged.tier) is StorageTier.SERIALIZED
-        assert (
-            _under_tier(False, lambda: tagged.tier) is StorageTier.OBJECT_HEAP
-        )
-        off = TaggedStorageLevel(StorageLevel.OFF_HEAP, MemoryTag.NVM)
-        assert _under_tier(True, lambda: off.tier) is StorageTier.SERIALIZED
-        assert _under_tier(False, lambda: off.tier) is StorageTier.NATIVE
-        disk = TaggedStorageLevel(StorageLevel.DISK_ONLY, None)
-        assert _under_tier(True, lambda: disk.tier) is StorageTier.DISK
-
     def test_routing_predicate(self):
         assert routes_to_serialized_tier(StorageLevel.MEMORY_ONLY_SER)
         assert routes_to_serialized_tier(StorageLevel.OFF_HEAP)
@@ -315,17 +209,9 @@ class TestTaggedStorageLevelEdges:
         assert not routes_to_serialized_tier(StorageLevel.DISK_ONLY)
 
     def test_expand_forces_nvm_for_tier_levels(self):
-        expanded = _under_tier(
-            True, lambda: expand_level(StorageLevel.MEMORY_ONLY_SER, MemoryTag.DRAM)
-        )
+        expanded = expand_level(StorageLevel.MEMORY_ONLY_SER, MemoryTag.DRAM)
         assert expanded.tag is MemoryTag.NVM
         assert expanded.name == "MEMORY_ONLY_SER_NVM"
-        legacy = _under_tier(
-            False,
-            lambda: expand_level(StorageLevel.MEMORY_ONLY_SER, MemoryTag.DRAM),
-        )
-        assert legacy.tag is MemoryTag.DRAM
-        assert legacy.name == "MEMORY_ONLY_SER_DRAM"
 
     def test_untagged_name_is_bare_level(self):
         assert TaggedStorageLevel(StorageLevel.DISK_ONLY, None).name == (
@@ -340,7 +226,7 @@ class TestPlacements:
     def test_three_way_placement_per_workload_variable(self):
         spec = build_workload("PR", scale=0.01, iterations=2)
 
-        analysis = _under_tier(True, lambda: analyze_program(spec.program))
+        analysis = analyze_program(spec.program)
         assert analysis.placement_of("links") is Placement.DRAM_HEAP
         # contribs persists MEMORY_AND_DISK_SER: stays object-heap NVM.
         assert analysis.placement_of("contribs") is Placement.NVM_HEAP
@@ -353,10 +239,8 @@ class TestPlacements:
             iterations=2,
             persist_level=StorageLevel.MEMORY_ONLY_SER,
         )
-        analysis = _under_tier(True, lambda: analyze_program(spec.program))
+        analysis = analyze_program(spec.program)
         assert analysis.placement_of("points") is Placement.SERIALIZED_NVM
-        legacy = _under_tier(False, lambda: analyze_program(spec.program))
-        assert legacy.placement_of("points") is Placement.DRAM_HEAP
 
 
 # -- pack/unpack round-trip -------------------------------------------------
@@ -522,11 +406,8 @@ class TestBatchAdoption:
         ctx = small_context(PolicyName.PANTHERA)
         records = [(i % 5, (0.5 * i, -1.0 * i)) for i in range(40)]
         source = ctx.parallelize(records, 2, 2**20, name="ser-vec")
-        persisted = _under_tier(
-            True,
-            lambda: source.map(same).persist(StorageLevel.MEMORY_ONLY_SER),
-        )
-        assert _under_tier(True, persisted.count) == 40
+        persisted = source.map(same).persist(StorageLevel.MEMORY_ONLY_SER)
+        assert persisted.count() == 40
         block = ctx.block_manager.get(persisted.id)
         assert block.ser_batches is not None
         read = ctx.scheduler.get_records(persisted, 0)
@@ -534,40 +415,3 @@ class TestBatchAdoption:
         assert type(read.values) is _columnar.VecColumn
         assert read.to_records() == list(source._partitions[0])
 
-
-# -- A/B byte-identity ------------------------------------------------------
-
-
-class TestSerializedTierIdentity:
-    """``SERIALIZED_TIER=0`` must reproduce the pre-tier system exactly.
-
-    The committed experiment cells (PR / CC) persist MEMORY_ONLY and
-    MEMORY_AND_DISK_SER — levels that never route to the tier — so the
-    flag must not move a single byte of their gclogs, traces, bandwidth
-    series or fault checksums in either position.
-    """
-
-    @pytest.mark.parametrize("workload", ["PR", "CC"])
-    def test_traced_faulted_cell_identical_either_flag(self, workload):
-        tier_on = Cell(workload, PolicyName.PANTHERA, PRESSURES[0], tier=True)
-        assert tier_on.run() == replace(tier_on, tier=False).run()
-
-    @pytest.mark.parametrize(
-        "value,expected", [("0", False), ("1", True), ("off", False)]
-    )
-    def test_env_override_is_read_at_import(self, value, expected):
-        env = dict(os.environ, REPRO_SERIALIZED_TIER=value)
-        env["PYTHONPATH"] = "src"
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.spark import storage; "
-                "print(storage.SERIALIZED_TIER)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == str(expected)
