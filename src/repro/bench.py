@@ -108,6 +108,23 @@ def setup_minor_gc() -> Callable[[], None]:
     return collect
 
 
+def setup_churn_scavenge() -> Callable[[], None]:
+    """64 MiB streamed through eden on an unmanaged stack with three
+    stuck arrays: about ten scavenges of an empty young generation, each
+    rescanning the arrays across the chunk-mapped old space."""
+    stack = make_stack(PolicyName.UNMANAGED)
+    heap = stack.heap
+    for i in range(3):
+        array = heap.allocate_rdd_array(3 * MiB // 2 + 100 * (i + 1), rdd_id=i)
+        heap.add_root(array)
+        heap.card_table.mark_dirty(array)  # unpadded: stuck until a major GC
+
+    def churn() -> None:
+        heap.allocate_streaming(64 * MiB)
+
+    return churn
+
+
 def setup_major_gc() -> Callable[[], None]:
     """One full GC over 16 x 256 KiB RDD arrays (half rooted)."""
     stack = make_stack(PolicyName.PANTHERA)
@@ -294,6 +311,7 @@ def setup_shuffle_exchange() -> Callable[[], None]:
 MICRO_BENCHES: Dict[str, Any] = {
     "micro.ephemeral_churn": (setup_ephemeral_churn, 20),
     "micro.minor_gc": (setup_minor_gc, 20),
+    "micro.churn_scavenge": (setup_churn_scavenge, 20),
     "micro.major_gc": (setup_major_gc, 50),
     "micro.charge_trace": (setup_charge_trace, 50),
     "micro.charge_rows": (setup_charge_rows, 20),

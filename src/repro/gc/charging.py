@@ -9,10 +9,11 @@ list of integer totals indexed ``device_index * 4 + kind``.  The charge
 primitives add straight into it; :meth:`ChargeAccumulator.visit_all`
 counts a whole visit sequence per device before adding.
 
-:meth:`ChargeAccumulator.settle` charges the phase as one concurrent
-:meth:`~repro.memory.machine.Machine.run_batch`, its rows in
-``DeviceKind`` order.  Which device a phase touched first is not
-observable:
+:meth:`ChargeAccumulator.batch` prices the phase as one ``(rows,
+cpu_ns)`` batch, its rows in ``DeviceKind`` order; a collection settles
+its whole cycle — fixed pause, then its two phases' batches — as one
+:meth:`~repro.memory.machine.Machine.run_batch` series.  Which device a
+phase touched first is not observable:
 
 * device counters and bandwidth bins are kept per device;
 * a batch's duration is a max over devices;
@@ -153,9 +154,10 @@ class ChargeAccumulator:
             rows.append((device, read_bytes, write_bytes, random_reads, random_writes))
         return rows
 
-    def settle(self, machine, config, dram_stream: float = 0.0) -> None:
-        """Charge the phase to ``machine`` as one concurrent batch of
-        ``config.gc_threads`` (nothing when no device was touched).
+    def batch(self, config, dram_stream: float = 0.0) -> Tuple[List[tuple], float]:
+        """The phase as one :meth:`~repro.memory.machine.Machine.run_batch`
+        batch ``(rows, cpu_ns)``, to run on ``config.gc_threads`` (no
+        rows and no CPU time when no device was touched).
 
         The batch's CPU term is the GC's object work: tracing, copying
         and card scanning are header checks, forwarding updates and
@@ -167,13 +169,7 @@ class ChargeAccumulator:
         crippled by NVM bandwidth.
         """
         rows = self.rows(dram_stream)
-        if not rows:
-            return
         processed = 0.0
         for _, read_bytes, write_bytes, _, _ in rows:
             processed += read_bytes + write_bytes
-        machine.run_batch(
-            rows,
-            threads=config.gc_threads,
-            cpu_ns=processed * config.gc_ns_per_byte,
-        )
+        return rows, processed * config.gc_ns_per_byte

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.core.monitor import AccessMonitor
 from repro.gc.major import run_major_gc
-from repro.gc.minor import run_minor_gc
+from repro.gc.minor import SteadyScavenge, run_minor_gc
 from repro.gc.policies import PlacementPolicy
 from repro.gc.stats import GCStats
 from repro.heap.managed_heap import ManagedHeap
@@ -73,12 +73,24 @@ class Collector:
             total += s.end - s.top
         return total
 
-    def collect_minor(self) -> None:
-        """Run one minor collection, with the promotion guarantee."""
+    def collect_minor(
+        self, plan: Optional[SteadyScavenge] = None
+    ) -> Optional[SteadyScavenge]:
+        """Run one minor collection, with the promotion guarantee.
+
+        ``plan`` is a :class:`~repro.gc.minor.SteadyScavenge` an earlier
+        scavenge of the same allocation stream returned; a major GC run
+        for the guarantee drops it.
+
+        Returns:
+            This scavenge's steady plan, or None after a full scavenge.
+        """
         if self.old_free_bytes() < self._promotion_upper_bound():
             self.collect_major()
-        run_minor_gc(self)
+            plan = None
+        plan = run_minor_gc(self, plan)
         self.minors_since_major += 1
+        return plan
 
     def collect_major(self) -> None:
         """Run one full-heap collection."""

@@ -11,10 +11,12 @@ Kingsguard-Writes, write-hot objects move into the DRAM region.
 
 The mark and the moves (compaction, promotion, migration) each add
 their charges into a :class:`~repro.gc.charging.ChargeAccumulator` —
-per-device integer totals — and settle as one batch each.  The card
-table is only refreshed for arrays compaction actually moved — objects
-in the dense prefix keep their addresses, so their spans are already
-correct.
+per-device integer totals — and become one batch each.  The cycle
+settles as one :meth:`~repro.memory.machine.Machine.run_batch` series:
+the fixed pause, the mark batch, then the move batch, which starts only
+after the mark.  The card table is only refreshed for arrays compaction
+actually moved — objects in the dense prefix keep their addresses, so
+their spans are already correct.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ def run_major_gc(collector) -> None:
     monitor = collector.monitor
 
     start_ns = machine.clock.now_ns
-    # Marking and moving (compaction / promotion / migration) are charged
-    # as two serialized batches: moving starts only after the mark.
     mark_charges = ChargeAccumulator()
     move_charges = ChargeAccumulator()
 
@@ -202,7 +202,12 @@ def run_major_gc(collector) -> None:
     if monitor is not None:
         monitor.reset()
 
-    machine.clock.advance(config.gc_fixed_pause_ns)
-    mark_charges.settle(machine, config)
-    move_charges.settle(machine, config)
+    machine.run_batch(
+        (
+            ((), config.gc_fixed_pause_ns),
+            mark_charges.batch(config),
+            move_charges.batch(config),
+        ),
+        threads=config.gc_threads,
+    )
     stats.record_major(start_ns, machine.clock.now_ns - start_ns)

@@ -20,14 +20,24 @@ constraint whenever card scanning touches NVM-resident arrays):
 
 Scanning (phases 1-2) and evacuation (phase 3) each add their charges
 into a :class:`~repro.gc.charging.ChargeAccumulator` — per-device
-integer totals — and settle as one batch each.  The scan phase's visits
+integer totals — and become one batch each.  The scan phase's visits
 are every root plus every young object the trace reached, so they are
-charged in bulk after the trace.
+charged in bulk after the trace.  The cycle settles as one
+:meth:`~repro.memory.machine.Machine.run_batch` series: the fixed pause,
+the scan batch, then the copy batch — Parallel Scavenge's threads cannot
+overlap copy work behind the card scan that discovers it.
+
+*Steady* scavenges.  Streaming churn fills eden with bytes that never
+become objects, so most scavenges start with an empty young generation.
+Such a scavenge traces nothing and copies nothing, and its scan batch
+depends only on the roots and the stuck cards; :class:`SteadyScavenge`
+prices it once, and the later eden overflows of the same allocation
+stream replay it (:meth:`~repro.heap.managed_heap.ManagedHeap.allocate_streaming`).
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Optional, Set
 
 from repro.core.tags import MEMORY_BITS_NONE, MemoryTag, merge_tags
 from repro.errors import GCError
@@ -47,30 +57,153 @@ def _propagate_tag(parent: HeapObject, child: HeapObject) -> None:
     child.set_tag(merged)
 
 
-def run_minor_gc(collector) -> None:
-    """Execute one minor collection on behalf of ``collector``."""
+class SteadyScavenge:
+    """The priced scan phase of a scavenge that starts with an empty
+    young generation.
+
+    A scavenge is *steady* when eden and the from-space hold no
+    :class:`HeapObject`, no card is freshly dirty and no Deca regions
+    are active (the to-space is always empty between scavenges).  The
+    young generation is then empty: references change only through
+    :meth:`~repro.heap.managed_heap.ManagedHeap.write_ref`, and an
+    old-to-young store dirties the holder's card.  So the trace reaches
+    nothing, nothing is copied or freed, and the promotion bound is 0.
+    What remains is the scan traffic — a streamed read of every stuck
+    object and a visit of every root — and fixed increments of
+    ``card_scanned_bytes`` and ``stuck_rescans``.
+
+    The plan holds no invalidation key: it lives inside one
+    :meth:`~repro.heap.managed_heap.ManagedHeap.allocate_streaming`
+    call, between whose overflows only eden bumps happen, and
+    :meth:`~repro.gc.collector.Collector.collect_minor` drops it when
+    the promotion guarantee runs a major GC.
+
+    Attributes:
+        scan_batch: the scan phase's ``(rows, cpu_ns)`` batch.
+        card_scanned_bytes: bytes of the stuck objects rescanned.
+        stuck_rescans: number of stuck objects rescanned.
+    """
+
+    __slots__ = (
+        "scan_batch",
+        "card_scanned_bytes",
+        "stuck_rescans",
+        "_floor_bytes",
+        "_copy_batch",
+    )
+
+    def __init__(self, heap, config) -> None:
+        charges = ChargeAccumulator()
+        _, stuck = heap.card_table.scan_plan()
+        card_scanned_bytes = 0
+        for holder in stuck:
+            charges.stream_read(holder)
+            card_scanned_bytes += holder.size
+        charges.visit_all(heap.iter_roots())
+        self.scan_batch = charges.batch(config)
+        self.card_scanned_bytes = card_scanned_bytes
+        self.stuck_rescans = len(stuck)
+        self._floor_bytes = None
+        self._copy_batch = None
+
+    @classmethod
+    def of(cls, heap, config) -> Optional["SteadyScavenge"]:
+        """The plan of the scavenge about to run, or None when it is not
+        steady."""
+        if (
+            heap.regions is not None
+            or heap.eden.objects
+            or heap.survivor_from.objects
+            or heap.card_table.has_fresh_dirt()
+        ):
+            return None
+        return cls(heap, config)
+
+    def copy_batch(self, config, floor_bytes: float):
+        """The copy phase's batch: nothing but the DRAM floor.  Kept for
+        the last floor seen: a stream's overflows after the first all
+        find eden filled to the same top."""
+        if floor_bytes != self._floor_bytes:
+            self._floor_bytes = floor_bytes
+            self._copy_batch = ChargeAccumulator().batch(config, floor_bytes)
+        return self._copy_batch
+
+
+def run_minor_gc(
+    collector, plan: Optional[SteadyScavenge] = None
+) -> Optional[SteadyScavenge]:
+    """Execute one minor collection on behalf of ``collector``.
+
+    ``plan`` replays an earlier steady scavenge of the same allocation
+    stream; without one, a steady scavenge builds its plan here.
+
+    Returns:
+        The steady plan this scavenge ran, or None after a full scavenge.
+    """
     heap = collector.heap
     machine = collector.machine
     config = collector.config
-    policy = collector.policy
     stats = collector.stats
 
     start_ns = machine.clock.now_ns
-    # Scanning (root trace + old-to-young card scan) and evacuation
-    # (survivor/promotion copying) are charged as two serialized batches:
-    # Parallel Scavenge's threads cannot overlap copy work behind the
-    # card scan that discovers it.
-    scan_charges = ChargeAccumulator()
-    copy_charges = ChargeAccumulator()
-    visited: Set[HeapObject] = set()
-    young_live: List[HeapObject] = []
-
     # Floor cost: in-flight young data (aggregation buffers, iterator
     # state) that survives this one scavenge and is copied to a survivor
     # space, in every configuration — the young generation is always
     # DRAM-resident.  Settled as DRAM stream bytes of the copy batch.
     eden = heap.eden
     floor_bytes = (eden.top - eden.base) * config.minor_live_fraction
+
+    if plan is None:
+        plan = SteadyScavenge.of(heap, config)
+    if plan is None:
+        scan_batch, copy_batch = _scavenge(collector, floor_bytes)
+    else:
+        scan_batch = plan.scan_batch
+        copy_batch = plan.copy_batch(config, floor_bytes)
+        stats.card_scanned_bytes += plan.card_scanned_bytes
+        stats.stuck_rescans += plan.stuck_rescans
+
+    # Phase 5: flip the young generation.  Everything still registered in
+    # eden or the from-space is dead (survivors were evacuated), so the
+    # death events are published before the spaces are wiped.
+    trace = heap.trace
+    for space in (eden, heap.survivor_from):
+        if trace is not None:
+            space_name = space.name
+            for obj in sorted(space.objects, key=lambda o: o.oid):
+                trace.free(obj, space_name)
+        space.reset()
+    heap.survivor_from, heap.survivor_to = heap.survivor_to, heap.survivor_from
+
+    machine.run_batch(
+        (
+            ((), config.gc_fixed_pause_ns),
+            scan_batch,
+            copy_batch,
+        ),
+        threads=config.gc_threads,
+    )
+    stats.record_minor(start_ns, machine.clock.now_ns - start_ns)
+    return plan
+
+
+def _scavenge(collector, floor_bytes: float):
+    """Phases 1-4 of a full scavenge: trace, card scan, evacuation and
+    card hygiene.
+
+    Returns:
+        The scan and copy phases' ``(rows, cpu_ns)`` batches, the copy
+        batch with ``floor_bytes`` of DRAM stream added.
+    """
+    heap = collector.heap
+    config = collector.config
+    policy = collector.policy
+    stats = collector.stats
+
+    scan_charges = ChargeAccumulator()
+    copy_charges = ChargeAccumulator()
+    visited: Set[HeapObject] = set()
+    young_live: List[HeapObject] = []
 
     in_young = heap.in_young
     roots = heap.iter_roots()
@@ -174,18 +307,4 @@ def run_minor_gc(collector) -> None:
                 card_table.register(obj)
             card_table.mark_dirty(obj)
 
-    # Phase 5: flip the young generation.  Everything still registered in
-    # eden or the from-space is dead (survivors were evacuated above), so
-    # the death events are published before the spaces are wiped.
-    for space in (heap.eden, heap.survivor_from):
-        if trace is not None:
-            space_name = space.name
-            for obj in sorted(space.objects, key=lambda o: o.oid):
-                trace.free(obj, space_name)
-        space.reset()
-    heap.survivor_from, heap.survivor_to = heap.survivor_to, heap.survivor_from
-
-    machine.clock.advance(config.gc_fixed_pause_ns)
-    scan_charges.settle(machine, config)
-    copy_charges.settle(machine, config, dram_stream=floor_bytes)
-    stats.record_minor(start_ns, machine.clock.now_ns - start_ns)
+    return scan_charges.batch(config), copy_charges.batch(config, floor_bytes)

@@ -218,9 +218,4 @@ class MapReduceJob:
             output[key] = self.reduce_fn(key, values)
 
     def _ephemeral(self, nbytes: float) -> None:
-        remaining = int(nbytes * ALLOC_FACTOR)
-        chunk = max(1, self.heap.eden.size // 4)
-        while remaining > 0:
-            take = min(remaining, chunk)
-            self.heap.allocate_ephemeral(take)
-            remaining -= take
+        self.heap.allocate_streaming(int(nbytes * ALLOC_FACTOR))

@@ -129,6 +129,12 @@ class CardTable:
         the whole card phase) on a clean table."""
         return bool(self._dirty or self._stuck)
 
+    def has_fresh_dirt(self) -> bool:
+        """Whether any object was dirtied since the last minor GC's
+        scan — the only dirt a scavenge can find young references
+        through once the young generation is empty."""
+        return bool(self._dirty)
+
     def scan_plan(self) -> Tuple[Set[HeapObject], Set[HeapObject]]:
         """Objects the next minor GC must card-scan.
 

@@ -185,6 +185,45 @@ class ManagedHeap:
         if eden.allocate(nbytes) is None:
             raise OutOfMemoryError("eden full even after a minor GC")
 
+    def allocate_streaming(self, nbytes: int) -> None:
+        """Stream ``nbytes`` of short-lived bytes through eden.
+
+        The stream is bump-allocated in chunks of a quarter of eden, each
+        allocated as :meth:`allocate_ephemeral` would.  When a chunk
+        overflows eden, the minor GC it triggers may hand back a
+        :class:`~repro.gc.minor.SteadyScavenge` plan (it found the young
+        generation empty), and the stream's later overflows replay that
+        plan.  Only eden bumps happen between two overflows of one call,
+        so the plan cannot go stale; it is dropped when the call returns.
+        Under Deca's regions every chunk goes through
+        :meth:`allocate_ephemeral`, which the arenas may absorb.
+        """
+        if nbytes < 0:
+            raise HeapError("negative streaming allocation")
+        eden = self.eden
+        chunk = max(1, eden.size // 4)
+        if self.regions is not None:
+            while nbytes > 0:
+                take = chunk if nbytes > chunk else nbytes
+                self.allocate_ephemeral(take)
+                nbytes -= take
+            return
+        if eden.top + nbytes <= eden.end:
+            # No chunk can overflow when the whole stream fits: one bump.
+            eden.top += nbytes
+            return
+        plan = None
+        while nbytes > 0:
+            take = chunk if nbytes > chunk else nbytes
+            new_top = eden.top + take
+            if new_top > eden.end:
+                plan = self._require_collector().collect_minor(plan)
+                new_top = eden.top + take
+                if new_top > eden.end:
+                    raise OutOfMemoryError("eden full even after a minor GC")
+            eden.top = new_top
+            nbytes -= take
+
     def new_object(
         self,
         kind: ObjKind,

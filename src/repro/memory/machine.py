@@ -8,10 +8,11 @@ write_bytes, random_reads, random_writes, ...)``:
   mutator's operators, persists, spills, shuffle waves and source
   reads.  Each row also carries the CPU time it overlaps, and rows are
   charged back to back.
-* :meth:`Machine.run_batch` for concurrent multi-device work — the GC
-  phases and a cached-partition read whose pieces live on several
-  devices.  Its rows proceed in parallel, so the batch takes the
-  maximum of the device times and one CPU component.
+* :meth:`Machine.run_batch` for concurrent multi-device work — a GC
+  cycle and a cached-partition read whose pieces live on several
+  devices.  It takes a series of ``(rows, cpu_ns)`` batches charged
+  back to back; a batch's rows proceed in parallel, so the batch takes
+  the maximum of the device times and its CPU component.
 
 Both price traffic through
 :meth:`~repro.memory.device.MemoryDevice.charge_row`, which also updates
@@ -87,51 +88,77 @@ class Machine:
 
     # -- cost charging ---------------------------------------------------
 
-    def run_batch(self, rows, threads: int = 1, cpu_ns: float = 0.0) -> float:
-        """Charge a batch of concurrent per-device traffic.
+    def run_batch(self, batches, threads: int = 1) -> float:
+        """Charge a series of concurrent multi-device batches back to back.
 
         Args:
-            rows: ``(device, read_bytes, write_bytes, random_reads,
-                random_writes)`` per device; devices proceed in parallel,
-                so batch time is the max over devices (and the CPU
-                component).
+            batches: ``(rows, cpu_ns)`` per batch, in charge order.  Each
+                row is ``(device, read_bytes, write_bytes, random_reads,
+                random_writes)``; a batch's devices proceed in parallel,
+                so it lasts the max over its devices and ``cpu_ns``, the
+                pure-CPU time already divided by however many cores the
+                caller runs on.  A batch with no rows is a pure-CPU span
+                (the GC's fixed pause).
             threads: worker count for latency-bound components.
-            cpu_ns: pure-CPU time of the batch, already divided by however
-                many cores the caller runs on.
+
+        A series is exactly its batches charged one call at a time: the
+        clock accumulates locally with the same ``+=`` sequence, each
+        batch's NVM throttle sees that batch's own start, and the
+        bandwidth rows land in one in-order deposit (``record_rows``
+        keeps no state between calls).  One GC cycle — fixed pause, then
+        phase 1, then phase 2 — settles in one call.
 
         Returns:
-            The batch duration in nanoseconds (the clock is advanced).
+            The clock advance across all batches, in nanoseconds.
+
+        Raises:
+            ValueError: on a negative ``cpu_ns``, before that batch
+                charges anything.
         """
         parallelism = max(1, threads) * max(1, self.config.mlp)
         chargers = self._row_charger
-        start_ns = self.clock.now_ns
-        duration = float(cpu_ns)
-        charged = []
-        for row in rows:
-            device, read_bytes, write_bytes, random_reads, random_writes = row
-            if not (read_bytes or write_bytes or random_reads or random_writes):
-                continue
-            device_ns = chargers[device](
-                read_bytes, write_bytes, random_reads, random_writes, parallelism
-            )
-            if device is DeviceKind.NVM and self.nvm_throttle is not None:
-                device_ns = self.nvm_throttle.apply(start_ns, device_ns)
-            if device_ns > duration:
-                duration = device_ns
-            charged.append(row)
-        # Every device's bytes spread over the whole batch's duration.
+        clock = self.clock
+        nvm = DeviceKind.NVM
+        throttle = self.nvm_throttle
         bw_rows = []
-        for device, read_bytes, write_bytes, random_reads, random_writes in charged:
-            read_total = read_bytes + random_reads * 64
-            write_total = write_bytes + random_writes * 64
-            if read_total > 0:
-                bw_rows.append((device, False, read_total, start_ns, duration))
-            if write_total > 0:
-                bw_rows.append((device, True, write_total, start_ns, duration))
+        bw_append = bw_rows.append
+        start = now = clock.now_ns
+        for rows, cpu_ns in batches:
+            duration = float(cpu_ns)
+            if duration < 0:
+                raise ValueError(f"cannot advance the clock by {duration} ns")
+            if not rows:  # a pure-CPU span
+                now += duration
+                continue
+            charged = []
+            for device, read_bytes, write_bytes, random_reads, random_writes in rows:
+                if not (read_bytes or write_bytes or random_reads or random_writes):
+                    continue
+                device_ns = chargers[device](
+                    read_bytes, write_bytes, random_reads, random_writes, parallelism
+                )
+                if device is nvm and throttle is not None:
+                    device_ns = throttle.apply(now, device_ns)
+                if device_ns > duration:
+                    duration = device_ns
+                charged.append(
+                    (
+                        device,
+                        read_bytes + random_reads * 64,
+                        write_bytes + random_writes * 64,
+                    )
+                )
+            # Every device's bytes spread over the whole batch's duration.
+            for device, read_total, write_total in charged:
+                if read_total > 0:
+                    bw_append((device, False, read_total, now, duration))
+                if write_total > 0:
+                    bw_append((device, True, write_total, now, duration))
+            now += duration
+        clock._now_ns = now
         if bw_rows:
             self.bandwidth.record_rows(bw_rows)
-        self.clock.advance(duration)
-        return duration
+        return now - start
 
     def run_rows(self, rows, threads: int = 1) -> float:
         """Charge a sequence of single-device accesses back to back.
@@ -141,7 +168,7 @@ class Machine:
         device's time and its CPU time; the clock advances by each row
         in turn, the device counters take each row's traffic, and each
         row's bytes spread over its own span of the bandwidth windows.
-        A one-row call is the single-device case of :meth:`run_batch`
+        A row is the single-device, one-batch case of :meth:`run_batch`
         (``tests/test_costplane.py`` proves the equivalence).
 
         Returns:

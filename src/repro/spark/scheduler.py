@@ -342,9 +342,8 @@ class Scheduler:
                     part_bytes * self.ctx.costs.cpu_ns_per_byte / threads
                 )
             self.ctx.machine.run_batch(
-                [(d, b, 0.0, 0, 0) for d, b in traffic.items()],
+                (([(d, b, 0.0, 0, 0) for d, b in traffic.items()], deser_cpu),),
                 threads=threads,
-                cpu_ns=deser_cpu,
             )
             # Consuming a cached partition leaves reference writes (task
             # iterators, buffer handles) in its card region, so the next
@@ -594,18 +593,13 @@ class Scheduler:
         return records
 
     def _ephemeral(self, nbytes: float) -> None:
-        """Allocate streaming bytes in eden, chunked below eden's size.
+        """Stream ``nbytes`` of operator output through eden.
 
         The allocation-pressure factor models the JVM's temp-object churn
         (boxing, iterator wrappers): eden fills several times faster than
         the useful output volume.
         """
-        remaining = int(nbytes * self.ctx.costs.alloc_factor)
-        chunk = max(1, self.ctx.heap.eden.size // 4)
-        while remaining > 0:
-            take = min(remaining, chunk)
-            self.ctx.heap.allocate_ephemeral(take)
-            remaining -= take
+        self.ctx.heap.allocate_streaming(int(nbytes * self.ctx.costs.alloc_factor))
 
     def _write_overhead_ns(self, nbytes: float) -> float:
         """Kingsguard-Writes' monitoring barrier cost for ``nbytes`` of

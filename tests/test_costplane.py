@@ -2,9 +2,10 @@
 
 Covers ``ChargeAccumulator`` totals against one deposit per charge
 (``PerChargeDeposits``, the first-touch-order reference), ``visit_all``
-over a chunk-interleaved space, ``settle``'s ``DeviceKind`` row order and
-DRAM floor arithmetic, and ``Machine.run_rows`` equivalence with one
-single-device ``run_batch`` per row.
+over a chunk-interleaved space, ``batch``'s ``DeviceKind`` row order and
+DRAM floor arithmetic, ``Machine.run_rows`` equivalence with one
+single-device ``run_batch`` per row, and a ``run_batch`` series'
+equivalence with one call per batch.
 """
 
 from functools import partial
@@ -103,17 +104,12 @@ class PerChargeDeposits:
             rows.append((device, read_bytes, write_bytes, rr, rw))
         return rows
 
-    def settle(self, machine, config, dram_stream=0.0):
+    def batch(self, config, dram_stream=0.0):
         rows = self.rows(dram_stream)
-        if rows:
-            processed = 0.0
-            for _, read_bytes, write_bytes, _, _ in rows:
-                processed += read_bytes + write_bytes
-            machine.run_batch(
-                rows,
-                threads=config.gc_threads,
-                cpu_ns=processed * config.gc_ns_per_byte,
-            )
+        processed = 0.0
+        for _, read_bytes, write_bytes, _, _ in rows:
+            processed += read_bytes + write_bytes
+        return rows, processed * config.gc_ns_per_byte
 
 
 def _drive(sink, rows_each=False):
@@ -199,17 +195,7 @@ class TestChargeAccumulator:
         assert bulk.rows() == _in_device_kind_order(reference.rows())
 
 
-# -- settle: DeviceKind row order and the DRAM floor -----------------------
-
-
-class _BatchRecorder:
-    """A machine stand-in that records each ``run_batch`` call."""
-
-    def __init__(self):
-        self.batches = []
-
-    def run_batch(self, rows, threads=1, cpu_ns=0.0):
-        self.batches.append((list(rows), threads, cpu_ns))
+# -- batch: DeviceKind row order and the DRAM floor ------------------------
 
 
 _GC_CONFIG = SimpleNamespace(gc_threads=16, gc_ns_per_byte=0.05)
@@ -227,29 +213,27 @@ class TestSettle:
         for nbytes in _DRAM_READS:
             acc.read(DeviceKind.DRAM, nbytes)
         acc.write(DeviceKind.DRAM, 64)
-        machine = _BatchRecorder()
-        acc.settle(machine, _GC_CONFIG, dram_stream=_FLOOR)
-        [(rows, threads, cpu_ns)] = machine.batches
+        rows, cpu_ns = acc.batch(_GC_CONFIG, dram_stream=_FLOOR)
         dram_read = _FLOOR + sum(_DRAM_READS)
         assert dram_read != (_FLOOR + _DRAM_READS[0]) + _DRAM_READS[1]
         assert rows == [
             (DeviceKind.DRAM, dram_read, _FLOOR + 64, 0, 0),
             (DeviceKind.NVM, 4096, 512, 0, 0),
         ]
-        assert threads == 16
         processed = 0.0 + (dram_read + (_FLOOR + 64)) + (4096 + 512)
         assert cpu_ns == processed * 0.05
 
     def test_floor_alone_charges_dram(self):
-        machine = _BatchRecorder()
-        ChargeAccumulator().settle(machine, _GC_CONFIG, dram_stream=_FLOOR)
-        [(rows, _, _)] = machine.batches
+        rows, _ = ChargeAccumulator().batch(_GC_CONFIG, dram_stream=_FLOOR)
         assert rows == [(DeviceKind.DRAM, _FLOOR, _FLOOR, 0, 0)]
 
     def test_untouched_phase_settles_nothing(self):
-        machine = _BatchRecorder()
-        ChargeAccumulator().settle(machine, _GC_CONFIG)
-        assert machine.batches == []
+        batch = ChargeAccumulator().batch(_GC_CONFIG)
+        assert batch == ([], 0.0)
+        config = small_config(PolicyName.PANTHERA)
+        machine = Machine(config)
+        assert machine.run_batch([batch], threads=16) == 0.0
+        assert _machine_fingerprint(machine) == _machine_fingerprint(Machine(config))
 
     def test_minor_gc_adds_floor_after_the_copy_sum(self, monkeypatch):
         """A real scavenge copies two rooted young objects; its copy
@@ -264,25 +248,34 @@ class TestSettle:
         heap.allocate_ephemeral(1215613)
         floor = (heap.eden.top - heap.eden.base) * 0.0137
         assert floor + sum(sizes) != (floor + sizes[0]) + sizes[1]
-        recorder = _BatchRecorder()
+        calls = []
         run_batch = stack.machine.run_batch
 
-        def recording(rows, threads=1, cpu_ns=0.0):
-            recorder.run_batch(rows, threads, cpu_ns)
-            return run_batch(rows, threads=threads, cpu_ns=cpu_ns)
+        def recording(batches, threads=1):
+            batches = list(batches)
+            calls.append((batches, threads))
+            return run_batch(batches, threads=threads)
 
         monkeypatch.setattr(stack.machine, "run_batch", recording)
         stack.collector.collect_minor()
-        [_, (copy_rows, _, _)] = recorder.batches
+        [(cycle, threads)] = calls
+        [pause, _, (copy_rows, _)] = cycle
+        assert pause == ((), stack.config.gc_fixed_pause_ns)
+        assert threads == stack.config.gc_threads
         assert copy_rows[0][:2] == (DeviceKind.DRAM, floor + sum(sizes))
 
     @pytest.mark.parametrize("dram_stream", [0.0, _FLOOR])
     def test_settle_matches_first_touch_reference(self, dram_stream):
         config = small_config(PolicyName.PANTHERA)
+        threads = config.gc_threads
         batched = Machine(config)
-        _drive(ChargeAccumulator()).settle(batched, config, dram_stream)
+        batched.run_batch(
+            [_drive(ChargeAccumulator()).batch(config, dram_stream)], threads=threads
+        )
         reference = Machine(config)
-        _drive(PerChargeDeposits()).settle(reference, config, dram_stream)
+        reference.run_batch(
+            [_drive(PerChargeDeposits()).batch(config, dram_stream)], threads=threads
+        )
         assert _machine_fingerprint(batched) == _machine_fingerprint(reference)
 
 
@@ -317,7 +310,7 @@ def _machine_fingerprint(machine):
 def _run_one_batch_per_row(machine, rows, threads):
     """The per-row reference: each row as its own one-device batch."""
     for device, rb, wb, rr, rw, cpu in rows:
-        machine.run_batch([(device, rb, wb, rr, rw)], threads=threads, cpu_ns=cpu)
+        machine.run_batch([([(device, rb, wb, rr, rw)], cpu)], threads=threads)
 
 
 class TestRunRows:
@@ -364,3 +357,87 @@ class TestRunRows:
         counters = machine.devices[DeviceKind.DRAM].counters
         assert counters.read_bytes == 5 * CACHE_LINE_BYTES
         assert counters.write_bytes == 3 * CACHE_LINE_BYTES
+
+
+# -- Machine.run_batch: a series vs one call per batch ---------------------
+
+
+_BATCHES = [
+    ((), 1000.0),  # a GC's fixed pause: no rows
+    (
+        [
+            (DeviceKind.DRAM, 3e6, 1e6, 40, 0),
+            (DeviceKind.NVM, 2e6, 0.0, 0, 8),
+        ],
+        5000.0,
+    ),
+    ([], 0.0),  # an untouched phase
+    (
+        [
+            (DeviceKind.NVM, 0.0, 24e9, 0, 0),  # spans several 1 s windows
+            (DeviceKind.DISK, 64 * 1024.0, 0.0, 0, 0),
+            (DeviceKind.DRAM, 0.0, 0.0, 0, 0),  # no traffic: skipped
+        ],
+        0.0,
+    ),
+    ([(DeviceKind.DRAM, 12345.678, 12345.678, 0, 0)], 1234.5678),
+]
+
+
+class _StartRecorder:
+    """An NVM throttle that doubles device time and records each start."""
+
+    def __init__(self):
+        self.starts = []
+
+    def apply(self, start_ns, device_ns):
+        self.starts.append(start_ns)
+        return device_ns * 2.0
+
+
+class TestRunBatch:
+    def _fresh_machine(self, **kwargs):
+        return Machine(small_config(PolicyName.PANTHERA, **kwargs))
+
+    @pytest.mark.parametrize("threads,mlp", [(1, None), (16, None), (4, 2)])
+    def test_series_matches_one_call_per_batch(self, threads, mlp):
+        kwargs = {} if mlp is None else {"mlp": mlp}
+        series = self._fresh_machine(**kwargs)
+        returned = series.run_batch(_BATCHES * 3, threads=threads)
+        single = self._fresh_machine(**kwargs)
+        for batch in _BATCHES * 3:
+            single.run_batch([batch], threads=threads)
+        assert _machine_fingerprint(series) == _machine_fingerprint(single)
+        assert repr(returned) == repr(single.clock.now_ns)
+
+    def test_series_throttles_each_batch_at_its_own_start(self):
+        series = self._fresh_machine()
+        series.nvm_throttle = _StartRecorder()
+        series.run_batch(_BATCHES, threads=2)
+        single = self._fresh_machine()
+        single.nvm_throttle = _StartRecorder()
+        for batch in _BATCHES:
+            single.run_batch([batch], threads=2)
+        assert _machine_fingerprint(series) == _machine_fingerprint(single)
+        assert series.nvm_throttle.starts == single.nvm_throttle.starts
+        assert len(set(series.nvm_throttle.starts)) == 2
+
+    def test_empty_series_is_free(self):
+        machine = self._fresh_machine()
+        assert machine.run_batch([]) == 0.0
+        assert machine.clock.now_ns == 0.0
+
+    def test_negative_cpu_raises(self):
+        machine = self._fresh_machine()
+        with pytest.raises(ValueError):
+            machine.run_batch([((), -1.0)])
+        assert machine.clock.now_ns == 0.0
+
+    def test_negative_cpu_later_in_a_series_raises(self):
+        machine = self._fresh_machine()
+        with pytest.raises(ValueError):
+            machine.run_batch(
+                [((), 1000.0), ([(DeviceKind.DRAM, 64.0, 0, 0, 0)], -1.0)]
+            )
+        assert machine.clock.now_ns == 0.0
+        assert machine.devices[DeviceKind.DRAM].counters.read_bytes == 0

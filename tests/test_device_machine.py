@@ -103,8 +103,13 @@ class TestMachine:
         machine = self.make()
         duration = machine.run_batch(
             [
-                (DeviceKind.DRAM, 3 * GiB, 0.0, 0, 0),
-                (DeviceKind.NVM, GiB, 0.0, 0, 0),
+                (
+                    [
+                        (DeviceKind.DRAM, 3 * GiB, 0.0, 0, 0),
+                        (DeviceKind.NVM, GiB, 0.0, 0, 0),
+                    ],
+                    0.0,
+                )
             ]
         )
         # DRAM: 3 GiB / 30 GB/s; NVM: 1 GiB / 10 GB/s — equal; the batch
@@ -113,15 +118,20 @@ class TestMachine:
 
     def test_cpu_component_can_dominate(self):
         machine = self.make()
-        duration = machine.run_batch([], cpu_ns=12345.0)
+        duration = machine.run_batch([([], 12345.0)])
         assert duration == pytest.approx(12345.0)
 
     def test_transfer_is_pipelined(self):
         machine = self.make()
         duration = machine.run_batch(
             [
-                (DeviceKind.DRAM, GiB, 0.0, 0, 0),
-                (DeviceKind.NVM, 0.0, GiB, 0, 0),
+                (
+                    [
+                        (DeviceKind.DRAM, GiB, 0.0, 0, 0),
+                        (DeviceKind.NVM, 0.0, GiB, 0, 0),
+                    ],
+                    0.0,
+                )
             ]
         )
         # Bound by the slower side (NVM write at 10 GB/s).
@@ -142,6 +152,6 @@ class TestMachine:
 
     def test_empty_traffic_is_skipped(self):
         machine = self.make()
-        machine.run_batch([(DeviceKind.DRAM, 0.0, 0.0, 0, 0)])
+        machine.run_batch([([(DeviceKind.DRAM, 0.0, 0.0, 0, 0)], 0.0)])
         assert machine.clock.now_ns == 0
         assert machine.bandwidth.series(DeviceKind.DRAM, False) == []

@@ -1,10 +1,15 @@
 """Minor-collection tests: aging, promotion, eager promotion, tag
-propagation and card hygiene (§4.2.2)."""
+propagation, card hygiene (§4.2.2) and steady-scavenge replay."""
 
+import pytest
 
-from repro.config import MiB, PolicyName
+from repro.config import DeviceKind, MiB, PolicyName
 from repro.core.tags import MEMORY_BITS_NVM, MemoryTag
+from repro.gc.minor import SteadyScavenge
 from repro.heap.object_model import ObjKind
+from repro.heap.regions import RegionManager
+from repro.trace import TraceSession
+from repro.trace.events import GC_PAUSE
 from tests.conftest import make_stack
 
 
@@ -159,3 +164,226 @@ class TestCardHygiene:
         heap.write_ref(array, slab)
         dram_stack.collector.collect_minor()
         assert dram_stack.collector.stats.card_scanned_bytes >= array.size
+
+
+# -- steady scavenges: a replayed plan equals the full scavenge ------------
+
+
+#: Enough streaming bytes to overflow the 6 MiB eden about ten times.
+STREAM = 64 * MiB
+
+
+def _rooted_array(heap, size, tag=None, rdd_id=0):
+    if tag is not None:
+        heap.tag_wait.arm(tag)
+    array = heap.allocate_rdd_array(size, rdd_id=rdd_id)
+    heap.add_root(array)
+    return array
+
+
+def _panthera(**kwargs):
+    """Old roots on both devices, young generation empty."""
+    stack = make_stack(PolicyName.PANTHERA, **kwargs)
+    heap = stack.heap
+    _rooted_array(heap, 96 * 1024, MemoryTag.NVM, rdd_id=1)
+    _rooted_array(heap, 96 * 1024, MemoryTag.DRAM, rdd_id=2)
+    _rooted_array(heap, 3 * MiB, MemoryTag.NVM, rdd_id=3)
+    return stack
+
+
+def _unmanaged_stuck():
+    """Three unpadded arrays on the chunk-mapped old space, dirtied, so
+    they are stuck and rescanned by every scavenge."""
+    stack = make_stack(PolicyName.UNMANAGED)
+    heap = stack.heap
+    for i in range(3):
+        array = _rooted_array(heap, 3 * MiB // 2 + 100 * (i + 1), rdd_id=i)
+        heap.card_table.mark_dirty(array)
+    (old,) = heap.old_spaces
+    assert old.device is None  # chunk-mapped
+    return stack
+
+
+class _StartScaled:
+    """An NVM throttle whose factor depends on the batch's start."""
+
+    def apply(self, start_ns, device_ns):
+        return device_ns * (1.0 + (start_ns % 997.0) / 997.0)
+
+
+def _throttled():
+    stack = _panthera()
+    stack.machine.nvm_throttle = _StartScaled()
+    return stack
+
+
+def _stream(stack):
+    stack.heap.allocate_streaming(STREAM)
+
+
+def _empty_eden(stack):
+    """Scavenges of an empty eden (a zero floor): the first returns the
+    plan the others replay."""
+    plan = stack.collector.collect_minor()
+    for _ in range(3):
+        plan = stack.collector.collect_minor(plan)
+
+
+def _fingerprint(stack):
+    machine = stack.machine
+    stats = stack.collector.stats
+    return (
+        repr(machine.clock.now_ns),
+        {
+            kind: (
+                dev.counters.read_bytes,
+                dev.counters.write_bytes,
+                dev.counters.random_reads,
+                dev.counters.random_writes,
+            )
+            for kind, dev in machine.devices.items()
+        },
+        [(key, list(bins.items())) for key, bins in machine.bandwidth._bins.items()],
+        stats,
+        [(kind, repr(start), repr(duration)) for kind, start, duration in stats.pauses],
+    )
+
+
+def _full_path_only(monkeypatch):
+    monkeypatch.setattr(
+        SteadyScavenge, "of", classmethod(lambda cls, heap, config: None)
+    )
+
+
+def _count_builds(monkeypatch):
+    """Count the steady plans built from here on."""
+    builds = []
+    init = SteadyScavenge.__init__
+
+    def counting(self, heap, config):
+        builds.append(self)
+        init(self, heap, config)
+
+    monkeypatch.setattr(SteadyScavenge, "__init__", counting)
+    return builds
+
+
+class TestSteadyScavenge:
+    @pytest.mark.parametrize(
+        "build,drive",
+        [
+            (_panthera, _stream),
+            (_unmanaged_stuck, _stream),
+            (_throttled, _stream),
+            (_panthera, _empty_eden),
+            (_unmanaged_stuck, _empty_eden),
+        ],
+        ids=[
+            "panthera",
+            "unmanaged-stuck",
+            "nvm-throttle",
+            "empty-eden",
+            "stuck-empty-eden",
+        ],
+    )
+    def test_replay_matches_full_scavenges(self, monkeypatch, build, drive):
+        with monkeypatch.context() as patch:
+            _full_path_only(patch)
+            full = build()
+            drive(full)
+        builds = _count_builds(monkeypatch)
+        steady = build()
+        drive(steady)
+        minors = steady.collector.stats.minor_count
+        assert minors >= 4
+        assert 1 <= len(builds) < minors  # later scavenges replayed a plan
+        assert _fingerprint(steady) == _fingerprint(full)
+
+    def test_stuck_rescans_are_counted_per_replay(self):
+        stack = _unmanaged_stuck()
+        _stream(stack)
+        stats = stack.collector.stats
+        assert stats.stuck_rescans == 3 * stats.minor_count
+        sizes = sum(root.size for root in stack.heap.iter_roots())
+        # The first scavenge also scans the fresh dirt: the same arrays.
+        assert stats.card_scanned_bytes == sizes * stats.minor_count
+
+    def test_traced_replay_emits_only_pauses(self, monkeypatch):
+        def traced_run():
+            stack = _panthera()
+            session = TraceSession.attach(stack.heap, stack.collector.stats)
+            before = len(session.events)
+            _stream(stack)
+            return stack, session.events[before:]
+
+        with monkeypatch.context() as patch:
+            _full_path_only(patch)
+            full, full_events = traced_run()
+        steady, steady_events = traced_run()
+        assert {event.kind for event in steady_events} == {GC_PAUSE}
+        assert len(steady_events) == steady.collector.stats.minor_count
+        assert [e.to_dict() for e in steady_events] == [
+            e.to_dict() for e in full_events
+        ]
+        assert _fingerprint(steady) == _fingerprint(full)
+
+    def test_object_in_eden_takes_the_full_path(self):
+        stack = _panthera()
+        stack.heap.new_object(ObjKind.DATA, 1024)  # unrooted, still resident
+        assert SteadyScavenge.of(stack.heap, stack.config) is None
+        assert stack.collector.collect_minor() is None
+
+    def test_survivor_only_in_from_space_takes_the_full_path(self):
+        stack = _panthera()
+        heap = stack.heap
+        survivor = alloc_rooted(stack)
+        stack.collector.collect_minor()
+        heap.remove_root(survivor)
+        assert not heap.eden.objects
+        assert survivor in heap.survivor_from.objects
+        assert SteadyScavenge.of(heap, stack.config) is None
+        assert stack.collector.collect_minor() is None
+        assert survivor.space is None  # the full scavenge found it dead
+
+    def test_fresh_dirty_card_takes_the_full_path(self):
+        stack = _panthera()
+        heap = stack.heap
+        array = next(iter(heap.iter_roots()))
+        heap.card_table.mark_dirty(array)
+        assert heap.card_table.has_fresh_dirt()
+        assert SteadyScavenge.of(heap, stack.config) is None
+        assert stack.collector.collect_minor() is None
+        assert not heap.card_table.has_fresh_dirt()
+        assert stack.collector.collect_minor() is not None
+
+    def test_regions_take_the_full_path(self):
+        stack = make_stack(PolicyName.DECA)
+        RegionManager.attach(stack.heap)
+        assert SteadyScavenge.of(stack.heap, stack.config) is None
+        assert stack.collector.collect_minor() is None
+
+    def test_major_gc_for_the_guarantee_drops_the_plan(self, monkeypatch):
+        stack = _panthera()
+        collector = stack.collector
+        plan = collector.collect_minor()
+        assert plan is not None
+        monkeypatch.setattr(collector, "old_free_bytes", lambda: -1)
+        replayed = collector.collect_minor(plan)
+        assert collector.stats.major_count == 1
+        assert replayed is not None and replayed is not plan
+
+    def test_plan_does_not_outlive_its_stream(self):
+        stack = _panthera()
+        heap = stack.heap
+        _stream(stack)
+        _rooted_array(heap, 128 * 1024, MemoryTag.NVM, rdd_id=9)
+        nvm = stack.machine.devices[DeviceKind.NVM].counters
+        visits_before = nvm.random_reads
+        minors_before = stack.collector.stats.minor_count
+        _stream(stack)
+        minors = stack.collector.stats.minor_count - minors_before
+        nvm_roots = sum(
+            root.space.device is DeviceKind.NVM for root in heap.iter_roots()
+        )
+        assert nvm_roots == 3
+        assert nvm.random_reads - visits_before == minors * nvm_roots
