@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.config import SystemConfig
 from repro.errors import ReproError
+from repro.floats import left_sum
 from repro.harness.experiment import run_experiment
 
 #: Seed jitter base for per-node dataset variation: node *i* builds its
@@ -140,9 +141,9 @@ def gang_run(
         node_elapsed.append(result.elapsed_s)
         node_gc.append(result.gc_s)
         node_mutator.append(result.mutator_s)
-    mean_mutator = sum(node_mutator) / nodes
-    mean_gc = sum(node_gc) / nodes
-    mean_single = sum(node_elapsed) / nodes
+    mean_mutator = left_sum(node_mutator) / nodes
+    mean_gc = left_sum(node_gc) / nodes
+    mean_single = left_sum(node_elapsed) / nodes
     per_node_windows = _window_layout(
         node_pauses,
         node_elapsed,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.errors import ReproError
+from repro.floats import left_sum
 from repro.harness.experiment import ExperimentResult
 
 
@@ -64,7 +65,7 @@ def project_pauses(
         raise ReproError("a cluster needs at least one node")
     if sync_windows < 1:
         raise ReproError("need at least one synchronisation window")
-    gc_s = sum(pause_durations_s)
+    gc_s = left_sum(pause_durations_s)
     single = mutator_s + gc_s
     if nodes == 1 or not pause_durations_s:
         return ClusterProjection(

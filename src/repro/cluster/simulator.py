@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import PolicyName, SystemConfig
 from repro.errors import ReproError
+from repro.floats import left_sum
 from repro.harness.configs import paper_config
 from repro.spark.costmodel import MutatorCosts
 
@@ -336,8 +337,8 @@ class Cluster:
         service = {
             "local_fetches": sum(r.local_fetches for r in records),
             "remote_fetches": sum(r.remote_fetches for r in records),
-            "remote_bytes": sum(r.remote_bytes for r in records),
-            "net_s": sum(r.net_s for r in records),
+            "remote_bytes": left_sum(r.remote_bytes for r in records),
+            "net_s": left_sum(r.net_s for r in records),
         }
         faults = {
             "kills_planned": len(fault_plan.kills),
@@ -347,7 +348,7 @@ class Cluster:
             "partitions_recomputed": sum(
                 r.partitions_recomputed for r in records
             ),
-            "recompute_s": sum(r.recompute_s for r in records),
+            "recompute_s": left_sum(r.recompute_s for r in records),
         }
         report = ClusterReport(
             executors=self.executors,
@@ -358,9 +359,9 @@ class Cluster:
             ),
             latency_p50_s=percentile(latencies, 50.0),
             latency_p99_s=percentile(latencies, 99.0),
-            wait_mean_s=sum(r.wait_s for r in records) / len(records),
-            gc_s=sum(r.gc_s for r in records),
-            energy_j=sum(r.energy_j for r in records),
+            wait_mean_s=left_sum(r.wait_s for r in records) / len(records),
+            gc_s=left_sum(r.gc_s for r in records),
+            energy_j=left_sum(r.energy_j for r in records),
             jobs=records,
             tenants=self._tenant_rollup(records),
             executor_summaries=[lane["executor"] for lane in lane_results],
@@ -377,18 +378,18 @@ class Cluster:
     ) -> Dict[int, Dict[str, float]]:
         """Per-tenant job counts, latency, and hybrid-memory usage as a
         share of the cluster's device traffic."""
-        total_dram = sum(r.dram_bytes for r in records)
-        total_nvm = sum(r.nvm_bytes for r in records)
+        total_dram = left_sum(r.dram_bytes for r in records)
+        total_nvm = left_sum(r.nvm_bytes for r in records)
         rollup: Dict[int, Dict[str, float]] = {}
         for tenant in sorted({r.tenant for r in records}):
             rows = [r for r in records if r.tenant == tenant]
-            dram = sum(r.dram_bytes for r in rows)
-            nvm = sum(r.nvm_bytes for r in rows)
+            dram = left_sum(r.dram_bytes for r in rows)
+            nvm = left_sum(r.nvm_bytes for r in rows)
             rollup[tenant] = {
                 "jobs": float(len(rows)),
-                "latency_mean_s": sum(r.latency_s for r in rows) / len(rows),
-                "wait_mean_s": sum(r.wait_s for r in rows) / len(rows),
-                "gc_s": sum(r.gc_s for r in rows),
+                "latency_mean_s": left_sum(r.latency_s for r in rows) / len(rows),
+                "wait_mean_s": left_sum(r.wait_s for r in rows) / len(rows),
+                "gc_s": left_sum(r.gc_s for r in rows),
                 "dram_gb": dram / (1024**3),
                 "nvm_gb": nvm / (1024**3),
                 "dram_share": dram / total_dram if total_dram else 0.0,

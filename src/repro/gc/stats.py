@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
+from repro.floats import left_sum
+
 
 @dataclass
 class GCStats:
@@ -100,4 +102,4 @@ class GCStats:
         """Mean pause duration in milliseconds."""
         if not self.pauses:
             return 0.0
-        return sum(d for _, _, d in self.pauses) / len(self.pauses) / 1e6
+        return left_sum(d for _, _, d in self.pauses) / len(self.pauses) / 1e6

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from repro.config import DeviceKind
+from repro.floats import left_sum
 from repro.memory.device import MemoryDevice
 
 
@@ -66,4 +67,4 @@ class EnergyMeter:
 
     def total_j(self, elapsed_s: float) -> float:
         """Total memory energy in joules."""
-        return sum(b.total_j for b in self.breakdown(elapsed_s).values())
+        return left_sum(b.total_j for b in self.breakdown(elapsed_s).values())

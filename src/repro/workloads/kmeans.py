@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
+from repro.floats import left_sum
 from repro.spark import columnar as _columnar
 from repro.spark.program import Program
 from repro.spark.storage import StorageLevel
@@ -24,7 +25,7 @@ def _sq_dist(a: Vector, b: Vector) -> float:
     # Squares via multiplication, not ``** 2``: the columnar assign
     # kernel computes ``d * d`` with numpy, and plain multiplication is
     # the one spelling both planes are guaranteed to round identically.
-    return sum((x - y) * (x - y) for x, y in zip(a, b))
+    return left_sum((x - y) * (x - y) for x, y in zip(a, b))
 
 
 def _vec_add(a: Vector, b: Vector) -> Vector:
@@ -91,7 +92,7 @@ def build_kmeans(
             for cidx, center in enumerate(centers):
                 diff = mat - np.asarray(center)
                 terms = diff * diff
-                # Left fold from 0.0 per dimension — _sq_dist's sum()
+                # Left fold from 0.0 per dimension — _sq_dist's left_sum
                 # replayed exactly (never np.sum: pairwise summation
                 # reorders the float additions).
                 acc = np.zeros(n)

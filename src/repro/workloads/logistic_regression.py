@@ -11,6 +11,7 @@ import math
 import random
 from typing import Optional, Tuple
 
+from repro.floats import left_sum
 from repro.spark import columnar as _columnar
 from repro.spark.program import Program
 from repro.spark.storage import StorageLevel
@@ -21,7 +22,7 @@ Vector = Tuple[float, ...]
 
 
 def _dot(a: Vector, b: Vector) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    return left_sum(x * y for x, y in zip(a, b))
 
 
 def build_logistic_regression(
@@ -69,7 +70,7 @@ def build_logistic_regression(
             w = state["weights"]
             n, dim = mat.shape
             ys = np.where(labels % 2 == 1, 1.0, -1.0)
-            # _dot's sum() replayed: left fold from 0.0, one dimension
+            # _dot's left_sum replayed: left fold from 0.0, one dimension
             # at a time (never np.dot/np.sum — pairwise summation).
             dots = np.zeros(n)
             for j in range(dim):
