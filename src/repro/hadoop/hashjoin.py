@@ -88,10 +88,3 @@ class HashJoin:
             side_tables=[table],
         )
         return job.run(probe_splits, bytes_per_record)
-
-    @property
-    def build_space_name(self) -> str:
-        """Where the build table currently lives (for tests/reports)."""
-        if self.table.array is None or self.table.array.space is None:
-            return "(released)"
-        return self.table.array.space.name

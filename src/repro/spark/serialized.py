@@ -27,7 +27,7 @@ storage path, so traces and clocks stay a pure function of
 from __future__ import annotations
 
 import pickle
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.spark import columnar as _columnar
 from repro.spark.partition import Record
@@ -174,9 +174,3 @@ def pack_partitions(
 ) -> List[SerializedColumnBatch]:
     """Pack every partition of a block."""
     return [SerializedColumnBatch.pack(p) for p in parts]
-
-
-def roundtrip_ok(records: Sequence[Record]) -> Tuple[bool, List[Record]]:
-    """Pack + unpack one partition; returns (exact?, unpacked)."""
-    out = list(SerializedColumnBatch.pack(records).unpack())
-    return out == list(records), out
