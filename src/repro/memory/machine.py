@@ -16,9 +16,12 @@ write_bytes, random_reads, random_writes, ...)``:
 
 Both price traffic through
 :meth:`~repro.memory.device.MemoryDevice.charge_row`, which also updates
-the device counters that feed the energy model, and deposit it into
-Figure 8's bandwidth windows through
-:meth:`~repro.memory.bandwidth.BandwidthTracker.record_rows`.
+the device counters that feed the energy model.  They deposit it for
+Figure 8's bandwidth windows by appending ``(key code, nbytes, start_ns,
+duration_ns)`` straight onto the
+:class:`~repro.memory.bandwidth.BandwidthTracker`'s pending columns;
+the tracker spreads them over their windows in bulk, when read or once
+:data:`~repro.memory.bandwidth.SETTLE_ROWS` rows are pending.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.config import (
     DeviceKind,
     SystemConfig,
 )
-from repro.memory.bandwidth import BandwidthTracker
+from repro.memory.bandwidth import KEY_CODES, BandwidthTracker
 from repro.memory.clock import SimClock
 from repro.memory.device import MemoryDevice
 from repro.memory.energy import EnergyMeter
@@ -72,10 +75,16 @@ class Machine:
             DeviceKind.DISK: MemoryDevice(DISK_SPEC, 0),
         }
         self.bandwidth = BandwidthTracker(window_ns=bandwidth_window_ns)
-        #: device -> bound charge_row, resolved once (devices are fixed
-        #: for the machine's lifetime); both entry points price through it.
+        #: device -> (bound charge_row, read key code, write key code),
+        #: resolved once (devices are fixed for the machine's lifetime);
+        #: both entry points price and deposit through it.
         self._row_charger = {
-            kind: dev.charge_row for kind, dev in self.devices.items()
+            kind: (
+                dev.charge_row,
+                KEY_CODES[(kind, False)],
+                KEY_CODES[(kind, True)],
+            )
+            for kind, dev in self.devices.items()
         }
         self._energy = EnergyMeter(
             self.devices, static_factor=config.static_energy_factor
@@ -104,9 +113,9 @@ class Machine:
         A series is exactly its batches charged one call at a time: the
         clock accumulates locally with the same ``+=`` sequence, each
         batch's NVM throttle sees that batch's own start, and the
-        bandwidth rows land in one in-order deposit (``record_rows``
-        keeps no state between calls).  One GC cycle — fixed pause, then
-        phase 1, then phase 2 — settles in one call.
+        bandwidth deposits are appended in the same order.  One GC
+        cycle — fixed pause, then phase 1, then phase 2 — settles in one
+        call.
 
         Returns:
             The clock advance across all batches, in nanoseconds.
@@ -120,12 +129,14 @@ class Machine:
         clock = self.clock
         nvm = DeviceKind.NVM
         throttle = self.nvm_throttle
-        bw_rows = []
-        bw_append = bw_rows.append
+        bandwidth = self.bandwidth
+        codes, nbytes, starts, durations = bandwidth.deposit_columns()
+        mark = len(codes)
         start = now = clock.now_ns
         for rows, cpu_ns in batches:
             duration = float(cpu_ns)
             if duration < 0:
+                bandwidth.discard_pending(mark)
                 raise ValueError(f"cannot advance the clock by {duration} ns")
             if not rows:  # a pure-CPU span
                 now += duration
@@ -134,30 +145,29 @@ class Machine:
             for device, read_bytes, write_bytes, random_reads, random_writes in rows:
                 if not (read_bytes or write_bytes or random_reads or random_writes):
                     continue
-                device_ns = chargers[device](
+                charge_row, read_code, write_code = chargers[device]
+                device_ns = charge_row(
                     read_bytes, write_bytes, random_reads, random_writes, parallelism
                 )
                 if device is nvm and throttle is not None:
                     device_ns = throttle.apply(now, device_ns)
                 if device_ns > duration:
                     duration = device_ns
-                charged.append(
-                    (
-                        device,
-                        read_bytes + random_reads * 64,
-                        write_bytes + random_writes * 64,
-                    )
-                )
-            # Every device's bytes spread over the whole batch's duration.
-            for device, read_total, write_total in charged:
+                read_total = read_bytes + random_reads * 64
                 if read_total > 0:
-                    bw_append((device, False, read_total, now, duration))
+                    charged.append((read_code, read_total))
+                write_total = write_bytes + random_writes * 64
                 if write_total > 0:
-                    bw_append((device, True, write_total, now, duration))
+                    charged.append((write_code, write_total))
+            # Every device's bytes spread over the whole batch's duration.
+            for code, total in charged:
+                codes.append(code)
+                nbytes.append(total)
+                starts.append(now)
+                durations.append(duration)
             now += duration
         clock._now_ns = now
-        if bw_rows:
-            self.bandwidth.record_rows(bw_rows)
+        bandwidth.settle_if_full()
         return now - start
 
     def run_rows(self, rows, threads: int = 1) -> float:
@@ -179,8 +189,9 @@ class Machine:
         clock = self.clock
         nvm = DeviceKind.NVM
         throttle = self.nvm_throttle
-        bw_rows = []
-        bw_append = bw_rows.append
+        bandwidth = self.bandwidth
+        codes, nbytes, starts, durations = bandwidth.deposit_columns()
+        mark = len(codes)
         # The clock accumulates locally with the same per-row `+=`
         # sequence advance() would perform, then lands in one write —
         # bit-identical floats, one attribute store instead of one
@@ -196,7 +207,8 @@ class Machine:
         ) in rows:
             duration = float(cpu_ns)
             if read_bytes or write_bytes or random_reads or random_writes:
-                device_ns = chargers[device](
+                charge_row, read_code, write_code = chargers[device]
+                device_ns = charge_row(
                     read_bytes,
                     write_bytes,
                     random_reads,
@@ -208,17 +220,23 @@ class Machine:
                 if device_ns > duration:
                     duration = device_ns
                 read_total = read_bytes + random_reads * 64
-                write_total = write_bytes + random_writes * 64
                 if read_total > 0:
-                    bw_append((device, False, read_total, now, duration))
+                    codes.append(read_code)
+                    nbytes.append(read_total)
+                    starts.append(now)
+                    durations.append(duration)
+                write_total = write_bytes + random_writes * 64
                 if write_total > 0:
-                    bw_append((device, True, write_total, now, duration))
+                    codes.append(write_code)
+                    nbytes.append(write_total)
+                    starts.append(now)
+                    durations.append(duration)
             if duration < 0:
+                bandwidth.discard_pending(mark)
                 raise ValueError(f"cannot advance the clock by {duration} ns")
             now += duration
         clock._now_ns = now
-        if bw_rows:
-            self.bandwidth.record_rows(bw_rows)
+        bandwidth.settle_if_full()
         return now - start
 
     # -- metrics ---------------------------------------------------------
