@@ -13,11 +13,11 @@ The corpus pins that output for a fixed matrix of cells in the committed
 A cell that aborts with a typed :class:`~repro.errors.ReproError` pins
 that error (its type and message) as its expected outcome instead.
 
-The matrix: PR/CC/SSSP/KM/LR/BC under four policies at default persist,
+The matrix: PR/CC/SSSP/KM/LR/BC under every policy at default persist,
 plus KM/LR/PR at ``MEMORY_ONLY_SER`` (the serialized tier), at two
 pressure points (s0.01 on a 64 GB heap with a shuffle kill; s0.1 on a
 36 GB heap with a shuffle kill and an NVM throttle, which forces major
-GCs, spills and drops); TC under four policies at the s0.01 point and
+GCs, spills and drops); TC under every policy at the s0.01 point and
 under panthera and deca at the s0.1 point; KM at ``DISK_ONLY`` and at
 ``OFF_HEAP``; plus one small two-executor cluster replay with an
 executor kill and one Hadoop HashJoin run on a bare heap.
@@ -60,12 +60,8 @@ WORKLOADS = ("PR", "CC", "SSSP", "KM", "LR", "BC")
 #: Workloads pinned under every policy at the first (cheapest) pressure
 #: point only, and under :data:`LIGHT_POLICIES` at the others.
 LIGHT_WORKLOADS = ("TC",)
-POLICIES = (
-    PolicyName.PANTHERA,
-    PolicyName.DRAM_ONLY,
-    PolicyName.DECA,
-    PolicyName.UNMANAGED,
-)
+#: Every policy, so a new one cannot be left out of the corpus.
+POLICIES = tuple(PolicyName)
 LIGHT_POLICIES = (PolicyName.PANTHERA, PolicyName.DECA)
 #: Workloads whose cached RDD takes a ``persist_level``.
 SER_WORKLOADS = ("KM", "LR", "PR")

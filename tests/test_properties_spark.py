@@ -3,8 +3,8 @@
 The central soundness property of the whole reproduction: *the placement
 policy can never change computed answers*.  Random transformation
 pipelines over a random dataset, at any persist level and with an
-optional shuffle kill, must produce identical results under DRAM-only,
-unmanaged, Panthera and Deca — only time/energy may differ.
+optional shuffle kill, must produce identical results under every
+policy — only time/energy may differ.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,12 +18,8 @@ from repro.trace import TraceSession
 from tests.conftest import small_context
 from tests.golden.corpus import bandwidth_series
 
-POLICIES = [
-    PolicyName.DRAM_ONLY,
-    PolicyName.UNMANAGED,
-    PolicyName.PANTHERA,
-    PolicyName.DECA,
-]
+#: Every policy, so a new one cannot be left out of the invariance check.
+POLICIES = list(PolicyName)
 
 #: One pipeline step: (op name, parameter)
 STEP = st.sampled_from(
