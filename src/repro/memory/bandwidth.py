@@ -127,12 +127,6 @@ class BandwidthTracker:
         """How many deposited rows wait to be settled."""
         return len(self._codes)
 
-    def discard_pending(self, keep: int) -> None:
-        """Drop every pending row after the first ``keep`` (the deposits
-        of a charge call that raised before advancing the clock)."""
-        del self._codes[keep:], self._nbytes[keep:]
-        del self._starts[keep:], self._durations[keep:]
-
     def settle_if_full(self) -> None:
         """Settle once :data:`SETTLE_ROWS` rows are pending."""
         if len(self._codes) >= SETTLE_ROWS:

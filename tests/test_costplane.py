@@ -351,6 +351,29 @@ class TestRunRows:
         with pytest.raises(ValueError):
             machine.run_rows([(DeviceKind.DRAM, 0.0, 0.0, 0, 0, -1.0)])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [
+                (DeviceKind.DRAM, 4096.0, 0.0, 0, 0, 0.0),
+                (DeviceKind.DRAM, 0.0, 0.0, 0, 0, -1.0),
+            ],
+            # The row's device time exceeds the CPU term, so the row's
+            # duration alone would not be negative.
+            [(DeviceKind.DRAM, 4096.0, 0.0, 0, 0, -1.0)],
+        ],
+        ids=["later-row", "under-device-time"],
+    )
+    def test_negative_cpu_charges_nothing(self, rows):
+        machine = self._fresh_machine()
+        with pytest.raises(ValueError):
+            machine.run_rows(rows)
+        assert _machine_fingerprint(machine) == _machine_fingerprint(
+            self._fresh_machine()
+        )
+        assert machine.energy_j() == 0.0
+        assert machine.bandwidth.pending == 0
+
     def test_random_traffic_charges_cache_lines(self):
         machine = self._fresh_machine()
         machine.run_rows([(DeviceKind.DRAM, 0.0, 0.0, 5, 3, 0.0)])
@@ -441,3 +464,15 @@ class TestRunBatch:
             )
         assert machine.clock.now_ns == 0.0
         assert machine.devices[DeviceKind.DRAM].counters.read_bytes == 0
+
+    def test_negative_cpu_after_a_charged_batch_charges_nothing(self):
+        machine = self._fresh_machine()
+        with pytest.raises(ValueError):
+            machine.run_batch(
+                [([(DeviceKind.DRAM, 4096.0, 0.0, 0, 0)], 0.0), ((), -1.0)]
+            )
+        assert _machine_fingerprint(machine) == _machine_fingerprint(
+            self._fresh_machine()
+        )
+        assert machine.energy_j() == 0.0
+        assert machine.bandwidth.pending == 0
