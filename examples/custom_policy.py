@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Writing your own placement policy.
 
-The collector is policy-agnostic: everything Panthera-specific sits
-behind :class:`repro.gc.policies.PlacementPolicy`.  This example rebuilds
-**write rationing** as a ~60-line custom policy on Panthera's machinery:
-static tags are ignored, every long-lived object starts in NVM, and only
+The engine is policy-agnostic: everything policy-specific sits behind
+:class:`repro.gc.policies.PlacementPolicy` (docs/POLICIES.md lists its
+hooks and their defaults).  This example rebuilds **write rationing**
+as a ~30-line subclass of Panthera's policy: it inherits Panthera's
+runtime, split DRAM/NVM old generation and card padding, but ignores
+the static tags — every long-lived object starts in NVM, and only
 write-hot objects earn DRAM at major GCs.  Because it keeps Panthera's
 card padding, it dodges the GC pathology — what remains is precisely the
 semantic gap the paper identifies: read-mostly hot RDDs marooned on NVM.
@@ -12,11 +14,11 @@ semantic gap the paper identifies: read-mostly hot RDDs marooned on NVM.
 Run with:  python examples/custom_policy.py
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.config import DeviceKind, PolicyName
+from repro.config import PolicyName
 from repro.core.static_analysis import analyze_program
-from repro.gc.policies import PlacementPolicy
+from repro.gc.policies import PantheraPolicy
 from repro.heap.object_model import HeapObject
 from repro.heap.spaces import Space
 from repro.spark.context import SparkContext
@@ -26,36 +28,12 @@ from repro.workloads.registry import build_workload
 SCALE = 0.1
 
 
-class EarnYourDram(PlacementPolicy):
+class EarnYourDram(PantheraPolicy):
     """Ignore the static analysis entirely: every long-lived object
     starts in NVM and only write-hot objects earn DRAM residency at
     major GCs — pure write rationing rebuilt on Panthera's machinery."""
 
-    name = PolicyName.PANTHERA  # reuse Panthera's instrumentation hooks
-    card_padding = True
-
     WRITE_HOT = 3
-
-    def build_old_spaces(self, base: int) -> List[Space]:
-        config = self.config
-        spaces = []
-        if config.old_dram_bytes > 0:
-            spaces.append(
-                Space("old-dram", base, config.old_dram_bytes, "old",
-                      device=DeviceKind.DRAM)
-            )
-            base += config.old_dram_bytes
-        spaces.append(
-            Space("old-nvm", base, config.old_nvm_bytes, "old",
-                  device=DeviceKind.NVM)
-        )
-        return spaces
-
-    def _dram(self, heap) -> Optional[Space]:
-        try:
-            return heap.old_space_named("old-dram")
-        except Exception:
-            return None
 
     def array_allocation_space(self, heap, tag, size) -> Space:
         # Tags are deliberately ignored: everything starts cold in NVM.
@@ -64,8 +42,12 @@ class EarnYourDram(PlacementPolicy):
     def promotion_space(self, heap, obj) -> Space:
         return heap.old_space_named("old-nvm")
 
+    def eager_promotion_space(self, heap, obj) -> None:
+        # Tagged objects age like any other: no tag-driven promotion.
+        return None
+
     def plan_migrations(self, heap, monitor) -> List[Tuple[HeapObject, Space]]:
-        dram = self._dram(heap)
+        dram = heap.old_space_or_none("old-dram")
         if dram is None:
             return []
         budget = dram.free

@@ -1,15 +1,15 @@
 #!/usr/bin/env python
 """Policy-matrix smoke (the CI ``policy-matrix`` job).
 
-Runs PR and KM under both the ``panthera`` and ``deca`` policies and
-checks two properties end to end:
+Runs PR and KM under every policy of :class:`~repro.config.PolicyName`
+and checks two properties end to end:
 
 * **Determinism** — every cell runs twice (serial engine, then a
   worker pool) and the action checksums must be byte-identical across
   ``--jobs``.
 * **Convergence** — the placement policy must never change computed
-  answers: for each workload, the Deca checksums must equal the
-  Panthera checksums action for action.  The Deca cells additionally
+  answers: for each workload, every policy's checksums must equal the
+  DRAM-only checksums action for action.  The Deca cells additionally
   assert the zero-pause acceptance criterion (region-managed classes
   are never traced).
 
@@ -34,7 +34,9 @@ from repro.harness.configs import paper_config
 from repro.harness.engine import ExperimentEngine, ExperimentPoint
 
 DEFAULT_WORKLOADS = ["PR", "KM"]
-POLICIES = (PolicyName.PANTHERA, PolicyName.DECA)
+#: Every policy, so a new one is checked without editing this script.
+POLICIES = tuple(PolicyName)
+BASELINE = PolicyName.DRAM_ONLY
 
 
 def _points(workloads, heap, ratio, scale):
@@ -102,36 +104,35 @@ def main(argv=None) -> int:
 
     for workload in args.workloads:
         problems = []
+        base_sums = cells[(workload, BASELINE.value)][1]
         for policy in POLICIES:
             result, sums_1, sums_n = cells[(workload, policy.value)]
             if sums_1 != sums_n:
                 problems.append(
                     f"{policy.value}: checksums differ across --jobs"
                 )
-        pan_sums = cells[(workload, "panthera")][1]
-        deca_result, deca_sums, _ = cells[(workload, "deca")]
-        diverged = sorted(
-            name
-            for name in set(pan_sums) | set(deca_sums)
-            if pan_sums.get(name) != deca_sums.get(name)
-        )
-        if diverged:
-            problems.append(
-                "panthera vs deca diverged: " + ", ".join(diverged)
+            diverged = sorted(
+                name
+                for name in set(base_sums) | set(sums_1)
+                if base_sums.get(name) != sums_1.get(name)
             )
+            if diverged:
+                problems.append(
+                    f"{BASELINE.value} vs {policy.value} diverged: "
+                    + ", ".join(diverged)
+                )
+        deca_result = cells[(workload, PolicyName.DECA.value)][0]
         if deca_result.minor_gcs or deca_result.major_gcs:
             problems.append(
                 f"deca paused: {deca_result.minor_gcs} minor / "
                 f"{deca_result.major_gcs} major GCs"
             )
         status = "ok" if not problems else "FAIL"
-        print(
-            f"{workload:5s} panthera "
-            f"gc={cells[(workload, 'panthera')][0].gc_s:.2f}s  "
-            f"deca gc={deca_result.gc_s:.2f}s "
-            f"({deca_result.minor_gcs} minor / {deca_result.major_gcs} "
-            f"major)  determinism+convergence: {status}"
+        gc_times = "  ".join(
+            f"{policy.value} gc={cells[(workload, policy.value)][0].gc_s:.2f}s"
+            for policy in POLICIES
         )
+        print(f"{workload:5s} {gc_times}  determinism+convergence: {status}")
         for problem in problems:
             print(f"      {problem}")
         failures += bool(problems)

@@ -111,8 +111,7 @@ class SteadyScavenge:
         """The plan of the scavenge about to run, or None when it is not
         steady."""
         if (
-            heap.regions is not None
-            or heap.eden.objects
+            heap.eden.objects
             or heap.survivor_from.objects
             or heap.card_table.has_fresh_dirt()
         ):

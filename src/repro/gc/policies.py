@@ -1,15 +1,20 @@
 """Placement policies: who decides where objects live.
 
-Each policy builds the old-generation layout for its configuration and
+Each policy builds the old-generation layout for its configuration,
 answers the three placement questions the collector asks:
 
 * where is an RDD backbone array allocated (Table 1's "Initial Space"),
 * where is a surviving young object promoted to, and
-* which objects should a major GC migrate between devices.
+* which objects should a major GC migrate between devices,
 
-The five policies mirror §5.2's configurations: the DRAM-only baseline,
-the *unmanaged* chunk-interleaved hybrid, Panthera itself, and the two
-Write-Rationing GCs (Kingsguard-Nursery and Kingsguard-Writes [7]).
+and takes every policy-specific lifecycle decision through the hooks
+the Spark engine calls, never asking which policy it has (each default
+is the generational path, or nothing).
+
+The six policies mirror §5.2's configurations: the DRAM-only baseline,
+the *unmanaged* chunk-interleaved hybrid, Panthera itself, the two
+Write-Rationing GCs (Kingsguard-Nursery and Kingsguard-Writes [7]), plus
+Deca's lifetime regions (arXiv 1602.01959).
 """
 
 from __future__ import annotations
@@ -19,9 +24,12 @@ from typing import List, Optional, Tuple
 
 from repro.config import DeviceKind, PolicyName, SystemConfig
 from repro.core.monitor import AccessMonitor
+from repro.core.runtime_api import PantheraRuntime
+from repro.core.static_analysis import analyze_program, classify_lifetimes
 from repro.core.tags import MEMORY_BITS_DRAM, MEMORY_BITS_NVM, MemoryTag
 from repro.errors import ConfigError
 from repro.heap.object_model import HeapObject
+from repro.heap.regions import LifetimeClass, RegionManager
 from repro.heap.spaces import Space
 from repro.memory.interleave import ChunkMap
 
@@ -51,15 +59,19 @@ class PlacementPolicy(abc.ABC):
     def build_old_spaces(self, base: int) -> List[Space]:
         """Construct the old-generation spaces starting at ``base``."""
 
-    @abc.abstractmethod
+    # -- placement: asked by the allocator and the collector ---------------
+
     def array_allocation_space(
         self, heap, tag: Optional[MemoryTag], size: int
     ) -> Space:
-        """Initial space of an RDD backbone array."""
+        """Initial space of an RDD backbone array (default: the single
+        ``old`` space)."""
+        return heap.old_space_named("old")
 
-    @abc.abstractmethod
     def promotion_space(self, heap, obj: HeapObject) -> Space:
-        """Old space an object is promoted into."""
+        """Old space an object is promoted into (default: the single
+        ``old`` space)."""
+        return heap.old_space_named("old")
 
     def eager_promotion_space(self, heap, obj: HeapObject) -> Optional[Space]:
         """Space for immediate promotion of a tagged object, or None to
@@ -76,11 +88,66 @@ class PlacementPolicy(abc.ABC):
         """Extra mutator cost per monitored write (KW's barrier; §5.2)."""
         return 0.0
 
+    # -- lifecycle: called by the Spark engine ----------------------------
+
+    def attach(self, heap, machine) -> Optional[PantheraRuntime]:
+        """Install the policy's machinery on a fresh heap; returns the
+        runtime whose instrumentation runs at materialisation points
+        (its monitor feeds the collector), or None for no tags."""
+        return None
+
+    def prepare_program(self, program) -> tuple:
+        """The ``(tags, lifetimes, analysis)`` a program runs with."""
+        return {}, None, None
+
+    def reserve_persisted(self, ctx, rdd, nbytes, extra_live) -> None:
+        """Make room for a persisted block of ``nbytes``; ``extra_live``
+        is the old-generation bytes of in-flight transient blocks."""
+        ctx.block_manager.ensure_capacity(
+            nbytes, ctx.collector, extra_live=extra_live
+        )
+
+    def reserve_stage_input(self, ctx, rdd, nbytes, extra_live) -> None:
+        """Make room for a shuffled stage input; ``nbytes`` is None when
+        its shuffle files are not written yet (nothing to estimate)."""
+        if nbytes is not None:
+            ctx.block_manager.ensure_capacity(
+                nbytes, ctx.collector, extra_live=extra_live
+            )
+
+    def release_block(self, heap, block) -> None:
+        """A block was released: its scope closed, or it was
+        unpersisted, spilled or dropped."""
+
+    def stage_boundary(self, heap) -> None:
+        """The outermost scope closed: a stage or action ended."""
+
+    def job_end(self, ctx) -> None:
+        """The program finished, before metrics are collected."""
+
 
 def _single_old_space(
     config: SystemConfig, base: int, device: DeviceKind
 ) -> List[Space]:
     return [Space("old", base, config.old_gen_bytes, "old", device=device)]
+
+
+def _split_old_spaces(
+    config: SystemConfig, base: int, nvm_name: str
+) -> List[Space]:
+    """An ``old-dram`` space of the old generation's DRAM share (when it
+    has one) followed by an NVM space named ``nvm_name``."""
+    spaces = []
+    dram_part = config.old_dram_bytes
+    if dram_part > 0:
+        spaces.append(
+            Space("old-dram", base, dram_part, "old", device=DeviceKind.DRAM)
+        )
+        base += dram_part
+    spaces.append(
+        Space(nvm_name, base, config.old_nvm_bytes, "old", device=DeviceKind.NVM)
+    )
+    return spaces
 
 
 class DramOnlyPolicy(PlacementPolicy):
@@ -90,12 +157,6 @@ class DramOnlyPolicy(PlacementPolicy):
 
     def build_old_spaces(self, base: int) -> List[Space]:
         return _single_old_space(self.config, base, DeviceKind.DRAM)
-
-    def array_allocation_space(self, heap, tag, size) -> Space:
-        return heap.old_space_named("old")
-
-    def promotion_space(self, heap, obj) -> Space:
-        return heap.old_space_named("old")
 
 
 class UnmanagedPolicy(PlacementPolicy):
@@ -122,12 +183,6 @@ class UnmanagedPolicy(PlacementPolicy):
         )
         return [Space("old", base, config.old_gen_bytes, "old", chunk_map=chunk_map)]
 
-    def array_allocation_space(self, heap, tag, size) -> Space:
-        return heap.old_space_named("old")
-
-    def promotion_space(self, heap, obj) -> Space:
-        return heap.old_space_named("old")
-
 
 class PantheraPolicy(PlacementPolicy):
     """The paper's policy: split old generation, tag-driven placement,
@@ -140,18 +195,17 @@ class PantheraPolicy(PlacementPolicy):
         self.card_padding = config.card_padding
 
     def build_old_spaces(self, base: int) -> List[Space]:
-        config = self.config
-        spaces = []
-        dram_part = config.old_dram_bytes
-        if dram_part > 0:
-            spaces.append(
-                Space("old-dram", base, dram_part, "old", device=DeviceKind.DRAM)
-            )
-            base += dram_part
-        spaces.append(
-            Space("old-nvm", base, config.old_nvm_bytes, "old", device=DeviceKind.NVM)
-        )
-        return spaces
+        return _split_old_spaces(self.config, base, "old-nvm")
+
+    def attach(self, heap, machine) -> PantheraRuntime:
+        """The access monitor (§4.2.2) and the tag-passing runtime
+        (§4.2.1)."""
+        return PantheraRuntime(heap, AccessMonitor(machine))
+
+    def prepare_program(self, program) -> tuple:
+        """§3's static analysis: the program runs with its tags."""
+        analysis = analyze_program(program)
+        return analysis.tags, None, analysis
 
     def array_allocation_space(self, heap, tag, size) -> Space:
         """Table 1: DRAM-tagged arrays go to the DRAM component when it has
@@ -229,12 +283,6 @@ class KingsguardNurseryPolicy(PlacementPolicy):
     def build_old_spaces(self, base: int) -> List[Space]:
         return _single_old_space(self.config, base, DeviceKind.NVM)
 
-    def array_allocation_space(self, heap, tag, size) -> Space:
-        return heap.old_space_named("old")
-
-    def promotion_space(self, heap, obj) -> Space:
-        return heap.old_space_named("old")
-
 
 class KingsguardWritesPolicy(PlacementPolicy):
     """Write Rationing's KW: like KN, plus a write barrier that counts
@@ -248,30 +296,7 @@ class KingsguardWritesPolicy(PlacementPolicy):
     WRITE_BARRIER_NS = 6.0
 
     def build_old_spaces(self, base: int) -> List[Space]:
-        config = self.config
-        spaces = []
-        dram_part = config.old_dram_bytes
-        if dram_part > 0:
-            spaces.append(
-                Space("old-dram", base, dram_part, "old", device=DeviceKind.DRAM)
-            )
-            base += dram_part
-        spaces.append(
-            Space(
-                "old",
-                base,
-                config.old_gen_bytes - dram_part,
-                "old",
-                device=DeviceKind.NVM,
-            )
-        )
-        return spaces
-
-    def array_allocation_space(self, heap, tag, size) -> Space:
-        return heap.old_space_named("old")
-
-    def promotion_space(self, heap, obj) -> Space:
-        return heap.old_space_named("old")
+        return _split_old_spaces(self.config, base, "old")
 
     def plan_migrations(self, heap, monitor) -> List[Tuple[HeapObject, Space]]:
         """Move write-hot NVM objects into the DRAM region."""
@@ -320,11 +345,45 @@ class DecaPolicy(PlacementPolicy):
         )
         return [Space("old", base, reserve, "old", device=device)]
 
-    def array_allocation_space(self, heap, tag, size) -> Space:
-        return heap.old_space_named("old")
+    def attach(self, heap, machine) -> None:
+        """Lifetime arenas instead of tags: no monitor, no runtime."""
+        RegionManager.attach(heap)
 
-    def promotion_space(self, heap, obj) -> Space:
-        return heap.old_space_named("old")
+    def prepare_program(self, program) -> tuple:
+        """Deca's rival analysis: variable lifetimes instead of tags."""
+        return {}, classify_lifetimes(program).classes, None
+
+    def reserve_persisted(self, ctx, rdd, nbytes, extra_live) -> None:
+        """A job-arena region: room comes from region-grained eviction,
+        never from a full GC."""
+        regions = ctx.heap.regions
+        regions.note_rdd(rdd.id, rdd.lifetime or LifetimeClass.JOB)
+        regions.ensure_job_capacity(nbytes, ctx.block_manager)
+
+    def reserve_stage_input(self, ctx, rdd, nbytes, extra_live) -> None:
+        """The stage arena; only what it cannot take falls over into
+        job-arena extents."""
+        regions = ctx.heap.regions
+        regions.note_rdd(rdd.id, LifetimeClass.STAGE)
+        if nbytes is not None and nbytes > regions.stage.free:
+            regions.ensure_job_capacity(
+                nbytes - regions.stage.free, ctx.block_manager
+            )
+
+    def release_block(self, heap, block) -> None:
+        heap.regions.free_block(block)
+
+    def stage_boundary(self, heap) -> None:
+        heap.regions.stage_boundary()
+
+    def job_end(self, ctx) -> None:
+        """Unpersist the surviving region-resident blocks and reset every
+        arena, so the reset costs land on this run's clock."""
+        block_manager = ctx.block_manager
+        for block in block_manager.blocks():
+            if not block.on_disk and block.region_resident:
+                block_manager.unpersist(block.rdd_id)
+        ctx.heap.regions.job_end()
 
 
 _POLICIES = {

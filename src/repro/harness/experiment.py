@@ -7,11 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.config import DeviceKind, PolicyName, SystemConfig
-from repro.core.static_analysis import (
-    StaticAnalysis,
-    analyze_program,
-    classify_lifetimes,
-)
+from repro.core.static_analysis import StaticAnalysis
 from repro.faults import FaultInjector, FaultPlan, FaultReport
 from repro.memory.machine import Machine
 from repro.spark.context import SparkContext
@@ -147,35 +143,20 @@ def execute_spec(spec, ctx: SparkContext):
     """Execute one built workload spec's program on a live context.
 
     The single execution path shared by :func:`run_experiment` and the
-    cluster executor (:mod:`repro.cluster.executor`): Panthera's static
-    analysis runs when the policy asks for it, then the program executes
-    with its tags.  Keeping this seam shared is what makes a 1-executor
-    cluster job byte-identical to ``run_experiment`` — the cluster path
-    is a generalisation, not a fork.
+    cluster executor (:mod:`repro.cluster.executor`): the policy prepares
+    the program (Panthera's static analysis, Deca's lifetime classes),
+    the program executes with them, and the policy closes the job.
+    Keeping this seam shared is what makes a 1-executor cluster job
+    byte-identical to ``run_experiment`` — the cluster path is a
+    generalisation, not a fork.
 
     Returns:
-        ``(action_results, analysis)`` where ``analysis`` is None for
-        non-Panthera policies.
+        ``(action_results, analysis)`` where ``analysis`` is None unless
+        the policy ran Panthera's static analysis.
     """
-    analysis: Optional[StaticAnalysis] = None
-    tags: Dict[str, Any] = {}
-    lifetimes: Optional[Dict[str, Any]] = None
-    if ctx.panthera_enabled:
-        analysis = analyze_program(spec.program)
-        tags = analysis.tags
-    elif ctx.heap.regions is not None:
-        # Deca's rival analysis: classify variable lifetimes instead of
-        # deriving memory tags.
-        lifetimes = classify_lifetimes(spec.program).classes
+    tags, lifetimes, analysis = ctx.policy.prepare_program(spec.program)
     action_results = execute_program(spec.program, ctx, tags, lifetimes=lifetimes)
-    if ctx.heap.regions is not None:
-        # Job end: release the surviving region-resident blocks (their
-        # regions free wholesale) and reset every arena, so the reset
-        # costs land on this run's clock before metrics are collected.
-        for block in ctx.block_manager.blocks():
-            if not block.on_disk and block.region_resident:
-                ctx.block_manager.unpersist(block.rdd_id)
-        ctx.heap.regions.job_end()
+    ctx.policy.job_end(ctx)
     return action_results, analysis
 
 

@@ -14,6 +14,7 @@ import itertools
 from typing import Dict, List, Optional
 
 from repro.config import DeviceKind
+from repro.gc.policies import PlacementPolicy
 from repro.heap.managed_heap import ManagedHeap
 from repro.memory.machine import Machine
 from repro.spark.costmodel import MutatorCosts
@@ -33,10 +34,12 @@ class BlockManager:
         heap: ManagedHeap,
         machine: Machine,
         costs: MutatorCosts,
+        policy: PlacementPolicy,
     ) -> None:
         self.heap = heap
         self.machine = machine
         self.costs = costs
+        self.policy = policy
         self._blocks: Dict[int, MaterializedBlock] = {}
         self._lru = itertools.count(1)
         #: rdd_id -> records retained on "disk" after a spill
@@ -105,8 +108,8 @@ class BlockManager:
 
         Serialized-tier blocks additionally free their native batches
         explicitly — nothing else ever reclaims native memory (§4.1).
-        Region-resident blocks free their whole region (Deca's
-        wholesale container free)."""
+        The policy then frees whatever it keeps for the block (Deca's
+        wholesale region free)."""
         self.heap.remove_root(block.top)
         for array in block.arrays:
             if self.heap.card_table.is_registered(array):
@@ -114,8 +117,7 @@ class BlockManager:
         if block.in_serialized_tier:
             for array in block.arrays:
                 self.heap.free_native(array)
-        if self.heap.regions is not None:
-            self.heap.regions.free_block(block)
+        self.policy.release_block(self.heap, block)
 
     # -- memory pressure ------------------------------------------------------------
 

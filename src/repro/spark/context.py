@@ -2,9 +2,11 @@
 
 ``SparkContext.create(config)`` builds one node: the machine (devices +
 clock + energy), the placement policy, the managed heap, the collector,
-and — when the policy is Panthera — the access monitor and the Panthera
-runtime whose ``rdd_alloc`` instrumentation the scheduler invokes at
-materialisation points.
+and whatever the policy attaches to the heap — Panthera's access monitor
+and the runtime whose ``rdd_alloc`` instrumentation the scheduler
+invokes at materialisation points, Deca's lifetime arenas.  The engine
+never asks which policy it runs: every policy-specific decision is a
+:class:`~repro.gc.policies.PlacementPolicy` hook.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ import itertools
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import PolicyName, SystemConfig
-from repro.core.monitor import AccessMonitor
+from repro.config import SystemConfig
 from repro.core.runtime_api import PantheraRuntime
 from repro.errors import SparkError
 from repro.gc.collector import Collector
@@ -67,7 +68,6 @@ class SparkContext:
         heap: ManagedHeap,
         collector: Collector,
         costs: Optional[MutatorCosts] = None,
-        monitor: Optional[AccessMonitor] = None,
         runtime: Optional[PantheraRuntime] = None,
     ) -> None:
         self.config = config
@@ -76,10 +76,11 @@ class SparkContext:
         self.collector = collector
         self.policy = collector.policy
         self.costs = costs or MutatorCosts()
-        self.monitor = monitor
+        self.monitor = collector.monitor
+        #: the policy's runtime (Panthera's); None means no tags anywhere
         self.runtime = runtime
         self.shuffles = ShuffleManager()
-        self.block_manager = BlockManager(heap, machine, self.costs)
+        self.block_manager = BlockManager(heap, machine, self.costs, self.policy)
         #: optional :class:`~repro.faults.injector.FaultInjector`; the
         #: scheduler consults it at stage/action boundaries (None = no
         #: fault injection, one ``is None`` check per boundary).
@@ -123,33 +124,10 @@ class SparkContext:
         heap = ManagedHeap(
             config, machine, old_spaces, card_padding=policy.card_padding
         )
-        monitor: Optional[AccessMonitor] = None
-        runtime: Optional[PantheraRuntime] = None
-        if config.policy is PolicyName.PANTHERA:
-            monitor = AccessMonitor(machine)
-            runtime = PantheraRuntime(heap, monitor)
-        elif config.policy is PolicyName.DECA:
-            # Deca replaces Panthera's tag machinery with lifetime
-            # arenas: no monitor, no runtime — the region manager is
-            # the whole placement mechanism.
-            from repro.heap.regions import RegionManager
-
-            RegionManager.attach(heap)
+        runtime = policy.attach(heap, machine)
+        monitor = runtime.monitor if runtime is not None else None
         collector = Collector(heap, machine, policy, monitor=monitor)
-        return cls(
-            config,
-            machine,
-            heap,
-            collector,
-            costs=costs,
-            monitor=monitor,
-            runtime=runtime,
-        )
-
-    @property
-    def panthera_enabled(self) -> bool:
-        """Whether Panthera's instrumentation and tag machinery are live."""
-        return self.config.policy is PolicyName.PANTHERA
+        return cls(config, machine, heap, collector, costs=costs, runtime=runtime)
 
     # -- RDD registry ----------------------------------------------------------
 

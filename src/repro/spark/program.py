@@ -333,10 +333,9 @@ def execute_program(
         program: the IR to execute.
         tags: variable -> :class:`~repro.core.tags.MemoryTag` map from the
             static analysis (empty for non-Panthera runs).
-        lifetimes: variable -> :class:`~repro.heap.regions.LifetimeClass`
-            map from the Deca lifetime analysis (None for tracing
-            policies); annotated onto each materialised RDD the same way
-            tags are.
+        lifetimes: variable -> lifetime class map from the Deca
+            lifetime analysis (None for tracing policies); annotated
+            onto each materialised RDD the same way tags are.
 
     Returns:
         Action results keyed by ``result_key`` (or ``action<N>``).

@@ -25,7 +25,6 @@ from repro.core.lineage_propagation import propagate_tags
 from repro.core.tags import MemoryTag
 from repro.errors import OutOfMemoryError, SparkError
 from repro.heap.object_model import ObjKind
-from repro.heap.regions import LifetimeClass
 from repro.spark.materialize import MaterializedBlock
 from repro.spark import columnar as _columnar
 from repro.spark.partition import _MISSING, Record
@@ -58,6 +57,8 @@ class Scheduler:
         self._scopes.append([])
 
     def _pop_scope(self) -> None:
+        heap = self.ctx.heap
+        policy = self.ctx.policy
         for block in self._scopes.pop():
             self.ctx.materializer.release(block)
             # The stage is over: its buffers are garbage, and the stage's
@@ -65,21 +66,14 @@ class Scheduler:
             # scannable (otherwise dead shuffle buffers would be
             # phantom-rescanned until the next full GC).
             for array in block.arrays:
-                if self.ctx.heap.card_table.is_registered(array):
-                    self.ctx.heap.card_table.unregister(array)
+                if heap.card_table.is_registered(array):
+                    heap.card_table.unregister(array)
             self._transients.pop(block.rdd_id, None)
-            if self.ctx.heap.regions is not None:
-                # Transient stage blocks free their region the moment
-                # their scope closes (job-arena overflow extents come
-                # back here; stage-arena bytes at the reset below).
-                self.ctx.heap.regions.free_block(block)
-        if not self._scopes and self.ctx.heap.regions is not None:
-            # The outermost scope closing is a stage/action boundary:
-            # Deca frees the whole stage arena (and the ephemeral arena)
-            # in one wholesale reset — no tracing, no per-object work.
-            # Nested scopes share the arena, so only the outermost close
-            # resets it.
-            self.ctx.heap.regions.stage_boundary()
+            policy.release_block(heap, block)
+        if not self._scopes:
+            # The outermost scope closing is a stage/action boundary;
+            # nested scopes belong to the same stage.
+            policy.stage_boundary(heap)
 
     # ------------------------------------------------------------------
     # actions
@@ -94,23 +88,21 @@ class Scheduler:
             self.ctx.cluster.action_boundary(rdd)
         self._push_scope()
         try:
-            if self.ctx.panthera_enabled and rdd.memory_tag is not None:
-                propagate_tags(rdd, rdd.memory_tag, self.runtime_tags)
+            tag = rdd.memory_tag if self.ctx.runtime is not None else None
+            if tag is not None:
+                propagate_tags(rdd, tag, self.runtime_tags)
             parts = [
                 self.get_records(rdd, p) for p in range(rdd.num_partitions)
             ]
             if (
-                self.ctx.panthera_enabled
-                and rdd.memory_tag is not None
+                tag is not None
                 and rdd.persist_level is None
                 and not self.ctx.block_manager.contains(rdd.id)
             ):
                 # The action is a materialisation point (§3): build the
                 # transient structure so the tag machinery is exercised,
                 # released when the action's scope closes.
-                block = self.ctx.materializer.materialize(
-                    rdd, parts, rdd.memory_tag
-                )
+                block = self.ctx.materializer.materialize(rdd, parts, tag)
                 self._scopes[-1].append(block)
         finally:
             self._pop_scope()
@@ -398,8 +390,8 @@ class Scheduler:
         """First computation of a persisted RDD: compute, then cache."""
         level = rdd.persist_level
         assert level is not None
-        tag = rdd.memory_tag if self.ctx.panthera_enabled else None
-        if self.ctx.panthera_enabled and tag is not None:
+        tag = rdd.memory_tag if self.ctx.runtime is not None else None
+        if tag is not None:
             propagate_tags(rdd, tag, self.runtime_tags)
         self._push_scope()
         try:
@@ -417,21 +409,9 @@ class Scheduler:
             in_heap_bytes = (
                 total_bytes * costs.ser_factor if level.serialized else total_bytes
             )
-            regions = self.ctx.heap.regions
-            if regions is not None:
-                # Deca: persisted data goes to a job-arena region, not
-                # the traced old generation — pressure is relieved by
-                # region-grained eviction, never by a full GC.
-                regions.note_rdd(rdd.id, rdd.lifetime or LifetimeClass.JOB)
-                regions.ensure_job_capacity(
-                    in_heap_bytes, self.ctx.block_manager
-                )
-            else:
-                self.ctx.block_manager.ensure_capacity(
-                    in_heap_bytes,
-                    self.ctx.collector,
-                    extra_live=self._active_transient_bytes(),
-                )
+            self.ctx.policy.reserve_persisted(
+                self.ctx, rdd, in_heap_bytes, self._active_transient_bytes()
+            )
             block = self.ctx.materializer.materialize(
                 rdd, parts, tag, serialized=level.serialized
             )
@@ -515,38 +495,20 @@ class Scheduler:
         if not self._scopes:
             self._push_scope()  # defensive: an implicit outermost scope
         dep = rdd.shuffle_dep
-        regions = self.ctx.heap.regions
-        if regions is not None:
-            # Stage inputs are the canonical stage-local class: freed by
-            # the wholesale arena reset when the consuming scope closes.
-            regions.note_rdd(rdd.id, LifetimeClass.STAGE)
+        estimate = None
         if self.ctx.shuffles.has(dep.shuffle_id):
             estimate = sum(
                 self.ctx.shuffles.serialized_bytes(dep.shuffle_id, p)
                 for p in range(rdd.num_partitions)
             ) / max(self.ctx.costs.ser_factor, 1e-9)
-            if regions is not None:
-                # Only the part the stage arena cannot take will fall
-                # over into job-arena extents.
-                overflow = estimate - regions.stage.free
-                if overflow > 0:
-                    regions.ensure_job_capacity(
-                        overflow, self.ctx.block_manager
-                    )
-            else:
-                self.ctx.block_manager.ensure_capacity(
-                    estimate,
-                    self.ctx.collector,
-                    extra_live=self._active_transient_bytes(),
-                )
+        self.ctx.policy.reserve_stage_input(
+            self.ctx, rdd, estimate, self._active_transient_bytes()
+        )
         parts = [
             rdd.compute_partition(p, self) for p in range(rdd.num_partitions)
         ]
-        tag = (
-            self.runtime_tags.get(rdd.id)
-            if self.ctx.panthera_enabled
-            else None
-        )
+        # Only tags propagated under a runtime are ever recorded.
+        tag = self.runtime_tags.get(rdd.id)
         block = self.ctx.materializer.materialize(rdd, parts, tag)
         self._transients[rdd.id] = block
         self._scopes[-1].append(block)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import MiB, PolicyName
+from repro.config import DeviceKind, MiB, PolicyName
 from repro.spark.costmodel import MutatorCosts
 from repro.workloads.datasets import powerlaw_graph
 from tests.conftest import small_config, small_context
@@ -52,9 +52,11 @@ class TestSparkContextWiring:
         for rdd in rdds:
             assert ctx.rdd_by_id(rdd.id) is rdd
 
-    def test_panthera_enabled_flag(self):
-        assert small_context(PolicyName.PANTHERA).panthera_enabled
-        assert not small_context(PolicyName.UNMANAGED).panthera_enabled
+    def test_runtime_only_under_panthera(self):
+        assert small_context(PolicyName.PANTHERA).runtime is not None
+        for policy in PolicyName:
+            if policy is not PolicyName.PANTHERA:
+                assert small_context(policy).runtime is None, policy
 
     def test_monitor_only_under_panthera(self):
         assert small_context(PolicyName.PANTHERA).monitor is not None
@@ -79,3 +81,32 @@ class TestSparkContextWiring:
         custom = DramOnlyPolicy(config)
         ctx = SparkContext.create(config, policy=custom)
         assert ctx.policy is custom
+
+    def test_layout_only_policy_computes_the_dram_only_answers(self):
+        """A policy that defines only its old-generation layout takes
+        every other decision from the defaults, and runs."""
+        from repro.faults import action_checksums
+        from repro.gc.policies import DramOnlyPolicy, PlacementPolicy
+        from repro.harness.configs import paper_config
+        from repro.harness.experiment import execute_spec
+        from repro.heap.spaces import Space
+        from repro.spark.context import SparkContext
+        from repro.workloads.registry import build_workload
+
+        class AllNvm(PlacementPolicy):
+            def build_old_spaces(self, base):
+                size = self.config.old_gen_bytes
+                return [Space("old", base, size, "old", device=DeviceKind.NVM)]
+
+        def checksums(policy_cls, name):
+            config = paper_config(64, 1 / 3, name, 0.01)
+            ctx = SparkContext.create(config, policy=policy_cls(config))
+            spec = build_workload("PR", scale=0.01, iterations=2)
+            results, analysis = execute_spec(spec, ctx)
+            assert analysis is None and ctx.runtime is None
+            old = ctx.heap.old_space_named("old")
+            return action_checksums(results), old.device, old.used > 0
+
+        answers, device, used = checksums(AllNvm, PolicyName.UNMANAGED)
+        assert device is DeviceKind.NVM and used
+        assert answers == checksums(DramOnlyPolicy, PolicyName.DRAM_ONLY)[0]

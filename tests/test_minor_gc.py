@@ -7,7 +7,7 @@ from repro.config import DeviceKind, MiB, PolicyName
 from repro.core.tags import MEMORY_BITS_NVM, MemoryTag
 from repro.gc.minor import SteadyScavenge
 from repro.heap.object_model import ObjKind
-from repro.heap.regions import RegionManager
+from repro.heap.regions import LifetimeClass, RegionManager
 from repro.trace import TraceSession
 from repro.trace.events import GC_PAUSE
 from tests.conftest import make_stack
@@ -191,6 +191,19 @@ def _panthera(**kwargs):
     return stack
 
 
+def _deca():
+    """Deca's arenas attached: one array classified into the job arena,
+    one unclassified array in the traced old space."""
+    stack = make_stack(PolicyName.DECA)
+    heap = stack.heap
+    RegionManager.attach(heap).note_rdd(1, LifetimeClass.JOB)
+    in_arena = _rooted_array(heap, 96 * 1024, rdd_id=1)
+    traced = _rooted_array(heap, 3 * MiB, rdd_id=2)
+    assert in_arena.space is heap.regions.job
+    assert traced.space is heap.old_space_named("old")
+    return stack
+
+
 def _unmanaged_stuck():
     """Three unpadded arrays on the chunk-mapped old space, dirtied, so
     they are stuck and rescanned by every scavenge."""
@@ -277,6 +290,7 @@ class TestSteadyScavenge:
             (_throttled, _stream),
             (_panthera, _empty_eden),
             (_unmanaged_stuck, _empty_eden),
+            (_deca, _empty_eden),
         ],
         ids=[
             "panthera",
@@ -284,6 +298,7 @@ class TestSteadyScavenge:
             "nvm-throttle",
             "empty-eden",
             "stuck-empty-eden",
+            "deca-regions",
         ],
     )
     def test_replay_matches_full_scavenges(self, monkeypatch, build, drive):
@@ -355,12 +370,6 @@ class TestSteadyScavenge:
         assert stack.collector.collect_minor() is None
         assert not heap.card_table.has_fresh_dirt()
         assert stack.collector.collect_minor() is not None
-
-    def test_regions_take_the_full_path(self):
-        stack = make_stack(PolicyName.DECA)
-        RegionManager.attach(stack.heap)
-        assert SteadyScavenge.of(stack.heap, stack.config) is None
-        assert stack.collector.collect_minor() is None
 
     def test_major_gc_for_the_guarantee_drops_the_plan(self, monkeypatch):
         stack = _panthera()
