@@ -1,10 +1,11 @@
 """Garbage collection: a Parallel Scavenge-style generational collector
 with pluggable hybrid-memory placement policies.
 
-The five policies are the configurations compared in the paper's
-evaluation (§5.2): DRAM-only, the unmanaged chunk-interleaved baseline,
-Panthera, and the two Write-Rationing GCs (Kingsguard-Nursery and
-Kingsguard-Writes).
+The policies are the configurations compared in the paper's evaluation
+(§5.2) — DRAM-only, the unmanaged chunk-interleaved baseline, Panthera,
+and the two Write-Rationing GCs (Kingsguard-Nursery and
+Kingsguard-Writes) — plus Deca's lifetime regions.  Each is one
+:class:`PlacementPolicy`; the Spark engine only calls its hooks.
 """
 
 from repro.gc.collector import Collector
