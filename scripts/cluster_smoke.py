@@ -8,7 +8,10 @@ kills included — and checks three invariants:
 * the run completes and reports sane throughput / latency metrics;
 * a same-seed replay is byte-identical (``ClusterReport.to_json``);
 * the injected executor kill converges — every job's action checksums
-  match the fault-free replay's.
+  match the fault-free replay's;
+* the kill actually fired and recovery ran (``kills_fired`` and
+  ``partitions_recomputed`` both non-zero), so a kill that silently
+  stops firing cannot pass as converged.
 
 The per-workload :class:`~repro.cluster.simulator.ClusterReport` is
 written as a JSON artifact.  Exits non-zero on any divergence.
@@ -90,7 +93,8 @@ def main(argv=None) -> int:
             if job.checksums != fjob.checksums
         )
         kills = faulted.faults["kills_fired"]
-        ok = deterministic and not diverged
+        fired = kills > 0 and faulted.faults["partitions_recomputed"] > 0
+        ok = deterministic and not diverged and fired
         status = "ok" if ok else "FAIL"
         print(
             f"{workload:5s} {clean.n_jobs} jobs on {args.executors} "
@@ -102,6 +106,8 @@ def main(argv=None) -> int:
         )
         if diverged:
             print(f"      DIVERGED jobs: {', '.join(diverged)}")
+        if not fired:
+            print("      NO KILL FIRED: the faulted replay recovered nothing")
         if not ok:
             failures += 1
         if out_dir is not None:
@@ -110,6 +116,7 @@ def main(argv=None) -> int:
                 "workload": workload,
                 "deterministic": deterministic,
                 "converged": not diverged,
+                "fired": fired,
                 "diverged_jobs": diverged,
                 "clean": clean.to_dict(),
                 "faulted": faulted.to_dict(),

@@ -5,9 +5,12 @@ For every requested workload the script runs one fault-free reference
 and one injected run — an executor kill at an early stage boundary plus
 a transient NVM bandwidth-throttle window — and checks that lineage
 recovery converged: every action checksum of the faulted run matches
-the clean run's.  The per-workload :class:`~repro.faults.report.
-FaultReport` (plan, measured recovery cost, convergence verdict) is
-written as a JSON artifact.  Exits non-zero on any divergence.
+the clean run's — and that the kill actually fired and recovery ran
+(``kills_fired`` and ``partitions_recomputed`` both non-zero), so a
+kill that silently stops firing cannot pass as converged.  The
+per-workload :class:`~repro.faults.report.FaultReport` (plan, measured
+recovery cost, convergence verdict) is written as a JSON artifact.
+Exits non-zero on any divergence or on a kill that did not fire.
 
 Usage::
 
@@ -93,6 +96,7 @@ def main(argv=None) -> int:
             if clean_sums.get(name) != fault_sums.get(name)
         )
         report = faulted.fault_report
+        fired = report.kills_fired > 0 and report.partitions_recomputed > 0
         status = "ok" if not diverged else "FAIL"
         print(
             f"{workload:5s} kill+throttle: {report.kills_fired} fired, "
@@ -103,6 +107,9 @@ def main(argv=None) -> int:
         )
         if diverged:
             print(f"      DIVERGED actions: {', '.join(diverged)}")
+        if not fired:
+            print("      NO KILL FIRED: the faulted run recovered nothing")
+        if diverged or not fired:
             failures += 1
         if out_dir is not None:
             path = out_dir / f"{workload.lower()}-faults.json"
@@ -112,6 +119,7 @@ def main(argv=None) -> int:
                 "plan": SMOKE_PLAN.to_dict(),
                 "report": report.to_dict(),
                 "converged": not diverged,
+                "fired": fired,
                 "diverged_actions": diverged,
                 "checksums": fault_sums,
             }
@@ -120,7 +128,7 @@ def main(argv=None) -> int:
             )
             print(f"      wrote {path}")
     if failures:
-        print(f"faults smoke: {failures} divergence(s)", file=sys.stderr)
+        print(f"faults smoke: {failures} failure(s)", file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -9,26 +9,26 @@ while the executor is busy waits.
 
 Each job runs through exactly the same execution path as
 :func:`~repro.harness.experiment.run_experiment` (the shared
-:func:`~repro.harness.experiment.execute_spec` seam), with two per-job
-attachments:
+:func:`~repro.harness.experiment.execute_spec` seam).  Two things tie
+it to the cluster:
 
-* a :class:`~repro.faults.injector.FaultInjector` carrying an *empty*
-  plan — byte-neutral on its own, but the recovery machinery cluster
-  kills need is then already wired;
-* a :class:`ClusterBinding` installed as ``ctx.cluster`` — the
-  scheduler consults it at stage/action boundaries (executor kills
-  fire there) and at shuffle fetches (remote-owned partitions pay the
-  network hop).
+* the executor installs itself as ``ctx.cluster`` for its lifetime;
+  the scheduler calls :meth:`Executor.shuffle_fetch` on every reduce
+  partition fetch, and remote-owned partitions pay the network hop;
+* each job gets a :class:`~repro.faults.injector.FaultInjector` with an
+  *empty* plan and the job's :class:`~repro.cluster.faults.ExecutorKill`
+  events armed — byte-neutral without kills, and with them the kills
+  fire and recover through the injector like single-node kills.
 
-With one executor and no kills both attachments are no-ops on the
-machine and the trace bus, which is what makes a 1-executor cluster job
-byte-identical to ``run_experiment`` — the oracle test pins that.
+With one executor and no kills both are no-ops on the machine and the
+trace bus, which is what makes a 1-executor cluster job byte-identical
+to ``run_experiment`` — the oracle test pins that.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DeviceKind, SystemConfig
 from repro.faults import FaultInjector, FaultPlan, action_checksums
@@ -45,125 +45,6 @@ from repro.workloads.registry import build_workload
 from repro.cluster.faults import ExecutorKill
 from repro.cluster.service import ShuffleService
 from repro.cluster.traffic import JobSpec
-
-
-class ClusterBinding:
-    """Per-job cluster hooks, installed as ``ctx.cluster``.
-
-    Lives for exactly one job.  Tracks the job's shuffles, counts stage
-    boundaries with the same convention as the fault injector (completed
-    shuffle map stages + action starts, 1-based), fires the executor
-    kills armed for this job, and routes every shuffle fetch through the
-    shared service's ownership function.
-    """
-
-    def __init__(
-        self,
-        executor: "Executor",
-        injector: FaultInjector,
-        kills: Sequence[ExecutorKill],
-    ) -> None:
-        self.executor = executor
-        self.injector = injector
-        self.boundaries_seen = 0
-        self.kills_fired = 0
-        self.kills_noop = 0
-        self.partitions_lost = 0
-        self.blocks_lost = 0
-        self.local_fetches = 0
-        self.remote_fetches = 0
-        self.remote_bytes = 0.0
-        self.net_ns = 0.0
-        self._unfired: List[ExecutorKill] = list(kills)
-        #: (shuffle_id, n_partitions) of this job's shuffles, in
-        #: first-write order.
-        self._shuffles: List[Tuple[int, int]] = []
-        self._shuffle_ids: Set[int] = set()
-
-    # -- boundaries and kills -------------------------------------------
-
-    def stage_boundary(self, dep) -> None:
-        """A shuffle map stage completed: register its output with the
-        service overlay, then cross the boundary."""
-        sid = dep.shuffle_id
-        if sid not in self._shuffle_ids:
-            self._shuffle_ids.add(sid)
-            self._shuffles.append((sid, dep.partitioner.num_partitions))
-        self._cross_boundary()
-
-    def action_boundary(self, rdd) -> None:
-        """An action is about to run its final stage."""
-        self._cross_boundary()
-
-    def _cross_boundary(self) -> None:
-        self.boundaries_seen += 1
-        here = self.boundaries_seen
-        due = [k for k in self._unfired if k.at_boundary == here]
-        for kill in due:
-            self._unfired.remove(kill)
-            self._fire(kill)
-
-    def _fire(self, kill: ExecutorKill) -> None:
-        """Kill one executor: every service-owned reduce partition and
-        every block replica it hosted die; lineage recovery on this
-        (surviving) executor recomputes them on demand through the
-        injector's measured path."""
-        service = self.executor.service
-        victim = kill.executor % service.n_executors
-        shuffles = self.executor.ctx.shuffles
-        lost = 0
-        for sid, n_parts in self._shuffles:
-            if not shuffles.has(sid):
-                continue
-            ordinal = shuffles.ordinal(sid)
-            for pidx in range(n_parts):
-                if service.owner_of(ordinal, pidx) != victim:
-                    continue
-                if shuffles.is_lost(sid, pidx):
-                    continue
-                shuffles.invalidate(sid, pidx)
-                lost += 1
-        blocks = 0
-        manager = self.executor.ctx.block_manager
-        for block in sorted(manager.blocks(), key=lambda b: b.rdd_id):
-            if block.on_disk:
-                continue
-            if block.rdd_id % service.n_executors != victim:
-                continue
-            if self.injector.external_block_kill(block.rdd_id):
-                blocks += 1
-        self.partitions_lost += lost
-        self.blocks_lost += blocks
-        if lost or blocks:
-            self.kills_fired += 1
-        else:
-            self.kills_noop += 1
-
-    # -- shuffle fetches ------------------------------------------------
-
-    def shuffle_fetch(self, dep, pidx: int) -> None:
-        """Route one reduce-partition fetch through the service: remote
-        owners cost a network hop on this (fetching) machine."""
-        ctx = self.executor.ctx
-        service = self.executor.service
-        ordinal = ctx.shuffles.ordinal(dep.shuffle_id)
-        if service.owner_of(ordinal, pidx) == self.executor.index:
-            self.local_fetches += 1
-            service.record_local()
-            return
-        ser_bytes = ctx.shuffles.serialized_bytes(dep.shuffle_id, pidx)
-        hop_ns = service.hop_ns(ser_bytes)
-        # A zero-traffic row: the clock advances by the wire time but no
-        # device counters or bandwidth windows are touched (the local
-        # disk read that follows stands in for the remote service read).
-        ctx.machine.run_rows(
-            ((DeviceKind.DRAM, 0.0, 0.0, 0, 0, hop_ns),),
-            threads=ctx.config.mutator_threads,
-        )
-        self.remote_fetches += 1
-        self.remote_bytes += ser_bytes
-        self.net_ns += hop_ns
-        service.record_remote(ser_bytes, hop_ns)
 
 
 @dataclass
@@ -252,6 +133,7 @@ class _Counters:
         self.spilled = ctx.block_manager.spilled_count
         self.dropped = ctx.block_manager.dropped_count
         self.block_ids = {b.rdd_id for b in ctx.block_manager.blocks()}
+        self.fetches = executor.service.mark()
 
 
 class Executor:
@@ -271,6 +153,7 @@ class Executor:
         self.ctx = SparkContext.create(
             config, costs=costs, bandwidth_window_ns=bandwidth_window_ns
         )
+        self.ctx.cluster = self
         self.jobs_run = 0
         self.busy_ns = 0.0
 
@@ -301,22 +184,20 @@ class Executor:
         )
         before = _Counters(self)
         # Attachment order matches run_experiment: the trace session
-        # first, then the injector (empty plan: byte-neutral), then the
-        # cluster binding.
+        # first, then the injector (empty plan: byte-neutral).
         session = TraceSession.attach_to_context(ctx) if keep_artifacts else None
         injector = FaultInjector.attach(
-            FaultPlan(max_recovery_attempts=max_recovery_attempts), ctx
+            FaultPlan(max_recovery_attempts=max_recovery_attempts),
+            ctx,
+            executor_kills=kills,
         )
-        binding = ClusterBinding(self, injector, kills)
-        ctx.cluster = binding
         try:
             action_results, _ = execute_spec(spec, ctx)
         finally:
-            ctx.cluster = None
             ctx.faults = None
             if session is not None:
                 session.detach()
-        record = self._collect(job, before, binding, injector, action_results)
+        record = self._collect(job, before, injector, action_results)
         artifacts: Optional[JobArtifacts] = None
         if keep_artifacts:
             artifacts = JobArtifacts(
@@ -334,7 +215,6 @@ class Executor:
         self,
         job: JobSpec,
         before: _Counters,
-        binding: ClusterBinding,
         injector: FaultInjector,
         action_results: Dict[str, Any],
     ) -> JobRecord:
@@ -345,6 +225,7 @@ class Executor:
         finish_s = machine.clock.now_ns / 1e9
         devices = machine.devices
         occupancy = self.heap_occupancy()
+        fetches = self.service.stats(since=before.fetches)
         return JobRecord(
             job_id=job.job_id,
             tenant=job.tenant,
@@ -359,7 +240,7 @@ class Executor:
             wait_s=max(0.0, start_s - job.arrival_s),
             exec_s=finish_s - start_s,
             latency_s=finish_s - job.arrival_s,
-            boundaries=binding.boundaries_seen,
+            boundaries=injector.boundaries_seen,
             actions=len(action_results),
             gc_s=(
                 (stats.minor_ns - before.minor_ns)
@@ -379,13 +260,13 @@ class Executor:
                 + devices[DeviceKind.NVM].counters.write_bytes
                 - before.device_bytes[DeviceKind.NVM]
             ),
-            local_fetches=binding.local_fetches,
-            remote_fetches=binding.remote_fetches,
-            remote_bytes=binding.remote_bytes,
-            net_s=binding.net_ns / 1e9,
-            kills_fired=binding.kills_fired,
-            partitions_lost=binding.partitions_lost,
-            blocks_lost=binding.blocks_lost,
+            local_fetches=fetches["local_fetches"],
+            remote_fetches=fetches["remote_fetches"],
+            remote_bytes=fetches["remote_bytes"],
+            net_s=fetches["net_s"],
+            kills_fired=injector.kills_fired,
+            partitions_lost=injector.partitions_lost,
+            blocks_lost=injector.blocks_lost,
             partitions_recomputed=injector.partitions_recomputed,
             recompute_s=injector.recompute_ns / 1e9,
             spilled_blocks=ctx.block_manager.spilled_count - before.spilled,
@@ -394,6 +275,30 @@ class Executor:
             nvm_used_frac=occupancy[1],
             checksums=action_checksums(action_results),
         )
+
+    # -- the cluster hook ----------------------------------------------
+
+    def shuffle_fetch(self, dep, pidx: int) -> None:
+        """Route one reduce-partition fetch through the shared service
+        (the scheduler calls this from ``fetch_shuffle`` through
+        ``ctx.cluster``): a remote owner costs a network hop on this
+        (fetching) machine."""
+        ctx = self.ctx
+        service = self.service
+        ordinal = ctx.shuffles.ordinal(dep.shuffle_id)
+        if service.owner_of(ordinal, pidx) == self.index:
+            service.record_local()
+            return
+        ser_bytes = ctx.shuffles.serialized_bytes(dep.shuffle_id, pidx)
+        hop_ns = service.hop_ns(ser_bytes)
+        # A zero-traffic row: the clock advances by the wire time but no
+        # device counters or bandwidth windows are touched (the local
+        # disk read that follows stands in for the remote service read).
+        ctx.machine.run_rows(
+            ((DeviceKind.DRAM, 0.0, 0.0, 0, 0, hop_ns),),
+            threads=ctx.config.mutator_threads,
+        )
+        service.record_remote(ser_bytes, hop_ns)
 
     def _job_gclog(self, before: _Counters, exec_s: float) -> List[str]:
         """This job's GC log: its own pauses plus a summary over the

@@ -4,8 +4,10 @@ The single-node :class:`~repro.faults.plan.FaultPlan` kills one reduce
 partition or one block; a :class:`ClusterFaultPlan` kills a whole
 *executor* — every shuffle reduce partition the shared service assigned
 to it and every persisted block replica it hosted die together, and the
-surviving executors recompute them through lineage via the PR 3
-injector's measured recovery path.
+surviving executor recomputes them through lineage.  Executor kills are
+armed on each job's :class:`~repro.faults.injector.FaultInjector`, so
+they fire and recover through the same boundary counter and measured
+recovery path as single-node kills.
 
 Like every plan in this repo it is declarative, seeded and picklable:
 kills fire at deterministic per-job stage-boundary counts, never from
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.errors import FaultError
 
@@ -34,7 +36,13 @@ class ExecutorKill:
             :class:`~repro.faults.plan.KillSpec`).
         job_id: the job whose execution triggers the kill (None = the
             kill re-fires during every job).
+
+    Armed on the job's :class:`~repro.faults.injector.FaultInjector`
+    beside the single-node plan's kills, which tell it apart by
+    :attr:`kind`.
     """
+
+    kind: ClassVar[str] = "executor"
 
     executor: int
     at_boundary: int

@@ -26,7 +26,9 @@ nothing at all — the byte-identity anchor of the 1-executor oracle.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
+
+from repro.floats import left_sum
 
 #: Default interconnect: 10 GbE with a 200 us RPC round trip.
 DEFAULT_NET_LATENCY_S = 200e-6
@@ -37,7 +39,11 @@ class ShuffleService:
     """One lane's view of the cluster-wide shuffle service.
 
     Ownership is a pure function shared by every lane; the fetch
-    counters are lane-local and summed into the cluster report.
+    counters are lane-local and summed into the cluster report.  Remote
+    fetches are kept as a log rather than running float sums, so the
+    totals of any stretch of fetches (one job's, between a :meth:`mark`
+    and now) sum from zero, bit for bit what a counter of just those
+    fetches would read.
     """
 
     def __init__(
@@ -50,9 +56,9 @@ class ShuffleService:
         self.net_latency_ns = net_latency_s * 1e9
         self.net_bytes_per_ns = net_gbps * (1024.0**3) / 1e9
         self.local_fetches = 0
-        self.remote_fetches = 0
-        self.remote_bytes = 0.0
-        self.net_ns = 0.0
+        #: one ``(serialized bytes, wire ns)`` pair per remote fetch, in
+        #: fetch order.
+        self.remote_hops: List[Tuple[float, float]] = []
 
     def owner_of(self, ordinal: int, pidx: int) -> int:
         """The executor owning one reduce partition.
@@ -75,15 +81,20 @@ class ShuffleService:
 
     def record_remote(self, ser_bytes: float, hop_ns: float) -> None:
         """Account one cross-executor fetch."""
-        self.remote_fetches += 1
-        self.remote_bytes += ser_bytes
-        self.net_ns += hop_ns
+        self.remote_hops.append((ser_bytes, hop_ns))
 
-    def stats(self) -> Dict[str, Any]:
-        """Lane-local counters (summed across lanes by the report)."""
+    def mark(self) -> Tuple[int, int]:
+        """A position in the fetch counters for :meth:`stats`."""
+        return self.local_fetches, len(self.remote_hops)
+
+    def stats(self, since: Tuple[int, int] = (0, 0)) -> Dict[str, Any]:
+        """Lane-local counters (summed across lanes by the report), over
+        the lane's lifetime or over the fetches after a :meth:`mark`."""
+        local, remote = since
+        hops = self.remote_hops[remote:]
         return {
-            "local_fetches": self.local_fetches,
-            "remote_fetches": self.remote_fetches,
-            "remote_bytes": self.remote_bytes,
-            "net_s": self.net_ns / 1e9,
+            "local_fetches": self.local_fetches - local,
+            "remote_fetches": len(hops),
+            "remote_bytes": float(left_sum(nbytes for nbytes, _ in hops)),
+            "net_s": left_sum(ns for _, ns in hops) / 1e9,
         }

@@ -85,12 +85,11 @@ class SparkContext:
         #: scheduler consults it at stage/action boundaries (None = no
         #: fault injection, one ``is None`` check per boundary).
         self.faults = None
-        #: optional cluster binding (see :mod:`repro.cluster.executor`);
-        #: the scheduler consults it the same way it consults ``faults``
-        #: — stage/action boundaries and shuffle fetches, one ``is
-        #: None`` check each.  None = this context is a standalone node,
-        #: and every code path is byte-identical to the pre-cluster
-        #: simulator.
+        #: the cluster :class:`~repro.cluster.executor.Executor` this
+        #: context runs on, installed for the executor's lifetime; the
+        #: scheduler calls its ``shuffle_fetch`` on every reduce-partition
+        #: fetch (one ``is None`` check), and executor kills read its
+        #: shuffle service.  None = a standalone node.
         self.cluster = None
         self.materializer = Materializer(heap, machine, self.costs, runtime)
         self.scheduler = Scheduler(self)

@@ -84,8 +84,6 @@ class Scheduler:
         self._ensure_upstream_shuffles(rdd)
         if self.ctx.faults is not None:
             self.ctx.faults.action_boundary(rdd)
-        if self.ctx.cluster is not None:
-            self.ctx.cluster.action_boundary(rdd)
         self._push_scope()
         try:
             tag = rdd.memory_tag if self.ctx.runtime is not None else None
@@ -122,8 +120,6 @@ class Scheduler:
         self._ensure_upstream_shuffles(rdd)
         if self.ctx.faults is not None:
             self.ctx.faults.action_boundary(rdd)
-        if self.ctx.cluster is not None:
-            self.ctx.cluster.action_boundary(rdd)
         self._push_scope()
         taken: List[Record] = []
         try:
@@ -261,11 +257,6 @@ class Scheduler:
             # scheduled for it fire now (possibly re-losing the output
             # this very stage just wrote — recovery is bounded).
             self.ctx.faults.stage_boundary(dep)
-        if self.ctx.cluster is not None:
-            # The cluster binding registers the shuffle with the shared
-            # service (reduce partitions get owners across executors)
-            # and fires executor kills due at this boundary.
-            self.ctx.cluster.stage_boundary(dep)
 
     def _columnar_combine(self, fn, records):
         """Map-side combine through ``fn``'s registered grouped-fold

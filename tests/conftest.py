@@ -7,8 +7,6 @@ from contextlib import contextmanager
 import pytest
 
 from repro.config import MiB, PolicyName, SystemConfig
-from repro.core.monitor import AccessMonitor
-from repro.core.runtime_api import PantheraRuntime
 from repro.gc.collector import Collector
 from repro.gc.policies import make_policy
 from repro.heap.layout import HEAP_BASE, young_span_bytes
@@ -34,7 +32,9 @@ def small_config(policy: PolicyName = PolicyName.PANTHERA, **kwargs) -> SystemCo
 
 
 class Stack:
-    """A wired machine + heap + collector (+ Panthera runtime) bundle."""
+    """A wired machine + heap + collector bundle, with whatever the
+    policy attaches (Panthera's monitor and runtime, Deca's regions),
+    built the way :meth:`SparkContext.create` builds it."""
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
@@ -46,11 +46,11 @@ class Stack:
         self.heap = ManagedHeap(
             config, self.machine, old_spaces, card_padding=self.policy.card_padding
         )
-        self.monitor = AccessMonitor(self.machine)
+        self.runtime = self.policy.attach(self.heap, self.machine)
+        self.monitor = self.runtime.monitor if self.runtime is not None else None
         self.collector = Collector(
             self.heap, self.machine, self.policy, monitor=self.monitor
         )
-        self.runtime = PantheraRuntime(self.heap, self.monitor)
 
 
 def make_stack(policy: PolicyName = PolicyName.PANTHERA, **kwargs) -> Stack:

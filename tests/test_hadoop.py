@@ -4,6 +4,8 @@ Panthera runtime APIs."""
 import pytest
 
 from repro.config import DeviceKind, MiB, PolicyName
+from repro.core.monitor import AccessMonitor
+from repro.core.runtime_api import PantheraRuntime
 from repro.core.tags import MemoryTag
 from repro.errors import ReproError
 from repro.hadoop.hashjoin import HashJoin
@@ -130,6 +132,8 @@ class TestHashJoin:
     def test_hashjoin_under_stock_policy(self):
         # The APIs degrade gracefully without a split old generation.
         stack = make_stack(PolicyName.DRAM_ONLY)
+        # A stock policy attaches no runtime: build one for the API.
+        stack.runtime = PantheraRuntime(stack.heap, AccessMonitor(stack.machine))
         join = self.build_join(stack)
         result = join.join([[(1, "x")]], bytes_per_record=1024)
         assert result == {1: [("x", "dim1")]}
