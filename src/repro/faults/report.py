@@ -26,7 +26,8 @@ class FaultReport:
     Attributes:
         boundaries_seen: stage boundaries the run crossed (completed
             shuffle map stages + action starts).
-        kills_planned / kills_fired / kills_noop: plan size, kills that
+        kills_planned / kills_fired / kills_noop: kills armed (the
+            plan's, plus a cluster job's executor kills), kills that
             actually destroyed state, and kills whose boundary arrived
             but found nothing to destroy (e.g. no live block).
         partitions_recomputed: map/persisted partitions re-executed

@@ -7,7 +7,7 @@ from repro.config import DeviceKind, MiB, PolicyName
 from repro.core.tags import MEMORY_BITS_NVM, MemoryTag
 from repro.gc.minor import SteadyScavenge
 from repro.heap.object_model import ObjKind
-from repro.heap.regions import LifetimeClass, RegionManager
+from repro.heap.regions import LifetimeClass
 from repro.trace import TraceSession
 from repro.trace.events import GC_PAUSE
 from tests.conftest import make_stack
@@ -192,11 +192,12 @@ def _panthera(**kwargs):
 
 
 def _deca():
-    """Deca's arenas attached: one array classified into the job arena,
-    one unclassified array in the traced old space."""
+    """Deca's arenas (the policy attaches them): one array classified
+    into the job arena, one unclassified array in the traced old
+    space."""
     stack = make_stack(PolicyName.DECA)
     heap = stack.heap
-    RegionManager.attach(heap).note_rdd(1, LifetimeClass.JOB)
+    heap.regions.note_rdd(1, LifetimeClass.JOB)
     in_arena = _rooted_array(heap, 96 * 1024, rdd_id=1)
     traced = _rooted_array(heap, 3 * MiB, rdd_id=2)
     assert in_arena.space is heap.regions.job
