@@ -155,19 +155,20 @@ def setup_charge_trace() -> Callable[[], None]:
 
 
 def setup_charge_rows() -> Callable[[], None]:
-    """Wave settling of 256 single-device accesses through
-    ``Machine.run_rows`` — the shuffle-wave shape of the cost plane."""
+    """Wave settling of 256 single-device accesses, one-row batches of
+    one ``Machine.run_batch`` series — the shuffle-wave shape of the
+    cost plane."""
     stack = make_stack(PolicyName.PANTHERA)
     machine = stack.machine
-    rows = [
-        (DeviceKind.DISK, 64 * 1024.0, 0.0, 0, 0, 500.0),
-        (DeviceKind.DRAM, 0.0, 48 * 1024.0, 0, 0, 0.0),
-        (DeviceKind.DRAM, 0.0, 0.0, 24, 0, 300.0),
-        (DeviceKind.NVM, 16 * 1024.0, 8 * 1024.0, 0, 4, 200.0),
+    batches = [
+        (((DeviceKind.DISK, 64 * 1024.0, 0.0, 0, 0),), 500.0),
+        (((DeviceKind.DRAM, 0.0, 48 * 1024.0, 0, 0),), 0.0),
+        (((DeviceKind.DRAM, 0.0, 0.0, 24, 0),), 300.0),
+        (((DeviceKind.NVM, 16 * 1024.0, 8 * 1024.0, 0, 4),), 200.0),
     ] * 64
 
     def settle() -> None:
-        machine.run_rows(rows, threads=8)
+        machine.run_batch(batches, threads=8)
 
     return settle
 

@@ -291,13 +291,10 @@ class Executor:
             return
         ser_bytes = ctx.shuffles.serialized_bytes(dep.shuffle_id, pidx)
         hop_ns = service.hop_ns(ser_bytes)
-        # A zero-traffic row: the clock advances by the wire time but no
+        # A pure-CPU batch: the clock advances by the wire time but no
         # device counters or bandwidth windows are touched (the local
         # disk read that follows stands in for the remote service read).
-        ctx.machine.run_rows(
-            ((DeviceKind.DRAM, 0.0, 0.0, 0, 0, hop_ns),),
-            threads=ctx.config.mutator_threads,
-        )
+        ctx.machine.run_batch([((), hop_ns)])
         service.record_remote(ser_bytes, hop_ns)
 
     def _job_gclog(self, before: _Counters, exec_s: float) -> List[str]:

@@ -17,7 +17,7 @@ shared-memory one).  The simulator models the service as a deterministic
   read).  A fetch owned by a remote executor pays a network hop —
   latency plus serialized bytes over the interconnect — charged on the
   *fetching* machine through :meth:`~repro.memory.machine.Machine.
-  run_rows` as a pure-CPU-shaped row (no device-counter pollution, so
+  run_batch` as a pure-CPU batch (no device-counter pollution, so
   DRAM/NVM utilisation still measures memory-system work).
 
 With one executor every partition is home-owned and the overlay charges

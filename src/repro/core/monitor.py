@@ -35,7 +35,7 @@ class AccessMonitor:
         self._total_calls += 1
         self._overhead_ns += self.JNI_CALL_NS
         if self._machine is not None:
-            self._machine.clock.advance(self.JNI_CALL_NS)
+            self._machine.run_batch([((), self.JNI_CALL_NS)])
 
     def call_count(self, rdd_id: int) -> int:
         """Calls on the RDD since the last major GC."""

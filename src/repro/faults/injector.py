@@ -38,11 +38,10 @@ class ThrottleSchedule:
     """The machine-side view of the plan's NVM throttle windows.
 
     Installed as ``machine.nvm_throttle``;
-    :meth:`~repro.memory.machine.Machine.run_rows` and
-    :meth:`~repro.memory.machine.Machine.run_batch` call :meth:`apply`
-    for every row or batch with NVM traffic.  The stretched batch duration
-    flows into the bandwidth tracker unchanged, so Figure 8's NVM
-    series shows the collapse without any extra plumbing.
+    :meth:`~repro.memory.machine.Machine.run_batch` calls :meth:`apply`
+    for every row with NVM traffic, at its batch's start.  The stretched
+    batch duration flows into the bandwidth tracker unchanged, so
+    Figure 8's NVM series shows the collapse without any extra plumbing.
     """
 
     def __init__(self, windows: List[ThrottleSpec]) -> None:

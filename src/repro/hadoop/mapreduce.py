@@ -106,8 +106,8 @@ class MapReduceJob:
                 self.runtime.track(owner)
             device = table.array.space.device_of(table.array.addr)
             cpu_ns = table.nbytes * CPU_NS_PER_BYTE / self.threads
-            self.machine.run_rows(
-                ((device, 0.0, table.nbytes, 0, 0, cpu_ns),), threads=self.threads
+            self.machine.run_batch(
+                [(((device, 0.0, table.nbytes, 0, 0),), cpu_ns)], threads=self.threads
             )
             table.index.clear()
             for key, value in table.records:
@@ -126,8 +126,8 @@ class MapReduceJob:
             raise ReproError(f"side table {table.name!r} not loaded")
         probes = max(1, int(nbytes / HASH_GRAIN))
         device = table.array.space.device_of(table.array.addr)
-        self.machine.run_rows(
-            ((device, 0.0, 0.0, probes, 0, 0.0),), threads=self.threads
+        self.machine.run_batch(
+            [(((device, 0.0, 0.0, probes, 0),), 0.0)], threads=self.threads
         )
         owner = self._table_owner[table.name]
         if table.monitored:
@@ -169,8 +169,8 @@ class MapReduceJob:
         in_bytes = len(split) * bytes_per_record
         # Input read from HDFS (disk) into the young generation.
         cpu_ns = in_bytes * CPU_NS_PER_BYTE / self.threads
-        self.machine.run_rows(
-            ((DeviceKind.DISK, in_bytes, 0.0, 0, 0, cpu_ns),), threads=self.threads
+        self.machine.run_batch(
+            [(((DeviceKind.DISK, in_bytes, 0.0, 0, 0),), cpu_ns)], threads=self.threads
         )
         self._ephemeral(in_bytes)
         out: List[Record] = []
@@ -181,16 +181,18 @@ class MapReduceJob:
         cpu_ns = (
             in_bytes * CPU_NS_PER_BYTE + len(split) * CPU_NS_PER_RECORD
         ) / self.threads
-        self.machine.run_rows(
-            ((DeviceKind.DRAM, 0.0, out_bytes, 0, 0, cpu_ns),), threads=self.threads
+        self.machine.run_batch(
+            [(((DeviceKind.DRAM, 0.0, out_bytes, 0, 0),), cpu_ns)],
+            threads=self.threads,
         )
         for table in self.side_tables:
             self._charge_probe(table, in_bytes)
         for key, value in out:
             buckets[hash(key) % self.num_reducers].append((key, value))
         # Shuffle spill to local disk.
-        self.machine.run_rows(
-            ((DeviceKind.DISK, 0.0, out_bytes * 0.4, 0, 0, 0.0),), threads=self.threads
+        self.machine.run_batch(
+            [(((DeviceKind.DISK, 0.0, out_bytes * 0.4, 0, 0),), 0.0)],
+            threads=self.threads,
         )
 
     def _run_reduce_task(
@@ -200,8 +202,9 @@ class MapReduceJob:
         output: Dict[Any, Any],
     ) -> None:
         in_bytes = len(bucket) * bytes_per_record
-        self.machine.run_rows(
-            ((DeviceKind.DISK, in_bytes * 0.4, 0.0, 0, 0, 0.0),), threads=self.threads
+        self.machine.run_batch(
+            [(((DeviceKind.DISK, in_bytes * 0.4, 0.0, 0, 0),), 0.0)],
+            threads=self.threads,
         )
         self._ephemeral(in_bytes)
         grouped: Dict[Any, List[Any]] = {}
@@ -211,8 +214,8 @@ class MapReduceJob:
         cpu_ns = (
             in_bytes * CPU_NS_PER_BYTE + len(bucket) * CPU_NS_PER_RECORD
         ) / self.threads
-        self.machine.run_rows(
-            ((DeviceKind.DRAM, 0.0, 0.0, probes, 0, cpu_ns),), threads=self.threads
+        self.machine.run_batch(
+            [(((DeviceKind.DRAM, 0.0, 0.0, probes, 0),), cpu_ns)], threads=self.threads
         )
         for key, values in grouped.items():
             output[key] = self.reduce_fn(key, values)

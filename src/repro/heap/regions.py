@@ -293,9 +293,7 @@ class RegionManager:
         if freed:
             self.region_free_count += 1
             self.region_free_bytes += freed
-            machine = self.heap.machine
-            cpu_ns = freed * RESET_NS_PER_BYTE
-            machine.run_rows(((self.job.device, 0.0, 0.0, 0, 0, cpu_ns),))
+            self.heap.machine.run_batch([((), freed * RESET_NS_PER_BYTE)])
             if self.heap.trace is not None:
                 self.heap.trace.region_reset(
                     self.job.name, float(freed), f"region-free rdd={block.rdd_id}"
@@ -346,9 +344,7 @@ class RegionManager:
         if freed == 0:
             arena.reset()
             return 0
-        machine = self.heap.machine
-        cpu_ns = freed * RESET_NS_PER_BYTE
-        machine.run_rows(((arena.device, 0.0, 0.0, 0, 0, cpu_ns),))
+        self.heap.machine.run_batch([((), freed * RESET_NS_PER_BYTE)])
         if self.heap.trace is not None:
             self.heap.trace.region_reset(arena.name, float(freed), reason)
         arena.reset()

@@ -1,22 +1,24 @@
 """The simulated machine: clock + devices + bandwidth traces + energy.
 
-Every cost in the simulation is charged through one of two entry points,
-and both take rows of one device's traffic, ``(device, read_bytes,
-write_bytes, random_reads, random_writes, ...)``:
+Every simulated cost is charged through one entry point,
+:meth:`Machine.run_batch`, as a series of ``(rows, cpu_ns)`` batches
+charged back to back.  A row is one device's traffic, ``(device,
+read_bytes, write_bytes, random_reads, random_writes)``; a batch's rows
+proceed in parallel, so the batch takes the maximum of the device times
+and its CPU component.  The shapes in use:
 
-* :meth:`Machine.run_rows` for sequential single-device work — the
-  mutator's operators, persists, spills, shuffle waves and source
-  reads.  Each row also carries the CPU time it overlaps, and rows are
-  charged back to back.
-* :meth:`Machine.run_batch` for concurrent multi-device work — a GC
-  cycle and a cached-partition read whose pieces live on several
-  devices.  It takes a series of ``(rows, cpu_ns)`` batches charged
-  back to back; a batch's rows proceed in parallel, so the batch takes
-  the maximum of the device times and its CPU component.
+* a one-row batch ``(((device, r, w, rr, rw),), cpu_ns)`` for sequential
+  single-device work — the mutator's operators, persists, spills,
+  shuffle waves and source reads, one batch per access;
+* a multi-row batch for concurrent multi-device work — a GC phase and a
+  cached-partition read whose pieces live on several devices;
+* a pure-CPU batch ``((), cpu_ns)`` for time that moves no bytes — the
+  GC's fixed pause, a region reset, a JNI monitoring call, a network
+  hop.
 
-Both price traffic through
+Traffic is priced through
 :meth:`~repro.memory.device.MemoryDevice.charge_row`, which also updates
-the device counters that feed the energy model.  They deposit it for
+the device counters that feed the energy model.  It is deposited for
 Figure 8's bandwidth windows by appending ``(key code, nbytes, start_ns,
 duration_ns)`` straight onto the
 :class:`~repro.memory.bandwidth.BandwidthTracker`'s pending columns;
@@ -77,7 +79,7 @@ class Machine:
         self.bandwidth = BandwidthTracker(window_ns=bandwidth_window_ns)
         #: device -> (bound charge_row, read key code, write key code),
         #: resolved once (devices are fixed for the machine's lifetime);
-        #: both entry points price and deposit through it.
+        #: run_batch prices and deposits through it.
         self._row_charger = {
             kind: (
                 dev.charge_row,
@@ -98,7 +100,7 @@ class Machine:
     # -- cost charging ---------------------------------------------------
 
     def run_batch(self, batches, threads: int = 1) -> float:
-        """Charge a series of concurrent multi-device batches back to back.
+        """Charge a series of batches back to back.
 
         Args:
             batches: a sequence of ``(rows, cpu_ns)``, in charge order.  Each
@@ -106,8 +108,9 @@ class Machine:
                 random_writes)``; a batch's devices proceed in parallel,
                 so it lasts the max over its devices and ``cpu_ns``, the
                 pure-CPU time already divided by however many cores the
-                caller runs on.  A batch with no rows is a pure-CPU span
-                (the GC's fixed pause).
+                caller runs on.  A batch with no rows, or with only
+                traffic-free rows, is a pure-CPU span (the GC's fixed
+                pause, a region reset, a network hop).
             threads: worker count for latency-bound components.
 
         A series is exactly its batches charged one call at a time: the
@@ -115,7 +118,7 @@ class Machine:
         batch's NVM throttle sees that batch's own start, and the
         bandwidth deposits are appended in the same order.  One GC
         cycle — fixed pause, then phase 1, then phase 2 — settles in one
-        call.
+        call, and so does a run of one-row batches (a shuffle wave).
 
         Returns:
             The clock advance across all batches, in nanoseconds.
@@ -137,10 +140,7 @@ class Machine:
         start = now = clock.now_ns
         for rows, cpu_ns in batches:
             duration = float(cpu_ns)
-            if not rows:  # a pure-CPU span
-                now += duration
-                continue
-            charged = []
+            deposits = 0
             for device, read_bytes, write_bytes, random_reads, random_writes in rows:
                 if not (read_bytes or write_bytes or random_reads or random_writes):
                     continue
@@ -154,88 +154,21 @@ class Machine:
                     duration = device_ns
                 read_total = read_bytes + random_reads * 64
                 if read_total > 0:
-                    charged.append((read_code, read_total))
-                write_total = write_bytes + random_writes * 64
-                if write_total > 0:
-                    charged.append((write_code, write_total))
-            # Every device's bytes spread over the whole batch's duration.
-            for code, total in charged:
-                codes.append(code)
-                nbytes.append(total)
-                starts.append(now)
-                durations.append(duration)
-            now += duration
-        clock._now_ns = now
-        bandwidth.settle_if_full()
-        return now - start
-
-    def run_rows(self, rows, threads: int = 1) -> float:
-        """Charge a sequence of single-device accesses back to back.
-
-        Each row is ``(device, read_bytes, write_bytes, random_reads,
-        random_writes, cpu_ns)``.  A row lasts the longer of its
-        device's time and its CPU time; the clock advances by each row
-        in turn, the device counters take each row's traffic, and each
-        row's bytes spread over its own span of the bandwidth windows.
-        A row is the single-device, one-batch case of :meth:`run_batch`
-        (``tests/test_costplane.py`` proves the equivalence).
-
-        Returns:
-            The clock advance across all rows, in nanoseconds.
-
-        Raises:
-            ValueError: on a negative ``cpu_ns`` in any row, before the
-                call charges anything.
-        """
-        for row in rows:
-            if row[5] < 0:
-                raise ValueError(f"cannot advance the clock by {row[5]} ns")
-        parallelism = max(1, threads) * max(1, self.config.mlp)
-        chargers = self._row_charger
-        clock = self.clock
-        nvm = DeviceKind.NVM
-        throttle = self.nvm_throttle
-        bandwidth = self.bandwidth
-        codes, nbytes, starts, durations = bandwidth.deposit_columns()
-        # The clock accumulates locally with the same per-row `+=`
-        # sequence advance() would perform, then lands in one write —
-        # bit-identical floats, one attribute store instead of one
-        # method call per row.
-        start = now = clock.now_ns
-        for (
-            device,
-            read_bytes,
-            write_bytes,
-            random_reads,
-            random_writes,
-            cpu_ns,
-        ) in rows:
-            duration = float(cpu_ns)
-            if read_bytes or write_bytes or random_reads or random_writes:
-                charge_row, read_code, write_code = chargers[device]
-                device_ns = charge_row(
-                    read_bytes,
-                    write_bytes,
-                    random_reads,
-                    random_writes,
-                    parallelism,
-                )
-                if device is nvm and throttle is not None:
-                    device_ns = throttle.apply(now, device_ns)
-                if device_ns > duration:
-                    duration = device_ns
-                read_total = read_bytes + random_reads * 64
-                if read_total > 0:
                     codes.append(read_code)
                     nbytes.append(read_total)
                     starts.append(now)
-                    durations.append(duration)
+                    deposits += 1
                 write_total = write_bytes + random_writes * 64
                 if write_total > 0:
                     codes.append(write_code)
                     nbytes.append(write_total)
                     starts.append(now)
-                    durations.append(duration)
+                    deposits += 1
+            # Every device's bytes spread over the whole batch's duration,
+            # known once its last row is charged.
+            while deposits:
+                durations.append(duration)
+                deposits -= 1
             now += duration
         clock._now_ns = now
         bandwidth.settle_if_full()

@@ -205,16 +205,16 @@ class BlockManager:
         """Serialise a block to disk and release its heap objects."""
         ser_bytes = block.data_bytes * self.costs.ser_factor
         threads = self.heap.config.mutator_threads
-        # Read the block from wherever it lives, write the serialised
-        # form to disk.
-        rows = [
-            (device, piece, 0.0, 0, 0, 0.0)
+        # Read the block from wherever it lives, piece by piece, then
+        # write the serialised form to disk.
+        batches = [
+            (((device, piece, 0.0, 0, 0),), 0.0)
             for pidx in range(len(block.arrays))
             for device, piece in block.partition_traffic(pidx)
         ]
         cpu_ns = block.data_bytes * self.costs.cpu_ns_per_byte / threads
-        rows.append((DeviceKind.DISK, 0.0, ser_bytes, 0, 0, cpu_ns))
-        self.machine.run_rows(rows, threads=threads)
+        batches.append((((DeviceKind.DISK, 0.0, ser_bytes, 0, 0),), cpu_ns))
+        self.machine.run_batch(batches, threads=threads)
         self._release_heap_objects(block)
         block.on_disk = True
         self.spilled_count += 1

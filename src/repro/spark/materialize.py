@@ -167,8 +167,8 @@ class Materializer:
             array = heap.allocate_rdd_array(array_size, rdd.id)
             device = array.space.device_of(array.addr)
             cpu_ns = array_size * costs.cpu_ns_per_byte / threads
-            self.machine.run_rows(
-                ((device, 0.0, array_size, 0, 0, cpu_ns),), threads=threads
+            self.machine.run_batch(
+                [(((device, 0.0, array_size, 0, 0),), cpu_ns)], threads=threads
             )
             heap.write_ref(top, array)
             partition_slabs: List[HeapObject] = []
@@ -196,8 +196,9 @@ class Materializer:
                     else DeviceKind.DRAM
                 )
                 cpu_ns = slab.size * costs.cpu_ns_per_byte / threads
-                self.machine.run_rows(
-                    ((slab_device, 0.0, slab.size, 0, 0, cpu_ns),), threads=threads
+                self.machine.run_batch(
+                    [(((slab_device, 0.0, slab.size, 0, 0),), cpu_ns)],
+                    threads=threads,
                 )
                 heap.write_ref(array, slab)
                 partition_slabs.append(slab)

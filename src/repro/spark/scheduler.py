@@ -182,16 +182,16 @@ class Scheduler:
         # between partitions reads the buckets).
         outputs: list = []
         # Each partition's machine charges (the combine probe and the
-        # spill write) settle as one run_rows wave: nothing between them
-        # touches the machine, so clocks, counters and bandwidth windows
-        # equal one call per charge.
+        # spill write) settle as one run_batch series: nothing between
+        # them touches the machine, so clocks, counters and bandwidth
+        # windows equal one call per charge.
         self._push_scope()
         try:
             for pidx in range(dep.parent.num_partitions):
                 records = self.get_records(dep.parent, pidx)
                 in_bytes = len(records) * dep.parent.bytes_per_record
                 n_records = len(records)
-                rows = []
+                batches = []
                 if dep.map_side_combine is not None or dep.map_side_aggregate is not None:
                     if dep.map_side_aggregate is not None:
                         records = dep.map_side_aggregate(records)
@@ -220,13 +220,10 @@ class Scheduler:
                                 )
                             records = combined.items()
                             n_records = len(combined)
-                    rows.append(
+                    probes = costs.hash_probes_for(in_bytes)
+                    batches.append(
                         (
-                            DeviceKind.DRAM,
-                            0.0,
-                            0.0,
-                            costs.hash_probes_for(in_bytes),
-                            0,
+                            ((DeviceKind.DRAM, 0.0, 0.0, probes, 0),),
                             in_bytes * costs.cpu_ns_per_byte / threads,
                         )
                     )
@@ -235,17 +232,13 @@ class Scheduler:
                     n_records * dep.parent.bytes_per_record * dep.combine_factor
                 )
                 ser_bytes = out_bytes * costs.ser_factor
-                rows.append(
+                batches.append(
                     (
-                        DeviceKind.DISK,
-                        0.0,
-                        ser_bytes,
-                        0,
-                        0,
+                        ((DeviceKind.DISK, 0.0, ser_bytes, 0, 0),),
                         out_bytes * costs.cpu_ns_per_byte / threads,
                     )
                 )
-                self.ctx.machine.run_rows(rows, threads=threads)
+                self.ctx.machine.run_batch(batches, threads=threads)
         finally:
             self._pop_scope()
         _columnar.bucket_into_segments(dep.partitioner, outputs, buckets)
@@ -310,8 +303,9 @@ class Scheduler:
             part_bytes = len(records) * rdd.bytes_per_record
             disk_bytes = part_bytes * self.ctx.costs.ser_factor
             cpu_ns = part_bytes * self.ctx.costs.cpu_ns_per_byte / threads
-            self.ctx.machine.run_rows(
-                ((DeviceKind.DISK, disk_bytes, 0.0, 0, 0, cpu_ns),), threads=threads
+            self.ctx.machine.run_batch(
+                [(((DeviceKind.DISK, disk_bytes, 0.0, 0, 0),), cpu_ns)],
+                threads=threads,
             )
         else:
             traffic: Dict[DeviceKind, float] = {}
@@ -325,7 +319,7 @@ class Scheduler:
                     part_bytes * self.ctx.costs.cpu_ns_per_byte / threads
                 )
             self.ctx.machine.run_batch(
-                (([(d, b, 0.0, 0, 0) for d, b in traffic.items()], deser_cpu),),
+                [([(d, b, 0.0, 0, 0) for d, b in traffic.items()], deser_cpu)],
                 threads=threads,
             )
             # Consuming a cached partition leaves reference writes (task
@@ -361,10 +355,10 @@ class Scheduler:
         packed_bytes = part_bytes * costs.ser_factor
         deser_cpu = part_bytes * costs.cpu_ns_per_byte / threads
         device = self.ctx.heap.native.device
-        self.ctx.machine.run_rows(
+        self.ctx.machine.run_batch(
             (
-                (device, packed_bytes, 0.0, 0, 0, deser_cpu),
-                (DeviceKind.DRAM, 0.0, part_bytes, 0, 0, 0.0),
+                (((device, packed_bytes, 0.0, 0, 0),), deser_cpu),
+                (((DeviceKind.DRAM, 0.0, part_bytes, 0, 0),), 0.0),
             ),
             threads=threads,
         )
@@ -420,8 +414,9 @@ class Scheduler:
             )
             disk_bytes = total_bytes * costs.ser_factor
             cpu_ns = total_bytes * costs.cpu_ns_per_byte / threads
-            self.ctx.machine.run_rows(
-                ((DeviceKind.DISK, 0.0, disk_bytes, 0, 0, cpu_ns),), threads=threads
+            self.ctx.machine.run_batch(
+                [(((DeviceKind.DISK, 0.0, disk_bytes, 0, 0),), cpu_ns)],
+                threads=threads,
             )
         expanded = expand_level(level, tag)
         self.ctx.block_manager.put(block, expanded)
@@ -455,10 +450,10 @@ class Scheduler:
             # paying the serialisation CPU.  Row 2: land the packed
             # batch on the native device.
             ser_cpu = part_bytes * costs.cpu_ns_per_byte / threads
-            self.ctx.machine.run_rows(
+            self.ctx.machine.run_batch(
                 (
-                    (DeviceKind.DRAM, part_bytes, 0.0, 0, 0, ser_cpu),
-                    (heap.native.device, 0.0, packed_bytes, 0, 0, 0.0),
+                    (((DeviceKind.DRAM, part_bytes, 0.0, 0, 0),), ser_cpu),
+                    (((heap.native.device, 0.0, packed_bytes, 0, 0),), 0.0),
                 ),
                 threads=threads,
             )
@@ -518,7 +513,7 @@ class Scheduler:
             self.ctx.faults.ensure_shuffle_partition(self, dep, pidx)
         if self.ctx.cluster is not None:
             # Partitions owned by a remote executor pay the network hop
-            # (charged through Machine.run_rows on this machine) before
+            # (charged through Machine.run_batch on this machine) before
             # the local disk read below models the landing.
             self.ctx.cluster.shuffle_fetch(dep, pidx)
         records = self.ctx.shuffles.read(dep.shuffle_id, pidx)
@@ -527,19 +522,15 @@ class Scheduler:
         ser_bytes = self.ctx.shuffles.serialized_bytes(dep.shuffle_id, pidx)
         raw_bytes = ser_bytes / costs.ser_factor if costs.ser_factor else ser_bytes
         self._ephemeral(raw_bytes)
-        # Disk read + DRAM landing settle as one two-row wave — the rows
+        # Disk read + DRAM landing settle as one two-batch series — they
         # are back-to-back accesses with nothing between them.
-        self.ctx.machine.run_rows(
+        self.ctx.machine.run_batch(
             (
                 (
-                    DeviceKind.DISK,
-                    ser_bytes,
-                    0.0,
-                    0,
-                    0,
+                    ((DeviceKind.DISK, ser_bytes, 0.0, 0, 0),),
                     raw_bytes * costs.cpu_ns_per_byte / threads,
                 ),
-                (DeviceKind.DRAM, 0.0, raw_bytes, 0, 0, 0.0),
+                (((DeviceKind.DRAM, 0.0, raw_bytes, 0, 0),), 0.0),
             ),
             threads=threads,
         )
@@ -580,8 +571,9 @@ class Scheduler:
         ) / threads
         self._ephemeral(out_bytes)
         probes = costs.hash_probes_for(probe_bytes)
-        self.ctx.machine.run_rows(
-            ((DeviceKind.DRAM, 0.0, out_bytes, probes, 0, cpu),), threads=threads
+        self.ctx.machine.run_batch(
+            [(((DeviceKind.DRAM, 0.0, out_bytes, probes, 0),), cpu)],
+            threads=threads,
         )
 
     def charge_narrow_op(
@@ -630,17 +622,13 @@ class Scheduler:
         threads = self.ctx.config.mutator_threads
         nbytes = len(records) * rdd.bytes_per_record
         self._ephemeral(nbytes)
-        self.ctx.machine.run_rows(
+        self.ctx.machine.run_batch(
             (
                 (
-                    DeviceKind.DISK,
-                    nbytes,
-                    0.0,
-                    0,
-                    0,
+                    ((DeviceKind.DISK, nbytes, 0.0, 0, 0),),
                     nbytes * costs.source_cpu_ns_per_byte / threads,
                 ),
-                (DeviceKind.DRAM, 0.0, nbytes, 0, 0, 0.0),
+                (((DeviceKind.DRAM, 0.0, nbytes, 0, 0),), 0.0),
             ),
             threads=threads,
         )

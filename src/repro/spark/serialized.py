@@ -17,8 +17,8 @@ went in, which the hypothesis property suite pins for every workload's
 record shapes and every column schema.
 
 The batches are the *data plane* only.  The simulated costs — the
-serialize-on-persist and deserialize-on-access rows charged through
-``Machine.run_rows`` — are derived from the RDD's modelled byte sizes
+serialize-on-persist and deserialize-on-access batches charged through
+``Machine.run_batch`` — are derived from the RDD's modelled byte sizes
 (``bytes_per_record`` × ``ser_factor``), exactly like every other
 storage path, so traces and clocks stay a pure function of
 (workload, config, scale) regardless of the packing backend.

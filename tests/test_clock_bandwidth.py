@@ -1,8 +1,10 @@
 """Tests for the simulated clock and the windowed bandwidth tracker."""
 
+import ast
 import gc
 from array import array
 from collections import defaultdict
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -49,6 +51,81 @@ class TestSimClock:
             assert clock.advance(step) >= last
             last = clock.now_ns
 
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _nodes(predicate):
+    """``path:line`` of every AST node under ``src/repro`` that matches."""
+    hits = []
+    for path in sorted(_SRC.rglob("*.py")):
+        rel = path.relative_to(_SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=rel)):
+            if predicate(rel, node):
+                hits.append(f"{rel}:{node.lineno}")
+    return hits
+
+
+class TestSingleWriterOfSimulatedTime:
+    """``Machine.run_batch`` charges all simulated work, so a deferred
+    settle in it sees every writer of the clock.  A writer that bypasses
+    it would break that."""
+
+    def test_only_the_machine_and_the_clock_assign_now(self):
+        def assigns_now(rel, node):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                return False
+            return rel not in ("memory/machine.py", "memory/clock.py") and any(
+                isinstance(t, ast.Attribute) and t.attr == "_now_ns" for t in targets
+            )
+
+        assert _nodes(assigns_now) == []
+
+    def test_only_the_executor_idle_forward_advances_the_clock(self):
+        def advances(rel, node):
+            return (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "advance"
+                and rel != "cluster/executor.py"
+            )
+
+        assert _nodes(advances) == []
+
+    def test_run_batch_is_the_one_charge_loop(self):
+        """Only ``Machine.run_batch`` prices rows and appends bandwidth
+        deposits, and no other ``Machine`` method wraps it: a second
+        entry point, under any name, fails here."""
+        charging = set()
+        for path in sorted(_SRC.rglob("*.py")):
+            rel = path.relative_to(_SRC).as_posix()
+            for fn in ast.walk(ast.parse(path.read_text(), filename=rel)):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    reads_chargers = (
+                        isinstance(node, ast.Attribute)
+                        and node.attr == "_row_charger"
+                        and isinstance(node.ctx, ast.Load)
+                    )
+                    deposits = (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "deposit_columns"
+                    )
+                    wraps = (
+                        rel == "memory/machine.py"
+                        and isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "run_batch"
+                    )
+                    if reads_chargers or deposits or wraps:
+                        charging.add(f"{rel}:{fn.name}")
+        assert charging == {"memory/machine.py:run_batch"}
 
 class TestBandwidthTracker:
     def test_single_event_lands_in_one_window(self):
@@ -252,11 +329,17 @@ _ROWS = [
     (DeviceKind.DISK, 3e8, 6e8, 0, 0, 0.0),
     (DeviceKind.NVM, 1, 0, 0, 0, 0.0),
 ]
+_ROW_BATCHES = [(((d, r, w, rr, rw),), cpu) for d, r, w, rr, rw, cpu in _ROWS]
 _SERIES = [
     ([(DeviceKind.DRAM, 1e9, 5e8, 0, 0), (DeviceKind.NVM, 4e9, 0, 0, 9)], 1e8),
     ((), 3e8),
     ([(DeviceKind.NVM, 0, 2e9, 2, 0)], 0.0),
 ]
+#: The two data shapes charged through ``Machine.run_batch``: a shuffle
+#: wave of one-row batches, and a GC-shaped series of concurrent batches.
+_SHAPES = pytest.mark.parametrize(
+    "batches", [_ROW_BATCHES, _SERIES], ids=["one_row_batches", "run_batch"]
+)
 _ACCESSORS = [
     ("_bins", lambda bw: [(k, list(v.items())) for k, v in bw._bins.items()]),
     ("series", lambda bw: [bw.series(*key) for key in bandwidth.KEYS]),
@@ -270,14 +353,11 @@ class TestReadsSettle:
     settled bins: nothing can read stale bandwidth."""
 
     @pytest.mark.parametrize("name,read", _ACCESSORS, ids=[a[0] for a in _ACCESSORS])
-    @pytest.mark.parametrize("entry", ["run_rows", "run_batch"])
-    def test_first_read_sees_settled_value(self, entry, name, read):
+    @_SHAPES
+    def test_first_read_sees_settled_value(self, batches, name, read):
         machines = [Machine(small_config()) for _ in range(2)]
         for machine in machines:
-            if entry == "run_rows":
-                machine.run_rows(_ROWS)
-            else:
-                machine.run_batch(_SERIES)
+            machine.run_batch(batches)
             assert machine.bandwidth.pending > 0
         unsettled, settled = machines
         settled.bandwidth.settle()
@@ -288,25 +368,19 @@ class TestReadsSettle:
     def test_charges_settle_once_the_queue_is_full(self, monkeypatch):
         monkeypatch.setattr(bandwidth, "SETTLE_ROWS", 4)
         machine = Machine(small_config())
-        machine.run_rows(_ROWS[:1])
+        machine.run_batch(_ROW_BATCHES[:1])
         assert machine.bandwidth.pending == 2
-        machine.run_rows(_ROWS[1:2])
+        machine.run_batch(_ROW_BATCHES[1:2])
         assert machine.bandwidth.pending == 0
         machine.run_batch(_SERIES[2:])
         assert machine.bandwidth.pending == 2
         machine.run_batch(_SERIES[:1])
         assert machine.bandwidth.pending == 0
 
-    @pytest.mark.parametrize("entry", ["run_rows", "run_batch"])
-    def test_a_raising_call_deposits_nothing(self, entry):
+    @_SHAPES
+    def test_a_raising_call_deposits_nothing(self, batches):
         machine = Machine(small_config())
-        if entry == "run_rows":
-            bad = _ROWS + [(DeviceKind.DRAM, 0, 0, 0, 0, -1.0)]
-            call = machine.run_rows
-        else:
-            bad = _SERIES + [((), -1.0)]
-            call = machine.run_batch
         with pytest.raises(ValueError):
-            call(bad)
+            machine.run_batch(batches + [((), -1.0)])
         assert machine.bandwidth.pending == 0
         assert machine.bandwidth._bins == {}

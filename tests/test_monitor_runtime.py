@@ -1,5 +1,6 @@
 """Tests for the access monitor (§4.2.2, §5.5) and runtime API (§4.3)."""
 
+from dataclasses import astuple
 
 from repro.config import MiB
 from repro.core.monitor import AccessMonitor
@@ -27,9 +28,14 @@ class TestAccessMonitor:
 
     def test_overhead_charged_to_machine(self, panthera_stack):
         machine = panthera_stack.machine
+        machine.bandwidth.settle()
         before = machine.clock.now_ns
+        counters = [astuple(dev.counters) for dev in machine.devices.values()]
         panthera_stack.monitor.record_call(1)
         assert machine.clock.now_ns == before + AccessMonitor.JNI_CALL_NS
+        # A pure-CPU charge: no device traffic, no bandwidth deposit.
+        assert [astuple(dev.counters) for dev in machine.devices.values()] == counters
+        assert machine.bandwidth.pending == 0
 
     def test_overhead_is_lightweight(self):
         # §5.5: monitoring overhead below 1 % — a 300-call PageRank run
