@@ -183,20 +183,6 @@ def setup_static_analysis() -> Callable[[], None]:
     return analyze
 
 
-def setup_ser_roundtrip() -> Callable[[], None]:
-    """Pack + unpack one 4096-record numeric partition through the
-    serialized tier's column-batch data plane (the columnar fast path;
-    see :mod:`repro.spark.serialized`)."""
-    from repro.spark.serialized import SerializedColumnBatch
-
-    records = [(i, float(i) * 0.5) for i in range(4096)]
-
-    def roundtrip() -> None:
-        SerializedColumnBatch.pack(records).unpack()
-
-    return roundtrip
-
-
 def setup_columnar_kernel() -> Callable[[], None]:
     """The columnar plane's hot path over one 4096-record numeric
     partition: pack into a :class:`~repro.spark.columnar.ColumnBatch`,
@@ -317,7 +303,6 @@ MICRO_BENCHES: Dict[str, Any] = {
     "micro.charge_trace": (setup_charge_trace, 50),
     "micro.charge_rows": (setup_charge_rows, 20),
     "micro.static_analysis": (setup_static_analysis, 20),
-    "micro.ser_roundtrip": (setup_ser_roundtrip, 50),
     "micro.columnar_kernel": (setup_columnar_kernel, 50),
     "micro.graph_kernel": (setup_graph_kernel, 50),
     "micro.distinct_kernel": (setup_distinct_kernel, 50),
@@ -336,10 +321,9 @@ EXPERIMENT_CELLS = [
     ("KM", PolicyName.DECA),
 ]
 QUICK_EXPERIMENT_CELLS = [("PR", PolicyName.PANTHERA)]
-#: The serialized-tier A/B pair: the same KM cell persisted in the
-#: object heap vs the serialized off-heap tier.  ``micro.ser_roundtrip``
-#: times the pack/unpack data plane; these time the full cost path
-#: (serialize-on-persist and deserialize-on-access charging included).
+#: The serialized-tier pair: the same KM cell persisted in the object
+#: heap and in the serialized off-heap tier, timing the tier's whole
+#: cost path (serialize-on-persist and deserialize-on-access charging).
 SERTIER_CELLS = [
     ("sertier.KM.object", "MEMORY_ONLY"),
     ("sertier.KM.serialized", "MEMORY_ONLY_SER"),
@@ -484,8 +468,9 @@ def run_experiment_bench(
 def run_sertier_bench(
     name: str, level_name: str, rounds: int = EXPERIMENT_ROUNDS
 ) -> Dict[str, Any]:
-    """Measure one serialized-tier A/B cell (KM with an explicit persist
-    level); returns its record.  Same protocol as the experiment cells."""
+    """Measure one cell of the serialized-tier pair (KM with an explicit
+    persist level); returns its record.  Same protocol as the
+    experiment cells."""
     from repro.spark.storage import StorageLevel
 
     config = paper_config(64, 1 / 3, PolicyName.PANTHERA, EXPERIMENT_SCALE)

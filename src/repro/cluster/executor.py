@@ -94,11 +94,6 @@ class JobRecord:
         """JSON-safe representation (all fields, stable keys)."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "JobRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**row)
-
 
 @dataclass
 class JobArtifacts:

@@ -37,7 +37,7 @@ from repro.cluster.service import (
     DEFAULT_NET_LATENCY_S,
     ShuffleService,
 )
-from repro.cluster.traffic import TENANT_SCALE_CYCLE, TrafficPlan
+from repro.cluster.traffic import TENANT_SCALE_CYCLE, JobSpec, TrafficPlan
 
 
 def percentile(values: List[float], q: float) -> float:
@@ -200,18 +200,17 @@ def _run_lane_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         costs=payload["costs"],
         bandwidth_window_ns=payload["bandwidth_window_ns"],
     )
-    fault_plan = ClusterFaultPlan.from_dict(payload["fault_plan"])
-    records: List[Dict[str, Any]] = []
+    fault_plan: ClusterFaultPlan = payload["fault_plan"]
+    records: List[JobRecord] = []
     artifacts: List[JobArtifacts] = []
-    for row in payload["jobs"]:
-        job = _job_from_dict(row)
+    for job in payload["jobs"]:
         record, arts = executor.run_job(
             job,
             kills=fault_plan.kills_for_job(job.job_id),
             max_recovery_attempts=fault_plan.max_recovery_attempts,
             keep_artifacts=payload["keep_artifacts"],
         )
-        records.append(record.to_dict())
+        records.append(record)
         if arts is not None:
             artifacts.append(arts)
     return {
@@ -219,12 +218,6 @@ def _run_lane_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         "jobs": records,
         "artifacts": artifacts,
     }
-
-
-def _job_from_dict(row: Dict[str, Any]):
-    from repro.cluster.traffic import JobSpec
-
-    return JobSpec.from_dict(row)
 
 
 class Cluster:
@@ -254,13 +247,13 @@ class Cluster:
         self.net_latency_s = net_latency_s
         self.net_gbps = net_gbps
 
-    def lane_jobs(self, plan: TrafficPlan) -> List[List[Dict[str, Any]]]:
+    def lane_jobs(self, plan: TrafficPlan) -> List[List[JobSpec]]:
         """The plan split into per-executor lanes (round-robin by
         submission index — placement is part of the plan, not a runtime
         decision)."""
-        lanes: List[List[Dict[str, Any]]] = [[] for _ in range(self.executors)]
+        lanes: List[List[JobSpec]] = [[] for _ in range(self.executors)]
         for job in plan.jobs:
-            lanes[job.job_id % self.executors].append(job.to_dict())
+            lanes[job.job_id % self.executors].append(job)
         return lanes
 
     def run(
@@ -299,7 +292,7 @@ class Cluster:
                 "bandwidth_window_ns": self.bandwidth_window_ns,
                 "net_latency_s": self.net_latency_s,
                 "net_gbps": self.net_gbps,
-                "fault_plan": fault_plan.to_dict(),
+                "fault_plan": fault_plan,
                 "jobs": lane_jobs,
                 "keep_artifacts": keep_artifacts,
             }
@@ -322,11 +315,7 @@ class Cluster:
         lane_results: List[Dict[str, Any]],
     ) -> Tuple[ClusterReport, List[JobArtifacts]]:
         records = sorted(
-            (
-                JobRecord.from_dict(row)
-                for lane in lane_results
-                for row in lane["jobs"]
-            ),
+            (record for lane in lane_results for record in lane["jobs"]),
             key=lambda r: r.job_id,
         )
         artifacts = [a for lane in lane_results for a in lane["artifacts"]]

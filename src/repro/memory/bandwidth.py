@@ -26,7 +26,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import DeviceKind
 from repro.floats import left_sum
@@ -101,26 +101,6 @@ class BandwidthTracker:
         stay the same objects for the tracker's lifetime.
         """
         return self._codes, self._nbytes, self._starts, self._durations
-
-    def record_rows(
-        self,
-        rows: Iterable[Tuple[DeviceKind, bool, float, float, float]],
-    ) -> None:
-        """Deposit each ``(device, is_write, nbytes, start_ns,
-        duration_ns)`` row: ``nbytes`` moved during ``[start, start +
-        duration)``.
-
-        Long accesses are apportioned to every window they overlap, so
-        the series shows sustained plateaus rather than spikes.  Rows
-        settle in order, which fixes both the float accumulation order
-        of each bin and the insertion order of the bin keys.
-        """
-        for device, is_write, nbytes, start_ns, duration_ns in rows:
-            self._codes.append(KEY_CODES[(device, is_write)])
-            self._nbytes.append(nbytes)
-            self._starts.append(start_ns)
-            self._durations.append(duration_ns)
-        self.settle_if_full()
 
     @property
     def pending(self) -> int:

@@ -40,7 +40,7 @@ class MaterializedBlock:
         serialized: whether the in-heap form is a serialised buffer
             (reads pay deserialisation CPU).
         last_used: LRU clock for eviction.
-        ser_batches: packed column batches per partition when the block
+        ser_batches: one tier batch per partition when the block
             lives in the serialized off-heap tier (the authoritative
             data plane for such blocks; ``records`` is empty), else
             None.
@@ -60,7 +60,7 @@ class MaterializedBlock:
 
     @property
     def in_serialized_tier(self) -> bool:
-        """Whether this block's payload is packed native column batches
+        """Whether this block's payload lives in the serialized tier
         (no object-heap structure, no GC tracing)."""
         return self.ser_batches is not None
 

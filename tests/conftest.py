@@ -11,6 +11,7 @@ from repro.gc.collector import Collector
 from repro.gc.policies import make_policy
 from repro.heap.layout import HEAP_BASE, young_span_bytes
 from repro.heap.managed_heap import ManagedHeap
+from repro.memory.bandwidth import KEY_CODES
 from repro.memory.machine import Machine
 from repro.spark.context import SparkContext
 
@@ -100,3 +101,17 @@ def numpy_absent(*modules):
     finally:
         for module, np_module in zip(modules, saved):
             module._np = np_module
+
+
+def deposit_rows(tracker, rows) -> None:
+    """Deposit ``(device, is_write, nbytes, start_ns, duration_ns)`` rows
+    into a :class:`~repro.memory.bandwidth.BandwidthTracker` the way the
+    machine's charge loops do: append to its pending columns in order,
+    then settle if the queue is full."""
+    codes, nbytes_col, starts, durations = tracker.deposit_columns()
+    for device, is_write, nbytes, start_ns, duration_ns in rows:
+        codes.append(KEY_CODES[(device, is_write)])
+        nbytes_col.append(nbytes)
+        starts.append(start_ns)
+        durations.append(duration_ns)
+    tracker.settle_if_full()

@@ -15,7 +15,7 @@ from repro.memory import bandwidth
 from repro.memory.bandwidth import BandwidthTracker
 from repro.memory.clock import SimClock
 from repro.memory.machine import Machine
-from tests.conftest import small_config
+from tests.conftest import deposit_rows, small_config
 
 
 class TestSimClock:
@@ -130,14 +130,14 @@ class TestSingleWriterOfSimulatedTime:
 class TestBandwidthTracker:
     def test_single_event_lands_in_one_window(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record_rows([(DeviceKind.DRAM, False, 3e9, 0, 1e9)])
+        deposit_rows(bw, [(DeviceKind.DRAM, False, 3e9, 0, 1e9)])
         series = bw.series(DeviceKind.DRAM, False)
         assert len(series) == 1
         assert series[0].gbps == pytest.approx(3.0, rel=1e-6)
 
     def test_long_event_spreads_over_windows(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record_rows([(DeviceKind.NVM, True, 10e9, 0, 5e9)])
+        deposit_rows(bw, [(DeviceKind.NVM, True, 10e9, 0, 5e9)])
         series = bw.series(DeviceKind.NVM, True)
         # 10 GB over 5 s = 2 GB/s sustained.
         sustained = [s.gbps for s in series[:5]]
@@ -146,24 +146,24 @@ class TestBandwidthTracker:
 
     def test_zero_duration_event(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record_rows([(DeviceKind.DRAM, False, 1e6, 5e8, 0)])
+        deposit_rows(bw, [(DeviceKind.DRAM, False, 1e6, 5e8, 0)])
         assert bw.total_bytes(DeviceKind.DRAM, False) == pytest.approx(1e6)
 
     def test_directions_are_separate(self):
         bw = BandwidthTracker()
-        bw.record_rows([(DeviceKind.DRAM, False, 100, 0, 10)])
+        deposit_rows(bw, [(DeviceKind.DRAM, False, 100, 0, 10)])
         assert bw.series(DeviceKind.DRAM, True) == []
 
     def test_peak(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record_rows([(DeviceKind.DRAM, False, 5e9, 0, 1e9)])
-        bw.record_rows([(DeviceKind.DRAM, False, 1e9, 3e9, 1e9)])
+        deposit_rows(bw, [(DeviceKind.DRAM, False, 5e9, 0, 1e9)])
+        deposit_rows(bw, [(DeviceKind.DRAM, False, 1e9, 3e9, 1e9)])
         assert bw.peak_gbps(DeviceKind.DRAM, False) == pytest.approx(5.0, rel=0.01)
 
     def test_gap_windows_reported_as_zero(self):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record_rows([(DeviceKind.DRAM, False, 1e9, 0, 0.5e9)])
-        bw.record_rows([(DeviceKind.DRAM, False, 1e9, 4e9, 0.5e9)])
+        deposit_rows(bw, [(DeviceKind.DRAM, False, 1e9, 0, 0.5e9)])
+        deposit_rows(bw, [(DeviceKind.DRAM, False, 1e9, 4e9, 0.5e9)])
         series = bw.series(DeviceKind.DRAM, False)
         assert any(s.gbps == 0.0 for s in series)
 
@@ -178,7 +178,7 @@ class TestBandwidthTracker:
     )
     def test_bytes_conserved(self, nbytes, start, duration):
         bw = BandwidthTracker(window_ns=1e9)
-        bw.record_rows([(DeviceKind.NVM, False, nbytes, start, duration)])
+        deposit_rows(bw, [(DeviceKind.NVM, False, nbytes, start, duration)])
         assert bw.total_bytes(DeviceKind.NVM, False) == pytest.approx(
             nbytes, rel=1e-2
         )
@@ -299,7 +299,7 @@ class TestDeferredDeposits:
                     duration = length if unit == "ns" else length * window_ns
                     batch.append((device, is_write, nbytes, start, duration))
                     now = start + duration
-                tracker.record_rows(batch)
+                deposit_rows(tracker, batch)
                 rows.extend(batch)
                 # A threshold-crossing settle leaves fewer than
                 # ``settle_rows`` rows pending.
@@ -312,7 +312,7 @@ class TestDeferredDeposits:
     def test_pending_rows_are_invisible_to_the_cyclic_gc(self, monkeypatch):
         monkeypatch.setattr(bandwidth, "SETTLE_ROWS", 10_000)
         tracker = BandwidthTracker()
-        tracker.record_rows([(DeviceKind.NVM, True, 64.0, 1.0, 2.0)] * 5_000)
+        deposit_rows(tracker, [(DeviceKind.NVM, True, 64.0, 1.0, 2.0)] * 5_000)
         assert tracker.pending == 5_000
         columns = tracker.deposit_columns()
         assert all(type(column) is array for column in columns)

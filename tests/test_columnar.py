@@ -459,8 +459,8 @@ class TestColumnarIdentity:
         assert columnar == record
 
     def test_serialized_persist_identical_either_plane(self):
-        """The columnar plane feeding the serialized tier (batches
-        packed into SerializedColumnBatch at persist) changes nothing."""
+        """The columnar plane feeding the serialized tier (batches held
+        by SerializedColumnBatch at persist) changes nothing."""
         cell = corpus.Cell(
             "KM",
             PolicyName.PANTHERA,
@@ -921,20 +921,21 @@ class TestGraphPlaneSharing:
 
     def test_ser_persisted_batch_reads_back_as_a_batch(self):
         """MEMORY_ONLY_SER keeps a scalar batch columnar: the serialized
-        tier adopts the batch and reads it back, equal records."""
+        tier holds the batch the map kernel built and reads it back,
+        equal records."""
         from repro.spark.serialized import SerializedColumnBatch
 
+        def same(record):
+            return record
+
+        _columnar.register_map_kernel(same, _columnar.identity_kernel)
         records = [(i % 7 - 3, 0.5 * i) for i in range(30)]
         batch = ColumnBatch.from_records(records)
-        packed = SerializedColumnBatch.pack(batch)
-        assert packed.columnar and packed._batch is batch
-        out = packed.unpack()
-        assert isinstance(out, ColumnBatch)
-        assert out.to_records() == records
+        assert SerializedColumnBatch.pack(batch).unpack() is batch
 
         ctx = small_context(PolicyName.PANTHERA)
         source = ctx.parallelize(records, 2, 2**20, name="ser-src")
-        persisted = source.map(lambda r: r).persist(StorageLevel.MEMORY_ONLY_SER)
+        persisted = source.map(same).persist(StorageLevel.MEMORY_ONLY_SER)
         persisted.count()
         block = ctx.block_manager.get(persisted.id)
         read = ctx.scheduler.get_records(persisted, 0)
@@ -959,8 +960,6 @@ class TestGraphPlaneIdentity:
         ],
     )
     def test_s1_cell_identical_either_plane(self, workload, persist):
-        from repro.spark import serialized
-
         cell = corpus.Cell(
             workload,
             PolicyName.PANTHERA,
@@ -968,7 +967,7 @@ class TestGraphPlaneIdentity:
             persist,
         )
         columnar = cell.run()
-        with numpy_absent(_columnar, serialized):
+        with numpy_absent(_columnar):
             record = cell.run()
         assert columnar == record
 

