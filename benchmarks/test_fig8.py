@@ -21,7 +21,6 @@ def _run_both():
             configs[policy],
             scale=BENCH_SCALE,
             keep_context=True,
-            bandwidth_window_ns=1e9,
         )
         for policy in ("unmanaged", "panthera")
     }

@@ -70,7 +70,6 @@ from repro.harness.export import (
 )
 from repro.heap.verify import verify_heap
 from repro.spark.context import SparkContext
-from repro.spark.costmodel import MutatorCosts
 from repro.spark.lineage import build_stages, lineage_string, stage_summary
 from repro.spark.program import Program, execute_program
 from repro.spark.storage import StorageLevel
@@ -92,7 +91,6 @@ __all__ = [
     "action_checksums",
     "MemoryTag",
     "MiB",
-    "MutatorCosts",
     "PolicyName",
     "Program",
     "SparkContext",

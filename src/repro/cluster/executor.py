@@ -37,7 +37,6 @@ from repro.gc.stats import GCStats
 from repro.harness.experiment import execute_spec
 from repro.harness.export import bandwidth_csv_from_machine
 from repro.spark.context import SparkContext
-from repro.spark.costmodel import MutatorCosts
 from repro.trace import TraceSession
 from repro.trace.events import TraceEvent
 from repro.workloads.registry import build_workload
@@ -139,15 +138,11 @@ class Executor:
         index: int,
         service: ShuffleService,
         config: SystemConfig,
-        costs: Optional[MutatorCosts] = None,
-        bandwidth_window_ns: float = 1e9,
     ) -> None:
         self.index = index
         self.service = service
         self.config = config
-        self.ctx = SparkContext.create(
-            config, costs=costs, bandwidth_window_ns=bandwidth_window_ns
-        )
+        self.ctx = SparkContext.create(config)
         self.ctx.cluster = self
         self.jobs_run = 0
         self.busy_ns = 0.0

@@ -28,7 +28,6 @@ from repro.config import PolicyName, SystemConfig
 from repro.errors import ReproError
 from repro.floats import left_sum
 from repro.harness.configs import paper_config
-from repro.spark.costmodel import MutatorCosts
 
 from repro.cluster.executor import Executor, JobArtifacts, JobRecord
 from repro.cluster.faults import ClusterFaultPlan
@@ -193,13 +192,7 @@ def _run_lane_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         net_latency_s=payload["net_latency_s"],
         net_gbps=payload["net_gbps"],
     )
-    executor = Executor(
-        payload["index"],
-        service,
-        payload["config"],
-        costs=payload["costs"],
-        bandwidth_window_ns=payload["bandwidth_window_ns"],
-    )
+    executor = Executor(payload["index"], service, payload["config"])
     fault_plan: ClusterFaultPlan = payload["fault_plan"]
     records: List[JobRecord] = []
     artifacts: List[JobArtifacts] = []
@@ -230,8 +223,6 @@ class Cluster:
         heap_gb: float = 64.0,
         dram_ratio: float = 1.0 / 3.0,
         policy: PolicyName = PolicyName.PANTHERA,
-        costs: Optional[MutatorCosts] = None,
-        bandwidth_window_ns: float = 1e9,
         net_latency_s: float = DEFAULT_NET_LATENCY_S,
         net_gbps: float = DEFAULT_NET_GBPS,
     ) -> None:
@@ -242,8 +233,6 @@ class Cluster:
         self.heap_gb = heap_gb
         self.dram_ratio = dram_ratio
         self.policy = policy
-        self.costs = costs
-        self.bandwidth_window_ns = bandwidth_window_ns
         self.net_latency_s = net_latency_s
         self.net_gbps = net_gbps
 
@@ -288,8 +277,6 @@ class Cluster:
                 "index": lane,
                 "executors": self.executors,
                 "config": config,
-                "costs": self.costs,
-                "bandwidth_window_ns": self.bandwidth_window_ns,
                 "net_latency_s": self.net_latency_s,
                 "net_gbps": self.net_gbps,
                 "fault_plan": fault_plan,

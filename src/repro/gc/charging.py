@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from repro.config import DeviceKind
+from repro.config import GC_NS_PER_BYTE, DeviceKind
 from repro.errors import GCError
 from repro.heap.object_model import HEADER_BYTES, HeapObject
 
@@ -154,22 +154,23 @@ class ChargeAccumulator:
             rows.append((device, read_bytes, write_bytes, random_reads, random_writes))
         return rows
 
-    def batch(self, config, dram_stream: float = 0.0) -> Tuple[List[tuple], float]:
+    def batch(self, dram_stream: float = 0.0) -> Tuple[List[tuple], float]:
         """The phase as one :meth:`~repro.memory.machine.Machine.run_batch`
-        batch ``(rows, cpu_ns)``, to run on ``config.gc_threads`` (no
-        rows and no CPU time when no device was touched).
+        batch ``(rows, cpu_ns)``, to run on
+        :data:`~repro.config.GC_THREADS` (no rows and no CPU time when no
+        device was touched).
 
         The batch's CPU term is the GC's object work: tracing, copying
         and card scanning are header checks, forwarding updates and
         reference fix-ups, not pure memcpy, so aggregate GC throughput
-        is CPU-capped at ``gc_ns_per_byte`` per streamed byte (~20 GB/s
-        for 16 threads at the default 0.05 ns/B).  On DRAM this cap
-        binds; on NVM the 10 GB/s device bandwidth binds instead, which
-        is §5.3's observation that Parallel Scavenge's parallelism is
-        crippled by NVM bandwidth.
+        is CPU-capped at :data:`~repro.config.GC_NS_PER_BYTE` (0.04 ns)
+        per processed byte, read plus write — 25 GB/s across the 16
+        threads.  On DRAM this cap binds; on NVM the 10 GB/s device
+        bandwidth binds instead, which is §5.3's observation that
+        Parallel Scavenge's parallelism is crippled by NVM bandwidth.
         """
         rows = self.rows(dram_stream)
         processed = 0.0
         for _, read_bytes, write_bytes, _, _ in rows:
             processed += read_bytes + write_bytes
-        return rows, processed * config.gc_ns_per_byte
+        return rows, processed * GC_NS_PER_BYTE

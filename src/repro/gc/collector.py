@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.config import CARD_SIZE
 from repro.core.monitor import AccessMonitor
 from repro.gc.major import run_major_gc
 from repro.gc.minor import SteadyScavenge, run_minor_gc
@@ -48,7 +49,7 @@ class Collector:
         Every survivable young object could tenure at once, and under
         card padding (§4.2.3) each promoted *array* is additionally
         padded so its allocation ends on a card boundary — up to
-        ``card_size - 1`` extra bytes per array.  Ignoring that padding
+        ``CARD_SIZE - 1`` extra bytes per array.  Ignoring that padding
         undercounts the guarantee on a near-full old generation and lets
         a scavenge overflow mid-promotion.
 
@@ -59,9 +60,7 @@ class Collector:
         survivor = self.heap.survivor_from
         survivable = eden._live_bytes + survivor._live_bytes
         if self.heap.card_padding:
-            survivable += (eden._array_count + survivor._array_count) * (
-                self.config.card_size - 1
-            )
+            survivable += (eden._array_count + survivor._array_count) * (CARD_SIZE - 1)
         return survivable
 
     def old_free_bytes(self) -> int:

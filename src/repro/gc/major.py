@@ -23,7 +23,13 @@ from __future__ import annotations
 
 from typing import Set
 
-from repro.config import DeviceKind
+from repro.config import (
+    CARD_SIZE,
+    DENSE_PREFIX_WASTE,
+    GC_FIXED_PAUSE_NS,
+    GC_THREADS,
+    DeviceKind,
+)
 from repro.errors import GCError
 from repro.gc.charging import ChargeAccumulator
 from repro.gc.minor import _propagate_tag
@@ -39,7 +45,6 @@ def run_major_gc(collector) -> None:
     """Execute one full-heap collection on behalf of ``collector``."""
     heap = collector.heap
     machine = collector.machine
-    config = collector.config
     policy = collector.policy
     stats = collector.stats
     monitor = collector.monitor
@@ -112,7 +117,7 @@ def run_major_gc(collector) -> None:
     # persisted RDDs from being rewritten (on NVM!) at every full GC.
     for space in heap.old_spaces:
         live = space.begin_compaction()
-        waste_budget = int(space.size * config.dense_prefix_waste)
+        waste_budget = int(space.size * DENSE_PREFIX_WASTE)
         sliding = False
         for obj in live:
             old_addr = obj.addr
@@ -121,14 +126,14 @@ def run_major_gc(collector) -> None:
                 # Dense prefix: keep the object in place, accept the gap.
                 space.top = old_addr + obj.size
                 if obj.padded:
-                    remainder = space.top % config.card_size
+                    remainder = space.top % CARD_SIZE
                     if remainder:
-                        space.top += config.card_size - remainder
+                        space.top += CARD_SIZE - remainder
                 space.adopt(obj)
                 continue
             sliding = True
             old_pieces = space.traffic_split(old_addr, obj.size)
-            align = config.card_size if (heap.card_padding and obj.is_array) else None
+            align = CARD_SIZE if (heap.card_padding and obj.is_array) else None
             if not space.place(obj, align_end_to=align):
                 raise GCError(f"compaction overflowed space {space.name}")
             obj.padded = align is not None
@@ -167,7 +172,7 @@ def run_major_gc(collector) -> None:
             src_space_name = obj.space.name
             src_device = obj.space.device_of(obj.addr)
         card_table.unregister(obj)
-        align = config.card_size if (heap.card_padding and obj.is_array) else None
+        align = CARD_SIZE if (heap.card_padding and obj.is_array) else None
         if not dst_space.place(obj, align_end_to=align):
             continue  # destination filled up; skip the rest of the group
         for device, nbytes in src_pieces:
@@ -204,10 +209,10 @@ def run_major_gc(collector) -> None:
 
     machine.run_batch(
         (
-            ((), config.gc_fixed_pause_ns),
-            mark_charges.batch(config),
-            move_charges.batch(config),
+            ((), GC_FIXED_PAUSE_NS),
+            mark_charges.batch(),
+            move_charges.batch(),
         ),
-        threads=config.gc_threads,
+        threads=GC_THREADS,
     )
     stats.record_major(start_ns, machine.clock.now_ns - start_ns)

@@ -16,7 +16,7 @@ constraint whenever card scanning touches NVM-resident arrays):
 3. copy/promote: live young objects are evacuated.  Panthera's *eager
    promotion* sends tagged objects straight to the old space named by
    their MEMORY_BITS; untagged objects age through the survivor spaces
-   and are promoted after ``tenuring_threshold`` survivals.
+   and are promoted after ``TENURING_THRESHOLD`` survivals.
 
 Scanning (phases 1-2) and evacuation (phase 3) each add their charges
 into a :class:`~repro.gc.charging.ChargeAccumulator` — per-device
@@ -39,6 +39,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
+from repro.config import (
+    GC_FIXED_PAUSE_NS,
+    GC_THREADS,
+    MINOR_LIVE_FRACTION,
+    TENURING_THRESHOLD,
+)
 from repro.core.tags import MEMORY_BITS_NONE, MemoryTag, merge_tags
 from repro.errors import GCError
 from repro.gc.charging import ChargeAccumulator
@@ -92,7 +98,7 @@ class SteadyScavenge:
         "_copy_batch",
     )
 
-    def __init__(self, heap, config) -> None:
+    def __init__(self, heap) -> None:
         charges = ChargeAccumulator()
         _, stuck = heap.card_table.scan_plan()
         card_scanned_bytes = 0
@@ -100,14 +106,14 @@ class SteadyScavenge:
             charges.stream_read(holder)
             card_scanned_bytes += holder.size
         charges.visit_all(heap.iter_roots())
-        self.scan_batch = charges.batch(config)
+        self.scan_batch = charges.batch()
         self.card_scanned_bytes = card_scanned_bytes
         self.stuck_rescans = len(stuck)
         self._floor_bytes = None
         self._copy_batch = None
 
     @classmethod
-    def of(cls, heap, config) -> Optional["SteadyScavenge"]:
+    def of(cls, heap) -> Optional["SteadyScavenge"]:
         """The plan of the scavenge about to run, or None when it is not
         steady."""
         if (
@@ -116,15 +122,15 @@ class SteadyScavenge:
             or heap.card_table.has_fresh_dirt()
         ):
             return None
-        return cls(heap, config)
+        return cls(heap)
 
-    def copy_batch(self, config, floor_bytes: float):
+    def copy_batch(self, floor_bytes: float):
         """The copy phase's batch: nothing but the DRAM floor.  Kept for
         the last floor seen: a stream's overflows after the first all
         find eden filled to the same top."""
         if floor_bytes != self._floor_bytes:
             self._floor_bytes = floor_bytes
-            self._copy_batch = ChargeAccumulator().batch(config, floor_bytes)
+            self._copy_batch = ChargeAccumulator().batch(floor_bytes)
         return self._copy_batch
 
 
@@ -141,7 +147,6 @@ def run_minor_gc(
     """
     heap = collector.heap
     machine = collector.machine
-    config = collector.config
     stats = collector.stats
 
     start_ns = machine.clock.now_ns
@@ -150,15 +155,15 @@ def run_minor_gc(
     # space, in every configuration — the young generation is always
     # DRAM-resident.  Settled as DRAM stream bytes of the copy batch.
     eden = heap.eden
-    floor_bytes = (eden.top - eden.base) * config.minor_live_fraction
+    floor_bytes = (eden.top - eden.base) * MINOR_LIVE_FRACTION
 
     if plan is None:
-        plan = SteadyScavenge.of(heap, config)
+        plan = SteadyScavenge.of(heap)
     if plan is None:
         scan_batch, copy_batch = _scavenge(collector, floor_bytes)
     else:
         scan_batch = plan.scan_batch
-        copy_batch = plan.copy_batch(config, floor_bytes)
+        copy_batch = plan.copy_batch(floor_bytes)
         stats.card_scanned_bytes += plan.card_scanned_bytes
         stats.stuck_rescans += plan.stuck_rescans
 
@@ -176,11 +181,11 @@ def run_minor_gc(
 
     machine.run_batch(
         (
-            ((), config.gc_fixed_pause_ns),
+            ((), GC_FIXED_PAUSE_NS),
             scan_batch,
             copy_batch,
         ),
-        threads=config.gc_threads,
+        threads=GC_THREADS,
     )
     stats.record_minor(start_ns, machine.clock.now_ns - start_ns)
     return plan
@@ -195,7 +200,6 @@ def _scavenge(collector, floor_bytes: float):
         batch with ``floor_bytes`` of DRAM stream added.
     """
     heap = collector.heap
-    config = collector.config
     policy = collector.policy
     stats = collector.stats
 
@@ -254,7 +258,6 @@ def _scavenge(collector, floor_bytes: float):
     # the common case for pure streaming churn).
     trace = heap.trace
     survivor_to = heap.survivor_to
-    threshold = config.tenuring_threshold
     promoted: List[HeapObject] = []
     for obj in young_live:
         src = obj.space
@@ -266,7 +269,7 @@ def _scavenge(collector, floor_bytes: float):
         if eager_space is not None:
             dest = eager_space
             stats.eager_promoted_objects += 1
-        elif obj.age + 1 >= threshold:
+        elif obj.age + 1 >= TENURING_THRESHOLD:
             dest = policy.promotion_space(heap, obj)
         else:
             dest = survivor_to
@@ -306,4 +309,4 @@ def _scavenge(collector, floor_bytes: float):
                 card_table.register(obj)
             card_table.mark_dirty(obj)
 
-    return scan_charges.batch(config), copy_charges.batch(config, floor_bytes)
+    return scan_charges.batch(), copy_charges.batch(floor_bytes)

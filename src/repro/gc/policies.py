@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 from typing import List, Optional, Tuple
 
-from repro.config import DeviceKind, PolicyName, SystemConfig
+from repro.config import KW_WRITE_THRESHOLD, DeviceKind, PolicyName, SystemConfig
 from repro.core.monitor import AccessMonitor
 from repro.core.runtime_api import PantheraRuntime
 from repro.core.static_analysis import analyze_program, classify_lifetimes
@@ -307,7 +307,7 @@ class KingsguardWritesPolicy(PlacementPolicy):
         moves: List[Tuple[HeapObject, Space]] = []
         nvm_space = heap.old_space_named("old")
         for obj in nvm_space.iter_objects_by_addr():
-            if obj.write_count >= self.config.kw_write_threshold:
+            if obj.write_count >= KW_WRITE_THRESHOLD:
                 if obj.size <= budget:
                     budget -= obj.size
                     moves.append((obj, old_dram))

@@ -15,22 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.config import DeviceKind
+from repro.config import MUTATOR_THREADS, DeviceKind
 from repro.core.runtime_api import PantheraRuntime
 from repro.core.tags import MemoryTag
 from repro.errors import ReproError
 from repro.heap.managed_heap import ManagedHeap
 from repro.heap.object_model import HeapObject
 from repro.memory.machine import Machine
+from repro.spark.costmodel import (
+    ALLOC_FACTOR,
+    CPU_NS_PER_BYTE,
+    CPU_NS_PER_RECORD,
+    SER_FACTOR,
+    hash_probes_for,
+)
 
 Record = Tuple[Any, Any]
-
-#: Mutator cost constants (per byte / per record), matching the Spark
-#: layer's granularity.
-CPU_NS_PER_BYTE = 8.0
-CPU_NS_PER_RECORD = 2_000.0
-ALLOC_FACTOR = 5.0
-HASH_GRAIN = 4_096
 
 
 @dataclass
@@ -74,7 +74,6 @@ class MapReduceJob:
         reduce_fn: Callable[[Any, List[Any]], Any],
         num_reducers: int = 4,
         side_tables: Optional[List[SideTable]] = None,
-        mutator_threads: int = 8,
     ) -> None:
         self.heap = heap
         self.machine = machine
@@ -83,7 +82,6 @@ class MapReduceJob:
         self.reduce_fn = reduce_fn
         self.num_reducers = num_reducers
         self.side_tables = side_tables or []
-        self.threads = mutator_threads
         self._table_owner: Dict[str, int] = {}
 
     # -- side tables (§4.3's two APIs) -------------------------------------
@@ -105,9 +103,10 @@ class MapReduceJob:
             if table.monitored:
                 self.runtime.track(owner)
             device = table.array.space.device_of(table.array.addr)
-            cpu_ns = table.nbytes * CPU_NS_PER_BYTE / self.threads
+            cpu_ns = table.nbytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
             self.machine.run_batch(
-                [(((device, 0.0, table.nbytes, 0, 0),), cpu_ns)], threads=self.threads
+                [(((device, 0.0, table.nbytes, 0, 0),), cpu_ns)],
+                threads=MUTATOR_THREADS,
             )
             table.index.clear()
             for key, value in table.records:
@@ -124,10 +123,10 @@ class MapReduceJob:
         """One map task's probes into a side table."""
         if table.array is None:
             raise ReproError(f"side table {table.name!r} not loaded")
-        probes = max(1, int(nbytes / HASH_GRAIN))
+        probes = max(1, hash_probes_for(nbytes))
         device = table.array.space.device_of(table.array.addr)
         self.machine.run_batch(
-            [(((device, 0.0, 0.0, probes, 0),), 0.0)], threads=self.threads
+            [(((device, 0.0, 0.0, probes, 0),), 0.0)], threads=MUTATOR_THREADS
         )
         owner = self._table_owner[table.name]
         if table.monitored:
@@ -168,9 +167,10 @@ class MapReduceJob:
     ) -> None:
         in_bytes = len(split) * bytes_per_record
         # Input read from HDFS (disk) into the young generation.
-        cpu_ns = in_bytes * CPU_NS_PER_BYTE / self.threads
+        cpu_ns = in_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
         self.machine.run_batch(
-            [(((DeviceKind.DISK, in_bytes, 0.0, 0, 0),), cpu_ns)], threads=self.threads
+            [(((DeviceKind.DISK, in_bytes, 0.0, 0, 0),), cpu_ns)],
+            threads=MUTATOR_THREADS,
         )
         self._ephemeral(in_bytes)
         out: List[Record] = []
@@ -180,10 +180,10 @@ class MapReduceJob:
         self._ephemeral(out_bytes)
         cpu_ns = (
             in_bytes * CPU_NS_PER_BYTE + len(split) * CPU_NS_PER_RECORD
-        ) / self.threads
+        ) / MUTATOR_THREADS
         self.machine.run_batch(
             [(((DeviceKind.DRAM, 0.0, out_bytes, 0, 0),), cpu_ns)],
-            threads=self.threads,
+            threads=MUTATOR_THREADS,
         )
         for table in self.side_tables:
             self._charge_probe(table, in_bytes)
@@ -191,8 +191,8 @@ class MapReduceJob:
             buckets[hash(key) % self.num_reducers].append((key, value))
         # Shuffle spill to local disk.
         self.machine.run_batch(
-            [(((DeviceKind.DISK, 0.0, out_bytes * 0.4, 0, 0),), 0.0)],
-            threads=self.threads,
+            [(((DeviceKind.DISK, 0.0, out_bytes * SER_FACTOR, 0, 0),), 0.0)],
+            threads=MUTATOR_THREADS,
         )
 
     def _run_reduce_task(
@@ -203,19 +203,20 @@ class MapReduceJob:
     ) -> None:
         in_bytes = len(bucket) * bytes_per_record
         self.machine.run_batch(
-            [(((DeviceKind.DISK, in_bytes * 0.4, 0.0, 0, 0),), 0.0)],
-            threads=self.threads,
+            [(((DeviceKind.DISK, in_bytes * SER_FACTOR, 0.0, 0, 0),), 0.0)],
+            threads=MUTATOR_THREADS,
         )
         self._ephemeral(in_bytes)
         grouped: Dict[Any, List[Any]] = {}
         for key, value in bucket:
             grouped.setdefault(key, []).append(value)
-        probes = max(1, int(in_bytes / HASH_GRAIN))
+        probes = max(1, hash_probes_for(in_bytes))
         cpu_ns = (
             in_bytes * CPU_NS_PER_BYTE + len(bucket) * CPU_NS_PER_RECORD
-        ) / self.threads
+        ) / MUTATOR_THREADS
         self.machine.run_batch(
-            [(((DeviceKind.DRAM, 0.0, 0.0, probes, 0),), cpu_ns)], threads=self.threads
+            [(((DeviceKind.DRAM, 0.0, 0.0, probes, 0),), cpu_ns)],
+            threads=MUTATOR_THREADS,
         )
         for key, values in grouped.items():
             output[key] = self.reduce_fn(key, values)

@@ -11,7 +11,6 @@ from repro.core.static_analysis import StaticAnalysis
 from repro.faults import FaultInjector, FaultPlan, FaultReport
 from repro.memory.machine import Machine
 from repro.spark.context import SparkContext
-from repro.spark.costmodel import MutatorCosts
 from repro.spark.program import execute_program
 from repro.trace import TraceSession
 from repro.trace.events import TraceEvent
@@ -94,9 +93,7 @@ def run_experiment(
     workload: str,
     config: SystemConfig,
     scale: float = 1.0,
-    costs: Optional[MutatorCosts] = None,
     workload_kwargs: Optional[Dict[str, Any]] = None,
-    bandwidth_window_ns: float = 1e9,
     keep_context: bool = False,
     trace: bool = False,
     faults: Optional[FaultPlan] = None,
@@ -108,9 +105,7 @@ def run_experiment(
         config: the node configuration (heap, DRAM/NVM split, policy).
         scale: joint data-size scale factor; configurations should be
             built with the same scale so pressure ratios match the paper.
-        costs: mutator cost-model overrides.
         workload_kwargs: forwarded to the workload builder.
-        bandwidth_window_ns: Figure 8 trace resolution.
         keep_context: retain the full context on the result (heavier, but
             needed for bandwidth traces and heap inspection).
         trace: record the heap event stream (see :mod:`repro.trace`) and
@@ -121,9 +116,7 @@ def run_experiment(
             result as ``fault_report``.
     """
     spec = build_workload(workload, scale=scale, **(workload_kwargs or {}))
-    ctx = SparkContext.create(
-        config, costs=costs, bandwidth_window_ns=bandwidth_window_ns
-    )
+    ctx = SparkContext.create(config)
     session = TraceSession.attach_to_context(ctx) if trace else None
     # The injector attaches after tracing so balloon allocations and
     # throttle-window announcements reach the event stream.

@@ -17,12 +17,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.config import PolicyName
 from repro.harness.configs import paper_config
-from repro.harness.engine import (
-    EngineEvent,
-    EventCallback,
-    ExperimentEngine,
-    ExperimentPoint,
-)
+from repro.harness.engine import EventCallback, ExperimentEngine, ExperimentPoint
 from repro.harness.experiment import ExperimentResult
 from repro.harness.report import format_markdown_table
 from repro.workloads.registry import WORKLOADS
@@ -40,7 +35,6 @@ def run_matrix(
     dram_ratio: float = 1 / 3,
     workloads: Optional[Iterable[str]] = None,
     policies: Iterable[PolicyName] = DEFAULT_POLICIES,
-    progress=None,
     jobs: int = 1,
     cache_dir: Optional[os.PathLike] = None,
     on_event: Optional[EventCallback] = None,
@@ -53,9 +47,6 @@ def run_matrix(
         heap_gb / dram_ratio: the configuration point.
         workloads: Table 4 abbreviations (default: all seven).
         policies: placement policies to compare.
-        progress: optional callback ``fn(workload, policy)`` invoked once
-            per cell as it is dispatched or served from the cache
-            (legacy CLI progress reporting).
         jobs: worker processes; ``jobs=1`` runs serially in-process and
             returns bit-identical results to any parallel run.
         cache_dir: content-addressed result cache directory (None
@@ -70,14 +61,7 @@ def run_matrix(
     """
     chosen = list(workloads) if workloads else sorted(WORKLOADS)
     policy_list = list(policies)
-
-    def relay(event: EngineEvent) -> None:
-        if progress is not None and event.kind in ("start", "cached"):
-            progress(event.point.workload, event.point.config.policy)
-        if on_event is not None:
-            on_event(event)
-
-    engine = ExperimentEngine(jobs=jobs, cache_dir=cache_dir, on_event=relay)
+    engine = ExperimentEngine(jobs=jobs, cache_dir=cache_dir, on_event=on_event)
     points = [
         ExperimentPoint(
             workload,

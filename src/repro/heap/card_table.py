@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Set, Tuple
 
+from repro.config import CARD_SIZE
 from repro.errors import HeapError
 from repro.heap.object_model import HeapObject
 
@@ -26,7 +27,7 @@ from repro.heap.object_model import HeapObject
 class CardTable:
     """Tracks dirty state and card sharing for old-generation objects."""
 
-    def __init__(self, card_size: int = 512) -> None:
+    def __init__(self, card_size: int = CARD_SIZE) -> None:
         if card_size <= 0:
             raise HeapError("card_size must be positive")
         self.card_size = card_size

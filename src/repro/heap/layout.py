@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.config import DeviceKind, SystemConfig
+from repro.config import SURVIVOR_FRACTION, DeviceKind, SystemConfig
 from repro.heap.spaces import Space
 
 #: Base address of the simulated heap; non-zero so address zero stays
@@ -28,7 +28,7 @@ def build_young_spaces(
         ``(eden, survivor_from, survivor_to, next_base)``.
     """
     nursery = config.nursery_bytes
-    survivor = int(nursery * config.survivor_fraction)
+    survivor = int(nursery * SURVIVOR_FRACTION)
     eden_size = nursery - 2 * survivor
     eden = Space("eden", base, eden_size, "young", device=DeviceKind.DRAM)
     s_from = Space(
@@ -43,7 +43,7 @@ def young_span_bytes(config: SystemConfig) -> int:
     two survivors, after integer rounding).  Old spaces start at
     ``HEAP_BASE + young_span_bytes(config)``."""
     nursery = config.nursery_bytes
-    survivor = int(nursery * config.survivor_fraction)
+    survivor = int(nursery * SURVIVOR_FRACTION)
     eden_size = nursery - 2 * survivor
     return eden_size + 2 * survivor
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Set
 
-from repro.config import SystemConfig
+from repro.config import CARD_SIZE, SystemConfig
 from repro.errors import HeapError, OutOfMemoryError
 from repro.heap.allocator import TagWaitState
 from repro.heap.layout import build_native_space, build_young_spaces
@@ -57,7 +57,7 @@ class ManagedHeap:
                 raise HeapError(f"old space {space.name} overlaps the young gen")
         native_base = max((s.end for s in self.old_spaces), default=next_base)
         self.native = build_native_space(config, native_base)
-        self.card_table = CardTable(config.card_size)
+        self.card_table = CardTable()
         self.card_padding = card_padding
         self.tag_wait = TagWaitState(config.large_array_threshold)
         self._roots: Set[HeapObject] = set()
@@ -327,7 +327,7 @@ class ManagedHeap:
         """Place an object in an old space, falling back across old spaces
         in policy order, registering arrays with the card table."""
         candidates = [space] + [s for s in self.old_spaces if s is not space]
-        align = self.config.card_size if (self.card_padding and obj.is_array) else None
+        align = CARD_SIZE if (self.card_padding and obj.is_array) else None
         for candidate in candidates:
             if candidate.place(obj, align_end_to=align):
                 obj.padded = align is not None

@@ -42,7 +42,7 @@ from repro.heap.spaces import Space
 
 #: Per-byte CPU cost of a wholesale arena reset, across the mutator
 #: threads.  A reset is pointer arithmetic plus page-table work — far
-#: below ``gc_ns_per_byte`` (0.04), which is the per-byte cost of the
+#: below ``GC_NS_PER_BYTE`` (0.04), which is the per-byte cost of the
 #: tracing work a reset replaces.
 RESET_NS_PER_BYTE = 0.002
 

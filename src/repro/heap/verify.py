@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.config import CARD_SIZE
 from repro.errors import HeapError
 from repro.heap.managed_heap import ManagedHeap
 from repro.heap.spaces import recompute_live_bytes
@@ -110,7 +111,7 @@ def verify_heap(heap: ManagedHeap, raise_on_error: bool = False) -> List[str]:
             problems.append(
                 f"card table tracks region-resident object #{obj.oid}"
             )
-        elif obj.padded and (obj.addr + obj.size) % heap.config.card_size != 0:
+        elif obj.padded and (obj.addr + obj.size) % CARD_SIZE != 0:
             # A padded array's allocation ends on a boundary; its payload
             # may not, but then the pad region is exclusively its own —
             # nothing to check beyond placement, covered above.

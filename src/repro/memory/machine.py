@@ -33,6 +33,7 @@ from typing import Dict
 from repro.config import (
     DISK_SPEC,
     DRAM_SPEC,
+    MLP,
     NVM_SPEC,
     DeviceKind,
     SystemConfig,
@@ -53,7 +54,7 @@ class Machine:
         bandwidth: windowed traces for Figure 8.
     """
 
-    def __init__(self, config: SystemConfig, bandwidth_window_ns: float = 1e9) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.clock = SimClock()
         nvm_spec = NVM_SPEC
@@ -76,7 +77,8 @@ class Machine:
             DeviceKind.NVM: MemoryDevice(nvm_spec, config.nvm_bytes),
             DeviceKind.DISK: MemoryDevice(DISK_SPEC, 0),
         }
-        self.bandwidth = BandwidthTracker(window_ns=bandwidth_window_ns)
+        #: one-second windows: Figure 8's resolution
+        self.bandwidth = BandwidthTracker()
         #: device -> (bound charge_row, read key code, write key code),
         #: resolved once (devices are fixed for the machine's lifetime);
         #: run_batch prices and deposits through it.
@@ -130,7 +132,7 @@ class Machine:
         for _, cpu_ns in batches:
             if cpu_ns < 0:
                 raise ValueError(f"cannot advance the clock by {cpu_ns} ns")
-        parallelism = max(1, threads) * max(1, self.config.mlp)
+        parallelism = max(1, threads) * MLP
         chargers = self._row_charger
         clock = self.clock
         nvm = DeviceKind.NVM

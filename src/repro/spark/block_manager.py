@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from repro.config import DeviceKind
+from repro.config import MUTATOR_THREADS, DeviceKind
 from repro.gc.policies import PlacementPolicy
 from repro.heap.managed_heap import ManagedHeap
 from repro.memory.machine import Machine
-from repro.spark.costmodel import MutatorCosts
+from repro.spark.costmodel import CPU_NS_PER_BYTE, SER_FACTOR
 from repro.spark.materialize import MaterializedBlock
 from repro.spark.storage import TaggedStorageLevel
 
@@ -33,12 +33,10 @@ class BlockManager:
         self,
         heap: ManagedHeap,
         machine: Machine,
-        costs: MutatorCosts,
         policy: PlacementPolicy,
     ) -> None:
         self.heap = heap
         self.machine = machine
-        self.costs = costs
         self.policy = policy
         self._blocks: Dict[int, MaterializedBlock] = {}
         self._lru = itertools.count(1)
@@ -203,8 +201,7 @@ class BlockManager:
 
     def _spill(self, block: MaterializedBlock) -> None:
         """Serialise a block to disk and release its heap objects."""
-        ser_bytes = block.data_bytes * self.costs.ser_factor
-        threads = self.heap.config.mutator_threads
+        ser_bytes = block.data_bytes * SER_FACTOR
         # Read the block from wherever it lives, piece by piece, then
         # write the serialised form to disk.
         batches = [
@@ -212,9 +209,9 @@ class BlockManager:
             for pidx in range(len(block.arrays))
             for device, piece in block.partition_traffic(pidx)
         ]
-        cpu_ns = block.data_bytes * self.costs.cpu_ns_per_byte / threads
+        cpu_ns = block.data_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
         batches.append((((DeviceKind.DISK, 0.0, ser_bytes, 0, 0),), cpu_ns))
-        self.machine.run_batch(batches, threads=threads)
+        self.machine.run_batch(batches, threads=MUTATOR_THREADS)
         self._release_heap_objects(block)
         block.on_disk = True
         self.spilled_count += 1

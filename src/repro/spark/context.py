@@ -24,7 +24,6 @@ from repro.heap.layout import HEAP_BASE, young_span_bytes
 from repro.heap.managed_heap import ManagedHeap
 from repro.memory.machine import Machine
 from repro.spark.block_manager import BlockManager
-from repro.spark.costmodel import MutatorCosts
 from repro.spark.materialize import Materializer
 from repro.spark.partition import Record, split_evenly
 from repro.spark.rdd import RDD, SourceRDD
@@ -67,7 +66,6 @@ class SparkContext:
         machine: Machine,
         heap: ManagedHeap,
         collector: Collector,
-        costs: Optional[MutatorCosts] = None,
         runtime: Optional[PantheraRuntime] = None,
     ) -> None:
         self.config = config
@@ -75,12 +73,11 @@ class SparkContext:
         self.heap = heap
         self.collector = collector
         self.policy = collector.policy
-        self.costs = costs or MutatorCosts()
         self.monitor = collector.monitor
         #: the policy's runtime (Panthera's); None means no tags anywhere
         self.runtime = runtime
         self.shuffles = ShuffleManager()
-        self.block_manager = BlockManager(heap, machine, self.costs, self.policy)
+        self.block_manager = BlockManager(heap, machine, self.policy)
         #: optional :class:`~repro.faults.injector.FaultInjector`; the
         #: scheduler consults it at stage/action boundaries (None = no
         #: fault injection, one ``is None`` check per boundary).
@@ -91,7 +88,7 @@ class SparkContext:
         #: fetch (one ``is None`` check), and executor kills read its
         #: shuffle service.  None = a standalone node.
         self.cluster = None
-        self.materializer = Materializer(heap, machine, self.costs, runtime)
+        self.materializer = Materializer(heap, machine, runtime)
         self.scheduler = Scheduler(self)
         self._rdd_ids = itertools.count(1)
         self._rdds: Dict[int, RDD] = {}
@@ -103,8 +100,6 @@ class SparkContext:
     def create(
         cls,
         config: SystemConfig,
-        costs: Optional[MutatorCosts] = None,
-        bandwidth_window_ns: float = 1e9,
         policy=None,
     ) -> "SparkContext":
         """Build the full stack for one configuration.
@@ -116,7 +111,7 @@ class SparkContext:
                 a custom policy is the extension point for placement
                 research (see ``examples/custom_policy.py``).
         """
-        machine = Machine(config, bandwidth_window_ns=bandwidth_window_ns)
+        machine = Machine(config)
         policy = policy or make_policy(config)
         old_base = HEAP_BASE + young_span_bytes(config)
         old_spaces = policy.build_old_spaces(old_base)
@@ -126,7 +121,7 @@ class SparkContext:
         runtime = policy.attach(heap, machine)
         monitor = runtime.monitor if runtime is not None else None
         collector = Collector(heap, machine, policy, monitor=monitor)
-        return cls(config, machine, heap, collector, costs=costs, runtime=runtime)
+        return cls(config, machine, heap, collector, runtime=runtime)
 
     # -- RDD registry ----------------------------------------------------------
 

@@ -13,12 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import DeviceKind
+from repro.config import MUTATOR_THREADS, DeviceKind
 from repro.core.tags import MemoryTag
 from repro.heap.managed_heap import ManagedHeap
 from repro.heap.object_model import HeapObject, ObjKind
 from repro.memory.machine import Machine
-from repro.spark.costmodel import MutatorCosts
+from repro.spark.costmodel import (
+    CPU_NS_PER_BYTE,
+    SER_FACTOR,
+    SLABS_PER_PARTITION,
+    TOP_OBJECT_BYTES,
+    array_bytes_for,
+)
 from repro.spark.partition import Record
 from repro.spark.storage import TaggedStorageLevel
 
@@ -111,7 +117,6 @@ class Materializer:
         self,
         heap: ManagedHeap,
         machine: Machine,
-        costs: MutatorCosts,
         runtime=None,
     ) -> None:
         """Create a materialiser.
@@ -119,14 +124,12 @@ class Materializer:
         Args:
             heap: the managed heap.
             machine: cost sink.
-            costs: mutator cost constants.
             runtime: the :class:`~repro.core.runtime_api.PantheraRuntime`
                 whose ``rdd_alloc`` passes tags down, or None when running
                 a non-Panthera policy (no instrumentation).
         """
         self.heap = heap
         self.machine = machine
-        self.costs = costs
         self.runtime = runtime
 
     def materialize(
@@ -146,14 +149,12 @@ class Materializer:
         fresh old-to-young references do in the real system).
 
         With ``serialized`` (the _SER storage levels) the in-heap form is
-        the compact byte buffer: ``ser_factor`` of the deserialised size,
+        the compact byte buffer: ``SER_FACTOR`` of the deserialised size,
         paid back as deserialisation CPU on every read.
         """
         heap = self.heap
-        costs = self.costs
-        threads = heap.config.mutator_threads
-        shrink = costs.ser_factor if serialized else 1.0
-        top = heap.new_object(ObjKind.RDD_TOP, costs.top_object_bytes, rdd.id)
+        shrink = SER_FACTOR if serialized else 1.0
+        top = heap.new_object(ObjKind.RDD_TOP, TOP_OBJECT_BYTES, rdd.id)
         heap.add_root(top)
         arrays: List[HeapObject] = []
         slabs: List[List[HeapObject]] = []
@@ -163,12 +164,13 @@ class Materializer:
             total_bytes += part_bytes
             if self.runtime is not None:
                 self.runtime.rdd_alloc(top, tag)
-            array_size = costs.array_bytes_for(part_bytes)
+            array_size = array_bytes_for(part_bytes)
             array = heap.allocate_rdd_array(array_size, rdd.id)
             device = array.space.device_of(array.addr)
-            cpu_ns = array_size * costs.cpu_ns_per_byte / threads
+            cpu_ns = array_size * CPU_NS_PER_BYTE / MUTATOR_THREADS
             self.machine.run_batch(
-                [(((device, 0.0, array_size, 0, 0),), cpu_ns)], threads=threads
+                [(((device, 0.0, array_size, 0, 0),), cpu_ns)],
+                threads=MUTATOR_THREADS,
             )
             heap.write_ref(top, array)
             partition_slabs: List[HeapObject] = []
@@ -178,7 +180,7 @@ class Materializer:
             max_slab = max(1, heap.eden.size // 2)
             n_slabs = max(
                 1,
-                costs.slabs_per_partition,
+                SLABS_PER_PARTITION,
                 -(-int(slab_bytes) // max_slab),  # ceil division
             )
             slab_size = int(slab_bytes // n_slabs)
@@ -195,10 +197,10 @@ class Materializer:
                     if slab.space is not None and slab.addr is not None
                     else DeviceKind.DRAM
                 )
-                cpu_ns = slab.size * costs.cpu_ns_per_byte / threads
+                cpu_ns = slab.size * CPU_NS_PER_BYTE / MUTATOR_THREADS
                 self.machine.run_batch(
                     [(((slab_device, 0.0, slab.size, 0, 0),), cpu_ns)],
-                    threads=threads,
+                    threads=MUTATOR_THREADS,
                 )
                 heap.write_ref(array, slab)
                 partition_slabs.append(slab)

@@ -20,11 +20,19 @@ from __future__ import annotations
 from itertools import chain as _chain
 from typing import Dict, List, Optional, Set
 
-from repro.config import DeviceKind
+from repro.config import MUTATOR_THREADS, DeviceKind
 from repro.core.lineage_propagation import propagate_tags
 from repro.core.tags import MemoryTag
 from repro.errors import OutOfMemoryError, SparkError
 from repro.heap.object_model import ObjKind
+from repro.spark.costmodel import (
+    ALLOC_FACTOR,
+    CPU_NS_PER_BYTE,
+    CPU_NS_PER_RECORD,
+    SER_FACTOR,
+    SOURCE_CPU_NS_PER_BYTE,
+    hash_probes_for,
+)
 from repro.spark.materialize import MaterializedBlock
 from repro.spark import columnar as _columnar
 from repro.spark.partition import _MISSING, Record
@@ -172,8 +180,6 @@ class Scheduler:
         if self.ctx.shuffles.has(dep.shuffle_id) and not force:
             return
         self._ensure_upstream_shuffles(dep.parent)
-        costs = self.ctx.costs
-        threads = self.ctx.config.mutator_threads
         n_out = dep.partitioner.num_partitions
         buckets: List[List[Record]] = [[] for _ in range(n_out)]
         # The stage's map outputs are collected in map-partition order
@@ -220,30 +226,30 @@ class Scheduler:
                                 )
                             records = combined.items()
                             n_records = len(combined)
-                    probes = costs.hash_probes_for(in_bytes)
+                    probes = hash_probes_for(in_bytes)
                     batches.append(
                         (
                             ((DeviceKind.DRAM, 0.0, 0.0, probes, 0),),
-                            in_bytes * costs.cpu_ns_per_byte / threads,
+                            in_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS,
                         )
                     )
                 outputs.append(records)
                 out_bytes = (
                     n_records * dep.parent.bytes_per_record * dep.combine_factor
                 )
-                ser_bytes = out_bytes * costs.ser_factor
+                ser_bytes = out_bytes * SER_FACTOR
                 batches.append(
                     (
                         ((DeviceKind.DISK, 0.0, ser_bytes, 0, 0),),
-                        out_bytes * costs.cpu_ns_per_byte / threads,
+                        out_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS,
                     )
                 )
-                self.ctx.machine.run_batch(batches, threads=threads)
+                self.ctx.machine.run_batch(batches, threads=MUTATOR_THREADS)
         finally:
             self._pop_scope()
         _columnar.bucket_into_segments(dep.partitioner, outputs, buckets)
         bpr = dep.parent.bytes_per_record * dep.combine_factor
-        sizes = [len(b) * bpr * costs.ser_factor for b in buckets]
+        sizes = [len(b) * bpr * SER_FACTOR for b in buckets]
         self.ctx.shuffles.write(dep.shuffle_id, buckets, sizes, overwrite=force)
         if self.ctx.faults is not None:
             # A completed map stage is a stage boundary: pending kills
@@ -295,17 +301,16 @@ class Scheduler:
     ) -> List[Record]:
         """Serve one partition from a block, charging its read wherever
         the block's objects currently live."""
-        threads = self.ctx.config.mutator_threads
         if block.in_serialized_tier:
             return self._read_serialized_partition(rdd, block, pidx)
         records = block.records[pidx]
         if block.on_disk:
             part_bytes = len(records) * rdd.bytes_per_record
-            disk_bytes = part_bytes * self.ctx.costs.ser_factor
-            cpu_ns = part_bytes * self.ctx.costs.cpu_ns_per_byte / threads
+            disk_bytes = part_bytes * SER_FACTOR
+            cpu_ns = part_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
             self.ctx.machine.run_batch(
                 [(((DeviceKind.DISK, disk_bytes, 0.0, 0, 0),), cpu_ns)],
-                threads=threads,
+                threads=MUTATOR_THREADS,
             )
         else:
             traffic: Dict[DeviceKind, float] = {}
@@ -315,12 +320,10 @@ class Scheduler:
             deser_cpu = 0.0
             if block.serialized:
                 part_bytes = len(records) * rdd.bytes_per_record
-                deser_cpu = (
-                    part_bytes * self.ctx.costs.cpu_ns_per_byte / threads
-                )
+                deser_cpu = part_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
             self.ctx.machine.run_batch(
                 [([(d, b, 0.0, 0, 0) for d, b in traffic.items()], deser_cpu)],
-                threads=threads,
+                threads=MUTATOR_THREADS,
             )
             # Consuming a cached partition leaves reference writes (task
             # iterators, buffer handles) in its card region, so the next
@@ -348,19 +351,17 @@ class Scheduler:
         DRAM.  No cards are dirtied and nothing is re-scanned — the
         tier has no object-heap structure for the GC to see.
         """
-        costs = self.ctx.costs
-        threads = self.ctx.config.mutator_threads
         batch = block.ser_batches[pidx]
         part_bytes = batch.count * rdd.bytes_per_record
-        packed_bytes = part_bytes * costs.ser_factor
-        deser_cpu = part_bytes * costs.cpu_ns_per_byte / threads
+        packed_bytes = part_bytes * SER_FACTOR
+        deser_cpu = part_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
         device = self.ctx.heap.native.device
         self.ctx.machine.run_batch(
             (
                 (((device, packed_bytes, 0.0, 0, 0),), deser_cpu),
                 (((DeviceKind.DRAM, 0.0, part_bytes, 0, 0),), 0.0),
             ),
-            threads=threads,
+            threads=MUTATOR_THREADS,
         )
         if self.ctx.heap.trace is not None:
             self.ctx.heap.trace.deserialize(rdd.id, part_bytes)
@@ -386,13 +387,11 @@ class Scheduler:
         finally:
             self._pop_scope()
         total_bytes = sum(len(p) for p in parts) * rdd.bytes_per_record
-        costs = self.ctx.costs
-        threads = self.ctx.config.mutator_threads
         if routes_to_serialized_tier(level):
             block = self._materialize_serialized_tier(rdd, parts)
         elif level.use_memory:
             in_heap_bytes = (
-                total_bytes * costs.ser_factor if level.serialized else total_bytes
+                total_bytes * SER_FACTOR if level.serialized else total_bytes
             )
             self.ctx.policy.reserve_persisted(
                 self.ctx, rdd, in_heap_bytes, self._active_transient_bytes()
@@ -412,11 +411,11 @@ class Scheduler:
                 data_bytes=total_bytes,
                 on_disk=True,
             )
-            disk_bytes = total_bytes * costs.ser_factor
-            cpu_ns = total_bytes * costs.cpu_ns_per_byte / threads
+            disk_bytes = total_bytes * SER_FACTOR
+            cpu_ns = total_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
             self.ctx.machine.run_batch(
                 [(((DeviceKind.DISK, 0.0, disk_bytes, 0, 0),), cpu_ns)],
-                threads=threads,
+                threads=MUTATOR_THREADS,
             )
         expanded = expand_level(level, tag)
         self.ctx.block_manager.put(block, expanded)
@@ -432,14 +431,12 @@ class Scheduler:
         every collection.
         """
         heap = self.ctx.heap
-        costs = self.ctx.costs
-        threads = self.ctx.config.mutator_threads
         top = heap.new_object(ObjKind.CONTROL, 64, rdd.id)
         arrays = []
         total_packed = 0.0
         for records in parts:
             part_bytes = len(records) * rdd.bytes_per_record
-            packed_bytes = part_bytes * costs.ser_factor
+            packed_bytes = part_bytes * SER_FACTOR
             total_packed += packed_bytes
             try:
                 native_obj = heap.allocate_native(packed_bytes, rdd.id)
@@ -449,13 +446,13 @@ class Scheduler:
             # Row 1: stream the freshly computed records out of DRAM,
             # paying the serialisation CPU.  Row 2: land the packed
             # batch on the native device.
-            ser_cpu = part_bytes * costs.cpu_ns_per_byte / threads
+            ser_cpu = part_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
             self.ctx.machine.run_batch(
                 (
                     (((DeviceKind.DRAM, part_bytes, 0.0, 0, 0),), ser_cpu),
                     (((heap.native.device, 0.0, packed_bytes, 0, 0),), 0.0),
                 ),
-                threads=threads,
+                threads=MUTATOR_THREADS,
             )
         if heap.trace is not None:
             heap.trace.serialize(rdd.id, total_packed)
@@ -486,7 +483,7 @@ class Scheduler:
             estimate = sum(
                 self.ctx.shuffles.serialized_bytes(dep.shuffle_id, p)
                 for p in range(rdd.num_partitions)
-            ) / max(self.ctx.costs.ser_factor, 1e-9)
+            ) / SER_FACTOR
         self.ctx.policy.reserve_stage_input(
             self.ctx, rdd, estimate, self._active_transient_bytes()
         )
@@ -517,10 +514,8 @@ class Scheduler:
             # the local disk read below models the landing.
             self.ctx.cluster.shuffle_fetch(dep, pidx)
         records = self.ctx.shuffles.read(dep.shuffle_id, pidx)
-        costs = self.ctx.costs
-        threads = self.ctx.config.mutator_threads
         ser_bytes = self.ctx.shuffles.serialized_bytes(dep.shuffle_id, pidx)
-        raw_bytes = ser_bytes / costs.ser_factor if costs.ser_factor else ser_bytes
+        raw_bytes = ser_bytes / SER_FACTOR
         self._ephemeral(raw_bytes)
         # Disk read + DRAM landing settle as one two-batch series — they
         # are back-to-back accesses with nothing between them.
@@ -528,11 +523,11 @@ class Scheduler:
             (
                 (
                     ((DeviceKind.DISK, ser_bytes, 0.0, 0, 0),),
-                    raw_bytes * costs.cpu_ns_per_byte / threads,
+                    raw_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS,
                 ),
                 (((DeviceKind.DRAM, 0.0, raw_bytes, 0, 0),), 0.0),
             ),
-            threads=threads,
+            threads=MUTATOR_THREADS,
         )
         return records
 
@@ -543,7 +538,7 @@ class Scheduler:
         (boxing, iterator wrappers): eden fills several times faster than
         the useful output volume.
         """
-        self.ctx.heap.allocate_streaming(int(nbytes * self.ctx.costs.alloc_factor))
+        self.ctx.heap.allocate_streaming(int(nbytes * ALLOC_FACTOR))
 
     def _write_overhead_ns(self, nbytes: float) -> float:
         """Kingsguard-Writes' monitoring barrier cost for ``nbytes`` of
@@ -562,18 +557,16 @@ class Scheduler:
         probe_bytes: float = 0.0,
     ) -> None:
         """Common charging for one partition-level operator."""
-        costs = self.ctx.costs
-        threads = self.ctx.config.mutator_threads
         cpu = (
-            in_bytes * costs.cpu_ns_per_byte
-            + (n_in + n_out) * costs.cpu_ns_per_record
+            in_bytes * CPU_NS_PER_BYTE
+            + (n_in + n_out) * CPU_NS_PER_RECORD
             + self._write_overhead_ns(out_bytes)
-        ) / threads
+        ) / MUTATOR_THREADS
         self._ephemeral(out_bytes)
-        probes = costs.hash_probes_for(probe_bytes)
+        probes = hash_probes_for(probe_bytes)
         self.ctx.machine.run_batch(
             [(((DeviceKind.DRAM, 0.0, out_bytes, probes, 0),), cpu)],
-            threads=threads,
+            threads=MUTATOR_THREADS,
         )
 
     def charge_narrow_op(
@@ -618,17 +611,15 @@ class Scheduler:
 
     def charge_source_read(self, rdd: RDD, records: List[Record]) -> None:
         """Cost of reading and parsing one input partition from disk."""
-        costs = self.ctx.costs
-        threads = self.ctx.config.mutator_threads
         nbytes = len(records) * rdd.bytes_per_record
         self._ephemeral(nbytes)
         self.ctx.machine.run_batch(
             (
                 (
                     ((DeviceKind.DISK, nbytes, 0.0, 0, 0),),
-                    nbytes * costs.source_cpu_ns_per_byte / threads,
+                    nbytes * SOURCE_CPU_NS_PER_BYTE / MUTATOR_THREADS,
                 ),
                 (((DeviceKind.DRAM, 0.0, nbytes, 0, 0),), 0.0),
             ),
-            threads=threads,
+            threads=MUTATOR_THREADS,
         )

@@ -12,7 +12,7 @@ never mutated.
 The tier matters to the simulation only through its modelled costs:
 the serialize-on-persist and deserialize-on-access batches charged
 through ``Machine.run_batch`` are derived from the RDD's modelled byte
-sizes (``bytes_per_record`` × ``ser_factor``), exactly like every
+sizes (``bytes_per_record`` × ``SER_FACTOR``), exactly like every
 other storage path, so traces and clocks stay a pure function of
 (workload, config, scale).
 """

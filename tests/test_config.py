@@ -114,9 +114,9 @@ class TestSystemConfig:
 
     def test_replace_returns_modified_copy(self):
         cfg = dram_only_config(64)
-        other = cfg.replace(gc_threads=8)
-        assert other.gc_threads == 8
-        assert cfg.gc_threads != 8 or cfg is not other
+        other = cfg.replace(seed=8)
+        assert other.seed == 8
+        assert cfg.seed != 8 or cfg is not other
 
 
 class TestConfigBuilders:

@@ -3,29 +3,23 @@
 import pytest
 
 from repro.config import DeviceKind, MiB, PolicyName
-from repro.spark.costmodel import MutatorCosts
+from repro.spark import costmodel
 from repro.workloads.datasets import powerlaw_graph
 from tests.conftest import small_config, small_context
 
 
 class TestMutatorCosts:
     def test_array_bytes_share(self):
-        costs = MutatorCosts()
-        assert costs.array_bytes_for(10 * MiB) == pytest.approx(
-            10 * MiB * costs.array_share
+        assert costmodel.array_bytes_for(10 * MiB) == pytest.approx(
+            10 * MiB * costmodel.ARRAY_SHARE
         )
 
     def test_array_bytes_floor(self):
-        assert MutatorCosts().array_bytes_for(10) == 512
+        assert costmodel.array_bytes_for(10) == 512
 
     def test_hash_probes(self):
-        costs = MutatorCosts()
-        assert costs.hash_probes_for(costs.hash_grain_bytes * 10) == 10
-        assert costs.hash_probes_for(0) == 0
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            MutatorCosts().cpu_ns_per_byte = 99
+        assert costmodel.hash_probes_for(costmodel.HASH_GRAIN_BYTES * 10) == 10
+        assert costmodel.hash_probes_for(0) == 0
 
 
 class TestSparkContextWiring:

@@ -12,7 +12,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.config import CACHE_LINE_BYTES, PolicyName, DeviceKind
+from repro.config import (
+    CACHE_LINE_BYTES,
+    GC_FIXED_PAUSE_NS,
+    GC_NS_PER_BYTE,
+    GC_THREADS,
+    PolicyName,
+    DeviceKind,
+)
+from repro.gc import minor
 from repro.gc.charging import (
     KIND_RANDOM_READ,
     KIND_READ,
@@ -22,6 +30,7 @@ from repro.gc.charging import (
 from repro.heap.object_model import HEADER_BYTES, HeapObject, ObjKind
 from repro.heap.spaces import Space
 from repro.memory.interleave import ChunkMap
+from repro.memory import machine as machine_module
 from repro.memory.machine import Machine
 from tests.conftest import make_stack, small_config
 from tests.golden.corpus import bandwidth_series
@@ -103,12 +112,12 @@ class PerChargeDeposits:
             rows.append((device, read_bytes, write_bytes, rr, rw))
         return rows
 
-    def batch(self, config, dram_stream=0.0):
+    def batch(self, dram_stream=0.0):
         rows = self.rows(dram_stream)
         processed = 0.0
         for _, read_bytes, write_bytes, _, _ in rows:
             processed += read_bytes + write_bytes
-        return rows, processed * config.gc_ns_per_byte
+        return rows, processed * GC_NS_PER_BYTE
 
 
 def _drive(sink, rows_each=False):
@@ -197,7 +206,6 @@ class TestChargeAccumulator:
 # -- batch: DeviceKind row order and the DRAM floor ------------------------
 
 
-_GC_CONFIG = SimpleNamespace(gc_threads=16, gc_ns_per_byte=0.05)
 #: A non-integer floor, and two DRAM reads whose sum lands on a different
 #: float when they are added to the floor one at a time.
 _FLOOR = 12345.678
@@ -212,7 +220,7 @@ class TestSettle:
         for nbytes in _DRAM_READS:
             acc.read(DeviceKind.DRAM, nbytes)
         acc.write(DeviceKind.DRAM, 64)
-        rows, cpu_ns = acc.batch(_GC_CONFIG, dram_stream=_FLOOR)
+        rows, cpu_ns = acc.batch(dram_stream=_FLOOR)
         dram_read = _FLOOR + sum(_DRAM_READS)
         assert dram_read != (_FLOOR + _DRAM_READS[0]) + _DRAM_READS[1]
         assert rows == [
@@ -220,14 +228,14 @@ class TestSettle:
             (DeviceKind.NVM, 4096, 512, 0, 0),
         ]
         processed = 0.0 + (dram_read + (_FLOOR + 64)) + (4096 + 512)
-        assert cpu_ns == processed * 0.05
+        assert cpu_ns == processed * GC_NS_PER_BYTE
 
     def test_floor_alone_charges_dram(self):
-        rows, _ = ChargeAccumulator().batch(_GC_CONFIG, dram_stream=_FLOOR)
+        rows, _ = ChargeAccumulator().batch(dram_stream=_FLOOR)
         assert rows == [(DeviceKind.DRAM, _FLOOR, _FLOOR, 0, 0)]
 
     def test_untouched_phase_settles_nothing(self):
-        batch = ChargeAccumulator().batch(_GC_CONFIG)
+        batch = ChargeAccumulator().batch()
         assert batch == ([], 0.0)
         config = small_config(PolicyName.PANTHERA)
         machine = Machine(config)
@@ -239,7 +247,8 @@ class TestSettle:
         batch reads ``floor + (a + b)`` on DRAM, not ``(floor + a) + b``
         (a small live fraction keeps the floor far below the copies, so
         the two roundings differ)."""
-        stack = make_stack(minor_live_fraction=0.0137)
+        monkeypatch.setattr(minor, "MINOR_LIVE_FRACTION", 0.0137)
+        stack = make_stack()
         heap = stack.heap
         sizes = (487587, 1398421)
         for nbytes in sizes:
@@ -259,21 +268,20 @@ class TestSettle:
         stack.collector.collect_minor()
         [(cycle, threads)] = calls
         [pause, _, (copy_rows, _)] = cycle
-        assert pause == ((), stack.config.gc_fixed_pause_ns)
-        assert threads == stack.config.gc_threads
+        assert pause == ((), GC_FIXED_PAUSE_NS)
+        assert threads == GC_THREADS
         assert copy_rows[0][:2] == (DeviceKind.DRAM, floor + sum(sizes))
 
     @pytest.mark.parametrize("dram_stream", [0.0, _FLOOR])
     def test_settle_matches_first_touch_reference(self, dram_stream):
         config = small_config(PolicyName.PANTHERA)
-        threads = config.gc_threads
         batched = Machine(config)
         batched.run_batch(
-            [_drive(ChargeAccumulator()).batch(config, dram_stream)], threads=threads
+            [_drive(ChargeAccumulator()).batch(dram_stream)], threads=GC_THREADS
         )
         reference = Machine(config)
         reference.run_batch(
-            [_drive(PerChargeDeposits()).batch(config, dram_stream)], threads=threads
+            [_drive(PerChargeDeposits()).batch(dram_stream)], threads=GC_THREADS
         )
         assert _machine_fingerprint(batched) == _machine_fingerprint(reference)
 
@@ -329,13 +337,13 @@ class _StartRecorder:
         return device_ns * 2.0
 
 
-def _fresh_machine(**kwargs):
-    return Machine(small_config(PolicyName.PANTHERA, **kwargs))
+def _fresh_machine():
+    return Machine(small_config(PolicyName.PANTHERA))
 
 
-def _series_and_single(batches, threads, throttle=None, **kwargs):
+def _series_and_single(batches, threads, throttle=None):
     """``batches`` charged as one series and as one call per batch."""
-    series, single = _fresh_machine(**kwargs), _fresh_machine(**kwargs)
+    series, single = _fresh_machine(), _fresh_machine()
     if throttle is not None:
         series.nvm_throttle, single.nvm_throttle = throttle(), throttle()
     returned = series.run_batch(batches, threads=threads)
@@ -356,13 +364,14 @@ def _assert_charges_nothing(batches):
 
 
 class TestRunBatch:
-    def _fresh_machine(self, **kwargs):
-        return _fresh_machine(**kwargs)
+    def _fresh_machine(self):
+        return _fresh_machine()
 
     @pytest.mark.parametrize("threads,mlp", [(1, None), (16, None), (4, 2)])
-    def test_series_matches_one_call_per_batch(self, threads, mlp):
-        kwargs = {} if mlp is None else {"mlp": mlp}
-        _series_and_single(_BATCHES * 3, threads, **kwargs)
+    def test_series_matches_one_call_per_batch(self, threads, mlp, monkeypatch):
+        if mlp is not None:
+            monkeypatch.setattr(machine_module, "MLP", mlp)
+        _series_and_single(_BATCHES * 3, threads)
 
     def test_series_throttles_each_batch_at_its_own_start(self):
         series, single = _series_and_single(_BATCHES, 2, throttle=_StartRecorder)
@@ -448,9 +457,10 @@ def _one_row_batches(rows):
 
 class TestRunRows:
     @pytest.mark.parametrize("threads,mlp", [(1, None), (8, None), (4, 2)])
-    def test_rows_match_sequential_access_calls(self, threads, mlp):
-        kwargs = {} if mlp is None else {"mlp": mlp}
-        _series_and_single(_one_row_batches(_ROWS * 7), threads, **kwargs)
+    def test_rows_match_sequential_access_calls(self, threads, mlp, monkeypatch):
+        if mlp is not None:
+            monkeypatch.setattr(machine_module, "MLP", mlp)
+        _series_and_single(_one_row_batches(_ROWS * 7), threads)
 
     def test_rows_apply_the_nvm_throttle(self):
         # One NVM access per lap; the traffic-free NVM row is not throttled.

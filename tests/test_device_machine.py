@@ -11,6 +11,7 @@ from repro.config import (
     GiB,
 )
 from repro.memory.device import MemoryDevice
+from repro.memory import machine as machine_module
 from repro.memory.machine import Machine
 from tests.conftest import small_config
 
@@ -30,10 +31,12 @@ class TestDeviceCostModel:
         ns = device.charge_row(0.0, 0.0, 1000, 0, 1)
         assert ns == pytest.approx(1000 * 120.0)
 
-    def test_threads_and_mlp_divide_latency(self):
+    def test_threads_and_mlp_divide_latency(self, monkeypatch):
         probes = [([(DeviceKind.DRAM, 0.0, 0.0, 1000, 0)], 0.0)]
-        serial = Machine(small_config(mlp=1)).run_batch(probes, threads=1)
-        parallel = Machine(small_config(mlp=2)).run_batch(probes, threads=4)
+        monkeypatch.setattr(machine_module, "MLP", 1)
+        serial = Machine(small_config()).run_batch(probes, threads=1)
+        monkeypatch.setattr(machine_module, "MLP", 2)
+        parallel = Machine(small_config()).run_batch(probes, threads=4)
         assert parallel == pytest.approx(serial / 8)
 
     def test_threads_do_not_help_bandwidth(self):

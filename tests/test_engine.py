@@ -190,20 +190,15 @@ class TestEventsAndHelpers:
 
     def test_progress_fires_once_per_cell_even_when_cached(self, tmp_path):
         seen = []
-        run_matrix(
-            scale=SCALE,
-            workloads=["PR"],
-            cache_dir=tmp_path,
-            progress=lambda w, p: seen.append((w, p.value)),
-        )
+
+        def on_event(event):
+            if event.kind in ("start", "cached"):
+                seen.append((event.point.workload, event.point.config.policy.value))
+
+        run_matrix(scale=SCALE, workloads=["PR"], cache_dir=tmp_path, on_event=on_event)
         assert len(seen) == 3
         seen.clear()
-        run_matrix(
-            scale=SCALE,
-            workloads=["PR"],
-            cache_dir=tmp_path,
-            progress=lambda w, p: seen.append((w, p.value)),
-        )
+        run_matrix(scale=SCALE, workloads=["PR"], cache_dir=tmp_path, on_event=on_event)
         assert len(seen) == 3
 
 

@@ -78,7 +78,6 @@ class TestConfigFailures:
             dict(heap_bytes=2 * GiB, dram_bytes=GiB, nvm_bytes=0),
             dict(heap_bytes=GiB, dram_bytes=-1, nvm_bytes=GiB),
             dict(heap_bytes=GiB, dram_bytes=GiB, nvm_bytes=0, nursery_fraction=0.0),
-            dict(heap_bytes=GiB, dram_bytes=GiB, nvm_bytes=0, survivor_fraction=0.5),
         ]
         for kwargs in bad_configs:
             with pytest.raises(ConfigError):

@@ -2,7 +2,7 @@
 dynamic migration and monitor reset (§4.2.2)."""
 
 
-from repro.config import MiB, PolicyName
+from repro.config import DENSE_PREFIX_WASTE, MiB, PolicyName
 from repro.core.tags import MemoryTag
 from repro.heap.object_model import ObjKind
 from tests.conftest import make_stack
@@ -97,9 +97,8 @@ class TestCompaction:
 
     def test_objects_above_large_gaps_slide_down(self, dram_stack):
         heap = dram_stack.heap
-        config = dram_stack.config
         garbage = heap.allocate_rdd_array(
-            int(heap.old_spaces[0].size * config.dense_prefix_waste * 3),
+            int(heap.old_spaces[0].size * DENSE_PREFIX_WASTE * 3),
             rdd_id=1,
         )
         mover = heap.allocate_rdd_array(MiB, rdd_id=2)
@@ -111,9 +110,8 @@ class TestCompaction:
 
     def test_panthera_compaction_keeps_arrays_padded(self, panthera_stack):
         heap = panthera_stack.heap
-        config = panthera_stack.config
         garbage = heap.allocate_rdd_array(
-            int(heap.old_space_named("old-nvm").size * config.dense_prefix_waste * 3)
+            int(heap.old_space_named("old-nvm").size * DENSE_PREFIX_WASTE * 3)
             + 13,
             rdd_id=1,
         )

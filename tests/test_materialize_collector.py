@@ -17,9 +17,7 @@ class FakeRDD:
 
 
 def make_materializer(stack):
-    from repro.spark.costmodel import MutatorCosts
-
-    return Materializer(stack.heap, stack.machine, MutatorCosts(), stack.runtime)
+    return Materializer(stack.heap, stack.machine, stack.runtime)
 
 
 class TestMaterializer:
@@ -74,9 +72,7 @@ class TestMaterializer:
 
     def test_no_runtime_means_untagged(self):
         stack = make_stack()
-        from repro.spark.costmodel import MutatorCosts
-
-        materializer = Materializer(stack.heap, stack.machine, MutatorCosts(), None)
+        materializer = Materializer(stack.heap, stack.machine, None)
         block = materializer.materialize(FakeRDD(), [[(0, 0)] * 2], MemoryTag.DRAM)
         # Without the Panthera runtime, the tag has no channel to travel.
         assert block.arrays[0].memory_bits == 0

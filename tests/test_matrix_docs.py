@@ -12,11 +12,12 @@ class TestMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
         seen = []
-        result = run_matrix(
-            scale=0.02,
-            workloads=["PR", "KM"],
-            progress=lambda w, p: seen.append((w, p)),
-        )
+
+        def on_event(event):
+            if event.kind in ("start", "cached"):
+                seen.append((event.point.workload, event.point.config.policy))
+
+        result = run_matrix(scale=0.02, workloads=["PR", "KM"], on_event=on_event)
         assert len(seen) == 2 * 3
         return result
 

@@ -3,7 +3,7 @@ propagation, card hygiene (§4.2.2) and steady-scavenge replay."""
 
 import pytest
 
-from repro.config import DeviceKind, MiB, PolicyName
+from repro.config import TENURING_THRESHOLD, DeviceKind, MiB, PolicyName
 from repro.core.tags import MEMORY_BITS_NVM, MemoryTag
 from repro.gc.minor import SteadyScavenge
 from repro.heap.object_model import ObjKind
@@ -46,9 +46,8 @@ class TestSurvivorAging:
         assert heap.survivor_from is not before_from
 
     def test_promotion_after_tenuring_threshold(self, dram_stack):
-        threshold = dram_stack.config.tenuring_threshold
         obj = alloc_rooted(dram_stack)
-        for _ in range(threshold):
+        for _ in range(TENURING_THRESHOLD):
             dram_stack.collector.collect_minor()
         assert dram_stack.heap.in_old(obj)
 
@@ -264,9 +263,7 @@ def _fingerprint(stack):
 
 
 def _full_path_only(monkeypatch):
-    monkeypatch.setattr(
-        SteadyScavenge, "of", classmethod(lambda cls, heap, config: None)
-    )
+    monkeypatch.setattr(SteadyScavenge, "of", classmethod(lambda cls, heap: None))
 
 
 def _count_builds(monkeypatch):
@@ -274,9 +271,9 @@ def _count_builds(monkeypatch):
     builds = []
     init = SteadyScavenge.__init__
 
-    def counting(self, heap, config):
+    def counting(self, heap):
         builds.append(self)
-        init(self, heap, config)
+        init(self, heap)
 
     monkeypatch.setattr(SteadyScavenge, "__init__", counting)
     return builds
@@ -346,7 +343,7 @@ class TestSteadyScavenge:
     def test_object_in_eden_takes_the_full_path(self):
         stack = _panthera()
         stack.heap.new_object(ObjKind.DATA, 1024)  # unrooted, still resident
-        assert SteadyScavenge.of(stack.heap, stack.config) is None
+        assert SteadyScavenge.of(stack.heap) is None
         assert stack.collector.collect_minor() is None
 
     def test_survivor_only_in_from_space_takes_the_full_path(self):
@@ -357,7 +354,7 @@ class TestSteadyScavenge:
         heap.remove_root(survivor)
         assert not heap.eden.objects
         assert survivor in heap.survivor_from.objects
-        assert SteadyScavenge.of(heap, stack.config) is None
+        assert SteadyScavenge.of(heap) is None
         assert stack.collector.collect_minor() is None
         assert survivor.space is None  # the full scavenge found it dead
 
@@ -367,7 +364,7 @@ class TestSteadyScavenge:
         array = next(iter(heap.iter_roots()))
         heap.card_table.mark_dirty(array)
         assert heap.card_table.has_fresh_dirt()
-        assert SteadyScavenge.of(heap, stack.config) is None
+        assert SteadyScavenge.of(heap) is None
         assert stack.collector.collect_minor() is None
         assert not heap.card_table.has_fresh_dirt()
         assert stack.collector.collect_minor() is not None

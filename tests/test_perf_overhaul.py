@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
-from repro.config import DeviceKind, PolicyName
+from repro.config import CARD_SIZE, DeviceKind, PolicyName
 from repro.core.tags import MemoryTag
 from repro.errors import GCError
 from repro.gc import major, minor
@@ -42,11 +42,11 @@ def _squeeze_old_gen(stack, slack: int) -> int:
     """Fill the old generation with dead filler so that exactly
     ``raw survivable + slack`` bytes stay free, then stage eight
     card-misaligned arrays in eden (all of which the next scavenge must
-    promote, ``tenuring_threshold=1``).  Returns the raw survivable sum.
+    promote, with ``minor.TENURING_THRESHOLD`` patched to 1).  Returns
+    the raw survivable sum.
     """
     heap = stack.heap
-    card = stack.config.card_size
-    size = card * 3 + 100  # deliberately not a multiple of the card size
+    size = CARD_SIZE * 3 + 100  # deliberately not a multiple of the card size
     arrays = []
     for _ in range(8):
         obj = heap.new_object(ObjKind.RDD_ARRAY, size)
@@ -66,22 +66,22 @@ def _squeeze_old_gen(stack, slack: int) -> int:
 
 class TestPromotionGuaranteePadding:
     def test_bound_includes_card_padding_per_array(self):
-        stack = make_stack(PolicyName.PANTHERA, tenuring_threshold=1)
+        stack = make_stack(PolicyName.PANTHERA)
         heap = stack.heap
-        card = stack.config.card_size
-        sizes = [card * 2 + 17, card + 1, 3000]
+        sizes = [CARD_SIZE * 2 + 17, CARD_SIZE + 1, 3000]
         for size in sizes:
             heap.new_object(ObjKind.RDD_ARRAY, size)
         heap.new_object(ObjKind.DATA, 4096)
         assert heap.card_padding
         bound = stack.collector._promotion_upper_bound()
-        assert bound == sum(sizes) + 4096 + len(sizes) * (card - 1)
+        assert bound == sum(sizes) + 4096 + len(sizes) * (CARD_SIZE - 1)
 
     def test_unpadded_bound_overflows_mid_promotion(self, monkeypatch):
         """The pre-fix bound admits a scavenge the old gen cannot absorb:
         per-array card padding makes the real footprint exceed the raw
         sum, and promotion fails with the heap half-evacuated."""
-        stack = make_stack(PolicyName.PANTHERA, tenuring_threshold=1)
+        monkeypatch.setattr(minor, "TENURING_THRESHOLD", 1)
+        stack = make_stack(PolicyName.PANTHERA)
         _squeeze_old_gen(stack, slack=4)
         monkeypatch.setattr(
             Collector, "_promotion_upper_bound", _old_unpadded_bound
@@ -89,11 +89,12 @@ class TestPromotionGuaranteePadding:
         with pytest.raises(GCError, match="promotion failed"):
             stack.collector.collect_minor()
 
-    def test_padded_bound_runs_major_first_and_succeeds(self):
+    def test_padded_bound_runs_major_first_and_succeeds(self, monkeypatch):
         """The fixed bound counts the worst-case padding, sees the old
         generation cannot guarantee the scavenge, and runs a full GC
         (reclaiming the dead filler) before promoting."""
-        stack = make_stack(PolicyName.PANTHERA, tenuring_threshold=1)
+        monkeypatch.setattr(minor, "TENURING_THRESHOLD", 1)
+        stack = make_stack(PolicyName.PANTHERA)
         _squeeze_old_gen(stack, slack=4)
         stack.collector.collect_minor()  # must not raise
         assert stack.collector.stats.major_count == 1

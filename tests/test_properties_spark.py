@@ -114,8 +114,8 @@ def run_traced_pipeline(records, steps, kill):
 def run_pipeline(policy, records, steps, kill=None):
     """Collect a random pipeline under ``policy`` on a traced context;
     ``kill``, when given, is a ``(stage boundary, reduce partition)``
-    shuffle kill.  Returns the sorted answer, the context and the
-    trace session."""
+    shuffle kill.  Every persisted RDD is unpersisted after the collect.
+    Returns the sorted answer, the context and the trace session."""
     ctx = small_context(policy)
     session = TraceSession.attach_to_context(ctx)
     if kill is not None:
@@ -123,6 +123,11 @@ def run_pipeline(policy, records, steps, kill=None):
         FaultInjector.attach(plan, ctx)
     rdd = build_pipeline(ctx, records, steps)
     result = sorted(ctx.scheduler.run_action(rdd, "collect"), key=repr)
+    # Release every persisted block, so the heap checks and the strict
+    # replay also cover each level's frees (native batches included).
+    for persisted in list(ctx._rdds.values()):
+        if persisted.persist_level is not None:
+            persisted.unpersist()
     return result, ctx, session
 
 

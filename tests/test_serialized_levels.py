@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import MiB
+from repro.spark.costmodel import SER_FACTOR
 from repro.spark.storage import StorageLevel
 from tests.conftest import small_context
 
@@ -35,7 +36,7 @@ class TestSerializedBlocks:
             ctx.block_manager.get(ser.id).data_bytes
             / ctx.block_manager.get(plain.id).data_bytes
         )
-        assert ratio == pytest.approx(ctx.costs.ser_factor, rel=0.05)
+        assert ratio == pytest.approx(SER_FACTOR, rel=0.05)
 
     def test_ser_read_pays_deserialization_cpu(self):
         plain_ctx = small_context()

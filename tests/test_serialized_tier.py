@@ -18,6 +18,7 @@ from repro.core.static_analysis import analyze_program
 from repro.faults import FaultPlan, KillSpec, action_checksums
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
+from repro.spark.costmodel import SER_FACTOR
 from repro.spark.serialized import SerializedColumnBatch
 from repro.spark.storage import (
     StorageLevel,
@@ -73,7 +74,7 @@ class TestTierPlacement:
             ctx.block_manager.get(ser.id).data_bytes
             / ctx.block_manager.get(plain.id).data_bytes
         )
-        assert ratio == pytest.approx(ctx.costs.ser_factor, rel=0.05)
+        assert ratio == pytest.approx(SER_FACTOR, rel=0.05)
 
     def test_results_identical_to_object_mode(self):
         def collect(level):

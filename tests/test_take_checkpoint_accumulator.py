@@ -1,10 +1,9 @@
-"""Tests for take/first, checkpointing and accumulators."""
+"""Tests for take/first and checkpointing."""
 
 import pytest
 
 from repro.config import DeviceKind, MiB
 from repro.errors import SparkError
-from repro.spark.accumulator import make_accumulator
 from tests.conftest import small_context
 
 
@@ -83,40 +82,3 @@ class TestCheckpoint:
         boxed.checkpoint()
         assert sorted(plain.collect()) == sorted(boxed.collect())
 
-
-class TestAccumulator:
-    def test_sum_accumulator(self):
-        acc = make_accumulator(0, name="records")
-        for i in range(5):
-            acc.add(i)
-        assert acc.value == 10
-        assert acc.update_count == 5
-
-    def test_iadd(self):
-        acc = make_accumulator(0)
-        acc += 7
-        assert acc.value == 7
-
-    def test_custom_add_fn(self):
-        acc = make_accumulator((0, 0), lambda a, b: (a[0] + b[0], a[1] + b[1]))
-        acc.add((1, 2))
-        acc.add((3, 4))
-        assert acc.value == (4, 6)
-
-    def test_reset(self):
-        acc = make_accumulator(0)
-        acc.add(5)
-        acc.reset()
-        assert acc.value == 0
-        assert acc.update_count == 0
-
-    def test_used_inside_pipeline(self, ctx):
-        seen = make_accumulator(0, name="seen")
-
-        def counting(record):
-            seen.add(1)
-            return record
-
-        rdd = parallelize(ctx).map(counting)
-        rdd.count()
-        assert seen.value == 12
