@@ -29,6 +29,7 @@ from repro.spark.costmodel import (
     SER_FACTOR,
     hash_probes_for,
 )
+from repro.spark.partition import HashPartitioner
 
 Record = Tuple[Any, Any]
 
@@ -150,8 +151,13 @@ class MapReduceJob:
         self.load_side_tables()
         try:
             buckets: List[List[Record]] = [[] for _ in range(self.num_reducers)]
+            # Spark's stable hash, not the salted built-in: string keys
+            # must bucket the same under every PYTHONHASHSEED.
+            partition_of = HashPartitioner(self.num_reducers).partition_of
             for split in splits:
-                self._run_map_task(split, bytes_per_record, buckets)
+                self._run_map_task(
+                    split, bytes_per_record, buckets, partition_of
+                )
             output: Dict[Any, Any] = {}
             for bucket in buckets:
                 self._run_reduce_task(bucket, bytes_per_record, output)
@@ -164,6 +170,7 @@ class MapReduceJob:
         split: List[Record],
         bytes_per_record: float,
         buckets: List[List[Record]],
+        partition_of: Callable[[Any], int],
     ) -> None:
         in_bytes = len(split) * bytes_per_record
         # Input read from HDFS (disk) into the young generation.
@@ -188,7 +195,7 @@ class MapReduceJob:
         for table in self.side_tables:
             self._charge_probe(table, in_bytes)
         for key, value in out:
-            buckets[hash(key) % self.num_reducers].append((key, value))
+            buckets[partition_of(key)].append((key, value))
         # Shuffle spill to local disk.
         self.machine.run_batch(
             [(((DeviceKind.DISK, 0.0, out_bytes * SER_FACTOR, 0, 0),), 0.0)],

@@ -86,22 +86,20 @@ def build_kmeans(
             mat = _columnar.vec_matrix(batch.values)
             if mat is None:
                 return None
-            centers = state["centers"]
+            centers = np.asarray(state["centers"])
             n, dim = mat.shape
-            dists = np.empty((n, len(centers)))
-            for cidx, center in enumerate(centers):
-                diff = mat - np.asarray(center)
-                terms = diff * diff
-                # Left fold from 0.0 per dimension — _sq_dist's left_sum
-                # replayed exactly (never np.sum: pairwise summation
-                # reorders the float additions).
-                acc = np.zeros(n)
-                for j in range(dim):
-                    acc += terms[:, j]
-                dists[:, cidx] = acc
+            # All (k, n) distances at once, as a left fold from 0.0 one
+            # dimension at a time — _sq_dist's left_sum replayed exactly
+            # (never np.sum: pairwise summation reorders the float
+            # additions).
+            dists = np.zeros((len(centers), n))
+            cols = mat.T
+            for j in range(dim):
+                diff = cols[j] - centers[:, j, None]
+                dists += diff * diff
             # argmin takes the first minimum, matching closest_center's
             # strict `<` scan.
-            clusters = np.argmin(dists, axis=1).astype(np.int64)
+            clusters = np.argmin(dists, axis=0).astype(np.int64)
             return _columnar.ColumnBatch(
                 _columnar.int_column(clusters),
                 _columnar.PairColumn(

@@ -76,14 +76,11 @@ def build_logistic_regression(
             for j in range(dim):
                 dots += w[j] * mat[:, j]
             margins = np.maximum(-30.0, np.minimum(30.0, ys * dots))
-            # numpy's exp is not bit-identical to math.exp, so the
-            # sigmoid runs per element; everything around it vectorises.
-            coeffs = np.asarray(
-                [
-                    (1.0 / (1.0 + math.exp(-m)) - 1.0) * y
-                    for m, y in zip(margins.tolist(), ys.tolist())
-                ]
-            )
+            # numpy's exp is not bit-identical to math.exp, so exp runs
+            # per element; negation and the elementwise float64
+            # + - * / round exactly as the Python floats do.
+            e = np.fromiter(map(math.exp, (-margins).tolist()), float, n)
+            coeffs = (1.0 / (1.0 + e) - 1.0) * ys
             grads = coeffs[:, None] * mat
             return _columnar.ColumnBatch(
                 _columnar.ConstColumn("grad", n),

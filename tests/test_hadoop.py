@@ -1,6 +1,11 @@
 """Tests for the §4.3 Hadoop substrate: MapReduce + HashJoin over the
 Panthera runtime APIs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.config import DeviceKind, MiB, PolicyName
@@ -76,6 +81,38 @@ class TestMapReduce:
         # Collections ran; the table must have stayed alive throughout
         # (release only happens at job end).
         assert panthera_stack.collector.stats.minor_count >= 1
+
+    def test_string_keys_bucket_the_same_under_every_hash_seed(self):
+        """Map outputs bucket by Spark's stable hash, not the salted
+        built-in: a string-keyed job's output order and simulated time
+        are the same under two ``PYTHONHASHSEED`` values."""
+        script = (
+            "from tests.conftest import make_stack\n"
+            "from tests.test_hadoop import word_count_job\n"
+            "stack = make_stack()\n"
+            "words = 'alpha beta gamma delta epsilon zeta eta theta'\n"
+            "splits = [[(i, words)] for i in range(4)]\n"
+            "out = word_count_job(stack).run(splits, bytes_per_record=2 ** 20)\n"
+            "print(list(out.items()), stack.machine.elapsed_s)\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                cwd=root,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestHashJoin:
