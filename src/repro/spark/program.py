@@ -8,6 +8,13 @@ defined and used where, relative to loops and materialisation points
 with the inferred tag (the Python analogue of the injected ``rdd_alloc``
 calls).
 
+An expression's transformation builders are recordings of RDD method
+calls: ``expr.map(fn)`` takes exactly the arguments of
+:meth:`repro.spark.rdd.RDD.map` (checked when the program is built) and
+returns a :class:`TransformExpr` that replays the call on the real RDD
+at execution.  The operator vocabulary and its defaults live only in
+:mod:`repro.spark.rdd`.
+
 Workloads build programs with the fluent API::
 
     p = Program()
@@ -27,131 +34,52 @@ Workloads build programs with the fluent API::
 from __future__ import annotations
 
 import contextlib
+import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import AnalysisError, SparkError
+from repro.spark.rdd import RDD
 from repro.spark.storage import StorageLevel
 
 
+def _mirror(op: str) -> Callable[..., "TransformExpr"]:
+    """The IR builder for ``RDD.<op>``: same signature, but the call is
+    bound (so misuse raises ``TypeError`` here) and recorded, not run."""
+    method = getattr(RDD, op)
+    signature = inspect.signature(method)
+
+    @functools.wraps(method)
+    def build(*args, **kwargs) -> "TransformExpr":
+        return TransformExpr(op, signature.bind(*args, **kwargs).arguments)
+
+    build.__signature__ = signature.replace(return_annotation="TransformExpr")
+    return build
+
+
 class Expr:
-    """Base expression; carries the fluent transformation builders."""
+    """Base expression.  Its transformation builders take the RDD
+    method's own signature and return a :class:`TransformExpr`."""
 
     persist_level: Optional[StorageLevel] = None
 
-    # -- fluent builders (mirror of the RDD API) -----------------------------
-
-    def _t(self, op: str, inputs: List["Expr"], **kwargs) -> "TransformExpr":
-        return TransformExpr(op, [self] + inputs, kwargs)
-
-    def map(
-        self,
-        fn: Callable,
-        size_factor: float = 1.0,
-        preserves_partitioning: bool = False,
-    ) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.map`."""
-        return self._t(
-            "map",
-            [],
-            fn=fn,
-            size_factor=size_factor,
-            preserves_partitioning=preserves_partitioning,
-        )
-
-    def flat_map(self, fn: Callable, size_factor: float = 1.0) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.flat_map`."""
-        return self._t("flat_map", [], fn=fn, size_factor=size_factor)
-
-    def filter(self, predicate: Callable) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.filter`."""
-        return self._t("filter", [], predicate=predicate)
-
-    def map_values(self, fn: Callable, size_factor: float = 1.0) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.map_values`."""
-        return self._t("map_values", [], fn=fn, size_factor=size_factor)
-
-    def values(self) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.values`."""
-        return self._t("values", [])
-
-    def distinct(self, num_partitions: Optional[int] = None) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.distinct`."""
-        return self._t("distinct", [], num_partitions=num_partitions)
-
-    def group_by_key(
-        self, num_partitions: Optional[int] = None, size_factor: float = 1.0
-    ) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.group_by_key`."""
-        return self._t(
-            "group_by_key", [], num_partitions=num_partitions, size_factor=size_factor
-        )
-
-    def reduce_by_key(
-        self,
-        fn: Callable,
-        num_partitions: Optional[int] = None,
-        size_factor: float = 1.0,
-    ) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.reduce_by_key`."""
-        return self._t(
-            "reduce_by_key",
-            [],
-            fn=fn,
-            num_partitions=num_partitions,
-            size_factor=size_factor,
-        )
-
-    def join(self, other: "Expr") -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.join`."""
-        return self._t("join", [other])
-
-    def union(self, other: "Expr") -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.union`."""
-        return self._t("union", [other])
-
-    def keys(self) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.keys`."""
-        return self._t("keys", [])
-
-    def sample(self, fraction: float, seed: int = 17) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.sample`."""
-        return self._t("sample", [], fraction=fraction, seed=seed)
-
-    def sort_by_key(
-        self, ascending: bool = True, num_partitions: Optional[int] = None
-    ) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.sort_by_key`."""
-        return self._t(
-            "sort_by_key", [], ascending=ascending, num_partitions=num_partitions
-        )
-
-    def aggregate_by_key(
-        self,
-        zero: Any,
-        seq_fn: Callable,
-        comb_fn: Callable,
-        num_partitions: Optional[int] = None,
-        size_factor: float = 1.0,
-    ) -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.aggregate_by_key`."""
-        return self._t(
-            "aggregate_by_key",
-            [],
-            zero=zero,
-            seq_fn=seq_fn,
-            comb_fn=comb_fn,
-            num_partitions=num_partitions,
-            size_factor=size_factor,
-        )
-
-    def cogroup(self, other: "Expr") -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.cogroup`."""
-        return self._t("cogroup", [other])
-
-    def subtract_by_key(self, other: "Expr") -> "TransformExpr":
-        """IR mirror of :meth:`repro.spark.rdd.RDD.subtract_by_key`."""
-        return self._t("subtract_by_key", [other])
+    map = _mirror("map")
+    flat_map = _mirror("flat_map")
+    filter = _mirror("filter")
+    map_values = _mirror("map_values")
+    values = _mirror("values")
+    distinct = _mirror("distinct")
+    group_by_key = _mirror("group_by_key")
+    reduce_by_key = _mirror("reduce_by_key")
+    join = _mirror("join")
+    union = _mirror("union")
+    keys = _mirror("keys")
+    sample = _mirror("sample")
+    sort_by_key = _mirror("sort_by_key")
+    aggregate_by_key = _mirror("aggregate_by_key")
+    cogroup = _mirror("cogroup")
+    subtract_by_key = _mirror("subtract_by_key")
 
     def persist(self, level: StorageLevel = StorageLevel.MEMORY_ONLY) -> "Expr":
         """Mark this expression's RDD for persistence (a materialisation
@@ -194,12 +122,14 @@ class SourceExpr(Expr):
 
 
 class TransformExpr(Expr):
-    """A transformation applied to input expressions."""
+    """A recorded RDD method call: ``kwargs`` maps each bound parameter
+    name to its argument, the receiver under ``"self"``."""
 
-    def __init__(self, op: str, inputs: List[Expr], kwargs: Dict[str, Any]) -> None:
+    def __init__(self, op: str, kwargs: Dict[str, Any]) -> None:
         self.op = op
-        self.inputs = inputs
         self.kwargs = kwargs
+        #: the Expr arguments, receiver first
+        self.inputs = [v for v in kwargs.values() if isinstance(v, Expr)]
 
     def children(self) -> List[Expr]:
         return list(self.inputs)
@@ -353,8 +283,12 @@ def execute_program(
         if isinstance(expr, SourceExpr):
             return ctx.source_rdd(expr.dataset)
         if isinstance(expr, TransformExpr):
-            inputs = [eval_expr(child, var) for child in expr.inputs]
-            rdd = _apply_op(expr.op, inputs, expr.kwargs)
+            args = {
+                name: eval_expr(value, var) if isinstance(value, Expr) else value
+                for name, value in expr.kwargs.items()
+            }
+            receiver = args.pop("self")
+            rdd = getattr(receiver, expr.op)(**args)
             if expr.persist_level is not None:
                 rdd.persist(expr.persist_level)
                 rdd.memory_tag = tags.get(var) if var is not None else None
@@ -403,59 +337,3 @@ def execute_program(
     run_block(program.body)
     return results
 
-
-def _apply_op(op: str, inputs, kwargs):
-    """Dispatch an IR op to the RDD API."""
-    first = inputs[0]
-    if op == "map":
-        return first.map(
-            kwargs["fn"],
-            kwargs.get("size_factor", 1.0),
-            preserves_partitioning=kwargs.get("preserves_partitioning", False),
-        )
-    if op == "flat_map":
-        return first.flat_map(kwargs["fn"], kwargs.get("size_factor", 1.0))
-    if op == "filter":
-        return first.filter(kwargs["predicate"])
-    if op == "map_values":
-        return first.map_values(kwargs["fn"], kwargs.get("size_factor", 1.0))
-    if op == "values":
-        return first.values()
-    if op == "distinct":
-        return first.distinct(kwargs.get("num_partitions"))
-    if op == "group_by_key":
-        return first.group_by_key(
-            kwargs.get("num_partitions"),
-            size_factor=kwargs.get("size_factor", 1.0),
-        )
-    if op == "reduce_by_key":
-        return first.reduce_by_key(
-            kwargs["fn"],
-            kwargs.get("num_partitions"),
-            size_factor=kwargs.get("size_factor", 1.0),
-        )
-    if op == "join":
-        return first.join(inputs[1])
-    if op == "union":
-        return first.union(inputs[1])
-    if op == "keys":
-        return first.keys()
-    if op == "sample":
-        return first.sample(kwargs["fraction"], kwargs.get("seed", 17))
-    if op == "sort_by_key":
-        return first.sort_by_key(
-            kwargs.get("ascending", True), kwargs.get("num_partitions")
-        )
-    if op == "aggregate_by_key":
-        return first.aggregate_by_key(
-            kwargs["zero"],
-            kwargs["seq_fn"],
-            kwargs["comb_fn"],
-            kwargs.get("num_partitions"),
-            size_factor=kwargs.get("size_factor", 1.0),
-        )
-    if op == "cogroup":
-        return first.cogroup(inputs[1])
-    if op == "subtract_by_key":
-        return first.subtract_by_key(inputs[1])
-    raise AnalysisError(f"unknown IR op {op!r}")

@@ -1,4 +1,9 @@
-"""Program IR tests: structure, execution and driver statements."""
+"""Program IR tests: structure, execution, driver statements and the
+IR's parity with the RDD API."""
+
+import inspect
+import operator
+import typing
 
 import pytest
 
@@ -6,12 +11,15 @@ from repro.core.tags import MemoryTag
 from repro.errors import AnalysisError, SparkError
 from repro.spark.program import (
     AssignStmt,
+    Expr,
     LoopStmt,
     Program,
+    TransformExpr,
     UnpersistStmt,
     VarRef,
     execute_program,
 )
+from repro.spark.rdd import RDD
 from repro.spark.storage import StorageLevel
 from repro.workloads.datasets import powerlaw_graph
 from tests.conftest import small_context
@@ -149,3 +157,90 @@ class TestExecution:
         p.action(edges, "frobnicate")
         with pytest.raises(SparkError):
             execute_program(p, small_context(), {})
+
+
+def _swap(record):
+    return (record[1], record[0])
+
+
+#: One call per IR transformation, written once and applied both to an
+#: Expr (recorded) and to an RDD (run): the two share one signature.
+CALLS = {
+    "map": lambda x, y: x.map(_swap, size_factor=2.0, name="swapped"),
+    "flat_map": lambda x, y: x.flat_map(lambda r: [r, _swap(r)]),
+    "filter": lambda x, y: x.filter(lambda r: r[0] % 2 == 0),
+    "map_values": lambda x, y: x.map_values(lambda v: v * 3, 0.5),
+    "values": lambda x, y: x.values(),
+    "distinct": lambda x, y: x.distinct(2),
+    "group_by_key": lambda x, y: x.group_by_key(3, size_factor=4.0),
+    "reduce_by_key": lambda x, y: x.reduce_by_key(operator.add, 3),
+    "join": lambda x, y: x.join(y),
+    "union": lambda x, y: x.union(y),
+    "keys": lambda x, y: x.keys(),
+    "sample": lambda x, y: x.sample(0.5, seed=3),
+    "sort_by_key": lambda x, y: x.sort_by_key(False, num_partitions=1),
+    "aggregate_by_key": lambda x, y: x.aggregate_by_key(
+        0, lambda acc, v: acc + v, operator.add
+    ),
+    "cogroup": lambda x, y: x.cogroup(y),
+    "subtract_by_key": lambda x, y: x.subtract_by_key(y),
+}
+
+
+def _rdd_transformations():
+    """Public RDD methods that return a new RDD, bar the persistence
+    controls (which the IR models as statements and Expr.persist)."""
+    return {
+        name
+        for name, fn in vars(RDD).items()
+        if not name.startswith("_")
+        and inspect.isfunction(fn)
+        and typing.get_type_hints(fn).get("return") is RDD
+    } - {"persist", "checkpoint", "unpersist"}
+
+
+def _mirrors():
+    """Expr attributes that mirror an RDD method."""
+    return {
+        name: fn
+        for name, fn in vars(Expr).items()
+        if hasattr(fn, "__wrapped__")
+    }
+
+
+class TestRddParity:
+    def test_every_transformation_has_a_mirror(self):
+        assert set(_mirrors()) == _rdd_transformations()
+
+    def test_each_mirror_names_its_rdd_method(self):
+        for name, fn in _mirrors().items():
+            assert fn.__wrapped__ is getattr(RDD, name)
+
+    def test_calls_cover_every_mirror(self):
+        assert set(CALLS) == set(_mirrors())
+
+    @pytest.mark.parametrize("op", sorted(CALLS))
+    def test_program_collects_what_the_rdd_call_collects(self, op):
+        left = graph_ds()
+        right = powerlaw_graph("ir-right", 20, 50, total_bytes=2**20, seed=9)
+        p = Program()
+        x = p.let("x", p.source(left))
+        y = p.let("y", p.source(right))
+        expr = CALLS[op](x, y)
+        assert isinstance(expr, TransformExpr) and expr.op == op
+        p.action(p.let("out", expr), "collect", result_key="rows")
+        via_program = execute_program(p, small_context(), {})["rows"]
+
+        ctx = small_context()
+        direct = CALLS[op](ctx.source_rdd(left), ctx.source_rdd(right))
+        assert via_program == direct.collect()
+
+    def test_unknown_keyword_raises_at_build_time(self):
+        source = Program().source(graph_ds())
+        with pytest.raises(TypeError):
+            source.map(_swap, sizefactor=2.0)
+
+    def test_missing_argument_raises_at_build_time(self):
+        source = Program().source(graph_ds())
+        with pytest.raises(TypeError):
+            source.map()
