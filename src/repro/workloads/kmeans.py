@@ -97,8 +97,13 @@ def build_kmeans(
             for j in range(dim):
                 diff = cols[j] - centers[:, j, None]
                 dists += diff * diff
-            # argmin takes the first minimum, matching closest_center's
-            # strict `<` scan.
+            # closest_center's strict `<` scan keeps the first minimum
+            # and never picks a NaN distance; argmin keeps the first
+            # minimum but returns the first NaN, so NaN reads as +inf
+            # (an all-NaN or all-inf column then picks centre 0 on both).
+            nan = np.isnan(dists)
+            if nan.any():
+                dists[nan] = np.inf
             clusters = np.argmin(dists, axis=0).astype(np.int64)
             return _columnar.ColumnBatch(
                 _columnar.int_column(clusters),

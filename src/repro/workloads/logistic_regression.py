@@ -75,7 +75,9 @@ def build_logistic_regression(
             dots = np.zeros(n)
             for j in range(dim):
                 dots += w[j] * mat[:, j]
-            margins = np.maximum(-30.0, np.minimum(30.0, ys * dots))
+            # fmin/fmax drop a NaN margin to the bound, as Python's
+            # min(30.0, nan) returns 30.0 (np.minimum would keep NaN).
+            margins = np.fmax(-30.0, np.fmin(30.0, ys * dots))
             # numpy's exp is not bit-identical to math.exp, so exp runs
             # per element; negation and the elementwise float64
             # + - * / round exactly as the Python floats do.

@@ -1140,9 +1140,16 @@ def _map_both_planes(udf, records):
     return out.to_records(), [udf(r) for r in records]
 
 
-_ML_COORD = st.floats(min_value=-1e3, max_value=1e3)
+#: Finite coordinates plus the float edge cases where Python's scalar
+#: rules and numpy's array rules could part: NaN, +-inf, +-0.0 and
+#: squares that overflow.
+_ML_COORD = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]),
+)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestMlKernels:
     """The LR gradient and K-means assign kernels against their UDFs."""
 
@@ -1170,6 +1177,23 @@ class TestMlKernels:
         # repr tells -0.0 from 0.0.
         assert repr(columnar) == repr(record)
         assert "-0.0" in repr(record)
+
+    def test_nan_margin_clamps_like_python_min(self):
+        """``min(30.0, nan)`` is 30.0, so a NaN margin (an ``inf * 0``
+        or NaN dot product) clamps to +30 on both planes."""
+        from repro.workloads.logistic_regression import (
+            build_logistic_regression,
+        )
+
+        nan, inf = math.nan, math.inf
+        records = [(1, (inf, inf)), (0, (nan, 2.0))]
+        spec = build_logistic_regression(dataset=_ml_dataset(records))
+        gradient, _ = _ml_udfs(spec, "grads")
+        columnar, record = _map_both_planes(gradient, records)
+        assert repr(columnar) == repr(record)
+        (_, ((g0, g1), _)), (_, ((h0, h1), _)) = record
+        assert (g0, g1) == (-inf, -inf)
+        assert math.isnan(h0) and h1 == pytest.approx(1.87e-13, rel=1e-2)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1206,9 +1230,9 @@ class TestMlKernels:
         return _map_both_planes(assign, records)
 
     def test_tied_centers_and_nan_points(self):
-        """Duplicate centres tie on every point (the first wins), and a
-        point with a NaN coordinate is NaN away from every centre (the
-        first centre wins on both planes)."""
+        """Duplicate centres tie on every point (the first wins), a point
+        with a NaN coordinate is NaN away from every centre (the first
+        centre wins on both planes), and a NaN centre never wins."""
         nan = math.nan
         centers = [(5.0, 5.0), (1.0, 1.0), (1.0, 1.0), (-1.0, 1.0)]
         records = [
@@ -1222,6 +1246,19 @@ class TestMlKernels:
         columnar, record = self._assign(records, centers)
         assert repr(columnar) == repr(record)
         assert [k for k, _ in record] == [1, 1, 0, 0, 0, 1]
+        # A NaN distance never wins either, so a centre with a NaN
+        # coordinate gets no point, and a row of NaN and inf distances
+        # stays at centre 0.
+        inf = math.inf
+        records = [(0, (1.0, 1.0)), (1, (3.0, 3.0)), (2, (nan, 1.0)), (3, (inf, 0.0))]
+        for centers, expected in (
+            ([(0.0, 0.0), (nan, 0.0)], [0, 0, 0, 0]),
+            ([(nan, 0.0), (0.0, 0.0)], [1, 1, 0, 0]),
+            ([(inf, 0.0), (0.0, 0.0), (nan, 1.0)], [1, 1, 0, 0]),
+        ):
+            columnar, record = self._assign(records, centers)
+            assert repr(columnar) == repr(record)
+            assert [k for k, _ in record] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
