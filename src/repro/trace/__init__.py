@@ -34,7 +34,6 @@ from repro.trace.events import TraceEvent
 from repro.trace.export import (
     events_from_jsonl,
     events_to_jsonl,
-    profiles_to_json,
     write_events_jsonl,
 )
 from repro.trace.render import (
@@ -122,7 +121,6 @@ __all__ = [
     "events_to_jsonl",
     "heap_live_bytes",
     "oracle_check",
-    "profiles_to_json",
     "render_residency_table",
     "render_timeline",
     "render_trace_report",

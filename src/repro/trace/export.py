@@ -1,4 +1,4 @@
-"""Trace serialisation: JSONL event streams and JSON residency profiles.
+"""Trace serialisation: JSONL event streams.
 
 One event per line, in emission order, with None-valued fields omitted —
 the memray-style interchange format downstream tools (and the CI trace
@@ -13,7 +13,6 @@ import json
 import os
 from typing import Iterable, List
 
-from repro.trace.aggregate import TraceAggregator
 from repro.trace.events import TraceEvent
 
 
@@ -44,19 +43,3 @@ def write_events_jsonl(events: Iterable[TraceEvent], path: os.PathLike) -> int:
         fh.write(text)
     return text.count("\n")
 
-
-def profiles_to_json(aggregator: TraceAggregator, indent: int = 2) -> str:
-    """Serialise an aggregator's per-RDD residency profiles to JSON."""
-    payload = {
-        str(rdd_id): {
-            "dram_byte_s": profile.dram_byte_s,
-            "nvm_byte_s": profile.nvm_byte_s,
-            "migrations_to_dram": profile.migrations_to_dram,
-            "migrations_to_nvm": profile.migrations_to_nvm,
-            "alloc_bytes": profile.alloc_bytes,
-            "freed_bytes": profile.freed_bytes,
-            "peak_bytes": profile.peak_bytes,
-        }
-        for rdd_id, profile in sorted(aggregator.profiles.items())
-    }
-    return json.dumps(payload, indent=indent, sort_keys=True)
