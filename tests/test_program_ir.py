@@ -208,6 +208,13 @@ def _mirrors():
     }
 
 
+def _lineage(ctx):
+    return [
+        (rdd.name, rdd.num_partitions, rdd.bytes_per_record)
+        for rdd in ctx._rdds.values()
+    ]
+
+
 class TestRddParity:
     def test_every_transformation_has_a_mirror(self):
         assert set(_mirrors()) == _rdd_transformations()
@@ -229,11 +236,15 @@ class TestRddParity:
         expr = CALLS[op](x, y)
         assert isinstance(expr, TransformExpr) and expr.op == op
         p.action(p.let("out", expr), "collect", result_key="rows")
-        via_program = execute_program(p, small_context(), {})["rows"]
+        program_ctx = small_context()
+        via_program = execute_program(p, program_ctx, {})["rows"]
 
         ctx = small_context()
         direct = CALLS[op](ctx.source_rdd(left), ctx.source_rdd(right))
         assert via_program == direct.collect()
+        # The same lineage: names, partitions and byte weights (which
+        # carry size_factor) of every RDD either context built.
+        assert _lineage(program_ctx) == _lineage(ctx)
 
     def test_unknown_keyword_raises_at_build_time(self):
         source = Program().source(graph_ds())
