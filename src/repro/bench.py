@@ -45,11 +45,8 @@ SCHEMA_VERSION = 1
 
 
 class BenchStack:
-    """A minimal machine + heap + collector bundle for microbenchmarks.
-
-    Shared with ``benchmarks/test_simulator_perf.py`` so the pytest suite
-    and ``repro bench`` measure exactly the same setup.
-    """
+    """A minimal machine + heap + collector bundle for the ``repro
+    bench`` microbenchmarks."""
 
     def __init__(self, policy: PolicyName) -> None:
         heap = 48 * MiB

@@ -30,9 +30,9 @@ from typing import Any, Dict, List, Tuple
 
 from repro.floats import left_sum
 
-#: Default interconnect: 10 GbE with a 200 us RPC round trip.
-DEFAULT_NET_LATENCY_S = 200e-6
-DEFAULT_NET_GBPS = 10.0
+#: The interconnect: 10 GbE with a 200 us RPC round trip.
+NET_LATENCY_S = 200e-6
+NET_GBPS = 10.0
 
 
 class ShuffleService:
@@ -46,15 +46,10 @@ class ShuffleService:
     fetches would read.
     """
 
-    def __init__(
-        self,
-        n_executors: int,
-        net_latency_s: float = DEFAULT_NET_LATENCY_S,
-        net_gbps: float = DEFAULT_NET_GBPS,
-    ) -> None:
+    def __init__(self, n_executors: int) -> None:
         self.n_executors = n_executors
-        self.net_latency_ns = net_latency_s * 1e9
-        self.net_bytes_per_ns = net_gbps * (1024.0**3) / 1e9
+        self.net_latency_ns = NET_LATENCY_S * 1e9
+        self.net_bytes_per_ns = NET_GBPS * (1024.0**3) / 1e9
         self.local_fetches = 0
         #: one ``(serialized bytes, wire ns)`` pair per remote fetch, in
         #: fetch order.

@@ -31,11 +31,7 @@ from repro.harness.configs import paper_config
 
 from repro.cluster.executor import Executor, JobArtifacts, JobRecord
 from repro.cluster.faults import ClusterFaultPlan
-from repro.cluster.service import (
-    DEFAULT_NET_GBPS,
-    DEFAULT_NET_LATENCY_S,
-    ShuffleService,
-)
+from repro.cluster.service import ShuffleService
 from repro.cluster.traffic import TENANT_SCALE_CYCLE, JobSpec, TrafficPlan
 
 
@@ -187,11 +183,7 @@ def _run_lane_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Replay one executor's lane of the plan (runs in-process for
     serial clusters and in a worker process under ``--jobs N`` — the
     single code path both modes share)."""
-    service = ShuffleService(
-        payload["executors"],
-        net_latency_s=payload["net_latency_s"],
-        net_gbps=payload["net_gbps"],
-    )
+    service = ShuffleService(payload["executors"])
     executor = Executor(payload["index"], service, payload["config"])
     fault_plan: ClusterFaultPlan = payload["fault_plan"]
     records: List[JobRecord] = []
@@ -219,22 +211,16 @@ class Cluster:
     def __init__(
         self,
         executors: int,
-        config: Optional[SystemConfig] = None,
         heap_gb: float = 64.0,
         dram_ratio: float = 1.0 / 3.0,
         policy: PolicyName = PolicyName.PANTHERA,
-        net_latency_s: float = DEFAULT_NET_LATENCY_S,
-        net_gbps: float = DEFAULT_NET_GBPS,
     ) -> None:
         if executors < 1:
             raise ReproError("need at least one executor")
         self.executors = executors
-        self.config = config
         self.heap_gb = heap_gb
         self.dram_ratio = dram_ratio
         self.policy = policy
-        self.net_latency_s = net_latency_s
-        self.net_gbps = net_gbps
 
     def lane_jobs(self, plan: TrafficPlan) -> List[List[JobSpec]]:
         """The plan split into per-executor lanes (round-robin by
@@ -269,7 +255,7 @@ class Cluster:
         if plan.is_empty:
             raise ReproError("traffic plan has no jobs")
         fault_plan = faults if faults is not None else ClusterFaultPlan()
-        config = self.config or default_cluster_config(
+        config = default_cluster_config(
             plan, self.heap_gb, self.dram_ratio, self.policy
         )
         payloads = [
@@ -277,8 +263,6 @@ class Cluster:
                 "index": lane,
                 "executors": self.executors,
                 "config": config,
-                "net_latency_s": self.net_latency_s,
-                "net_gbps": self.net_gbps,
                 "fault_plan": fault_plan,
                 "jobs": lane_jobs,
                 "keep_artifacts": keep_artifacts,

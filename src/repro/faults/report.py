@@ -8,7 +8,7 @@ NVM→DRAM placement fallbacks the balloon caused and how many bytes they
 moved, and how much time thermal throttling added to NVM batches.  It
 rides on :class:`~repro.harness.experiment.ExperimentResult` (plain
 picklable dataclass, so ``--jobs N`` workers ship it back intact) and
-serialises to JSON for the CI ``faults-smoke`` artifact.
+serialises to JSON for ``repro faults --export-report``.
 """
 
 from __future__ import annotations

@@ -230,9 +230,7 @@ class ResultCache:
         )
 
 
-def _execute_point(
-    point: ExperimentPoint, keep_analysis: bool
-) -> Tuple[ExperimentResult, float]:
+def _execute_point(point: ExperimentPoint) -> Tuple[ExperimentResult, float]:
     """Worker entry: run one point and time it (also used inline)."""
     started = time.perf_counter()
     result = run_experiment(
@@ -243,8 +241,7 @@ def _execute_point(
         trace=point.trace,
         faults=point.faults,
     )
-    stripped = result.without_runtime_handles(keep_analysis=keep_analysis)
-    return stripped, time.perf_counter() - started
+    return result.without_runtime_handles(), time.perf_counter() - started
 
 
 class ExperimentEngine:
@@ -257,9 +254,6 @@ class ExperimentEngine:
             (None disables caching).
         on_event: optional callback receiving :class:`EngineEvent`
             progress events.
-        keep_analysis: retain the (picklable) static-analysis result on
-            each :class:`ExperimentResult`; set False to shrink IPC and
-            cache payloads.  The live ``SparkContext`` is always dropped.
     """
 
     def __init__(
@@ -267,14 +261,12 @@ class ExperimentEngine:
         jobs: int = 1,
         cache_dir: Optional[os.PathLike] = None,
         on_event: Optional[EventCallback] = None,
-        keep_analysis: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.on_event = on_event
-        self.keep_analysis = keep_analysis
         self.stats = EngineStats()
 
     def _emit(self, event: EngineEvent) -> None:
@@ -345,7 +337,7 @@ class ExperimentEngine:
         """Serial path: execute pending points in this process."""
         for index, point, fingerprint in pending:
             self._emit(EngineEvent("start", index, point, 0.0, completed, total))
-            result, seconds = _execute_point(point, self.keep_analysis)
+            result, seconds = _execute_point(point)
             completed = self._finish(
                 index, point, fingerprint, result, seconds, results, completed, total
             )
@@ -364,7 +356,7 @@ class ExperimentEngine:
             futures = {}
             for index, point, fingerprint in pending:
                 self._emit(EngineEvent("start", index, point, 0.0, completed, total))
-                future = pool.submit(_execute_point, point, self.keep_analysis)
+                future = pool.submit(_execute_point, point)
                 futures[future] = (index, point, fingerprint)
             outstanding = set(futures)
             while outstanding:

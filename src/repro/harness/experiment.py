@@ -71,22 +71,16 @@ class ExperimentResult:
     trace_events: Optional[List[TraceEvent]] = None
     fault_report: Optional[FaultReport] = None
 
-    def without_runtime_handles(
-        self, keep_analysis: bool = True
-    ) -> "ExperimentResult":
+    def without_runtime_handles(self) -> "ExperimentResult":
         """A copy safe to pickle across process boundaries.
 
         Drops the live :class:`~repro.spark.context.SparkContext` (a web
-        of heap objects, open traces and the whole machine) and — when
-        ``keep_analysis`` is False — the static-analysis record.  All
-        scalar metrics and action results are preserved, so stripped
-        results compare equal to serial ones field for field.
+        of heap objects, open traces and the whole machine).  All scalar
+        metrics, action results and the (picklable) static-analysis
+        record are preserved, so stripped results compare equal to
+        serial ones field for field.
         """
-        return dataclasses.replace(
-            self,
-            context=None,
-            analysis=self.analysis if keep_analysis else None,
-        )
+        return dataclasses.replace(self, context=None)
 
 
 def run_experiment(

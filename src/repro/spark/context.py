@@ -92,7 +92,9 @@ class SparkContext:
         self.scheduler = Scheduler(self)
         self._rdd_ids = itertools.count(1)
         self._rdds: Dict[int, RDD] = {}
-        self._sources: Dict[str, SourceRDD] = {}
+        #: ``id(dataset)`` -> ``(dataset, source)``; the entry holds the
+        #: dataset so its id cannot be reused while the context lives.
+        self._sources: Dict[int, Tuple[object, SourceRDD]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -144,9 +146,9 @@ class SparkContext:
 
     def source_rdd(self, dataset) -> SourceRDD:
         """SourceRDD for a dataset spec (cached, like an HDFS file)."""
-        cached = self._sources.get(dataset.name)
+        cached = self._sources.get(id(dataset))
         if cached is not None:
-            return cached
+            return cached[1]
         if not dataset.records:
             raise SparkError("cannot parallelize an empty dataset")
         partitions, packed = _dataset_splits(dataset, dataset.num_partitions)
@@ -157,7 +159,7 @@ class SparkContext:
             name=dataset.name,
             column_parts=packed,
         )
-        self._sources[dataset.name] = source
+        self._sources[id(dataset)] = (dataset, source)
         return source
 
     def text_file(

@@ -422,7 +422,7 @@ class RDD:
             else other.partitioner or HashPartitioner(n)
         )
         return CoGroupedRDD(
-            self.ctx, [self, other], partitioner, name=name, inner=False
+            self.ctx, self, other, partitioner, name=name, inner=False
         )
 
     def subtract_by_key(self, other: "RDD", name: str = "subtractByKey") -> "RDD":
@@ -455,7 +455,7 @@ class RDD:
             if self.partitioner is not None
             else other.partitioner or HashPartitioner(n)
         )
-        cogrouped = CoGroupedRDD(self.ctx, [self, other], partitioner, name="cogroup")
+        cogrouped = CoGroupedRDD(self.ctx, self, other, partitioner, name="cogroup")
 
         def flatten(records: List[Record]) -> List[Record]:
             batch = _columnar.flatten_join(records)
@@ -681,13 +681,14 @@ class CoGroupedRDD(RDD):
     def __init__(
         self,
         ctx,
-        parents: List[RDD],
+        left: RDD,
+        right: RDD,
         partitioner: HashPartitioner,
         name: str = "cogroup",
         inner: bool = True,
     ) -> None:
         deps: List[Dependency] = []
-        for parent in parents:
+        for parent in (left, right):
             if parent.partitioner == partitioner:
                 deps.append(NarrowDependency(parent))
             else:
@@ -696,11 +697,11 @@ class CoGroupedRDD(RDD):
             ctx,
             deps=deps,
             num_partitions=partitioner.num_partitions,
-            bytes_per_record=sum(p.bytes_per_record for p in parents),
+            bytes_per_record=left.bytes_per_record + right.bytes_per_record,
             name=name,
             partitioner=partitioner,
         )
-        #: inner=True keeps only keys present on every side (join);
+        #: inner=True keeps only keys present on both sides (join);
         #: inner=False keeps all keys (Spark's cogroup semantics).
         self.inner = inner
 
@@ -711,40 +712,28 @@ class CoGroupedRDD(RDD):
                 sides.append(task.fetch_shuffle(dep, pidx))
             else:
                 sides.append(task.get_records(dep.parent, pidx))
-        if self.inner and len(sides) == 2:
+        if self.inner:
             out = _columnar.join_batches(*sides)
             if out is not None:
                 task.charge_cogroup(self, sides, out)
                 return out
+        # One dict probe per record and no per-record slot-tuple
+        # allocation: side 0 fully, then side 1.
         grouped: dict = {}
-        if len(sides) == 2:
-            # The join/cogroup hot path: single dict probe per record and
-            # no per-record slot-tuple allocation.  Insertion order (side
-            # 0 fully, then side 1) and per-slot append order match the
-            # general loop exactly.
-            left, right = sides
-            get = grouped.get
-            for k, v in left:
-                slot = get(k)
-                if slot is None:
-                    grouped[k] = ([v], [])
-                else:
-                    slot[0].append(v)
-            for k, v in right:
-                slot = get(k)
-                if slot is None:
-                    grouped[k] = ([], [v])
-                else:
-                    slot[1].append(v)
-        else:
-            n_sides = len(sides)
-            get = grouped.get
-            for side_idx, side in enumerate(sides):
-                for k, v in side:
-                    slots = get(k)
-                    if slots is None:
-                        slots = grouped[k] = tuple([] for _ in range(n_sides))
-                    slots[side_idx].append(v)
+        left, right = sides
+        get = grouped.get
+        for k, v in left:
+            slot = get(k)
+            if slot is None:
+                grouped[k] = ([v], [])
+            else:
+                slot[0].append(v)
+        for k, v in right:
+            slot = get(k)
+            if slot is None:
+                grouped[k] = ([], [v])
+            else:
+                slot[1].append(v)
         if self.inner:
             out = [(k, v) for k, v in grouped.items() if all(v)]
         else:

@@ -29,7 +29,7 @@ class DatasetSpec:
     """One input dataset.
 
     Attributes:
-        name: unique name (sources are cached per name).
+        name: the source RDD's name.
         records: the data plane.
         num_partitions: input split count.
         total_bytes: in-memory byte weight of the whole dataset.

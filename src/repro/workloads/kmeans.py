@@ -83,34 +83,36 @@ def build_kmeans(
         import numpy as np
 
         def assign_kernel(batch):
-            mat = _columnar.vec_matrix(batch.values)
-            if mat is None:
-                return None
-            centers = np.asarray(state["centers"])
-            n, dim = mat.shape
-            # All (k, n) distances at once, as a left fold from 0.0 one
-            # dimension at a time — _sq_dist's left_sum replayed exactly
-            # (never np.sum: pairwise summation reorders the float
-            # additions).
-            dists = np.zeros((len(centers), n))
-            cols = mat.T
-            for j in range(dim):
-                diff = cols[j] - centers[:, j, None]
-                dists += diff * diff
-            # closest_center's strict `<` scan keeps the first minimum
-            # and never picks a NaN distance; argmin keeps the first
-            # minimum but returns the first NaN, so NaN reads as +inf
-            # (an all-NaN or all-inf column then picks centre 0 on both).
-            nan = np.isnan(dists)
-            if nan.any():
-                dists[nan] = np.inf
-            clusters = np.argmin(dists, axis=0).astype(np.int64)
-            return _columnar.ColumnBatch(
-                _columnar.int_column(clusters),
-                _columnar.PairColumn(
-                    _columnar.VecColumn(mat), _columnar.ones_int(n)
-                ),
-            )
+            # inf/NaN coordinates compute silently, as the UDF does.
+            with np.errstate(all="ignore"):
+                mat = _columnar.vec_matrix(batch.values)
+                if mat is None:
+                    return None
+                centers = np.asarray(state["centers"])
+                n, dim = mat.shape
+                # All (k, n) distances at once, as a left fold from 0.0 one
+                # dimension at a time — _sq_dist's left_sum replayed exactly
+                # (never np.sum: pairwise summation reorders the float
+                # additions).
+                dists = np.zeros((len(centers), n))
+                cols = mat.T
+                for j in range(dim):
+                    diff = cols[j] - centers[:, j, None]
+                    dists += diff * diff
+                # closest_center's strict `<` scan keeps the first minimum
+                # and never picks a NaN distance; argmin keeps the first
+                # minimum but returns the first NaN, so NaN reads as +inf
+                # (an all-NaN or all-inf column then picks centre 0 on both).
+                nan = np.isnan(dists)
+                if nan.any():
+                    dists[nan] = np.inf
+                clusters = np.argmin(dists, axis=0).astype(np.int64)
+                return _columnar.ColumnBatch(
+                    _columnar.int_column(clusters),
+                    _columnar.PairColumn(
+                        _columnar.VecColumn(mat), _columnar.ones_int(n)
+                    ),
+                )
 
         _columnar.register_map_kernel(identity, _columnar.identity_kernel)
         _columnar.register_map_kernel(assign, assign_kernel)

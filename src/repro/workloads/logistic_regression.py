@@ -63,33 +63,35 @@ def build_logistic_regression(
         import numpy as np
 
         def gradient_kernel(batch):
-            mat = _columnar.vec_matrix(batch.values)
-            labels = _columnar.int_array(batch.keys)
-            if mat is None or labels is None:
-                return None
-            w = state["weights"]
-            n, dim = mat.shape
-            ys = np.where(labels % 2 == 1, 1.0, -1.0)
-            # _dot's left_sum replayed: left fold from 0.0, one dimension
-            # at a time (never np.dot/np.sum — pairwise summation).
-            dots = np.zeros(n)
-            for j in range(dim):
-                dots += w[j] * mat[:, j]
-            # fmin/fmax drop a NaN margin to the bound, as Python's
-            # min(30.0, nan) returns 30.0 (np.minimum would keep NaN).
-            margins = np.fmax(-30.0, np.fmin(30.0, ys * dots))
-            # numpy's exp is not bit-identical to math.exp, so exp runs
-            # per element; negation and the elementwise float64
-            # + - * / round exactly as the Python floats do.
-            e = np.fromiter(map(math.exp, (-margins).tolist()), float, n)
-            coeffs = (1.0 / (1.0 + e) - 1.0) * ys
-            grads = coeffs[:, None] * mat
-            return _columnar.ColumnBatch(
-                _columnar.ConstColumn("grad", n),
-                _columnar.PairColumn(
-                    _columnar.VecColumn(grads), _columnar.ones_int(n)
-                ),
-            )
+            # inf/NaN coordinates compute silently, as the UDF does.
+            with np.errstate(all="ignore"):
+                mat = _columnar.vec_matrix(batch.values)
+                labels = _columnar.int_array(batch.keys)
+                if mat is None or labels is None:
+                    return None
+                w = state["weights"]
+                n, dim = mat.shape
+                ys = np.where(labels % 2 == 1, 1.0, -1.0)
+                # _dot's left_sum replayed: left fold from 0.0, one dimension
+                # at a time (never np.dot/np.sum — pairwise summation).
+                dots = np.zeros(n)
+                for j in range(dim):
+                    dots += w[j] * mat[:, j]
+                # fmin/fmax drop a NaN margin to the bound, as Python's
+                # min(30.0, nan) returns 30.0 (np.minimum would keep NaN).
+                margins = np.fmax(-30.0, np.fmin(30.0, ys * dots))
+                # numpy's exp is not bit-identical to math.exp, so exp runs
+                # per element; negation and the elementwise float64
+                # + - * / round exactly as the Python floats do.
+                e = np.fromiter(map(math.exp, (-margins).tolist()), float, n)
+                coeffs = (1.0 / (1.0 + e) - 1.0) * ys
+                grads = coeffs[:, None] * mat
+                return _columnar.ColumnBatch(
+                    _columnar.ConstColumn("grad", n),
+                    _columnar.PairColumn(
+                        _columnar.VecColumn(grads), _columnar.ones_int(n)
+                    ),
+                )
 
         _columnar.register_map_kernel(identity, _columnar.identity_kernel)
         _columnar.register_map_kernel(gradient, gradient_kernel)

@@ -149,8 +149,8 @@ class TestShuffleService:
         )
 
     def test_hop_cost_latency_plus_wire_time(self):
-        service = ShuffleService(2, net_latency_s=1e-4, net_gbps=10.0)
-        assert service.hop_ns(0.0) == pytest.approx(1e5)
+        service = ShuffleService(2)
+        assert service.hop_ns(0.0) == pytest.approx(2e5)
         one_gib = service.hop_ns(1024.0**3) - service.hop_ns(0.0)
         # 1 GiB over 10 Gb/s-as-GiB/s-decimal: 0.1 s of wire time.
         assert one_gib == pytest.approx(0.1e9)
@@ -419,6 +419,30 @@ class TestFaultComposition:
         """Running under an empty fault plan changes nothing."""
         report, _ = Cluster(2).run(one_job_plan(), faults=ClusterFaultPlan())
         assert report.to_json() == clean.to_json()
+
+    @pytest.mark.parametrize("workload", DEFAULT_WORKLOADS)
+    def test_traffic_replay_per_workload(self, workload):
+        """A 3-job seeded plan on two executors replays byte-identically
+        and an executor kill converges job by job, having fired and
+        recomputed something."""
+        plan = generate_traffic(
+            seed=11,
+            duration_s=30.0,
+            rate_jobs_per_s=0.3,
+            workloads=[workload],
+            base_scale=SCALE,
+            max_jobs=3,
+        )
+        clean, _ = Cluster(2).run(plan)
+        repeat, _ = Cluster(2).run(plan, jobs=2)
+        assert repeat.to_json() == clean.to_json()
+        faults = ClusterFaultPlan(kills=[ExecutorKill(1, 2)])
+        faulted, _ = Cluster(2).run(plan, faults=faults, jobs=2)
+        assert [j.checksums for j in faulted.jobs] == [
+            j.checksums for j in clean.jobs
+        ]
+        assert faulted.faults["kills_fired"] > 0
+        assert faulted.faults["partitions_recomputed"] > 0
 
 
 # -- the report ------------------------------------------------------------

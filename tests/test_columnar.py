@@ -1021,7 +1021,7 @@ class TestGraphPlaneSharing:
             for _ in range(2)
         ]
         sources = [
-            next(iter(r.context._sources.values())) for r in runs
+            next(iter(r.context._sources.values()))[1] for r in runs
         ]
         assert sources[0] is not sources[1]
         assert sources[0]._partitions is sources[1]._partitions
@@ -1149,7 +1149,7 @@ _ML_COORD = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMlKernels:
     """The LR gradient and K-means assign kernels against their UDFs."""
 

@@ -36,6 +36,14 @@ class TestSparkContextWiring:
         b = ctx.source_rdd(powerlaw_graph("y", 20, 60, total_bytes=MiB))
         assert a is not b
 
+    def test_same_name_datasets_not_conflated(self):
+        ctx = small_context()
+        big = powerlaw_graph("x", 30, 80, total_bytes=MiB)
+        small = powerlaw_graph("x", 20, 50, total_bytes=MiB)
+        pairs = ctx.source_rdd(big).cogroup(ctx.source_rdd(small)).collect()
+        assert sum(len(left) for _, (left, _) in pairs) == len(big.records)
+        assert sum(len(right) for _, (_, right) in pairs) == len(small.records)
+
     def test_rdd_ids_unique_and_registered(self):
         ctx = small_context()
         rdds = [

@@ -104,11 +104,6 @@ class TestParallelDeterminism:
         results = engine.run([_point(), _point(policy=PolicyName.UNMANAGED)])
         assert all(r.context is None for r in results)
 
-    def test_keep_analysis_false_drops_analysis(self):
-        engine = ExperimentEngine(jobs=1, keep_analysis=False)
-        (result,) = engine.run([_point()])
-        assert result.analysis is None
-
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):

@@ -219,6 +219,29 @@ class TestKillConvergence:
             injector.ensure_shuffle_partition(StuckScheduler(), dep, 0)
 
 
+@pytest.mark.parametrize("workload", ["PR", "KM", "LR", "TC", "CC", "SSSP", "BC"])
+def test_kill_and_throttle_converge_on_every_workload(workload):
+    """A shuffle kill plus an NVM throttle window changes no checksum,
+    and the kill fired and was recovered (a kill that silently stops
+    firing cannot pass as converged)."""
+    config = paper_config(64, 1 / 3, PolicyName.PANTHERA, scale=0.02)
+    clean = run_experiment(workload, config, scale=0.02)
+    faulted = run_experiment(
+        workload,
+        config,
+        scale=0.02,
+        faults=FaultPlan(
+            kills=[KillSpec("shuffle", 2, partition=1)],
+            throttles=[ThrottleSpec(0, 2e9, 4.0)],
+        ),
+    )
+    assert action_checksums(faulted.action_results) == action_checksums(
+        clean.action_results
+    )
+    assert faulted.fault_report.kills_fired > 0
+    assert faulted.fault_report.partitions_recomputed > 0
+
+
 # ---------------------------------------------------------------------------
 # degradation ladder: NVM exhaustion falls back, never silently corrupts
 # ---------------------------------------------------------------------------

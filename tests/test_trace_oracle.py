@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from repro.config import PolicyName
 from repro.core.tags import MemoryTag
+from repro.faults import FaultPlan, KillSpec, ThrottleSpec
 from repro.harness.configs import paper_config
 from repro.harness.engine import ExperimentEngine, ExperimentPoint
 from repro.harness.experiment import run_experiment
@@ -64,17 +65,41 @@ def test_replay_totals_match_alloc_minus_free(ops):
 # -- satellite: the oracle on the real workloads -----------------------------
 
 
-@pytest.mark.parametrize("workload", ["PR", "KM", "LR", "TC", "CC", "SSSP", "BC"])
-def test_oracle_on_tier1_workloads(workload):
+TIER1_WORKLOADS = ["PR", "KM", "LR", "TC", "CC", "SSSP", "BC"]
+#: A shuffle kill, a 4x NVM throttle and a 30% NVM balloon: recompute and
+#: throttle events and the balloon's allocation enter the replayed stream.
+SMOKE_FAULTS = FaultPlan(
+    kills=[KillSpec("shuffle", 2, partition=1)],
+    throttles=[ThrottleSpec(0, 2e9, 4.0)],
+    nvm_balloon_fraction=0.3,
+)
+
+
+def _assert_oracle(workload, faults=None):
     config = paper_config(64, 1 / 3, PolicyName.PANTHERA, SCALE)
     result = run_experiment(
-        workload, config, scale=SCALE, keep_context=True, trace=True
+        workload,
+        config,
+        scale=SCALE,
+        keep_context=True,
+        trace=True,
+        faults=faults,
     )
     ctx = result.context
     assert result.trace_events, "tracing recorded nothing"
     assert (
         oracle_check(ctx.heap, ctx.collector.stats, result.trace_events) == []
     )
+
+
+@pytest.mark.parametrize("workload", TIER1_WORKLOADS)
+def test_oracle_on_tier1_workloads(workload):
+    _assert_oracle(workload)
+
+
+@pytest.mark.parametrize("workload", TIER1_WORKLOADS)
+def test_oracle_on_faulted_tier1_workloads(workload):
+    _assert_oracle(workload, SMOKE_FAULTS)
 
 
 # -- satellite: dynamic-migration invariants ---------------------------------
