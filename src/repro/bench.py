@@ -154,7 +154,7 @@ def setup_charge_trace() -> Callable[[], None]:
 def setup_charge_rows() -> Callable[[], None]:
     """Wave settling of 256 single-device accesses, one-row batches of
     one ``Machine.run_batch`` series — the shuffle-wave shape of the
-    cost plane."""
+    cost plane — queued and settled."""
     stack = make_stack(PolicyName.PANTHERA)
     machine = stack.machine
     batches = [
@@ -166,6 +166,7 @@ def setup_charge_rows() -> Callable[[], None]:
 
     def settle() -> None:
         machine.run_batch(batches, threads=8)
+        machine.settle()
 
     return settle
 

@@ -325,6 +325,8 @@ class FaultInjector:
     def report(self) -> FaultReport:
         """The measured outcome (see :class:`FaultReport`)."""
         heap = self.ctx.heap
+        # The throttle's counts grow as the machine settles its charges.
+        self.ctx.machine.settle()
         return FaultReport(
             boundaries_seen=self.boundaries_seen,
             kills_planned=self.kills_fired + self.kills_noop + len(self._unfired),

@@ -37,6 +37,7 @@ class Collector:
         self.policy = policy
         self.config = heap.config
         self.stats = stats or GCStats()
+        machine.defer_reads(self.stats)
         self.monitor = monitor
         #: minor GCs since the last full GC — a proxy for how much
         #: mutator time the current monitoring cycle covers.
@@ -72,22 +73,16 @@ class Collector:
             total += s.end - s.top
         return total
 
-    def collect_minor(
-        self, plan: Optional[SteadyScavenge] = None
-    ) -> Optional[SteadyScavenge]:
+    def collect_minor(self) -> Optional[SteadyScavenge]:
         """Run one minor collection, with the promotion guarantee.
 
-        ``plan`` is a :class:`~repro.gc.minor.SteadyScavenge` an earlier
-        scavenge of the same allocation stream returned; a major GC run
-        for the guarantee drops it.
-
         Returns:
-            This scavenge's steady plan, or None after a full scavenge.
+            This scavenge's steady plan (its allocation stream's later
+            overflows replay it), or None after a full scavenge.
         """
         if self.old_free_bytes() < self._promotion_upper_bound():
             self.collect_major()
-            plan = None
-        plan = run_minor_gc(self, plan)
+        plan = run_minor_gc(self)
         self.minors_since_major += 1
         return plan
 

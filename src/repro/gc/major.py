@@ -14,9 +14,9 @@ their charges into a :class:`~repro.gc.charging.ChargeAccumulator` —
 per-device integer totals — and become one batch each.  The cycle
 settles as one :meth:`~repro.memory.machine.Machine.run_batch` series:
 the fixed pause, the mark batch, then the move batch, which starts only
-after the mark.  The card table is only refreshed for arrays compaction
-actually moved — objects in the dense prefix keep their addresses, so
-their spans are already correct.
+after the mark; the settle records the pause.  The card table is only
+refreshed for arrays compaction actually moved — objects in the dense
+prefix keep their addresses, so their spans are already correct.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ def run_major_gc(collector) -> None:
     stats = collector.stats
     monitor = collector.monitor
 
-    start_ns = machine.clock.now_ns
     mark_charges = ChargeAccumulator()
     move_charges = ChargeAccumulator()
 
@@ -214,5 +213,5 @@ def run_major_gc(collector) -> None:
             move_charges.batch(),
         ),
         threads=GC_THREADS,
+        record=stats.record_major,
     )
-    stats.record_major(start_ns, machine.clock.now_ns - start_ns)

@@ -27,12 +27,16 @@ charged in bulk after the trace.  The cycle settles as one
 the scan batch, then the copy batch — Parallel Scavenge's threads cannot
 overlap copy work behind the card scan that discovers it.
 
+The settle records the pause (:meth:`~repro.gc.stats.GCStats.record_minor`
+is the series' ``record`` callback), so a scavenge never reads the clock.
+
 *Steady* scavenges.  Streaming churn fills eden with bytes that never
 become objects, so most scavenges start with an empty young generation.
 Such a scavenge traces nothing and copies nothing, and its scan batch
 depends only on the roots and the stuck cards; :class:`SteadyScavenge`
 prices it once, and the later eden overflows of the same allocation
-stream replay it (:meth:`~repro.heap.managed_heap.ManagedHeap.allocate_streaming`).
+stream replay it (:meth:`~repro.heap.managed_heap.ManagedHeap.allocate_streaming`),
+all of them as one series (:meth:`SteadyScavenge.replay`).
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ from repro.errors import GCError
 from repro.gc.charging import ChargeAccumulator
 from repro.heap.object_model import HeapObject
 from repro.trace.events import PROMOTE, SURVIVOR_COPY
+
+
+#: A collection's first batch: the fixed pause, pure CPU.
+_PAUSE_BATCH = ((), GC_FIXED_PAUSE_NS)
 
 
 def _propagate_tag(parent: HeapObject, child: HeapObject) -> None:
@@ -80,9 +88,7 @@ class SteadyScavenge:
 
     The plan holds no invalidation key: it lives inside one
     :meth:`~repro.heap.managed_heap.ManagedHeap.allocate_streaming`
-    call, between whose overflows only eden bumps happen, and
-    :meth:`~repro.gc.collector.Collector.collect_minor` drops it when
-    the promotion guarantee runs a major GC.
+    call, between whose overflows only eden bumps happen.
 
     Attributes:
         scan_batch: the scan phase's ``(rows, cpu_ns)`` batch.
@@ -124,6 +130,36 @@ class SteadyScavenge:
             return None
         return cls(heap)
 
+    def replay(self, collector, fills: List[float]) -> None:
+        """Replay this scavenge once per entry of ``fills``, eden's fill
+        at each of the stream's later overflows.
+
+        Each replay is what :func:`run_minor_gc` would do with this
+        plan: the stats increments, the young generation's flip (eden
+        and both survivors are empty, so only the survivor roles swap;
+        the caller bumps eden from its base) and the fixed pause, scan
+        and copy batches, its pause recorded by the settle.  All of them
+        go out as one series of ``3 * len(fills)`` batches.
+        """
+        heap = collector.heap
+        stats = collector.stats
+        replays = len(fills)
+        stats.card_scanned_bytes += self.card_scanned_bytes * replays
+        stats.stuck_rescans += self.stuck_rescans * replays
+        if replays % 2:
+            heap.survivor_from, heap.survivor_to = heap.survivor_to, heap.survivor_from
+        collector.minors_since_major += replays
+        batches = []
+        for fill in fills:
+            batches += (
+                _PAUSE_BATCH,
+                self.scan_batch,
+                self.copy_batch(fill * MINOR_LIVE_FRACTION),
+            )
+        collector.machine.run_batch(
+            batches, threads=GC_THREADS, record=stats.record_minor, cycle=3
+        )
+
     def copy_batch(self, floor_bytes: float):
         """The copy phase's batch: nothing but the DRAM floor.  Kept for
         the last floor seen: a stream's overflows after the first all
@@ -134,13 +170,9 @@ class SteadyScavenge:
         return self._copy_batch
 
 
-def run_minor_gc(
-    collector, plan: Optional[SteadyScavenge] = None
-) -> Optional[SteadyScavenge]:
-    """Execute one minor collection on behalf of ``collector``.
-
-    ``plan`` replays an earlier steady scavenge of the same allocation
-    stream; without one, a steady scavenge builds its plan here.
+def run_minor_gc(collector) -> Optional[SteadyScavenge]:
+    """Execute one minor collection on behalf of ``collector``; a steady
+    scavenge builds its plan here.
 
     Returns:
         The steady plan this scavenge ran, or None after a full scavenge.
@@ -149,7 +181,6 @@ def run_minor_gc(
     machine = collector.machine
     stats = collector.stats
 
-    start_ns = machine.clock.now_ns
     # Floor cost: in-flight young data (aggregation buffers, iterator
     # state) that survives this one scavenge and is copied to a survivor
     # space, in every configuration — the young generation is always
@@ -157,8 +188,7 @@ def run_minor_gc(
     eden = heap.eden
     floor_bytes = (eden.top - eden.base) * MINOR_LIVE_FRACTION
 
-    if plan is None:
-        plan = SteadyScavenge.of(heap)
+    plan = SteadyScavenge.of(heap)
     if plan is None:
         scan_batch, copy_batch = _scavenge(collector, floor_bytes)
     else:
@@ -180,14 +210,10 @@ def run_minor_gc(
     heap.survivor_from, heap.survivor_to = heap.survivor_to, heap.survivor_from
 
     machine.run_batch(
-        (
-            ((), GC_FIXED_PAUSE_NS),
-            scan_batch,
-            copy_batch,
-        ),
+        (_PAUSE_BATCH, scan_batch, copy_batch),
         threads=GC_THREADS,
+        record=stats.record_minor,
     )
-    stats.record_minor(start_ns, machine.clock.now_ns - start_ns)
     return plan
 
 

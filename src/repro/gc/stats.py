@@ -7,11 +7,17 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
 from repro.floats import left_sum
+from repro.memory.clock import SettledAttribute, SettlesFirst
 
 
 @dataclass
-class GCStats:
+class GCStats(SettlesFirst):
     """Cumulative collector statistics for one run.
+
+    A collection's pause is recorded when its machine settles the
+    collection's charges (:meth:`record_minor` / :meth:`record_major`
+    are the series' ``record`` callbacks), so the counts, pause times
+    and ``pauses`` settle the machine's queue before every read.
 
     Attributes:
         minor_count / major_count: number of collections.
@@ -103,3 +109,7 @@ class GCStats:
         if not self.pauses:
             return 0.0
         return left_sum(d for _, _, d in self.pauses) / len(self.pauses) / 1e6
+
+
+for _name in ("minor_count", "major_count", "minor_ns", "major_ns", "pauses"):
+    setattr(GCStats, _name, SettledAttribute(_name))

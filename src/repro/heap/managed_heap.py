@@ -193,8 +193,11 @@ class ManagedHeap:
         overflows eden, the minor GC it triggers may hand back a
         :class:`~repro.gc.minor.SteadyScavenge` plan (it found the young
         generation empty), and the stream's later overflows replay that
-        plan.  Only eden bumps happen between two overflows of one call,
-        so the plan cannot go stale; it is dropped when the call returns.
+        plan, all in one :meth:`~repro.gc.minor.SteadyScavenge.replay`
+        when the stream ends.  Only eden bumps happen between two
+        overflows of one call, so the plan cannot go stale, and a replay
+        needs no promotion guarantee (its young generation is empty); the
+        plan is dropped when the call returns.
         Under Deca's regions every chunk goes through
         :meth:`allocate_ephemeral`, which the arenas may absorb.
         """
@@ -212,17 +215,25 @@ class ManagedHeap:
             # No chunk can overflow when the whole stream fits: one bump.
             eden.top += nbytes
             return
+        collector = self._require_collector()
         plan = None
+        fills = []  # eden's fill at each overflow that replays the plan
         while nbytes > 0:
             take = chunk if nbytes > chunk else nbytes
             new_top = eden.top + take
             if new_top > eden.end:
-                plan = self._require_collector().collect_minor(plan)
-                new_top = eden.top + take
-                if new_top > eden.end:
-                    raise OutOfMemoryError("eden full even after a minor GC")
+                if plan is None:
+                    plan = collector.collect_minor()
+                    new_top = eden.top + take
+                    if new_top > eden.end:
+                        raise OutOfMemoryError("eden full even after a minor GC")
+                else:
+                    fills.append(eden.top - eden.base)
+                    new_top = eden.base + take
             eden.top = new_top
             nbytes -= take
+        if fills:
+            plan.replay(collector, fills)
 
     def new_object(
         self,

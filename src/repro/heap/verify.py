@@ -18,7 +18,9 @@ Checked invariants:
 * the card table tracks only placed objects;
 * padded arrays end on card boundaries;
 * no old-generation object references a young object without its card
-  being dirty (the write-barrier invariant).
+  being dirty (the write-barrier invariant);
+* the machine's charge queue is empty once settled (the pauses of the
+  collections that shaped this heap are on record).
 """
 
 from __future__ import annotations
@@ -150,6 +152,11 @@ def verify_heap(heap: ManagedHeap, raise_on_error: bool = False) -> List[str]:
                             f"#{child.oid} without a dirty card"
                         )
                     break
+
+    machine = heap.machine
+    machine.settle()
+    if machine.pending:
+        problems.append(f"{machine.pending} charge batches still queued after a settle")
 
     if problems and raise_on_error:
         raise HeapError("; ".join(problems))

@@ -10,12 +10,13 @@ simulation reads them back.  So a deposit is an O(1) append of ``(key
 code, nbytes, start_ns, duration_ns)`` to four pending ``array`` columns
 (:meth:`BandwidthTracker.deposit_columns`; the
 :class:`~repro.memory.machine.Machine` appends to them straight from its
-charge loops), and the tracker spreads the pending rows over their
-windows later, in bulk: before any read, and after any charge call
-that leaves :data:`SETTLE_ROWS` or more rows queued.  The settle is one
-numpy pass (window indices by ``floor_divide``, each row's shares
-elementwise, each bin folded in deposit order by ``add.at``), or,
-without numpy, the per-row loop.  Both add the same floats in the same
+settle), and the tracker spreads the pending rows over their windows
+later, in bulk: before any read, and after any machine settle that
+leaves :data:`SETTLE_ROWS` or more rows queued.  Every reader first
+settles the machine's own queue of charges, so it sees their deposits.
+The settle is one numpy pass (window indices by ``floor_divide``, each
+row's shares elementwise, each bin folded in deposit order by
+``add.at``), or, without numpy, the per-row loop.  Both add the same floats in the same
 order and insert windows and keys in order of first deposit, so the
 bins are bit-for-bit what depositing each row on its own would give.
 """
@@ -30,6 +31,7 @@ from typing import Dict, List, Tuple
 
 from repro.config import DeviceKind
 from repro.floats import left_sum
+from repro.memory.clock import SettlesFirst
 
 try:  # numpy is optional, never required
     import numpy as _np
@@ -45,10 +47,10 @@ KEY_CODES: Dict[Tuple[DeviceKind, bool], int] = {
     key: code for code, key in enumerate(KEYS)
 }
 
-#: Pending rows that trigger a settle at the end of a charge call, so at
-#: most this many plus one call's deposits are ever pending.  Past 2048
-#: rows the per-row settle cost falls by a fifth at most while the
-#: pending memory keeps growing; docs/PERF.md ("Deferred bandwidth
+#: Pending rows that trigger a settle at the end of a machine settle, so
+#: at most this many plus one machine settle's deposits are ever
+#: pending.  Past 2048 rows the per-row settle cost falls by a fifth at
+#: most while the pending memory keeps growing; docs/PERF.md ("Deferred bandwidth
 #: deposits, measured") has the measurement.
 SETTLE_ROWS = 2048
 
@@ -66,7 +68,7 @@ class BandwidthSample:
     gbps: float
 
 
-class BandwidthTracker:
+class BandwidthTracker(SettlesFirst):
     """Accumulates bytes moved per (device, direction) into time windows."""
 
     def __init__(self, window_ns: float = 1e9) -> None:
@@ -100,11 +102,15 @@ class BandwidthTracker:
         appends must call :meth:`settle_if_full` when done; the columns
         stay the same objects for the tracker's lifetime.
         """
+        if self._pending:
+            self._settle()
         return self._codes, self._nbytes, self._starts, self._durations
 
     @property
     def pending(self) -> int:
         """How many deposited rows wait to be settled."""
+        if self._pending:
+            self._settle()
         return len(self._codes)
 
     def settle_if_full(self) -> None:
@@ -114,6 +120,8 @@ class BandwidthTracker:
 
     def settle(self) -> None:
         """Spread every pending row over the windows it overlaps."""
+        if self._pending:
+            self._settle()
         if not self._codes:
             return
         if _np is None:

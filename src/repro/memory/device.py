@@ -18,9 +18,10 @@ throughput-bound phases (§5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import CACHE_LINE_BYTES, DeviceSpec
+from repro.memory.clock import SettlesFirst
 
 
 @dataclass
@@ -44,7 +45,7 @@ class TrafficCounters:
 
 
 @dataclass
-class MemoryDevice:
+class MemoryDevice(SettlesFirst):
     """One memory technology instance with a capacity and counters.
 
     Attributes:
@@ -54,9 +55,9 @@ class MemoryDevice:
 
     spec: DeviceSpec
     capacity_bytes: int
-    counters: TrafficCounters = field(default_factory=TrafficCounters)
 
     def __post_init__(self) -> None:
+        self._counters = TrafficCounters()
         # charge_row is the innermost arithmetic of the whole simulator;
         # resolve the spec's derived rates once instead of per batch.
         self._read_latency_ns = self.spec.read_latency_ns
@@ -93,18 +94,26 @@ class MemoryDevice:
             read_bytes / self._bytes_per_ns_read
             + write_bytes / self._bytes_per_ns_write
         )
-        counters = self.counters
+        counters = self._counters
         counters.random_reads += random_reads
         counters.random_writes += random_writes
         counters.read_bytes += read_bytes + random_reads * CACHE_LINE_BYTES
         counters.write_bytes += write_bytes + random_writes * CACHE_LINE_BYTES
         return latency_ns if latency_ns > bandwidth_ns else bandwidth_ns
 
+    @property
+    def counters(self) -> TrafficCounters:
+        """Cumulative traffic, every pending charge settled."""
+        if self._pending:
+            self._settle()
+        return self._counters
+
     def dynamic_energy_pj(self) -> float:
         """Dynamic energy consumed so far, in pJ."""
+        counters = self.counters
         return (
-            self.counters.read_lines * self.spec.read_energy_pj
-            + self.counters.write_lines * self.spec.write_energy_pj
+            counters.read_lines * self.spec.read_energy_pj
+            + counters.write_lines * self.spec.write_energy_pj
         )
 
     def static_power_w(self) -> float:

@@ -16,21 +16,31 @@ and its CPU component.  The shapes in use:
   GC's fixed pause, a region reset, a JNI monitoring call, a network
   hop.
 
-Traffic is priced through
-:meth:`~repro.memory.device.MemoryDevice.charge_row`, which also updates
-the device counters that feed the energy model.  It is deposited for
-Figure 8's bandwidth windows by appending ``(key code, nbytes, start_ns,
-duration_ns)`` straight onto the
-:class:`~repro.memory.bandwidth.BandwidthTracker`'s pending columns;
-the tracker spreads them over their windows in bulk, when read or once
-:data:`~repro.memory.bandwidth.SETTLE_ROWS` rows are pending.
+Charging is deferred.  ``run_batch`` validates a series and queues it;
+:meth:`Machine.settle` charges the queue, in order, before anything
+reads charged state: the clock, the device counters, energy, the
+bandwidth traces, the GC pause records (a collection's series carries
+its ``record`` callback, called with each cycle's start and advance) and
+every trace-bus publish (:class:`~repro.memory.clock.SettlesFirst`).
+The queue also settles itself once :data:`QUEUE_BATCHES` batches wait.
+A settle charges every queued series exactly as one call per batch
+would: each row priced by
+:meth:`~repro.memory.device.MemoryDevice.charge_row`, the clock
+accumulated with the same ``+=`` sequence, each batch's NVM throttle
+called with that batch's own start.
+
+Traffic is deposited for Figure 8's bandwidth windows by appending
+``(key code, nbytes, start_ns, duration_ns)`` straight onto the
+:class:`~repro.memory.bandwidth.BandwidthTracker`'s pending columns, in
+charge order; the tracker spreads them over their windows in bulk.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 from repro.config import (
+    CACHE_LINE_BYTES,
     DISK_SPEC,
     DRAM_SPEC,
     MLP,
@@ -42,6 +52,13 @@ from repro.memory.bandwidth import KEY_CODES, BandwidthTracker
 from repro.memory.clock import SimClock
 from repro.memory.device import MemoryDevice
 from repro.memory.energy import EnergyMeter
+
+#: Pending batches at which ``run_batch`` settles the queue itself.  The
+#: queue holds every queued series' tuples until it settles, and a
+#: cell's last settle frees them just before the cell's garbage is
+#: collected, so a long queue costs that collection time; docs/PERF.md
+#: ("Deferred charging, measured") has the measurement.
+QUEUE_BATCHES = 256
 
 
 class Machine:
@@ -81,7 +98,7 @@ class Machine:
         self.bandwidth = BandwidthTracker()
         #: device -> (bound charge_row, read key code, write key code),
         #: resolved once (devices are fixed for the machine's lifetime);
-        #: run_batch prices and deposits through it.
+        #: the settle prices and deposits through it.
         self._row_charger = {
             kind: (
                 dev.charge_row,
@@ -93,16 +110,23 @@ class Machine:
         self._energy = EnergyMeter(
             self.devices, static_factor=config.static_energy_factor
         )
-        #: optional NVM throttle schedule (duck-typed: must provide
-        #: ``apply(start_ns, device_ns) -> float``); installed by
-        #: :class:`~repro.faults.injector.FaultInjector` to model the
-        #: NUMA emulator's transient thermal bandwidth collapse.
-        self.nvm_throttle = None
+        #: unsettled series in charge order, one ``(batches, parallelism,
+        #: record, cycle)`` per run_batch call, and their batch count
+        self._pending: list = []
+        self._pending_batches = 0
+        self._nvm_throttle = None
+        self.defer_reads(self.clock, self.bandwidth, *self.devices.values())
 
     # -- cost charging ---------------------------------------------------
 
-    def run_batch(self, batches, threads: int = 1) -> float:
-        """Charge a series of batches back to back.
+    def run_batch(
+        self,
+        batches,
+        threads: int = 1,
+        record: Optional[Callable[[float, float], None]] = None,
+        cycle: int = 0,
+    ) -> None:
+        """Queue a series of batches, charged back to back.
 
         Args:
             batches: a sequence of ``(rows, cpu_ns)``, in charge order.  Each
@@ -112,69 +136,121 @@ class Machine:
                 pure-CPU time already divided by however many cores the
                 caller runs on.  A batch with no rows, or with only
                 traffic-free rows, is a pure-CPU span (the GC's fixed
-                pause, a region reset, a network hop).
+                pause, a region reset, a network hop).  Neither the
+                sequence nor its rows may change after the call.
             threads: worker count for latency-bound components.
+            record: called by the settle as ``record(start_ns,
+                advance_ns)`` once per cycle of the series, with that
+                cycle's start and clock advance — a collection's pause
+                record.
+            cycle: batches per recorded cycle (0: the whole series is
+                one cycle).
 
         A series is exactly its batches charged one call at a time: the
-        clock accumulates locally with the same ``+=`` sequence, each
-        batch's NVM throttle sees that batch's own start, and the
-        bandwidth deposits are appended in the same order.  One GC
-        cycle — fixed pause, then phase 1, then phase 2 — settles in one
-        call, and so does a run of one-row batches (a shuffle wave).
-
-        Returns:
-            The clock advance across all batches, in nanoseconds.
+        clock accumulates with the same ``+=`` sequence, each batch's
+        NVM throttle sees that batch's own start, and the bandwidth
+        deposits are appended in the same order.
 
         Raises:
             ValueError: on a negative ``cpu_ns`` in any batch, before the
-                call charges anything.
+                call queues anything.
         """
         for _, cpu_ns in batches:
             if cpu_ns < 0:
                 raise ValueError(f"cannot advance the clock by {cpu_ns} ns")
-        parallelism = max(1, threads) * MLP
+        self._pending.append((batches, max(1, threads) * MLP, record, cycle))
+        self._pending_batches += len(batches)
+        if self._pending_batches >= QUEUE_BATCHES:
+            self.settle()
+
+    def defer_reads(self, *states) -> None:
+        """Make each :class:`~repro.memory.clock.SettlesFirst` state
+        settle this machine's queue before it is read."""
+        for state in states:
+            state._pending = self._pending
+            state._settle = self.settle
+
+    @property
+    def pending(self) -> int:
+        """How many queued batches wait to be charged."""
+        return self._pending_batches
+
+    @property
+    def nvm_throttle(self):
+        """Optional NVM throttle schedule (duck-typed: must provide
+        ``apply(start_ns, device_ns) -> float``); installed by
+        :class:`~repro.faults.injector.FaultInjector` to model the NUMA
+        emulator's transient thermal bandwidth collapse.  Charges queued
+        before an install settle first, under the schedule they were
+        charged with."""
+        return self._nvm_throttle
+
+    @nvm_throttle.setter
+    def nvm_throttle(self, throttle) -> None:
+        self.settle()
+        self._nvm_throttle = throttle
+
+    def settle(self) -> None:
+        """Charge every queued series, in order, each row priced by
+        ``charge_row``."""
+        pending = self._pending
+        if not pending:
+            return
+        # Taken off the queue first: a record callback (a trace publish)
+        # reads the clock mid-settle and must find nothing pending.
+        entries = pending[:]
+        pending.clear()
+        self._pending_batches = 0
         chargers = self._row_charger
         clock = self.clock
         nvm = DeviceKind.NVM
-        throttle = self.nvm_throttle
-        bandwidth = self.bandwidth
-        codes, nbytes, starts, durations = bandwidth.deposit_columns()
-        start = now = clock.now_ns
-        for rows, cpu_ns in batches:
-            duration = float(cpu_ns)
-            deposits = 0
-            for device, read_bytes, write_bytes, random_reads, random_writes in rows:
-                if not (read_bytes or write_bytes or random_reads or random_writes):
-                    continue
-                charge_row, read_code, write_code = chargers[device]
-                device_ns = charge_row(
-                    read_bytes, write_bytes, random_reads, random_writes, parallelism
-                )
-                if device is nvm and throttle is not None:
-                    device_ns = throttle.apply(now, device_ns)
-                if device_ns > duration:
-                    duration = device_ns
-                read_total = read_bytes + random_reads * 64
-                if read_total > 0:
-                    codes.append(read_code)
-                    nbytes.append(read_total)
-                    starts.append(now)
-                    deposits += 1
-                write_total = write_bytes + random_writes * 64
-                if write_total > 0:
-                    codes.append(write_code)
-                    nbytes.append(write_total)
-                    starts.append(now)
-                    deposits += 1
-            # Every device's bytes spread over the whole batch's duration,
-            # known once its last row is charged.
-            while deposits:
-                durations.append(duration)
-                deposits -= 1
-            now += duration
+        throttle = self._nvm_throttle
+        codes, nbytes, starts, durations = self.bandwidth.deposit_columns()
+        now = clock._now_ns
+        for batches, parallelism, record, cycle in entries:
+            start = now
+            left = cycle = cycle or len(batches)
+            for rows, cpu_ns in batches:
+                duration = float(cpu_ns)
+                deposits = 0
+                for device, read_bytes, write_bytes, rand_reads, rand_writes in rows:
+                    if not (read_bytes or write_bytes or rand_reads or rand_writes):
+                        continue
+                    charge_row, read_code, write_code = chargers[device]
+                    device_ns = charge_row(
+                        read_bytes, write_bytes, rand_reads, rand_writes, parallelism
+                    )
+                    if device is nvm and throttle is not None:
+                        device_ns = throttle.apply(now, device_ns)
+                    if device_ns > duration:
+                        duration = device_ns
+                    read_total = read_bytes + rand_reads * CACHE_LINE_BYTES
+                    if read_total > 0:
+                        codes.append(read_code)
+                        nbytes.append(read_total)
+                        starts.append(now)
+                        deposits += 1
+                    write_total = write_bytes + rand_writes * CACHE_LINE_BYTES
+                    if write_total > 0:
+                        codes.append(write_code)
+                        nbytes.append(write_total)
+                        starts.append(now)
+                        deposits += 1
+                # Every device's bytes spread over the whole batch's
+                # duration, known once its last row is charged.
+                while deposits:
+                    durations.append(duration)
+                    deposits -= 1
+                now += duration
+                if record is not None:
+                    left -= 1
+                    if not left:
+                        clock._now_ns = now
+                        record(start, now - start)
+                        start = now
+                        left = cycle
         clock._now_ns = now
-        bandwidth.settle_if_full()
-        return now - start
+        self.bandwidth.settle_if_full()
 
     # -- metrics ---------------------------------------------------------
 
@@ -190,3 +266,4 @@ class Machine:
     def energy_breakdown(self):
         """Per-device static/dynamic energy breakdown."""
         return self._energy.breakdown(self.elapsed_s)
+

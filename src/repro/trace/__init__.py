@@ -92,7 +92,9 @@ class TraceSession:
 
     @property
     def events(self) -> List[TraceEvent]:
-        """The recorded event stream, in emission order."""
+        """The recorded event stream, in emission order, with the pause
+        of every collection charged so far (the machine settles first)."""
+        self.heap.machine.settle()
         return self.recorder.events
 
     def aggregate(self, end_ns: Optional[float] = None) -> TraceAggregator:

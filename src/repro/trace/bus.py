@@ -68,7 +68,12 @@ class TraceBus:
         return local
 
     def publish(self, event: TraceEvent) -> None:
-        """Dispatch one already-built event to every subscriber."""
+        """Dispatch one already-built event to every subscriber, after
+        the clock's pending charges settle (so the pauses they record
+        are published first, even before an event stamped with a given
+        time rather than the clock's)."""
+        if self.clock._pending:
+            self.clock._settle()
         for sink in self._sinks:
             sink(event)
 

@@ -154,10 +154,16 @@ def oracle_check(heap, stats, events: Iterable[TraceEvent]) -> List[str]:
         replayed state matches the heap and stats exactly.
     """
     problems: List[str] = []
+    # Pauses still queued would reach the stream and ``stats`` only
+    # after the replay below has read the stream.
+    machine = heap.machine
+    machine.settle()
+    if machine.pending:
+        problems.append(f"{machine.pending} charge batches still queued after a settle")
     try:
         replayed = replay_events(events, strict=True)
     except ReplayError as exc:
-        return [f"replay failed: {exc}"]
+        return problems + [f"replay failed: {exc}"]
     actual = heap_live_bytes(heap)
     reconstructed = {
         name: nbytes for name, nbytes in replayed.live_bytes.items() if nbytes

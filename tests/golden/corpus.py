@@ -109,8 +109,12 @@ class Cell:
             parts.append(self.persist.value)
         return "/".join(parts)
 
-    def run(self) -> Dict[str, str]:
-        """Run the cell; returns its digests (or its pinned error)."""
+    def run(self, trace: bool = True) -> Dict[str, str]:
+        """Run the cell; returns its digests (or its pinned error).
+
+        Untraced (``trace=False``), no trace publish settles the
+        machine's charge queue, so it settles only where the run reads
+        simulated state; the ``trace`` digest is then of no events."""
         kwargs: Dict[str, Any] = {} if self.workload == "BC" else {"iterations": 2}
         if self.persist is not None:
             kwargs["persist_level"] = self.persist
@@ -124,7 +128,7 @@ class Cell:
                 scale=self.pressure.scale,
                 workload_kwargs=kwargs,
                 keep_context=True,
-                trace=True,
+                trace=trace,
                 faults=self.pressure.fault_plan(),
             )
         except ReproError as exc:

@@ -67,9 +67,10 @@ def _nodes(predicate):
 
 
 class TestSingleWriterOfSimulatedTime:
-    """``Machine.run_batch`` charges all simulated work, so a deferred
-    settle in it sees every writer of the clock.  A writer that bypasses
-    it would break that."""
+    """``Machine.run_batch`` queues all simulated work and its settle
+    charges it, so the settle sees every writer of the clock, the device
+    counters and the pause records.  A writer that bypasses it would
+    break that."""
 
     def test_only_the_machine_and_the_clock_assign_now(self):
         def assigns_now(rel, node):
@@ -96,10 +97,57 @@ class TestSingleWriterOfSimulatedTime:
 
         assert _nodes(advances) == []
 
+    def test_only_the_device_and_the_machine_assign_traffic_counters(self):
+        fields = {"read_bytes", "write_bytes", "random_reads", "random_writes"}
+
+        def assigns_counters(rel, node):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                return False
+            return rel not in ("memory/device.py", "memory/machine.py") and any(
+                isinstance(t, ast.Attribute) and t.attr in fields for t in targets
+            )
+
+        assert _nodes(assigns_counters) == []
+
+    def test_only_the_gc_records_append_pauses(self):
+        """Only ``GCStats.record_minor``/``record_major``, which the
+        settle calls, grow ``pauses`` (the replay oracle builds its own
+        list from the events)."""
+        appending = set()
+        for path in sorted(_SRC.rglob("*.py")):
+            rel = path.relative_to(_SRC).as_posix()
+            for fn in ast.walk(ast.parse(path.read_text(), filename=rel)):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    grows = (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("append", "extend", "insert")
+                        and isinstance(node.func.value, ast.Attribute)
+                        and node.func.value.attr == "pauses"
+                    ) or (
+                        isinstance(node, ast.AugAssign)
+                        and isinstance(node.target, ast.Attribute)
+                        and node.target.attr == "pauses"
+                    )
+                    if grows:
+                        appending.add(f"{rel}:{fn.name}")
+        assert appending == {
+            "gc/stats.py:record_minor",
+            "gc/stats.py:record_major",
+            "trace/replay.py:replay_events",
+        }
+
     def test_run_batch_is_the_one_charge_loop(self):
-        """Only ``Machine.run_batch`` prices rows and appends bandwidth
-        deposits, and no other ``Machine`` method wraps it: a second
-        entry point, under any name, fails here."""
+        """Only ``Machine.settle``, which charges ``run_batch``'s queue,
+        prices rows and appends bandwidth deposits, and no other
+        ``Machine`` method wraps ``run_batch``: a second entry point,
+        under any name, fails here."""
         charging = set()
         for path in sorted(_SRC.rglob("*.py")):
             rel = path.relative_to(_SRC).as_posix()
@@ -125,7 +173,7 @@ class TestSingleWriterOfSimulatedTime:
                     )
                     if reads_chargers or deposits or wraps:
                         charging.add(f"{rel}:{fn.name}")
-        assert charging == {"memory/machine.py:run_batch"}
+        assert charging == {"memory/machine.py:settle"}
 
 class TestBandwidthTracker:
     def test_single_event_lands_in_one_window(self):

@@ -239,7 +239,8 @@ class TestSettle:
         assert batch == ([], 0.0)
         config = small_config(PolicyName.PANTHERA)
         machine = Machine(config)
-        assert machine.run_batch([batch], threads=16) == 0.0
+        machine.run_batch([batch], threads=16)
+        assert machine.clock.now_ns == 0.0
         assert _machine_fingerprint(machine) == _machine_fingerprint(Machine(config))
 
     def test_minor_gc_adds_floor_after_the_copy_sum(self, monkeypatch):
@@ -259,10 +260,10 @@ class TestSettle:
         calls = []
         run_batch = stack.machine.run_batch
 
-        def recording(batches, threads=1):
+        def recording(batches, threads=1, **kwargs):
             batches = list(batches)
             calls.append((batches, threads))
-            return run_batch(batches, threads=threads)
+            return run_batch(batches, threads=threads, **kwargs)
 
         monkeypatch.setattr(stack.machine, "run_batch", recording)
         stack.collector.collect_minor()
@@ -346,11 +347,11 @@ def _series_and_single(batches, threads, throttle=None):
     series, single = _fresh_machine(), _fresh_machine()
     if throttle is not None:
         series.nvm_throttle, single.nvm_throttle = throttle(), throttle()
-    returned = series.run_batch(batches, threads=threads)
+    series.run_batch(batches, threads=threads)
     for batch in batches:
         single.run_batch([batch], threads=threads)
     assert _machine_fingerprint(series) == _machine_fingerprint(single)
-    assert repr(returned) == repr(single.clock.now_ns)
+    assert repr(series.clock.now_ns) == repr(single.clock.now_ns)
     return series, single
 
 
@@ -380,13 +381,14 @@ class TestRunBatch:
 
     def test_empty_series_is_free(self):
         machine = self._fresh_machine()
-        assert machine.run_batch([]) == 0.0
+        machine.run_batch([])
         assert machine.clock.now_ns == 0.0
 
     def test_traffic_free_rows_are_skipped(self):
         machine = self._fresh_machine()
         rows = [(DeviceKind.DRAM, 0.0, 0.0, 0, 0), (DeviceKind.NVM, 0, 0, 0, 0)]
-        assert machine.run_batch([(rows, 750.0)]) == 750.0
+        machine.run_batch([(rows, 750.0)])
+        assert machine.clock.now_ns == 750.0
         assert machine.bandwidth.pending == 0
         pure_cpu = self._fresh_machine()
         pure_cpu.run_batch([((), 750.0)])
@@ -394,18 +396,22 @@ class TestRunBatch:
 
     def test_one_row_batch_lasts_the_longer_of_device_and_cpu_time(self):
         rows = ((DeviceKind.DISK, 64 * 1024.0, 0.0, 0, 0),)
-        device_ns = self._fresh_machine().run_batch([(rows, 0.0)])
+        machine = self._fresh_machine()
+        machine.run_batch([(rows, 0.0)])
+        device_ns = machine.clock.now_ns
         assert device_ns > 0
         for cpu_ns in (device_ns / 2, device_ns * 2):
             machine = self._fresh_machine()
-            assert machine.run_batch([(rows, cpu_ns)]) == max(device_ns, cpu_ns)
+            machine.run_batch([(rows, cpu_ns)])
+            assert machine.clock.now_ns == max(device_ns, cpu_ns)
 
     def test_every_deposit_spans_its_batch_final_duration(self):
         # The DRAM row is charged first and is the shorter: its deposits
         # still take the NVM row's longer duration.
         machine = self._fresh_machine()
         rows = [(DeviceKind.DRAM, 64.0, 64.0, 0, 0), (DeviceKind.NVM, 1e9, 0.0, 0, 0)]
-        duration = machine.run_batch([((), 10.0), (rows, 0.0)])
+        machine.run_batch([((), 10.0), (rows, 0.0)])
+        duration = machine.clock.now_ns
         codes, nbytes, starts, durations = machine.bandwidth.deposit_columns()
         assert list(nbytes) == [64.0, 64.0, 1e9]
         assert list(starts) == [10.0] * 3
@@ -473,7 +479,7 @@ class TestRunRows:
     def test_empty_rows_are_free(self):
         machine = _fresh_machine()
         idle = [(DeviceKind.DRAM, 0.0, 0.0, 0, 0, 0.0)] * 3
-        assert machine.run_batch(_one_row_batches(idle)) == 0.0
+        machine.run_batch(_one_row_batches(idle))
         assert machine.clock.now_ns == 0.0
         assert machine.bandwidth.pending == 0
 

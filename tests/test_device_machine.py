@@ -16,6 +16,13 @@ from repro.memory.machine import Machine
 from tests.conftest import small_config
 
 
+def _advance(machine, batches, threads=1):
+    """The clock advance of charging ``batches`` on ``machine``."""
+    before = machine.clock.now_ns
+    machine.run_batch(batches, threads=threads)
+    return machine.clock.now_ns - before
+
+
 class TestDeviceCostModel:
     def make(self, spec=DRAM_SPEC):
         return MemoryDevice(spec, capacity_bytes=GiB)
@@ -34,9 +41,9 @@ class TestDeviceCostModel:
     def test_threads_and_mlp_divide_latency(self, monkeypatch):
         probes = [([(DeviceKind.DRAM, 0.0, 0.0, 1000, 0)], 0.0)]
         monkeypatch.setattr(machine_module, "MLP", 1)
-        serial = Machine(small_config()).run_batch(probes, threads=1)
+        serial = _advance(Machine(small_config()), probes, threads=1)
         monkeypatch.setattr(machine_module, "MLP", 2)
-        parallel = Machine(small_config()).run_batch(probes, threads=4)
+        parallel = _advance(Machine(small_config()), probes, threads=4)
         assert parallel == pytest.approx(serial / 8)
 
     def test_threads_do_not_help_bandwidth(self):
@@ -101,7 +108,8 @@ class TestMachine:
 
     def test_devices_run_concurrently(self):
         machine = self.make()
-        duration = machine.run_batch(
+        duration = _advance(
+            machine,
             [
                 (
                     [
@@ -118,12 +126,13 @@ class TestMachine:
 
     def test_cpu_component_can_dominate(self):
         machine = self.make()
-        duration = machine.run_batch([([], 12345.0)])
+        duration = _advance(machine, [([], 12345.0)])
         assert duration == pytest.approx(12345.0)
 
     def test_transfer_is_pipelined(self):
         machine = self.make()
-        duration = machine.run_batch(
+        duration = _advance(
+            machine,
             [
                 (
                     [

@@ -19,6 +19,7 @@ from repro.trace import (
     replay_events,
 )
 from repro.trace.events import (
+    FALLBACK,
     FREE,
     MIGRATE_DRAM_TO_NVM,
     MIGRATE_KINDS,
@@ -68,28 +69,36 @@ def test_replay_totals_match_alloc_minus_free(ops):
 TIER1_WORKLOADS = ["PR", "KM", "LR", "TC", "CC", "SSSP", "BC"]
 #: A shuffle kill, a 4x NVM throttle and a 30% NVM balloon: recompute and
 #: throttle events and the balloon's allocation enter the replayed stream.
+#: A 30% balloon leaves every placement its intended space, so no
+#: ``fallback`` event does; :data:`FALLBACK_BALLOONS` covers those.
 SMOKE_FAULTS = FaultPlan(
     kills=[KillSpec("shuffle", 2, partition=1)],
     throttles=[ThrottleSpec(0, 2e9, 4.0)],
     nvm_balloon_fraction=0.3,
 )
+#: Balloons that exhaust the NVM old space enough for placements to fall
+#: back to DRAM (the degradation ladder's first rung) at :data:`SCALE`;
+#: at these fractions KM, LR and BC abort with a ``GCError`` instead.
+FALLBACK_BALLOONS = {"PR": 0.9, "TC": 0.7}
 
 
-def _assert_oracle(workload, faults=None):
+def _assert_oracle(workload, faults=None, trace=True):
     config = paper_config(64, 1 / 3, PolicyName.PANTHERA, SCALE)
     result = run_experiment(
         workload,
         config,
         scale=SCALE,
         keep_context=True,
-        trace=True,
+        trace=trace,
         faults=faults,
     )
-    ctx = result.context
-    assert result.trace_events, "tracing recorded nothing"
-    assert (
-        oracle_check(ctx.heap, ctx.collector.stats, result.trace_events) == []
-    )
+    if trace:
+        ctx = result.context
+        assert result.trace_events, "tracing recorded nothing"
+        assert (
+            oracle_check(ctx.heap, ctx.collector.stats, result.trace_events) == []
+        )
+    return result
 
 
 @pytest.mark.parametrize("workload", TIER1_WORKLOADS)
@@ -100,6 +109,24 @@ def test_oracle_on_tier1_workloads(workload):
 @pytest.mark.parametrize("workload", TIER1_WORKLOADS)
 def test_oracle_on_faulted_tier1_workloads(workload):
     _assert_oracle(workload, SMOKE_FAULTS)
+
+
+@pytest.mark.parametrize("workload", sorted(FALLBACK_BALLOONS))
+def test_oracle_replays_fallback_placements(workload):
+    """Fallback placements are traced and replayed, and each is charged
+    where it happened: the traced run, which settles the charge queue at
+    every event, ends where the untraced one does."""
+    faults = FaultPlan(
+        kills=SMOKE_FAULTS.kills,
+        throttles=SMOKE_FAULTS.throttles,
+        nvm_balloon_fraction=FALLBACK_BALLOONS[workload],
+    )
+    traced = _assert_oracle(workload, faults)
+    assert traced.fault_report.fallback_events > 0
+    assert FALLBACK in {event.kind for event in traced.trace_events}
+    untraced = _assert_oracle(workload, faults, trace=False)
+    assert repr(untraced.elapsed_s) == repr(traced.elapsed_s)
+    assert untraced.fault_report == traced.fault_report
 
 
 # -- satellite: dynamic-migration invariants ---------------------------------
