@@ -12,9 +12,10 @@ Each job runs through exactly the same execution path as
 :func:`~repro.harness.experiment.execute_spec` seam).  Two things tie
 it to the cluster:
 
-* the executor installs itself as ``ctx.cluster`` for its lifetime;
-  the scheduler calls :meth:`Executor.shuffle_fetch` on every reduce
-  partition fetch, and remote-owned partitions pay the network hop;
+* the executor installs a :class:`ShuffleClient` as ``ctx.cluster``
+  for its lifetime; the scheduler calls
+  :meth:`ShuffleClient.shuffle_fetch` on every reduce partition fetch,
+  and remote-owned partitions pay the network hop;
 * each job gets a :class:`~repro.faults.injector.FaultInjector` with an
   *empty* plan and the job's :class:`~repro.cluster.faults.ExecutorKill`
   events armed — byte-neutral without kills, and with them the kills
@@ -130,6 +131,45 @@ class _Counters:
         self.fetches = executor.service.mark()
 
 
+class ShuffleClient:
+    """An executor's side of the shared shuffle service, installed as its
+    context's ``cluster`` hook.
+
+    It holds what a fetch reads — the executor's index, the service and
+    the context's shuffle manager and machine — and never the executor
+    or the context, so the context that owns it closes no reference
+    cycle.
+
+    Attributes:
+        index: the executor's index in the cluster.
+        service: the shared shuffle service (executor kills read it).
+    """
+
+    def __init__(self, index: int, service: ShuffleService, ctx) -> None:
+        self.index = index
+        self.service = service
+        self._shuffles = ctx.shuffles
+        self._machine = ctx.machine
+
+    def shuffle_fetch(self, dep, pidx: int) -> None:
+        """Route one reduce-partition fetch through the shared service
+        (the scheduler calls this from ``fetch_shuffle`` through
+        ``ctx.cluster``): a remote owner costs a network hop on this
+        (fetching) machine."""
+        service = self.service
+        ordinal = self._shuffles.ordinal(dep.shuffle_id)
+        if service.owner_of(ordinal, pidx) == self.index:
+            service.record_local()
+            return
+        ser_bytes = self._shuffles.serialized_bytes(dep.shuffle_id, pidx)
+        hop_ns = service.hop_ns(ser_bytes)
+        # A pure-CPU batch: the clock advances by the wire time but no
+        # device counters or bandwidth windows are touched (the local
+        # disk read that follows stands in for the remote service read).
+        self._machine.run_batch([((), hop_ns)])
+        service.record_remote(ser_bytes, hop_ns)
+
+
 class Executor:
     """One persistent simulated node of the cluster."""
 
@@ -143,7 +183,7 @@ class Executor:
         self.service = service
         self.config = config
         self.ctx = SparkContext.create(config)
-        self.ctx.cluster = self
+        self.ctx.cluster = ShuffleClient(index, service, self.ctx)
         self.jobs_run = 0
         self.busy_ns = 0.0
 
@@ -265,27 +305,6 @@ class Executor:
             nvm_used_frac=occupancy[1],
             checksums=action_checksums(action_results),
         )
-
-    # -- the cluster hook ----------------------------------------------
-
-    def shuffle_fetch(self, dep, pidx: int) -> None:
-        """Route one reduce-partition fetch through the shared service
-        (the scheduler calls this from ``fetch_shuffle`` through
-        ``ctx.cluster``): a remote owner costs a network hop on this
-        (fetching) machine."""
-        ctx = self.ctx
-        service = self.service
-        ordinal = ctx.shuffles.ordinal(dep.shuffle_id)
-        if service.owner_of(ordinal, pidx) == self.index:
-            service.record_local()
-            return
-        ser_bytes = ctx.shuffles.serialized_bytes(dep.shuffle_id, pidx)
-        hop_ns = service.hop_ns(ser_bytes)
-        # A pure-CPU batch: the clock advances by the wire time but no
-        # device counters or bandwidth windows are touched (the local
-        # disk read that follows stands in for the remote service read).
-        ctx.machine.run_batch([((), hop_ns)])
-        service.record_remote(ser_bytes, hop_ns)
 
     def _job_gclog(self, before: _Counters, exec_s: float) -> List[str]:
         """This job's GC log: its own pauses plus a summary over the

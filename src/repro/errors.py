@@ -37,3 +37,9 @@ class AnalysisError(ReproError):
 
 class FaultError(ReproError):
     """A fault plan is invalid, or recovery exceeded its bounded retries."""
+
+
+class OwnerFreedError(ReproError):
+    """A member was read through its weak reference back to an owner
+    that has since been freed (a clock or device counter whose machine
+    is gone with charges still queued, an RDD whose context is gone)."""

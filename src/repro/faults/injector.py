@@ -25,10 +25,11 @@ so an injected run is byte-identical across ``--jobs 1`` and
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.config import DeviceKind
-from repro.errors import FaultError
+from repro.errors import FaultError, OwnerFreedError
 from repro.faults.plan import FaultPlan, KillSpec, ThrottleSpec
 from repro.faults.report import FaultReport
 from repro.heap.object_model import HeapObject, ObjKind
@@ -75,7 +76,7 @@ class FaultInjector:
         self, plan: FaultPlan, ctx, executor_kills: Sequence = ()
     ) -> None:
         self.plan = plan
-        self.ctx = ctx
+        self._ctx = weakref.ref(ctx)
         self.boundaries_seen = 0
         self.kills_fired = 0
         self.kills_noop = 0
@@ -98,6 +99,19 @@ class FaultInjector:
         #: materialisation is recovery (measured), not a first build.
         self._killed_blocks: Set[int] = set()
         self._balloon: Optional[HeapObject] = None
+
+    @property
+    def ctx(self):
+        """The context the plan runs against.  Held weakly: the context
+        owns its injector (``ctx.faults``).
+
+        Raises:
+            OwnerFreedError: when the context was freed.
+        """
+        ctx = self._ctx()
+        if ctx is None:
+            raise OwnerFreedError("the fault injector's SparkContext was freed")
+        return ctx
 
     # ------------------------------------------------------------------
     # attachment

@@ -164,7 +164,7 @@ def run_major_gc(collector) -> None:
     # Phase 5: dynamic migration (§4.2.2).
     moves = policy.plan_migrations(heap, monitor)
     for obj, dst_space in moves:
-        if obj not in visited or obj.space is dst_space:
+        if obj not in visited or dst_space.holds(obj):
             continue
         src_pieces = obj.space.object_traffic(obj)
         if trace is not None:

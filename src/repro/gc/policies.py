@@ -371,10 +371,10 @@ class DecaPolicy(PlacementPolicy):
             )
 
     def release_block(self, heap, block) -> None:
-        heap.regions.free_block(block)
+        heap.regions.free_block(heap, block)
 
     def stage_boundary(self, heap) -> None:
-        heap.regions.stage_boundary()
+        heap.regions.stage_boundary(heap)
 
     def job_end(self, ctx) -> None:
         """Unpersist the surviving region-resident blocks and reset every
@@ -383,7 +383,7 @@ class DecaPolicy(PlacementPolicy):
         for block in block_manager.blocks():
             if not block.on_disk and block.region_resident:
                 block_manager.unpersist(block.rdd_id)
-        ctx.heap.regions.job_end()
+        ctx.heap.regions.job_end(ctx.heap)
 
 
 _POLICIES = {

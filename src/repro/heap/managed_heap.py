@@ -4,14 +4,17 @@ This is the object the rest of the system talks to.  It owns the young
 generation, the policy-built old spaces, the card table and the tag-wait
 allocator state, and it delegates collections to the attached collector
 (two-phase initialisation, since the collector also needs the heap).
+The collector holds the heap; the heap holds its collector only weakly,
+so the pair frees by reference counting.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, List, Optional, Set
 
 from repro.config import CARD_SIZE, SystemConfig
-from repro.errors import HeapError, OutOfMemoryError
+from repro.errors import HeapError, OutOfMemoryError, OwnerFreedError
 from repro.heap.allocator import TagWaitState
 from repro.heap.layout import build_native_space, build_young_spaces
 from repro.heap.card_table import CardTable
@@ -64,8 +67,8 @@ class ManagedHeap:
         #: memoised sorted root list (every GC sorts the roots otherwise;
         #: invalidated by add_root / remove_root)
         self._sorted_roots: Optional[List[HeapObject]] = None
-        #: set post-construction; must provide collect_minor()/collect_major()
-        self.collector = None
+        #: weak reference to the collector (see :attr:`collector`)
+        self._collector: Optional[weakref.ref] = None
         #: optional callback invoked on every mutator ref write (KW barrier)
         self.write_barrier_hook: Optional[Callable[[HeapObject], None]] = None
         #: optional :class:`~repro.trace.bus.TraceBus` the allocator and
@@ -85,6 +88,17 @@ class ManagedHeap:
         #: lifetime arenas; None for every tracing policy).  When set,
         #: classified allocations bypass the generational machinery.
         self.regions = None
+
+    @property
+    def collector(self):
+        """The attached collector (``collect_minor()``/``collect_major()``),
+        or None.  Set post-construction, by the collector itself; held
+        weakly, so whoever attached it must keep it."""
+        return self._collector() if self._collector is not None else None
+
+    @collector.setter
+    def collector(self, collector) -> None:
+        self._collector = weakref.ref(collector) if collector is not None else None
 
     # -- space queries -----------------------------------------------------
 
@@ -153,9 +167,12 @@ class ManagedHeap:
     # -- allocation ------------------------------------------------------------
 
     def _require_collector(self):
-        if self.collector is None:
+        if self._collector is None:
             raise HeapError("no collector attached to the heap")
-        return self.collector
+        collector = self._collector()
+        if collector is None:
+            raise OwnerFreedError("the heap's collector was freed")
+        return collector
 
     def allocate_ephemeral(self, nbytes: int) -> None:
         """Bump-allocate short-lived streaming bytes in eden.
@@ -166,7 +183,7 @@ class ManagedHeap:
         """
         if nbytes < 0:
             raise HeapError("negative ephemeral allocation")
-        if self.regions is not None and self.regions.take_ephemeral(nbytes):
+        if self.regions is not None and self.regions.take_ephemeral(self, nbytes):
             return
         # Inlined bump: this is the hottest mutator path (called for every
         # streamed batch), so the common in-bounds case pays two attribute
@@ -247,7 +264,7 @@ class ManagedHeap:
         matching region arena instead (no ``alloc`` event; the arena
         emits ``region_alloc``)."""
         obj = HeapObject(kind, size, rdd_id=rdd_id)
-        if self.regions is not None and self.regions.take_object(obj):
+        if self.regions is not None and self.regions.take_object(self, obj):
             return obj
         if size > self.eden.size:
             raise HeapError(
@@ -275,7 +292,7 @@ class ManagedHeap:
         collector = self._require_collector()
         tag = self.tag_wait.consume_for_array(size)
         obj = HeapObject(ObjKind.RDD_ARRAY, size, rdd_id=rdd_id)
-        if self.regions is not None and self.regions.take_object(obj):
+        if self.regions is not None and self.regions.take_object(self, obj):
             return obj
         if tag is not None:
             obj.set_tag(tag)
@@ -325,7 +342,7 @@ class ManagedHeap:
         Returns:
             True when the object was resident in the native region.
         """
-        if obj.space is not self.native:
+        if not self.native.holds(obj):
             return False
         if self.trace is not None:
             self.trace.free(obj, self.native.name)

@@ -43,7 +43,8 @@ class HeapObject:
         memory_bits: the two reserved header bits (§4.1).
         age: minor GCs survived (drives tenuring).
         addr: current address, or None before first placement.
-        space: the space the object currently resides in.
+        space: the :class:`~repro.heap.spaces.Extent` of the space the
+            object currently resides in (None when unplaced).
         rdd_id: id of the logical RDD this object belongs to, if any.
         write_count: mutator writes since the last major GC (used by the
             Kingsguard-Writes baseline and by tests).

@@ -115,8 +115,11 @@ class _ExtentAllocator:
 class RegionManager:
     """Bump-pointer lifetime arenas attached to a :class:`ManagedHeap`.
 
+    The owning heap (``heap.regions``) passes itself to every method
+    that charges its machine or publishes to its trace bus; the manager
+    keeps no reference back to it.
+
     Attributes:
-        heap: the owning heap (``heap.regions`` points back here).
         ephemeral: DRAM arena for streaming/UDF scratch bytes (recycled
             in place when it fills, reset at stage boundaries).
         stage: arena for stage-local blocks (reset when the scheduler's
@@ -128,7 +131,6 @@ class RegionManager:
     """
 
     def __init__(self, heap) -> None:
-        self.heap = heap
         config = heap.config
         base = heap.native.end
         arena_budget = max(
@@ -197,7 +199,7 @@ class RegionManager:
 
     # -- allocation -----------------------------------------------------
 
-    def take_object(self, obj: HeapObject) -> bool:
+    def take_object(self, heap, obj: HeapObject) -> bool:
         """Place a classified object into its lifetime arena.
 
         Job-long objects go through the per-RDD extent allocator;
@@ -219,15 +221,14 @@ class RegionManager:
                 return False
         elif not self.stage.place(obj):
             if self._place_in_job(obj):
-                heap = self.heap
                 heap.fallback_count += 1
                 heap.fallback_bytes += obj.size
                 if heap.trace is not None:
                     heap.trace.fallback(obj, self.stage.name)
             else:
                 return False
-        if self.heap.trace is not None:
-            self.heap.trace.region_alloc(obj, lifetime.value)
+        if heap.trace is not None:
+            heap.trace.region_alloc(obj, lifetime.value)
         return True
 
     def _place_in_job(self, obj: HeapObject) -> bool:
@@ -236,7 +237,7 @@ class RegionManager:
         if addr is None:
             return False
         obj.addr = addr
-        obj.space = self.job
+        obj.space = self.job.extent
         self.job.adopt(obj)
         # ``top`` is kept as a high-water mark so the bump-pointer
         # invariant (objects end at or below top) keeps holding.
@@ -244,7 +245,7 @@ class RegionManager:
             self.job.top = addr + int(math.ceil(obj.size))
         return True
 
-    def take_ephemeral(self, nbytes: int) -> bool:
+    def take_ephemeral(self, heap, nbytes: int) -> bool:
         """Bump UDF-ephemeral bytes into the ephemeral arena.
 
         The arena recycles in place when it fills (a charged wholesale
@@ -259,13 +260,13 @@ class RegionManager:
         if nbytes > arena.size:
             return False
         if arena.top + nbytes > arena.end:
-            self._reset(arena, "ephemeral-recycle")
+            self._reset(heap, arena, "ephemeral-recycle")
         arena.top += nbytes
         return True
 
     # -- wholesale frees ------------------------------------------------
 
-    def free_block(self, block) -> float:
+    def free_block(self, heap, block) -> float:
         """Free one block's region wholesale (unpersist/drop/evict).
 
         Job-arena objects return their extents to the free list (the
@@ -278,7 +279,7 @@ class RegionManager:
         """
         freed = 0.0
         for obj in block.heap_objects():
-            if obj.space is self.job:
+            if self.job.holds(obj):
                 self.job.discard(obj)
                 self._job_alloc.give(
                     obj.addr, obj.addr + int(math.ceil(obj.size))
@@ -286,16 +287,16 @@ class RegionManager:
                 obj.space = None
                 obj.addr = None
                 freed += obj.size
-            elif obj.space is self.stage:
+            elif self.stage.holds(obj):
                 self.stage.discard(obj)
                 obj.space = None
                 obj.addr = None
         if freed:
             self.region_free_count += 1
             self.region_free_bytes += freed
-            self.heap.machine.run_batch([((), freed * RESET_NS_PER_BYTE)])
-            if self.heap.trace is not None:
-                self.heap.trace.region_reset(
+            heap.machine.run_batch([((), freed * RESET_NS_PER_BYTE)])
+            if heap.trace is not None:
+                heap.trace.region_reset(
                     self.job.name, float(freed), f"region-free rdd={block.rdd_id}"
                 )
         return freed
@@ -314,20 +315,20 @@ class RegionManager:
             if not block_manager.evict_region_victim():
                 break
 
-    def stage_boundary(self) -> None:
+    def stage_boundary(self, heap) -> None:
         """A stage/action finished: free the stage and ephemeral arenas."""
-        self._reset(self.stage, "stage-end")
-        self._reset(self.ephemeral, "stage-end")
+        self._reset(heap, self.stage, "stage-end")
+        self._reset(heap, self.ephemeral, "stage-end")
 
-    def job_end(self) -> None:
+    def job_end(self, heap) -> None:
         """The job finished: free every arena."""
-        self._reset(self.stage, "job-end")
-        self._reset(self.ephemeral, "job-end")
-        self._reset(self.job, "job-end", freed=self.job.live_bytes())
+        self._reset(heap, self.stage, "job-end")
+        self._reset(heap, self.ephemeral, "job-end")
+        self._reset(heap, self.job, "job-end", freed=self.job.live_bytes())
         self._job_alloc = _ExtentAllocator(self.job.base, self.job.size)
 
     def _reset(
-        self, arena: Space, reason: str, freed: Optional[int] = None
+        self, heap, arena: Space, reason: str, freed: Optional[int] = None
     ) -> int:
         """Free one arena wholesale, charging the reset's CPU cost.
 
@@ -344,9 +345,9 @@ class RegionManager:
         if freed == 0:
             arena.reset()
             return 0
-        self.heap.machine.run_batch([((), freed * RESET_NS_PER_BYTE)])
-        if self.heap.trace is not None:
-            self.heap.trace.region_reset(arena.name, float(freed), reason)
+        heap.machine.run_batch([((), freed * RESET_NS_PER_BYTE)])
+        if heap.trace is not None:
+            heap.trace.region_reset(arena.name, float(freed), reason)
         arena.reset()
         self.reset_count += 1
         self.reset_bytes += freed

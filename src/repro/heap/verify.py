@@ -69,7 +69,7 @@ def verify_heap(heap: ManagedHeap, raise_on_error: bool = False) -> List[str]:
             )
         spans = []
         for obj in space.objects:
-            if obj.space is not space:
+            if not space.holds(obj):
                 problems.append(
                     f"object #{obj.oid} listed in {space.name} but its "
                     f"space field says {getattr(obj.space, 'name', None)!r}"

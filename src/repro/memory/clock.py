@@ -22,7 +22,9 @@ class SettlesFirst:
 
     #: the machine's queue of unsettled charges (falsy: nothing pending)
     _pending = ()
-    #: the machine's settle, called while ``_pending`` is not empty
+    #: the machine's settle, called while ``_pending`` is not empty; it
+    #: holds the machine weakly and raises
+    #: :class:`~repro.errors.OwnerFreedError` once the machine is gone
     _settle = None
 
 

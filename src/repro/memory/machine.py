@@ -37,6 +37,7 @@ charge order; the tracker spreads them over their windows in bulk.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Optional
 
 from repro.config import (
@@ -48,16 +49,16 @@ from repro.config import (
     DeviceKind,
     SystemConfig,
 )
+from repro.errors import OwnerFreedError
 from repro.memory.bandwidth import KEY_CODES, BandwidthTracker
 from repro.memory.clock import SimClock
 from repro.memory.device import MemoryDevice
 from repro.memory.energy import EnergyMeter
 
 #: Pending batches at which ``run_batch`` settles the queue itself.  The
-#: queue holds every queued series' tuples until it settles, and a
-#: cell's last settle frees them just before the cell's garbage is
-#: collected, so a long queue costs that collection time; docs/PERF.md
-#: ("Deferred charging, measured") has the measurement.
+#: queued tuples die by reference counting at each settle, so 1024 or
+#: 4096 cost the post-op collection no more than 256; docs/PERF.md
+#: ("Queue length, with no cycles") has the measurement.
 QUEUE_BATCHES = 256
 
 
@@ -115,6 +116,7 @@ class Machine:
         self._pending: list = []
         self._pending_batches = 0
         self._nvm_throttle = None
+        self._weak_settle = _WeakSettle(self)
         self.defer_reads(self.clock, self.bandwidth, *self.devices.values())
 
     # -- cost charging ---------------------------------------------------
@@ -165,10 +167,11 @@ class Machine:
 
     def defer_reads(self, *states) -> None:
         """Make each :class:`~repro.memory.clock.SettlesFirst` state
-        settle this machine's queue before it is read."""
+        settle this machine's queue before it is read.  The states hold
+        the machine weakly, so they keep no reference cycle alive."""
         for state in states:
             state._pending = self._pending
-            state._settle = self.settle
+            state._settle = self._weak_settle
 
     @property
     def pending(self) -> int:
@@ -267,3 +270,22 @@ class Machine:
         """Per-device static/dynamic energy breakdown."""
         return self._energy.breakdown(self.elapsed_s)
 
+
+
+class _WeakSettle:
+    """A machine's :meth:`~Machine.settle`, held through a weak reference
+    by the states the machine charges (called only while charges wait)."""
+
+    __slots__ = ("_machine",)
+
+    def __init__(self, machine: Machine) -> None:
+        self._machine = weakref.ref(machine)
+
+    def __call__(self) -> None:
+        machine = self._machine()
+        if machine is None:
+            raise OwnerFreedError(
+                "charges are still queued for a machine that was freed: "
+                "read its state while the machine is alive"
+            )
+        machine.settle()

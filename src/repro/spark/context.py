@@ -78,23 +78,40 @@ class SparkContext:
         self.runtime = runtime
         self.shuffles = ShuffleManager()
         self.block_manager = BlockManager(heap, machine, self.policy)
-        #: optional :class:`~repro.faults.injector.FaultInjector`; the
-        #: scheduler consults it at stage/action boundaries (None = no
-        #: fault injection, one ``is None`` check per boundary).
-        self.faults = None
-        #: the cluster :class:`~repro.cluster.executor.Executor` this
-        #: context runs on, installed for the executor's lifetime; the
-        #: scheduler calls its ``shuffle_fetch`` on every reduce-partition
-        #: fetch (one ``is None`` check), and executor kills read its
-        #: shuffle service.  None = a standalone node.
-        self.cluster = None
         self.materializer = Materializer(heap, machine, runtime)
         self.scheduler = Scheduler(self)
         self._rdd_ids = itertools.count(1)
+        #: every RDD of this context, by id; an RDD holds its context
+        #: only weakly (:attr:`RDD.ctx <repro.spark.rdd.RDD.ctx>`)
         self._rdds: Dict[int, RDD] = {}
         #: ``id(dataset)`` -> ``(dataset, source)``; the entry holds the
         #: dataset so its id cannot be reused while the context lives.
         self._sources: Dict[int, Tuple[object, SourceRDD]] = {}
+
+    @property
+    def faults(self):
+        """Optional :class:`~repro.faults.injector.FaultInjector`; the
+        scheduler consults it at stage/action boundaries (None = no
+        fault injection, one ``is None`` check per boundary)."""
+        return self.scheduler.faults
+
+    @faults.setter
+    def faults(self, injector) -> None:
+        self.scheduler.faults = injector
+
+    @property
+    def cluster(self):
+        """The :class:`~repro.cluster.executor.ShuffleClient` of the
+        cluster executor this context runs on, installed for the
+        executor's lifetime; the scheduler calls its ``shuffle_fetch``
+        on every reduce-partition fetch (one ``is None`` check), and
+        executor kills read its shuffle service.  None = a standalone
+        node."""
+        return self.scheduler.cluster
+
+    @cluster.setter
+    def cluster(self, client) -> None:
+        self.scheduler.cluster = client
 
     # -- construction -----------------------------------------------------
 
@@ -213,10 +230,7 @@ class SparkContext:
     def on_rdd_call(self, rdd: RDD) -> None:
         """A transformation/action was invoked on an RDD: under Panthera,
         calls on materialised RDDs are monitored (§4.2.2)."""
-        if self.monitor is None:
-            return
-        if rdd.persist_level is not None or self.block_manager.contains(rdd.id):
-            self.monitor.record_call(rdd.id)
+        self.scheduler.on_rdd_call(rdd)
 
     def unpersist(self, rdd: RDD) -> None:
         """Release an RDD's persisted block."""

@@ -270,59 +270,75 @@ def execute_program(
     Returns:
         Action results keyed by ``result_key`` (or ``action<N>``).
     """
-    env: Dict[str, Any] = {}
-    history: Dict[str, List[Any]] = {}
-    results: Dict[str, Any] = {}
-    counter = {"n": 0}
+    run = _Execution(ctx, tags, lifetimes)
+    run.run_block(program.body)
+    return run.results
 
-    def eval_expr(expr: Expr, var: Optional[str]):
+
+class _Execution:
+    """The state of one :func:`execute_program` run: the context, the
+    analysis maps and the variable environment.  Plain methods, not
+    closures, so a finished run frees by reference counting."""
+
+    def __init__(self, ctx, tags: Dict[str, Any], lifetimes) -> None:
+        self.ctx = ctx
+        self.tags = tags
+        self.lifetimes = lifetimes
+        self.env: Dict[str, Any] = {}
+        self.history: Dict[str, List[Any]] = {}
+        self.results: Dict[str, Any] = {}
+        self.actions = 0
+
+    def eval_expr(self, expr: Expr, var: Optional[str]):
         if isinstance(expr, VarRef):
-            if expr.name not in env:
+            if expr.name not in self.env:
                 raise AnalysisError(f"use of undefined variable {expr.name!r}")
-            return env[expr.name]
+            return self.env[expr.name]
         if isinstance(expr, SourceExpr):
-            return ctx.source_rdd(expr.dataset)
+            return self.ctx.source_rdd(expr.dataset)
         if isinstance(expr, TransformExpr):
             args = {
-                name: eval_expr(value, var) if isinstance(value, Expr) else value
+                name: self.eval_expr(value, var) if isinstance(value, Expr) else value
                 for name, value in expr.kwargs.items()
             }
             receiver = args.pop("self")
             rdd = getattr(receiver, expr.op)(**args)
             if expr.persist_level is not None:
                 rdd.persist(expr.persist_level)
-                rdd.memory_tag = tags.get(var) if var is not None else None
-                if lifetimes is not None and var is not None:
-                    rdd.lifetime = lifetimes.get(var)
+                rdd.memory_tag = self.tags.get(var) if var is not None else None
+                if self.lifetimes is not None and var is not None:
+                    rdd.lifetime = self.lifetimes.get(var)
             return rdd
         raise AnalysisError(f"unknown expression type {type(expr).__name__}")
 
-    def run_block(stmts: List[Stmt]) -> None:
+    def run_block(self, stmts: List[Stmt]) -> None:
+        env = self.env
+        lifetimes = self.lifetimes
         for stmt in stmts:
             if isinstance(stmt, AssignStmt):
                 if stmt.var in env:
-                    history.setdefault(stmt.var, []).append(env[stmt.var])
-                env[stmt.var] = eval_expr(stmt.expr, stmt.var)
+                    self.history.setdefault(stmt.var, []).append(env[stmt.var])
+                env[stmt.var] = self.eval_expr(stmt.expr, stmt.var)
             elif isinstance(stmt, LoopStmt):
                 for _ in range(stmt.iterations):
-                    run_block(stmt.body)
+                    self.run_block(stmt.body)
             elif isinstance(stmt, ActionStmt):
                 var = stmt.expr.name if isinstance(stmt.expr, VarRef) else None
-                rdd = eval_expr(stmt.expr, var)
+                rdd = self.eval_expr(stmt.expr, var)
                 if var is not None and rdd.memory_tag is None:
-                    rdd.memory_tag = tags.get(var)
+                    rdd.memory_tag = self.tags.get(var)
                 if (
                     lifetimes is not None
                     and var is not None
                     and rdd.lifetime is None
                 ):
                     rdd.lifetime = lifetimes.get(var)
-                key = stmt.result_key or f"action{counter['n']}"
-                counter["n"] += 1
-                results[key] = ctx.scheduler.run_action(rdd, stmt.action)
+                key = stmt.result_key or f"action{self.actions}"
+                self.actions += 1
+                self.results[key] = self.ctx.scheduler.run_action(rdd, stmt.action)
             elif isinstance(stmt, UnpersistStmt):
                 if stmt.prior:
-                    prior_versions = history.get(stmt.var, [])
+                    prior_versions = self.history.get(stmt.var, [])
                     if len(prior_versions) >= stmt.lag:
                         prior_versions[-stmt.lag].unpersist()
                 else:
@@ -330,10 +346,6 @@ def execute_program(
                     if rdd is not None:
                         rdd.unpersist()
             elif isinstance(stmt, DriverStmt):
-                stmt.fn(results)
+                stmt.fn(self.results)
             else:
                 raise AnalysisError(f"unknown statement {type(stmt).__name__}")
-
-    run_block(program.body)
-    return results
-

@@ -10,10 +10,11 @@ bytes each partition represents.
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.tags import MemoryTag
-from repro.errors import SparkError
+from repro.errors import OwnerFreedError, SparkError
 from repro.spark import columnar as _columnar
 from repro.spark.partition import _MISSING, HashPartitioner, Record
 from repro.spark.storage import StorageLevel
@@ -96,7 +97,7 @@ class RDD:
     ) -> None:
         if num_partitions <= 0:
             raise SparkError("an RDD needs at least one partition")
-        self.ctx = ctx
+        self._ctx = weakref.ref(ctx)
         self.id: int = ctx.new_rdd_id()
         self.deps = deps
         self.num_partitions = num_partitions
@@ -113,6 +114,19 @@ class RDD:
         #: the matching region arena at materialisation.
         self.lifetime = None
         ctx.register_rdd(self)
+
+    @property
+    def ctx(self):
+        """The :class:`~repro.spark.context.SparkContext` this RDD belongs
+        to.  Held weakly: the context's registry holds the RDD.
+
+        Raises:
+            OwnerFreedError: when the context was freed.
+        """
+        ctx = self._ctx()
+        if ctx is None:
+            raise OwnerFreedError(f"{self!r} outlived its SparkContext")
+        return ctx
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -49,7 +49,21 @@ class Scheduler:
     """Runs actions over the logical RDD graph, charging the machine."""
 
     def __init__(self, ctx) -> None:
-        self.ctx = ctx
+        # The context's members, held directly: the context owns the
+        # scheduler, and nothing here points back to the context.
+        self.heap = ctx.heap
+        self.machine = ctx.machine
+        self.policy = ctx.policy
+        self.runtime = ctx.runtime
+        self.monitor = ctx.monitor
+        self.shuffles = ctx.shuffles
+        self.block_manager = ctx.block_manager
+        self.materializer = ctx.materializer
+        #: the context's fault injector and cluster hook
+        #: (:attr:`SparkContext.faults <repro.spark.context.SparkContext.faults>`,
+        #: :attr:`~repro.spark.context.SparkContext.cluster`)
+        self.faults = None
+        self.cluster = None
         #: rdd_id -> runtime-propagated tag (ShuffledRDD inputs, §3)
         self.runtime_tags: Dict[int, Optional[MemoryTag]] = {}
         #: rdd_id -> transient ShuffledRDD block for the active scopes
@@ -65,10 +79,10 @@ class Scheduler:
         self._scopes.append([])
 
     def _pop_scope(self) -> None:
-        heap = self.ctx.heap
-        policy = self.ctx.policy
+        heap = self.heap
+        policy = self.policy
         for block in self._scopes.pop():
-            self.ctx.materializer.release(block)
+            self.materializer.release(block)
             # The stage is over: its buffers are garbage, and the stage's
             # final safepoint stops treating their card regions as
             # scannable (otherwise dead shuffle buffers would be
@@ -83,6 +97,15 @@ class Scheduler:
             # nested scopes belong to the same stage.
             policy.stage_boundary(heap)
 
+    def on_rdd_call(self, rdd: RDD) -> None:
+        """A transformation/action was invoked on an RDD, or one of its
+        cached partitions was read: under Panthera, calls on
+        materialised RDDs are monitored (§4.2.2)."""
+        if self.monitor is None:
+            return
+        if rdd.persist_level is not None or self.block_manager.contains(rdd.id):
+            self.monitor.record_call(rdd.id)
+
     # ------------------------------------------------------------------
     # actions
     # ------------------------------------------------------------------
@@ -90,11 +113,11 @@ class Scheduler:
     def run_action(self, rdd: RDD, action: str):
         """Execute an action, driving all upstream stages."""
         self._ensure_upstream_shuffles(rdd)
-        if self.ctx.faults is not None:
-            self.ctx.faults.action_boundary(rdd)
+        if self.faults is not None:
+            self.faults.action_boundary(rdd)
         self._push_scope()
         try:
-            tag = rdd.memory_tag if self.ctx.runtime is not None else None
+            tag = rdd.memory_tag if self.runtime is not None else None
             if tag is not None:
                 propagate_tags(rdd, tag, self.runtime_tags)
             parts = [
@@ -103,12 +126,12 @@ class Scheduler:
             if (
                 tag is not None
                 and rdd.persist_level is None
-                and not self.ctx.block_manager.contains(rdd.id)
+                and not self.block_manager.contains(rdd.id)
             ):
                 # The action is a materialisation point (§3): build the
                 # transient structure so the tag machinery is exercised,
                 # released when the action's scope closes.
-                block = self.ctx.materializer.materialize(rdd, parts, tag)
+                block = self.materializer.materialize(rdd, parts, tag)
                 self._scopes[-1].append(block)
         finally:
             self._pop_scope()
@@ -126,8 +149,8 @@ class Scheduler:
         """Compute partitions in order until ``n`` records are available
         (Spark's incremental ``take``)."""
         self._ensure_upstream_shuffles(rdd)
-        if self.ctx.faults is not None:
-            self.ctx.faults.action_boundary(rdd)
+        if self.faults is not None:
+            self.faults.action_boundary(rdd)
         self._push_scope()
         taken: List[Record] = []
         try:
@@ -155,13 +178,13 @@ class Scheduler:
             if processed:
                 for dep in node.deps:
                     if isinstance(dep, ShuffleDependency):
-                        if not self.ctx.shuffles.has(dep.shuffle_id):
+                        if not self.shuffles.has(dep.shuffle_id):
                             order.append(dep)
                 continue
             if node.id in seen:
                 continue
             seen.add(node.id)
-            if self.ctx.block_manager.contains(node.id):
+            if self.block_manager.contains(node.id):
                 continue  # cached: its upstream stages are skipped
             stack.append((node, True))
             for dep in node.deps:
@@ -177,7 +200,7 @@ class Scheduler:
                 overwrite it — the lineage-recovery path after an
                 injected executor kill destroyed a reduce partition.
         """
-        if self.ctx.shuffles.has(dep.shuffle_id) and not force:
+        if self.shuffles.has(dep.shuffle_id) and not force:
             return
         self._ensure_upstream_shuffles(dep.parent)
         n_out = dep.partitioner.num_partitions
@@ -244,18 +267,18 @@ class Scheduler:
                         out_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS,
                     )
                 )
-                self.ctx.machine.run_batch(batches, threads=MUTATOR_THREADS)
+                self.machine.run_batch(batches, threads=MUTATOR_THREADS)
         finally:
             self._pop_scope()
         _columnar.bucket_into_segments(dep.partitioner, outputs, buckets)
         bpr = dep.parent.bytes_per_record * dep.combine_factor
         sizes = [len(b) * bpr * SER_FACTOR for b in buckets]
-        self.ctx.shuffles.write(dep.shuffle_id, buckets, sizes, overwrite=force)
-        if self.ctx.faults is not None:
+        self.shuffles.write(dep.shuffle_id, buckets, sizes, overwrite=force)
+        if self.faults is not None:
             # A completed map stage is a stage boundary: pending kills
             # scheduled for it fire now (possibly re-losing the output
             # this very stage just wrote — recovery is bounded).
-            self.ctx.faults.stage_boundary(dep)
+            self.faults.stage_boundary(dep)
 
     def _columnar_combine(self, fn, records):
         """Map-side combine through ``fn``'s registered grouped-fold
@@ -276,18 +299,18 @@ class Scheduler:
 
     def get_records(self, rdd: RDD, pidx: int) -> List[Record]:
         """One partition of ``rdd``, from cache, shuffle or recomputation."""
-        block = self.ctx.block_manager.get(rdd.id)
+        block = self.block_manager.get(rdd.id)
         if block is not None:
             return self._read_block(rdd, block, pidx)
         transient = self._transients.get(rdd.id)
         if transient is not None:
             return self._read_block(rdd, transient, pidx)
         if rdd.persist_level is not None:
-            if self.ctx.faults is not None:
-                self.ctx.faults.materialize_persisted(self, rdd)
+            if self.faults is not None:
+                self.faults.materialize_persisted(self, rdd)
             else:
                 self._materialize_persisted(rdd)
-            block = self.ctx.block_manager.get(rdd.id)
+            block = self.block_manager.get(rdd.id)
             if block is None:
                 raise SparkError(f"persist of {rdd!r} produced no block")
             return self._read_block(rdd, block, pidx)
@@ -308,7 +331,7 @@ class Scheduler:
             part_bytes = len(records) * rdd.bytes_per_record
             disk_bytes = part_bytes * SER_FACTOR
             cpu_ns = part_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
-            self.ctx.machine.run_batch(
+            self.machine.run_batch(
                 [(((DeviceKind.DISK, disk_bytes, 0.0, 0, 0),), cpu_ns)],
                 threads=MUTATOR_THREADS,
             )
@@ -321,7 +344,7 @@ class Scheduler:
             if block.serialized:
                 part_bytes = len(records) * rdd.bytes_per_record
                 deser_cpu = part_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
-            self.ctx.machine.run_batch(
+            self.machine.run_batch(
                 [([(d, b, 0.0, 0, 0) for d, b in traffic.items()], deser_cpu)],
                 threads=MUTATOR_THREADS,
             )
@@ -330,13 +353,13 @@ class Scheduler:
             # minor GC re-scans the array — on whatever device it lives.
             if pidx < len(block.arrays):
                 array = block.arrays[pidx]
-                heap = self.ctx.heap
+                heap = self.heap
                 if heap.in_old(array) and heap.card_table.is_registered(array):
                     heap.card_table.mark_dirty(array)
         # Runtime consumption counts towards the RDD's call frequency —
         # this is what keeps iteratively re-read RDDs "hot" across major
         # GCs (§4.2.2).
-        self.ctx.on_rdd_call(rdd)
+        self.on_rdd_call(rdd)
         # Served partitions are shared, not copied: consumers never
         # mutate record lists.
         return records
@@ -355,17 +378,17 @@ class Scheduler:
         part_bytes = batch.count * rdd.bytes_per_record
         packed_bytes = part_bytes * SER_FACTOR
         deser_cpu = part_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
-        device = self.ctx.heap.native.device
-        self.ctx.machine.run_batch(
+        device = self.heap.native.device
+        self.machine.run_batch(
             (
                 (((device, packed_bytes, 0.0, 0, 0),), deser_cpu),
                 (((DeviceKind.DRAM, 0.0, part_bytes, 0, 0),), 0.0),
             ),
             threads=MUTATOR_THREADS,
         )
-        if self.ctx.heap.trace is not None:
-            self.ctx.heap.trace.deserialize(rdd.id, part_bytes)
-        self.ctx.on_rdd_call(rdd)
+        if self.heap.trace is not None:
+            self.heap.trace.deserialize(rdd.id, part_bytes)
+        self.on_rdd_call(rdd)
         return batch.unpack()
 
     # ------------------------------------------------------------------
@@ -376,7 +399,7 @@ class Scheduler:
         """First computation of a persisted RDD: compute, then cache."""
         level = rdd.persist_level
         assert level is not None
-        tag = rdd.memory_tag if self.ctx.runtime is not None else None
+        tag = rdd.memory_tag if self.runtime is not None else None
         if tag is not None:
             propagate_tags(rdd, tag, self.runtime_tags)
         self._push_scope()
@@ -393,15 +416,15 @@ class Scheduler:
             in_heap_bytes = (
                 total_bytes * SER_FACTOR if level.serialized else total_bytes
             )
-            self.ctx.policy.reserve_persisted(
-                self.ctx, rdd, in_heap_bytes, self._active_transient_bytes()
+            self.policy.reserve_persisted(
+                rdd.ctx, rdd, in_heap_bytes, self._active_transient_bytes()
             )
-            block = self.ctx.materializer.materialize(
+            block = self.materializer.materialize(
                 rdd, parts, tag, serialized=level.serialized
             )
             block.serialized = level.serialized
         else:  # DISK_ONLY
-            top = self.ctx.heap.new_object(ObjKind.CONTROL, 64, rdd.id)
+            top = self.heap.new_object(ObjKind.CONTROL, 64, rdd.id)
             block = MaterializedBlock(
                 rdd_id=rdd.id,
                 top=top,
@@ -413,12 +436,12 @@ class Scheduler:
             )
             disk_bytes = total_bytes * SER_FACTOR
             cpu_ns = total_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
-            self.ctx.machine.run_batch(
+            self.machine.run_batch(
                 [(((DeviceKind.DISK, 0.0, disk_bytes, 0, 0),), cpu_ns)],
                 threads=MUTATOR_THREADS,
             )
         expanded = expand_level(level, tag)
-        self.ctx.block_manager.put(block, expanded)
+        self.block_manager.put(block, expanded)
 
     def _materialize_serialized_tier(
         self, rdd: RDD, parts: List[List[Record]]
@@ -430,7 +453,7 @@ class Scheduler:
         deserialisation on every access instead of tracing cost on
         every collection.
         """
-        heap = self.ctx.heap
+        heap = self.heap
         top = heap.new_object(ObjKind.CONTROL, 64, rdd.id)
         arrays = []
         total_packed = 0.0
@@ -447,7 +470,7 @@ class Scheduler:
             # paying the serialisation CPU.  Row 2: land the packed
             # batch on the native device.
             ser_cpu = part_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
-            self.ctx.machine.run_batch(
+            self.machine.run_batch(
                 (
                     (((DeviceKind.DRAM, part_bytes, 0.0, 0, 0),), ser_cpu),
                     (((heap.native.device, 0.0, packed_bytes, 0, 0),), 0.0),
@@ -479,20 +502,20 @@ class Scheduler:
             self._push_scope()  # defensive: an implicit outermost scope
         dep = rdd.shuffle_dep
         estimate = None
-        if self.ctx.shuffles.has(dep.shuffle_id):
+        if self.shuffles.has(dep.shuffle_id):
             estimate = sum(
-                self.ctx.shuffles.serialized_bytes(dep.shuffle_id, p)
+                self.shuffles.serialized_bytes(dep.shuffle_id, p)
                 for p in range(rdd.num_partitions)
             ) / SER_FACTOR
-        self.ctx.policy.reserve_stage_input(
-            self.ctx, rdd, estimate, self._active_transient_bytes()
+        self.policy.reserve_stage_input(
+            rdd.ctx, rdd, estimate, self._active_transient_bytes()
         )
         parts = [
             rdd.compute_partition(p, self) for p in range(rdd.num_partitions)
         ]
         # Only tags propagated under a runtime are ever recorded.
         tag = self.runtime_tags.get(rdd.id)
-        block = self.ctx.materializer.materialize(rdd, parts, tag)
+        block = self.materializer.materialize(rdd, parts, tag)
         self._transients[rdd.id] = block
         self._scopes[-1].append(block)
         self.transient_materializations += 1
@@ -504,22 +527,22 @@ class Scheduler:
 
     def fetch_shuffle(self, dep: ShuffleDependency, pidx: int) -> List[Record]:
         """Read one reduce partition from shuffle files on disk."""
-        if not self.ctx.shuffles.has(dep.shuffle_id):
+        if not self.shuffles.has(dep.shuffle_id):
             self._run_shuffle_map(dep)
-        if self.ctx.faults is not None:
-            self.ctx.faults.ensure_shuffle_partition(self, dep, pidx)
-        if self.ctx.cluster is not None:
+        if self.faults is not None:
+            self.faults.ensure_shuffle_partition(self, dep, pidx)
+        if self.cluster is not None:
             # Partitions owned by a remote executor pay the network hop
             # (charged through Machine.run_batch on this machine) before
             # the local disk read below models the landing.
-            self.ctx.cluster.shuffle_fetch(dep, pidx)
-        records = self.ctx.shuffles.read(dep.shuffle_id, pidx)
-        ser_bytes = self.ctx.shuffles.serialized_bytes(dep.shuffle_id, pidx)
+            self.cluster.shuffle_fetch(dep, pidx)
+        records = self.shuffles.read(dep.shuffle_id, pidx)
+        ser_bytes = self.shuffles.serialized_bytes(dep.shuffle_id, pidx)
         raw_bytes = ser_bytes / SER_FACTOR
         self._ephemeral(raw_bytes)
         # Disk read + DRAM landing settle as one two-batch series — they
         # are back-to-back accesses with nothing between them.
-        self.ctx.machine.run_batch(
+        self.machine.run_batch(
             (
                 (
                     ((DeviceKind.DISK, ser_bytes, 0.0, 0, 0),),
@@ -538,12 +561,12 @@ class Scheduler:
         (boxing, iterator wrappers): eden fills several times faster than
         the useful output volume.
         """
-        self.ctx.heap.allocate_streaming(int(nbytes * ALLOC_FACTOR))
+        self.heap.allocate_streaming(int(nbytes * ALLOC_FACTOR))
 
     def _write_overhead_ns(self, nbytes: float) -> float:
         """Kingsguard-Writes' monitoring barrier cost for ``nbytes`` of
         mutator writes."""
-        per_write = self.ctx.policy.mutator_write_barrier_ns()
+        per_write = self.policy.mutator_write_barrier_ns()
         if per_write <= 0:
             return 0.0
         return per_write * (nbytes / 64.0)
@@ -564,7 +587,7 @@ class Scheduler:
         ) / MUTATOR_THREADS
         self._ephemeral(out_bytes)
         probes = hash_probes_for(probe_bytes)
-        self.ctx.machine.run_batch(
+        self.machine.run_batch(
             [(((DeviceKind.DRAM, 0.0, out_bytes, probes, 0),), cpu)],
             threads=MUTATOR_THREADS,
         )
@@ -613,7 +636,7 @@ class Scheduler:
         """Cost of reading and parsing one input partition from disk."""
         nbytes = len(records) * rdd.bytes_per_record
         self._ephemeral(nbytes)
-        self.ctx.machine.run_batch(
+        self.machine.run_batch(
             (
                 (
                     ((DeviceKind.DISK, nbytes, 0.0, 0, 0),),

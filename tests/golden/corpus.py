@@ -23,16 +23,19 @@ under panthera and deca at the s0.1 point; KM at ``DISK_ONLY`` and at
 executor kill and one Hadoop HashJoin run on a bare heap.
 
 ``tests/test_golden.py`` checks the committed digests (with numpy and
-with numpy forced absent); ``scripts/golden.py --accept`` rewrites them.
+with numpy forced absent), and that every run frees by reference
+counting (:func:`count_cyclic_garbage`); ``scripts/golden.py --accept``
+rewrites them.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster, ClusterFaultPlan, ExecutorKill, generate_traffic
 from repro.config import DeviceKind, MiB, PolicyName, SystemConfig
@@ -230,6 +233,26 @@ def run_hadoop() -> Dict[str, str]:
         "gclog": sha256("\n".join(render_log(collector.stats, machine.elapsed_s))),
         "checksums": sha256(results),
     }
+
+
+def count_cyclic_garbage(run: Callable[[], Any]) -> Tuple[Any, int]:
+    """Call ``run()`` with CPython's cyclic collector paused.
+
+    Returns ``run``'s value and the number of objects the run left that
+    only the cyclic collector can free: everything the run built but its
+    value is dropped by then (a cell's result is, once digested), so
+    the count is the run's reference cycles and all they hold.
+    """
+    gc.disable()
+    # Everything older than the run is frozen out of the count (and out
+    # of the collection's walk, which keeps the check cheap).
+    gc.freeze()
+    try:
+        value = run()
+        return value, gc.collect()
+    finally:
+        gc.unfreeze()
+        gc.enable()
 
 
 def sha256(value: Any) -> str:

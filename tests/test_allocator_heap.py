@@ -56,7 +56,7 @@ class TestManagedHeapAllocation:
     def test_new_object_lands_in_eden(self, panthera_stack):
         heap = panthera_stack.heap
         obj = heap.new_object(ObjKind.DATA, 1024)
-        assert obj.space is heap.eden
+        assert heap.eden.holds(obj)
         assert heap.in_young(obj)
 
     def test_eden_full_triggers_minor_gc(self, panthera_stack):

@@ -93,8 +93,7 @@ class TestMinorGCInternals:
         obj = heap.new_object(ObjKind.DATA, 1024)
         heap.add_root(obj)
         panthera_stack.collector.collect_minor()
-        live_space = obj.space
-        assert live_space is heap.survivor_from  # post-flip naming
+        assert heap.survivor_from.holds(obj)  # post-flip naming
         assert heap.survivor_to.used == 0
 
     def test_young_device_is_always_dram(self, panthera_stack):
@@ -143,7 +142,7 @@ class TestMajorGCInternals:
         array = heap.allocate_rdd_array(2 * MiB, rdd_id=1)
         heap.write_ref(top, array)  # array reachable only through top
         panthera_stack.collector.collect_major()
-        assert array in array.space.objects
+        assert array in array.space.owner.objects
 
     def test_compaction_reclaims_bump_space(self, panthera_stack):
         heap = panthera_stack.heap

@@ -18,7 +18,7 @@ class TestSweep:
     def test_dead_old_objects_reclaimed(self, panthera_stack):
         heap = panthera_stack.heap
         array = heap.allocate_rdd_array(2 * MiB, rdd_id=1)  # unrooted: garbage
-        space = array.space
+        space = array.space.owner
         used_before = space.used
         panthera_stack.collector.collect_major()
         assert array not in space.objects
@@ -29,7 +29,7 @@ class TestSweep:
         array = heap.allocate_rdd_array(2 * MiB, rdd_id=1)
         heap.add_root(array)
         panthera_stack.collector.collect_major()
-        assert array in array.space.objects
+        assert array in array.space.owner.objects
 
     def test_dead_arrays_unregistered_from_card_table(self, panthera_stack):
         heap = panthera_stack.heap

@@ -199,8 +199,8 @@ def _deca():
     heap.regions.note_rdd(1, LifetimeClass.JOB)
     in_arena = _rooted_array(heap, 96 * 1024, rdd_id=1)
     traced = _rooted_array(heap, 3 * MiB, rdd_id=2)
-    assert in_arena.space is heap.regions.job
-    assert traced.space is heap.old_space_named("old")
+    assert heap.regions.job.holds(in_arena)
+    assert heap.old_space_named("old").holds(traced)
     return stack
 
 

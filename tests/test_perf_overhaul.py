@@ -187,7 +187,7 @@ class TestSpaceCounterProperty:
             elif op == "adopt":
                 obj = HeapObject(kind, magnitude * 128)
                 obj.addr = space.top
-                obj.space = space
+                obj.space = space.extent
                 space.top += obj.size
                 space.adopt(obj)
                 resident.append(obj)

@@ -92,7 +92,7 @@ def check_invariants(stack, rooted):
         spans = []
         for obj in space.objects:
             # Residency is consistent.
-            assert obj.space is space
+            assert space.holds(obj)
             assert obj.addr is not None
             assert space.contains(obj.addr)
             assert obj.addr + obj.size <= space.top

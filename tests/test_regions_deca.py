@@ -139,7 +139,7 @@ class TestResetAccounting:
             else:  # boundary
                 expected = rm.stage.used + rm.ephemeral.used
                 before = rm.reset_bytes
-                rm.stage_boundary()
+                rm.stage_boundary(heap)
                 assert rm.stage.used == 0
                 assert rm.stage.live_bytes() == 0
                 assert rm.ephemeral.used == 0
@@ -147,7 +147,7 @@ class TestResetAccounting:
             assert verify_heap(heap) == []
         expected = rm.stage.used + rm.ephemeral.used + rm.job.live_bytes()
         before = rm.reset_bytes
-        rm.job_end()
+        rm.job_end(heap)
         assert rm.reset_bytes - before == expected
         assert rm.job.live_bytes() == 0
         assert verify_heap(heap) == []
@@ -163,7 +163,7 @@ class TestResetAccounting:
             heap.new_object(ObjKind.DATA, 64 * 1024, rdd_id=7)
             for _ in range(4)
         ]
-        assert all(o.space is rm.job for o in objs)
+        assert all(rm.job.holds(o) for o in objs)
         live = rm.job.live_bytes()
         assert rm._job_alloc.free_bytes == rm.job.size - live
 

@@ -61,7 +61,7 @@ class TestPersistence:
         block = ctx.block_manager.get(cached.id)
         assert block.arrays
         for array in block.arrays:
-            assert array.space is ctx.heap.native
+            assert ctx.heap.native.holds(array)
 
     def test_unpersist_releases_root(self, ctx):
         cached = parallelize(ctx).map(lambda r: r)

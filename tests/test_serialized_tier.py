@@ -53,7 +53,7 @@ class TestTierPlacement:
         assert block.serialized
         assert block.ser_batches is not None
         for array in block.arrays:
-            assert array.space is ctx.heap.native
+            assert ctx.heap.native.holds(array)
         # No object-heap payload structure at all: nothing for a GC to
         # trace (the old silent fallthrough built slabs in the heap).
         assert all(not slabs for slabs in block.slabs)
@@ -64,7 +64,7 @@ class TestTierPlacement:
         rdd = cached_rdd(ctx, StorageLevel.OFF_HEAP)
         block = ctx.block_manager.get(rdd.id)
         assert block.in_serialized_tier
-        assert all(a.space is ctx.heap.native for a in block.arrays)
+        assert all(ctx.heap.native.holds(a) for a in block.arrays)
 
     def test_packed_bytes_shrink_by_ser_factor(self):
         ctx = small_context()

@@ -67,7 +67,7 @@ class TestPlace:
         space = make_space()
         obj = HeapObject(ObjKind.DATA, 64)
         assert space.place(obj)
-        assert obj.space is space
+        assert space.holds(obj)
         assert space.contains(obj.addr)
         assert obj in space.objects
 
@@ -76,7 +76,7 @@ class TestPlace:
         obj = HeapObject(ObjKind.DATA, 64)
         a.place(obj)
         b.place(obj)
-        assert obj.space is b
+        assert b.holds(obj)
         assert obj not in a.objects
         assert obj in b.objects
 
