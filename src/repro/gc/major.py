@@ -213,5 +213,5 @@ def run_major_gc(collector) -> None:
             move_charges.batch(),
         ),
         threads=GC_THREADS,
-        record=stats.record_major,
+        record="major",
     )

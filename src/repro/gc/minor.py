@@ -27,8 +27,9 @@ charged in bulk after the trace.  The cycle settles as one
 the scan batch, then the copy batch — Parallel Scavenge's threads cannot
 overlap copy work behind the card scan that discovers it.
 
-The settle records the pause (:meth:`~repro.gc.stats.GCStats.record_minor`
-is the series' ``record`` callback), so a scavenge never reads the clock.
+The settle records the pause (the series' ``"minor"`` record kind
+calls :meth:`~repro.gc.stats.GCStats.record_minor`), so a scavenge never
+reads the clock.
 
 *Steady* scavenges.  Streaming churn fills eden with bytes that never
 become objects, so most scavenges start with an empty young generation.
@@ -157,7 +158,7 @@ class SteadyScavenge:
                 self.copy_batch(fill * MINOR_LIVE_FRACTION),
             )
         collector.machine.run_batch(
-            batches, threads=GC_THREADS, record=stats.record_minor, cycle=3
+            batches, threads=GC_THREADS, record="minor", cycle=3
         )
 
     def copy_batch(self, floor_bytes: float):
@@ -212,7 +213,7 @@ def run_minor_gc(collector) -> Optional[SteadyScavenge]:
     machine.run_batch(
         (_PAUSE_BATCH, scan_batch, copy_batch),
         threads=GC_THREADS,
-        record=stats.record_minor,
+        record="minor",
     )
     return plan
 

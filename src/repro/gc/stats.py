@@ -16,8 +16,9 @@ class GCStats(SettlesFirst):
 
     A collection's pause is recorded when its machine settles the
     collection's charges (:meth:`record_minor` / :meth:`record_major`
-    are the series' ``record`` callbacks), so the counts, pause times
-    and ``pauses`` settle the machine's queue before every read.
+    are the callbacks of the series' ``"minor"`` / ``"major"`` record
+    kinds, :meth:`records`), so the counts, pause times and ``pauses``
+    settle the machine's queue before every read.
 
     Attributes:
         minor_count / major_count: number of collections.
@@ -49,6 +50,10 @@ class GCStats(SettlesFirst):
     migrated_object_count: int = 0
     pauses: List[Tuple[str, float, float]] = field(default_factory=list)
     trace: Optional[object] = field(default=None, repr=False, compare=False)
+
+    def records(self) -> dict:
+        """The pause kinds a collection's series records."""
+        return {"minor": self.record_minor, "major": self.record_major}
 
     def record_minor(self, start_ns: float, duration_ns: float) -> None:
         """Account one minor collection."""

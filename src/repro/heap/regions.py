@@ -197,6 +197,11 @@ class RegionManager:
             return None
         return self._classes.get(rdd_id)
 
+    def forget(self, rdd_ids) -> None:
+        """Drop the classes of released RDDs (their job ended)."""
+        for rdd_id in rdd_ids:
+            self._classes.pop(rdd_id, None)
+
     # -- allocation -----------------------------------------------------
 
     def take_object(self, heap, obj: HeapObject) -> bool:

@@ -2,13 +2,16 @@
 
 Each stage ends at a shuffle that writes partitioned, serialised records
 to disk files; the next stage begins by reading them (§2).  Shuffle
-outputs are retained for the lifetime of the application — this is
+outputs are retained until the job (the application) ends — this is
 Spark's stage-skipping memoisation, and it is what keeps lineage-based
-recomputation of an iterative job linear instead of exponential.
+recomputation of an iterative job linear instead of exponential.  A job
+that ends releases every output (:meth:`ShuffleManager.release`); a
+persistent cluster executor's next job writes shuffles of its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Set
 
 from repro.errors import SparkError
@@ -19,10 +22,6 @@ class ShuffleManager:
     """In-memory registry standing in for shuffle files on disk."""
 
     def __init__(self) -> None:
-        #: running total of serialised bytes across all shuffles, kept in
-        #: lock-step with ``_sizes`` by :meth:`write` so reports never
-        #: recompute the nested sum.
-        self._total_bytes = 0.0
         #: shuffle id -> per-reduce-partition record lists
         self._outputs: Dict[int, List[List[Record]]] = {}
         #: shuffle id -> serialised bytes per reduce partition
@@ -33,8 +32,11 @@ class ShuffleManager:
         #: shuffle id -> dense first-write ordinal.  Raw shuffle ids come
         #: from a process-global counter, so they depend on how many
         #: experiments the process ran before; ordinals are a pure
-        #: function of the run (the basis of trace byte-identity).
+        #: function of the run (the basis of trace byte-identity).  A
+        #: release keeps the counter going: the shuffle service stripes
+        #: partition owners by ordinal.
         self._ordinals: Dict[int, int] = {}
+        self._next_ordinal = itertools.count()
 
     def has(self, shuffle_id: int) -> bool:
         """Whether this shuffle's map stage already ran."""
@@ -59,18 +61,26 @@ class ShuffleManager:
             raise SparkError(f"shuffle {shuffle_id} written twice")
         if len(buckets) != len(serialized_bytes):
             raise SparkError("bucket/size length mismatch")
-        self._total_bytes += sum(serialized_bytes) - sum(
-            self._sizes.get(shuffle_id, ())
-        )
         self._outputs[shuffle_id] = buckets
         self._sizes[shuffle_id] = serialized_bytes
         self._lost.pop(shuffle_id, None)
-        self._ordinals.setdefault(shuffle_id, len(self._ordinals))
+        if shuffle_id not in self._ordinals:
+            self._ordinals[shuffle_id] = next(self._next_ordinal)
 
     def ordinal(self, shuffle_id: int) -> int:
         """Dense, run-local index of a written shuffle (0-based, in
-        first-write order); safe to embed in traces and reports."""
+        first-write order, counted across releases); safe to embed in
+        traces and reports."""
         return self._ordinals[shuffle_id]
+
+    def release(self) -> None:
+        """Release every shuffle's output: the job that wrote them ended
+        (:meth:`~repro.spark.context.SparkContext.end_job`).  Released
+        shuffles read as never written; ordinals keep counting."""
+        self._outputs.clear()
+        self._sizes.clear()
+        self._lost.clear()
+        self._ordinals.clear()
 
     def invalidate(self, shuffle_id: int, pidx: int) -> None:
         """Lose one reduce partition (an injected executor kill): its
@@ -84,10 +94,6 @@ class ShuffleManager:
             )
         self._outputs[shuffle_id][pidx] = []
         self._lost.setdefault(shuffle_id, set()).add(pidx)
-        # The running byte counter is intentionally untouched: a kill
-        # destroys an executor's in-memory copy, but the shuffle *file*
-        # (whose size ``_sizes`` records) still exists on disk, exactly
-        # as the recomputed nested sum always reported.
 
     def is_lost(self, shuffle_id: int, pidx: int) -> bool:
         """Whether a reduce partition is currently lost to a kill."""
@@ -114,12 +120,3 @@ class ShuffleManager:
     def serialized_bytes(self, shuffle_id: int, pidx: int) -> float:
         """Serialised on-disk size of one reduce partition."""
         return self._sizes[shuffle_id][pidx]
-
-    def total_bytes(self) -> float:
-        """Total serialised bytes across all shuffles (for reports).
-
-        O(1): a running counter maintained by :meth:`write` (overwrites
-        subtract the replaced sizes first), always equal to
-        ``sum(sum(sizes) for sizes in self._sizes.values())``.
-        """
-        return self._total_bytes

@@ -9,7 +9,10 @@ lineage recovery at every stage boundary, the cluster report's metrics,
 the ``repro cluster`` CLI and the ``cluster.*`` bench records.
 """
 
+import gc
 import json
+import sys
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -29,6 +32,7 @@ from repro.cluster import (
 from repro.cluster.simulator import default_cluster_config, percentile
 from repro.cluster.traffic import DEFAULT_WORKLOADS, TENANT_SCALE_CYCLE, tenant_scale
 from repro.config import PolicyName
+from repro.core.tags import MemoryTag
 from repro.errors import FaultError, ReproError
 from repro.faults import FaultInjector, FaultPlan, KillSpec, action_checksums
 from repro.gc.gclog import render_log
@@ -36,6 +40,7 @@ from repro.harness.configs import paper_config
 from repro.harness.experiment import execute_spec, run_experiment
 from repro.harness.export import bandwidth_csv_from_machine
 from repro.spark.context import SparkContext
+from repro.spark.shuffle import ShuffleManager
 from repro.workloads.registry import build_workload
 
 SCALE = 0.02
@@ -255,6 +260,82 @@ class TestSingleExecutorOracle:
         second, _ = executor.run_job(JobSpec(1, 0.0, 0, "PR", SCALE))
         assert second.checksums == first.checksums
         assert second.wait_s == pytest.approx(first.exec_s)
+
+
+# -- executor state across jobs -------------------------------------------
+
+
+class TestBoundedExecutorState:
+    """An executor ends each job holding nothing of it: its blocks,
+    RDDs, their propagated tags and lifetime classes, and its shuffle
+    outputs are released, and they free by reference counting."""
+
+    JOBS = (
+        (JobSpec(0, 0.0, 0, "PR", SCALE), ()),
+        (JobSpec(1, 0.0, 0, "KM", SCALE), ()),
+        (JobSpec(2, 0.0, 0, "PR", SCALE), (ExecutorKill(1, 2),)),
+        (JobSpec(3, 0.0, 0, "CC", SCALE), ()),
+    )
+
+    @pytest.mark.parametrize("policy", [PolicyName.PANTHERA, PolicyName.DECA])
+    def test_each_job_ends_holding_nothing_of_it(self, policy, monkeypatch):
+        registered, written = [], []
+        register, write = SparkContext.register_rdd, ShuffleManager.write
+
+        def spy_register(ctx, rdd):
+            registered.append(weakref.ref(rdd))
+            register(ctx, rdd)
+
+        def spy_write(manager, shuffle_id, buckets, *args, **kwargs):
+            written.append((shuffle_id, buckets))
+            write(manager, shuffle_id, buckets, *args, **kwargs)
+
+        monkeypatch.setattr(SparkContext, "register_rdd", spy_register)
+        monkeypatch.setattr(ShuffleManager, "write", spy_write)
+        executor = Executor(
+            0, ShuffleService(2), paper_config(64, 1 / 3, policy, SCALE)
+        )
+        ctx = executor.ctx
+        kills = 0
+        for job, job_kills in self.JOBS:
+            registered.clear()
+            written.clear()
+            gc.disable()
+            try:
+                record, _ = executor.run_job(job, kills=job_kills)
+                # Freed by refcount: nothing but this test holds the
+                # job's last RDD or a bucket list it wrote.
+                assert registered[-1]() is None
+                shuffle_id, buckets = written.pop()
+                assert sys.getrefcount(buckets) == 2
+                del buckets
+            finally:
+                gc.enable()
+            kills += record.kills_fired
+            sources = {source.id for _, source in ctx._sources.values()}
+            assert sources and set(ctx._rdds) == sources
+            assert set(ctx.scheduler.runtime_tags) <= sources
+            if ctx.heap.regions is not None:
+                assert set(ctx.heap.regions._classes) <= sources
+            assert ctx.block_manager.blocks() == []
+            assert not ctx.shuffles.has(shuffle_id)
+            assert ctx.shuffles._outputs == {} and ctx.shuffles._sizes == {}
+            assert ctx.shuffles._lost == {}
+        assert kills > 0
+        assert executor.jobs_run == len(self.JOBS)
+
+    def test_source_tags_survive_the_job(self):
+        """A source's propagated tag is cross-job state: the next job's
+        propagation merges into it."""
+        executor = Executor(
+            0,
+            ShuffleService(1),
+            paper_config(64, 1 / 3, PolicyName.PANTHERA, SCALE),
+        )
+        executor.run_job(JobSpec(0, 0.0, 0, "KM", SCALE))
+        ctx = executor.ctx
+        [(_, source)] = ctx._sources.values()
+        assert ctx.scheduler.runtime_tags == {source.id: MemoryTag.DRAM}
 
 
 # -- report determinism (hypothesis) ---------------------------------------

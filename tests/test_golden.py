@@ -9,10 +9,10 @@ meant to alter simulated output.
 
 Each run also checks that it frees by reference counting: run with the
 cyclic collector paused, it must leave at most
-:data:`CYCLIC_GARBAGE_BOUND` objects for that collector (a run that
-aborts with its pinned error is exempt: the traceback's frames are
-cycles).  A failure there means some member points back to its owner;
-DESIGN.md ("Ownership") has the rule.
+:data:`CYCLIC_GARBAGE_BOUND` objects for that collector, a run that
+aborts with its pinned error (charges still queued) included.  A failure
+there means some member points back to its owner; DESIGN.md
+("Ownership") has the rule.
 """
 
 import pytest
@@ -42,10 +42,9 @@ def run_freeing_by_refcount(run):
     """``run()``'s digests, after checking the run left no more than
     :data:`CYCLIC_GARBAGE_BOUND` objects for the cyclic collector."""
     got, garbage = corpus.count_cyclic_garbage(run)
-    if "error" not in got:
-        assert garbage <= CYCLIC_GARBAGE_BOUND, (
-            f"the run left {garbage} objects in reference cycles"
-        )
+    assert garbage <= CYCLIC_GARBAGE_BOUND, (
+        f"the run left {garbage} objects in reference cycles"
+    )
     return got
 
 

@@ -17,6 +17,7 @@ from repro.heap.object_model import ObjKind
 from repro.heap.verify import verify_heap
 from repro.memory import bandwidth as bandwidth_module
 from repro.memory import machine as machine_module
+from repro.memory.clock import SettlesFirst
 from repro.memory.machine import Machine
 from repro.trace import TraceSession
 from tests.conftest import make_stack, small_config
@@ -75,10 +76,9 @@ def _machine(throttle_factor):
     return machine, stats
 
 
-def _charge(machine, stats, call):
+def _charge(machine, call):
     batches, threads, pause = call
-    record = {None: None, "minor": stats.record_minor, "major": stats.record_major}
-    machine.run_batch(batches, threads=threads, record=record[pause])
+    machine.run_batch(batches, threads=threads, record=pause)
 
 
 def _read(machine, stats, name, finite):
@@ -126,8 +126,8 @@ def test_deferred_reads_equal_an_eager_reference(mode, steps):
         finite = True
         for kind, step in steps:
             if kind == "charge":
-                _charge(deferred, deferred_stats, step)
-                _charge(eager, eager_stats, step)
+                _charge(deferred, step)
+                _charge(eager, step)
                 eager.settle()
                 finite = finite and not any(math.isnan(cpu) for _, cpu in step[0])
             else:
@@ -166,15 +166,25 @@ class TestQueue:
     def test_records_once_per_cycle_with_its_start_and_advance(self):
         machine = Machine(small_config())
         calls = []
+
+        class _Recorder(SettlesFirst):
+            def records(self):
+                return {"minor": lambda start, advance: calls.append((start, advance))}
+
+        machine.defer_reads(_Recorder())
         machine.run_batch([((), 5.0)])
         machine.run_batch(
-            [((), 1.0), ((), 2.0), ((), 3.0)] * 2,
-            record=lambda start, advance: calls.append((start, advance)),
-            cycle=3,
+            [((), 1.0), ((), 2.0), ((), 3.0)] * 2, record="minor", cycle=3
         )
         assert calls == []
         machine.settle()
         assert calls == [(5.0, 6.0), (11.0, 6.0)]
+
+    def test_a_record_kind_no_state_bound_is_refused(self):
+        machine = Machine(small_config())
+        with pytest.raises(ValueError, match="no state records 'minor'"):
+            machine.run_batch([((), 1.0)], record="minor")
+        assert machine.pending == 0
 
     def test_installing_a_throttle_settles_under_the_old_schedule(self):
         machine = Machine(small_config())

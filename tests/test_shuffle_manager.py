@@ -42,7 +42,31 @@ class TestShuffleManager:
         manager = ShuffleManager()
         manager.write(3, [[], []], [128.0, 256.0])
         assert manager.serialized_bytes(3, 1) == 256.0
-        assert manager.total_bytes() == 384.0
+
+    def test_ordinals_keep_counting_after_a_release(self):
+        # The shuffle service stripes partition owners by ordinal: a
+        # release restarting them at 0 would move every owner.
+        manager = ShuffleManager()
+        manager.write(10, [[]], [0.0])
+        manager.write(11, [[]], [0.0])
+        manager.release()
+        manager.write(12, [[]], [0.0])
+        manager.write(10, [[]], [0.0])
+        assert manager.ordinal(12) == 2
+        assert manager.ordinal(10) == 3
+
+    def test_released_shuffle_reads_as_never_written(self):
+        manager = ShuffleManager()
+        manager.write(4, [[(1, "a")], [(2, "b")]], [10.0, 20.0])
+        manager.invalidate(4, 1)
+        manager.release()
+        assert not manager.has(4)
+        assert not manager.is_lost(4, 1)
+        for pidx in (0, 1):
+            with pytest.raises(SparkError, match="has not been written"):
+                manager.read(4, pidx)
+        with pytest.raises(KeyError):
+            manager.ordinal(4)
 
 
 class TestNvmSpecOverride:
