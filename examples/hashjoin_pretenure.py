@@ -8,7 +8,7 @@ constantly — it belongs in DRAM; the probe-side partitions stream through
 the young generation and die there.
 
 This example implements that HashJoin directly against the heap/GC layer
-(no Spark), using:
+of a node wired by ``SparkContext.create`` (no RDDs), using:
 
   * API 1 (``place_array``): pre-tenure the build table by tag, and
   * API 2 (``track`` / ``record_call``): dynamically monitor a second,
@@ -20,14 +20,8 @@ Run with:  python examples/hashjoin_pretenure.py
 import random
 
 from repro.config import MiB, PolicyName, SystemConfig
-from repro.core.monitor import AccessMonitor
-from repro.core.runtime_api import PantheraRuntime
 from repro.core.tags import MemoryTag
-from repro.gc.collector import Collector
-from repro.gc.policies import make_policy
-from repro.heap.layout import HEAP_BASE, young_span_bytes
-from repro.heap.managed_heap import ManagedHeap
-from repro.memory.machine import Machine
+from repro.spark.context import SparkContext
 
 HEAP = 256 * MiB
 BUILD_TABLE_BYTES = 20 * MiB
@@ -45,14 +39,8 @@ def build_stack():
         large_array_threshold=MiB,
         interleave_chunk_bytes=4 * MiB,
     )
-    machine = Machine(config)
-    policy = make_policy(config)
-    old_spaces = policy.build_old_spaces(HEAP_BASE + young_span_bytes(config))
-    heap = ManagedHeap(config, machine, old_spaces, card_padding=policy.card_padding)
-    monitor = AccessMonitor(machine)
-    collector = Collector(heap, machine, policy, monitor=monitor)
-    runtime = PantheraRuntime(heap, monitor)
-    return config, machine, heap, collector, runtime
+    node = SparkContext.create(config)
+    return config, node.machine, node.heap, node.collector, node.runtime
 
 
 def main() -> None:

@@ -13,16 +13,10 @@ Run with:  python examples/wordcount_mapreduce.py
 import random
 
 from repro.config import MiB, PolicyName, SystemConfig
-from repro.core.monitor import AccessMonitor
-from repro.core.runtime_api import PantheraRuntime
 from repro.core.tags import MemoryTag
-from repro.gc.collector import Collector
 from repro.gc.gclog import render_log
-from repro.gc.policies import make_policy
 from repro.hadoop.mapreduce import MapReduceJob, SideTable
-from repro.heap.layout import HEAP_BASE, young_span_bytes
-from repro.heap.managed_heap import ManagedHeap
-from repro.memory.machine import Machine
+from repro.spark.context import SparkContext
 
 HEAP = 512 * MiB
 WORDS = (
@@ -41,13 +35,8 @@ def build_stack():
         large_array_threshold=MiB,
         interleave_chunk_bytes=8 * MiB,
     )
-    machine = Machine(config)
-    policy = make_policy(config)
-    old_spaces = policy.build_old_spaces(HEAP_BASE + young_span_bytes(config))
-    heap = ManagedHeap(config, machine, old_spaces, card_padding=policy.card_padding)
-    monitor = AccessMonitor(machine)
-    collector = Collector(heap, machine, policy, monitor=monitor)
-    return machine, heap, collector, PantheraRuntime(heap, monitor)
+    node = SparkContext.create(config)
+    return node.machine, node.heap, node.collector, node.runtime
 
 
 def make_splits(n_splits: int, lines_per_split: int, seed: int = 3):

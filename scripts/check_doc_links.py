@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Check that every relative link in the documentation resolves.
+"""Check that every relative link and code name in the documentation resolves.
 
 Scans ``README.md`` and ``docs/*.md`` for Markdown links and image
 references, skips external targets (``http://``, ``https://``,
@@ -13,8 +13,19 @@ be reachable from ``README.md`` or ``docs/TUTORIAL.md`` by following
 relative Markdown links (breadth-first over the link graph).  A page
 nothing links to is a page nobody finds.
 
-Exits non-zero listing every broken link and every orphan — the CI
-docs job runs exactly this.
+Also fails on *stale names*: in the reference docs (``README.md``,
+``DESIGN.md``, ``CONTRIBUTING.md``, ``EXPERIMENTS.md`` and ``docs/*.md``
+but the generated ``docs/API.md``), every inline-code word that starts
+with a repository directory (``src/``, ``tests/``, ``benchmarks/``,
+``scripts/``, ``examples/``) must name an existing path, and every
+dotted ``repro.*`` name must name an existing module, or a top-level
+name of one.  Names resolve by file (the module's source is parsed,
+never imported), so the check needs nothing installed.  The history
+documents (``CHANGES.md``, ``CHANGELOG.md``, ``ROADMAP.md``) name
+deleted files on purpose and are not checked.
+
+Exits non-zero listing every broken link, every orphan and every stale
+name — the CI docs job runs exactly this.
 
 Usage::
 
@@ -24,6 +35,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ast
 import pathlib
 import re
 import sys
@@ -33,18 +45,107 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
+#: Inline code spans: `text`.
+CODE_RE = re.compile(r"`([^`]+)`")
 
-def iter_links(path: pathlib.Path):
-    """Yield (line_number, target) for every link in one file."""
+#: Repository directories a backticked path may start with.
+PATH_PREFIXES = ("src/", "tests/", "benchmarks/", "scripts/", "examples/")
+
+#: A trailing ``:12`` or ``:12-14`` line reference.
+LINE_SUFFIX_RE = re.compile(r":\d+(-\d+)?$")
+
+#: A dotted ``repro.*`` name (a call's parentheses are not part of it).
+MODULE_RE = re.compile(r"repro(\.\w+)+")
+
+
+def iter_prose(path: pathlib.Path):
+    """Yield (line_number, line) for every line outside fenced blocks."""
     inside_fence = False
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if line.lstrip().startswith("```"):
             inside_fence = not inside_fence
             continue
-        if inside_fence:
-            continue
+        if not inside_fence:
+            yield lineno, line
+
+
+def iter_links(path: pathlib.Path):
+    """Yield (line_number, target) for every link in one file."""
+    for lineno, line in iter_prose(path):
         for match in LINK_RE.finditer(line):
             yield lineno, match.group(1)
+
+
+def iter_code_words(path: pathlib.Path):
+    """Yield (line_number, word) for every whitespace-separated word of
+    every inline code span outside fenced blocks."""
+    for lineno, line in iter_prose(path):
+        for match in CODE_RE.finditer(line):
+            for word in match.group(1).split():
+                yield lineno, word
+
+
+def top_level_names(module: pathlib.Path) -> set:
+    """The names a module file defines or imports at top level."""
+    names = set()
+    for node in ast.parse(module.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                (alias.asname or alias.name).split(".")[0] for alias in node.names
+            )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def module_name_exists(name: str, root: pathlib.Path) -> bool:
+    """Whether dotted ``repro.a.b.attr`` names a module under ``src/`` or
+    a top-level name of one (only the first name past the module)."""
+    here = root / "src" / "repro"
+    parts = name.split(".")[1:]
+    for index, part in enumerate(parts):
+        if (here / part / "__init__.py").exists():
+            here = here / part
+            continue
+        if (here / f"{part}.py").exists():
+            rest = parts[index + 1 : index + 2]
+            return not rest or rest[0] in top_level_names(here / f"{part}.py")
+        return part in top_level_names(here / "__init__.py")
+    return True
+
+
+def stale_name(word: str, root: pathlib.Path) -> bool:
+    """Whether one inline-code word names a repo path or ``repro.*``
+    module that does not exist.  Templates (``tests/test_<module>.py``)
+    are skipped, globs must match something, and pytest node ids and
+    ``:line`` suffixes are cut off."""
+    if word.startswith(PATH_PREFIXES):
+        path = LINE_SUFFIX_RE.sub("", word.split("::", 1)[0])
+        if any(mark in path for mark in "<{…"):
+            return False
+        if any(mark in path for mark in "*?["):
+            return not any(root.glob(path))
+        return not (root / path).exists()
+    match = MODULE_RE.match(word)
+    return match is not None and not module_name_exists(match.group(0), root)
+
+
+#: The reference docs whose inline-code names must exist (beside
+#: ``docs/*.md``); ``docs/API.md`` is generated, so skipped.
+NAME_CHECKED_DOCS = ("README.md", "DESIGN.md", "CONTRIBUTING.md", "EXPERIMENTS.md")
+GENERATED_DOCS = ("docs/API.md",)
+
+
+def check_names(path: pathlib.Path, root: pathlib.Path) -> list:
+    """Every stale repo path or ``repro.*`` name in one Markdown file."""
+    return [
+        f"{path}:{lineno}: stale name -> {word}"
+        for lineno, word in iter_code_words(path)
+        if stale_name(word, root)
+    ]
 
 
 def check_file(path: pathlib.Path, root: pathlib.Path) -> list:
@@ -127,6 +228,11 @@ def main(argv=None) -> int:
     problems = []
     for path in files:
         problems.extend(check_file(path, root))
+    generated = {root / name for name in GENERATED_DOCS}
+    named = [root / name for name in NAME_CHECKED_DOCS if (root / name).exists()]
+    named += [path for path in sorted(root.glob("docs/*.md")) if path not in generated]
+    for path in named:
+        problems.extend(check_names(path, root))
     for orphan in find_orphans(root):
         problems.append(
             f"{orphan}: orphaned (not reachable from "
@@ -136,8 +242,8 @@ def main(argv=None) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     print(
-        f"checked {len(files)} files: "
-        + ("all links resolve" if not problems else f"{len(problems)} broken")
+        f"checked {len(files)} files for links, {len(named)} for names: "
+        + ("all resolve" if not problems else f"{len(problems)} broken")
     )
     return 1 if problems else 0
 

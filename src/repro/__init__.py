@@ -57,15 +57,12 @@ from repro.harness.engine import (
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.report import (
     format_markdown_table,
-    gc_breakdown,
     normalize_results,
     summarize,
 )
 from repro.gc.gclog import render_log
 from repro.harness.export import (
     bandwidth_series_to_csv,
-    gc_pauses_to_csv,
-    results_to_csv,
     results_to_json,
 )
 from repro.heap.verify import verify_heap
@@ -104,17 +101,14 @@ __all__ = [
     "build_workload",
     "dram_only_config",
     "execute_program",
-    "gc_pauses_to_csv",
     "lineage_string",
     "render_log",
-    "results_to_csv",
     "results_to_json",
     "stage_summary",
     "verify_heap",
     "fig2c_configs",
     "fig4_configs",
     "format_markdown_table",
-    "gc_breakdown",
     "grid_configs",
     "hybrid_config",
     "normalize_results",

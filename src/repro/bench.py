@@ -28,51 +28,32 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.config import DeviceKind, MiB, PolicyName, SystemConfig
-from repro.core.monitor import AccessMonitor
 from repro.core.static_analysis import analyze_program
 from repro.gc.charging import ChargeAccumulator
-from repro.gc.collector import Collector
-from repro.gc.policies import make_policy
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
-from repro.heap.layout import HEAP_BASE, young_span_bytes
-from repro.heap.managed_heap import ManagedHeap
 from repro.heap.object_model import ObjKind
-from repro.memory.machine import Machine
+from repro.spark.context import SparkContext
 from repro.workloads.pagerank import build_pagerank
 
 SCHEMA_VERSION = 1
 
 
-class BenchStack:
-    """A minimal machine + heap + collector bundle for the ``repro
-    bench`` microbenchmarks."""
-
-    def __init__(self, policy: PolicyName) -> None:
-        heap = 48 * MiB
-        dram = heap if policy is PolicyName.DRAM_ONLY else heap // 3
-        config = SystemConfig(
-            heap_bytes=heap,
-            dram_bytes=dram,
-            nvm_bytes=heap - dram,
-            policy=policy,
-            interleave_chunk_bytes=MiB,
-            large_array_threshold=64 * 1024,
-        )
-        self.machine = Machine(config)
-        self.policy = make_policy(config)
-        old = self.policy.build_old_spaces(HEAP_BASE + young_span_bytes(config))
-        self.heap = ManagedHeap(
-            config, self.machine, old, card_padding=self.policy.card_padding
-        )
-        self.collector = Collector(
-            self.heap, self.machine, self.policy, monitor=AccessMonitor()
-        )
-
-
-def make_stack(policy: PolicyName) -> BenchStack:
-    """Build one microbenchmark stack (pytest suite entry point)."""
-    return BenchStack(policy)
+def make_stack(policy: PolicyName) -> SparkContext:
+    """One microbenchmark node: a 48 MiB heap, 1/3 DRAM unless
+    DRAM-only, wired by :meth:`SparkContext.create` with whatever the
+    policy attaches (Panthera's monitor, Deca's regions)."""
+    heap = 48 * MiB
+    dram = heap if policy is PolicyName.DRAM_ONLY else heap // 3
+    config = SystemConfig(
+        heap_bytes=heap,
+        dram_bytes=dram,
+        nvm_bytes=heap - dram,
+        policy=policy,
+        interleave_chunk_bytes=MiB,
+        large_array_threshold=64 * 1024,
+    )
+    return SparkContext.create(config)
 
 
 # -- microbenchmark bodies -------------------------------------------------
@@ -117,7 +98,8 @@ def setup_churn_scavenge() -> Callable[[], None]:
         heap.card_table.mark_dirty(array)  # unpadded: stuck until a major GC
 
     def churn() -> None:
-        heap.allocate_streaming(64 * MiB)
+        # Through the stack: the heap holds its collector only weakly.
+        stack.heap.allocate_streaming(64 * MiB)
 
     return churn
 

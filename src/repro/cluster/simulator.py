@@ -19,7 +19,6 @@ same function, same inputs, same bytes as the serial loop.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -27,22 +26,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.config import PolicyName, SystemConfig
 from repro.errors import ReproError
 from repro.floats import left_sum
+from repro.gc.stats import percentile
 from repro.harness.configs import paper_config
 
 from repro.cluster.executor import Executor, JobArtifacts, JobRecord
 from repro.cluster.faults import ClusterFaultPlan
 from repro.cluster.service import ShuffleService
 from repro.cluster.traffic import TENANT_SCALE_CYCLE, JobSpec, TrafficPlan
-
-
-def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (the SLO-reporting convention: p99 is an
-    actually-observed latency, never an interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass
@@ -317,8 +307,8 @@ class Cluster:
             throughput_jobs_per_s=(
                 len(records) / makespan if makespan > 0 else 0.0
             ),
-            latency_p50_s=percentile(latencies, 50.0),
-            latency_p99_s=percentile(latencies, 99.0),
+            latency_p50_s=percentile(latencies, 0.5),
+            latency_p99_s=percentile(latencies, 0.99),
             wait_mean_s=left_sum(r.wait_s for r in records) / len(records),
             gc_s=left_sum(r.gc_s for r in records),
             energy_j=left_sum(r.energy_j for r in records),

@@ -3,11 +3,25 @@ Table 5."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.floats import left_sum
 from repro.memory.clock import SettledAttribute, SettlesFirst
+
+
+def percentile(values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile: the smallest of ``values`` with at least
+    ``fraction`` (in [0, 1]; 0.99 = p99) of them at or below it, so a
+    percentile is always an observed value, never an interpolation
+    (the SLO-reporting convention).  No values read 0.0."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("percentile fraction must be in [0, 1]")
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(fraction * len(ordered))) - 1]
 
 
 @dataclass
@@ -93,17 +107,12 @@ class GCStats(SettlesFirst):
             fraction: percentile in [0, 1] (0.99 = p99).
             kind: restrict to "minor" or "major" pauses (default: all).
         """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("percentile fraction must be in [0, 1]")
-        durations = sorted(
+        durations = [
             duration
             for pause_kind, _, duration in self.pauses
             if kind is None or pause_kind == kind
-        )
-        if not durations:
-            return 0.0
-        index = min(len(durations) - 1, int(fraction * len(durations)))
-        return durations[index] / 1e6
+        ]
+        return percentile(durations, fraction) / 1e6
 
     def max_pause_ms(self) -> float:
         """The worst pause of the run, in milliseconds."""

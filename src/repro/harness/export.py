@@ -3,8 +3,8 @@
 The benchmarks print markdown; downstream users plotting with
 matplotlib/gnuplot want machine-readable series. This module flattens
 :class:`~repro.harness.experiment.ExperimentResult` objects to plain
-dicts, serialises batches of results to JSON or CSV, and dumps the
-Figure 8 bandwidth series of a kept context.
+dicts, serialises batches of results to JSON, and dumps the Figure 8
+bandwidth series of a kept context as CSV.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.config import DeviceKind
 from repro.harness.experiment import ExperimentResult
@@ -63,27 +63,6 @@ def results_to_json(
     return json.dumps(payload, indent=indent, sort_keys=True)
 
 
-def results_to_csv(results: Mapping[str, ExperimentResult]) -> str:
-    """Serialise a keyed batch of results to CSV (one row per run)."""
-    rows = []
-    columns = ["key"] + SCALAR_FIELDS
-    extra: List[str] = []
-    for key, result in results.items():
-        row = result_to_dict(result)
-        row.pop("tags", None)
-        row["key"] = key
-        for column in row:
-            if column not in columns and column not in extra:
-                extra.append(column)
-        rows.append(row)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns + sorted(extra))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
 def matrix_to_json(
     matrix: Mapping[str, Mapping[str, ExperimentResult]],
     indent: Optional[int] = 2,
@@ -129,14 +108,3 @@ def bandwidth_series_to_csv(result: ExperimentResult) -> str:
         raise ValueError("bandwidth export needs keep_context=True")
     return bandwidth_csv_from_machine(result.context.machine)
 
-
-def gc_pauses_to_csv(result: ExperimentResult) -> str:
-    """The GC pause timeline as CSV (requires ``keep_context=True``)."""
-    if result.context is None:
-        raise ValueError("pause export needs keep_context=True")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["kind", "start_s", "pause_ms"])
-    for kind, start_ns, duration_ns in result.context.collector.stats.pauses:
-        writer.writerow([kind, f"{start_ns / 1e9:.4f}", f"{duration_ns / 1e6:.3f}"])
-    return buffer.getvalue()

@@ -32,19 +32,6 @@ def normalize_results(
     }
 
 
-def gc_breakdown(results: Mapping[str, ExperimentResult]) -> Dict[str, Dict[str, float]]:
-    """Figure 5's computation/GC split, in seconds."""
-    return {
-        key: {
-            "computation_s": r.mutator_s,
-            "gc_s": r.gc_s,
-            "minor_gcs": float(r.minor_gcs),
-            "major_gcs": float(r.major_gcs),
-        }
-        for key, r in results.items()
-    }
-
-
 def format_markdown_table(
     headers: Sequence[str], rows: Sequence[Sequence[object]]
 ) -> str:

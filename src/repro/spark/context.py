@@ -180,34 +180,6 @@ class SparkContext:
         self._sources[id(dataset)] = (dataset, source)
         return source
 
-    def text_file(
-        self,
-        path: str,
-        total_bytes: Optional[float] = None,
-        num_partitions: int = 4,
-    ) -> SourceRDD:
-        """Load a text file as ``(line_number, line)`` records — the
-        ``ctx.textFile(...)`` entry point of Figure 2(a).
-
-        Args:
-            path: the file to read.
-            total_bytes: in-memory byte weight; defaults to 8x the file
-                size (the Java object-bloat factor; see DESIGN.md).
-            num_partitions: input split count.
-        """
-        import os
-
-        records: List[Record] = []
-        with open(path) as fh:
-            for idx, line in enumerate(fh):
-                records.append((idx, line.rstrip("\n")))
-        if not records:
-            raise SparkError(f"empty input file: {path}")
-        weight = total_bytes if total_bytes is not None else os.path.getsize(path) * 8
-        return self.parallelize(
-            records, num_partitions, weight, name=os.path.basename(path)
-        )
-
     def parallelize(
         self,
         records: List[Record],

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import GiB, MiB
 from repro.spark.partition import Record
@@ -130,47 +130,6 @@ def labeled_points(
         total_bytes=total_bytes,
     )
 
-
-def from_edge_list(
-    path,
-    total_bytes: float,
-    name: Optional[str] = None,
-    num_partitions: int = 4,
-    comment_prefix: str = "#",
-) -> DatasetSpec:
-    """Load a whitespace-separated edge-list file as a graph dataset.
-
-    This is how real inputs (SNAP/KONECT dumps like the paper's
-    Notre Dame webgraph) plug into the workloads: parse the edges, assign
-    the in-memory byte weight, and hand the spec to any graph workload's
-    ``dataset=`` parameter.  A small example graph ships in
-    ``data/karate.edges``.
-
-    Args:
-        path: file with one ``src dst`` pair per line.
-        total_bytes: the in-memory byte weight to assign the dataset.
-        name: dataset name (defaults to the file name).
-        num_partitions: input split count.
-        comment_prefix: lines starting with this are skipped.
-    """
-    import os
-
-    records: List[Record] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith(comment_prefix):
-                continue
-            src_text, dst_text, *_ = line.split()
-            records.append((int(src_text), int(dst_text)))
-    if not records:
-        raise ValueError(f"no edges found in {path}")
-    return DatasetSpec(
-        name=name or os.path.basename(str(path)),
-        records=tuple(records),
-        num_partitions=num_partitions,
-        total_bytes=total_bytes,
-    )
 
 
 # -- paper-shaped dataset factories (Table 4 x Java bloat) -----------------

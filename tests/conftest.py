@@ -7,12 +7,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.config import MiB, PolicyName, SystemConfig
-from repro.gc.collector import Collector
-from repro.gc.policies import make_policy
-from repro.heap.layout import HEAP_BASE, young_span_bytes
-from repro.heap.managed_heap import ManagedHeap
 from repro.memory.bandwidth import KEY_CODES
-from repro.memory.machine import Machine
 from repro.spark.context import SparkContext
 
 
@@ -32,55 +27,32 @@ def small_config(policy: PolicyName = PolicyName.PANTHERA, **kwargs) -> SystemCo
     )
 
 
-class Stack:
-    """A wired machine + heap + collector bundle, with whatever the
-    policy attaches (Panthera's monitor and runtime, Deca's regions),
-    built the way :meth:`SparkContext.create` builds it."""
-
-    def __init__(self, config: SystemConfig) -> None:
-        self.config = config
-        self.machine = Machine(config)
-        self.policy = make_policy(config)
-        old_spaces = self.policy.build_old_spaces(
-            HEAP_BASE + young_span_bytes(config)
-        )
-        self.heap = ManagedHeap(
-            config, self.machine, old_spaces, card_padding=self.policy.card_padding
-        )
-        self.runtime = self.policy.attach(self.heap, self.machine)
-        self.monitor = self.runtime.monitor if self.runtime is not None else None
-        self.collector = Collector(
-            self.heap, self.machine, self.policy, monitor=self.monitor
-        )
-
-
-def make_stack(policy: PolicyName = PolicyName.PANTHERA, **kwargs) -> Stack:
-    """Build a full stack over a small configuration."""
-    return Stack(small_config(policy, **kwargs))
+def make_stack(policy: PolicyName = PolicyName.PANTHERA, **kwargs) -> SparkContext:
+    """A wired node over a small configuration: its ``machine``,
+    ``heap``, ``collector``, ``policy`` and whatever the policy attaches
+    (Panthera's ``monitor`` and ``runtime``, Deca's regions)."""
+    return SparkContext.create(small_config(policy, **kwargs))
 
 
 @pytest.fixture
-def panthera_stack() -> Stack:
+def panthera_stack() -> SparkContext:
     """A Panthera-policy stack."""
     return make_stack(PolicyName.PANTHERA)
 
 @pytest.fixture
-def dram_stack() -> Stack:
+def dram_stack() -> SparkContext:
     """A DRAM-only stack."""
     return make_stack(PolicyName.DRAM_ONLY)
 
 
 @pytest.fixture
-def unmanaged_stack() -> Stack:
+def unmanaged_stack() -> SparkContext:
     """An unmanaged (chunk-interleaved) stack."""
     return make_stack(PolicyName.UNMANAGED)
 
 
-def small_context(
-    policy: PolicyName = PolicyName.PANTHERA, **kwargs
-) -> SparkContext:
-    """A full SparkContext over the small configuration."""
-    return SparkContext.create(small_config(policy, **kwargs))
+#: Tests that drive the engine call the node a context.
+small_context = make_stack
 
 
 @pytest.fixture

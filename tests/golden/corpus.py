@@ -39,20 +39,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster, ClusterFaultPlan, ExecutorKill, generate_traffic
 from repro.config import DeviceKind, MiB, PolicyName, SystemConfig
-from repro.core.monitor import AccessMonitor
-from repro.core.runtime_api import PantheraRuntime
 from repro.core.tags import MemoryTag
 from repro.errors import ReproError
 from repro.faults import FaultPlan, KillSpec, ThrottleSpec, action_checksums
-from repro.gc.collector import Collector
 from repro.gc.gclog import render_log
-from repro.gc.policies import make_policy
 from repro.hadoop.hashjoin import HashJoin
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
-from repro.heap.layout import HEAP_BASE, young_span_bytes
-from repro.heap.managed_heap import ManagedHeap
-from repro.memory.machine import Machine
+from repro.spark.context import SparkContext
 from repro.spark.storage import StorageLevel
 from repro.trace.export import events_to_jsonl
 
@@ -188,8 +182,9 @@ HADOOP_KEY = "hadoop/hashjoin/panthera"
 
 
 def run_hadoop() -> Dict[str, str]:
-    """Two HashJoins on a bare 48 MiB panthera heap (no Spark): a
-    DRAM-tagged build table, then a monitored NVM-tagged one.  Digested
+    """Two HashJoins on a 48 MiB panthera node, driving its heap and
+    runtime directly (no RDDs): a DRAM-tagged build table, then a
+    monitored NVM-tagged one.  Digested
     over the clock, the device counters, the bandwidth series, the GC
     log and the join results."""
     heap_bytes = 48 * MiB
@@ -201,13 +196,9 @@ def run_hadoop() -> Dict[str, str]:
         interleave_chunk_bytes=MiB,
         large_array_threshold=64 * 1024,
     )
-    machine = Machine(config)
-    policy = make_policy(config)
-    old_spaces = policy.build_old_spaces(HEAP_BASE + young_span_bytes(config))
-    heap = ManagedHeap(config, machine, old_spaces, card_padding=policy.card_padding)
-    monitor = AccessMonitor(machine)
-    collector = Collector(heap, machine, policy, monitor=monitor)
-    runtime = PantheraRuntime(heap, monitor)
+    node = SparkContext.create(config)
+    machine, heap, collector = node.machine, node.heap, node.collector
+    runtime = node.runtime
     build = [(key, f"dim{key}") for key in range(16)]
     probe = [[(k % 16, f"fact{k}") for k in range(s, s + 4)] for s in range(0, 48, 4)]
     results = []

@@ -29,13 +29,14 @@ from repro.cluster import (
     TrafficPlan,
     generate_traffic,
 )
-from repro.cluster.simulator import default_cluster_config, percentile
+from repro.cluster.simulator import default_cluster_config
 from repro.cluster.traffic import DEFAULT_WORKLOADS, TENANT_SCALE_CYCLE, tenant_scale
 from repro.config import PolicyName
 from repro.core.tags import MemoryTag
 from repro.errors import FaultError, ReproError
 from repro.faults import FaultInjector, FaultPlan, KillSpec, action_checksums
 from repro.gc.gclog import render_log
+from repro.gc.stats import percentile
 from repro.harness.configs import paper_config
 from repro.harness.experiment import execute_spec, run_experiment
 from repro.harness.export import bandwidth_csv_from_machine
@@ -543,9 +544,9 @@ class TestClusterReport:
 
     def test_percentile_nearest_rank(self):
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
-        assert percentile(values, 50.0) == 3.0
-        assert percentile(values, 99.0) == 5.0
-        assert percentile([], 50.0) == 0.0
+        assert percentile(values, 0.5) == 3.0
+        assert percentile(values, 0.99) == 5.0
+        assert percentile([], 0.5) == 0.0
 
     def test_throughput_and_latency(self, report):
         assert report.n_jobs == 6

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import MiB, PolicyName
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
-from repro.harness.report import gc_breakdown, normalize_results, summarize
+from repro.harness.report import normalize_results, summarize
 from repro.workloads.datasets import (
     kdd_points,
     labeled_points,
@@ -127,12 +127,6 @@ class TestReportHelpers:
         )
         with pytest.raises(ValueError):
             normalize_results(broken, "dram-only")
-
-    def test_gc_breakdown_counts(self, results):
-        rows = gc_breakdown(results)
-        for key, row in rows.items():
-            assert row["minor_gcs"] == results[key].minor_gcs
-            assert row["major_gcs"] == results[key].major_gcs
 
     def test_summarize_is_one_line(self, results):
         line = summarize(results["panthera"])

@@ -1,4 +1,4 @@
-"""Tests for edge-list loading, the bundled graph and pause percentiles."""
+"""Tests for the bundled graph and pause percentiles."""
 
 import pathlib
 
@@ -9,42 +9,34 @@ from repro.config import MiB, PolicyName
 from repro.core.static_analysis import analyze_program
 from repro.gc.stats import GCStats
 from repro.spark.program import execute_program
-from repro.workloads.datasets import from_edge_list
+from repro.workloads.datasets import DatasetSpec
 from repro.workloads.graphx import build_connected_components
 from tests.conftest import small_context
 
 KARATE = pathlib.Path(__file__).resolve().parents[1] / "data" / "karate.edges"
 
 
+def karate_dataset() -> DatasetSpec:
+    """Zachary's karate club (one ``src dst`` pair per line) as a graph
+    dataset weighing 8 MiB in memory."""
+    lines = KARATE.read_text().splitlines()
+    edges = tuple(tuple(map(int, line.split())) for line in lines if line)
+    return DatasetSpec(
+        name="karate.edges", records=edges, num_partitions=4, total_bytes=8 * MiB
+    )
+
+
 class TestEdgeListLoading:
     def test_karate_club_loads(self):
-        ds = from_edge_list(KARATE, total_bytes=8 * MiB)
+        ds = karate_dataset()
         assert len(ds.records) == 78
-        assert ds.name == "karate.edges"
         vertices = {v for edge in ds.records for v in edge}
         assert len(vertices) == 34
-
-    def test_total_bytes_assigned(self):
-        ds = from_edge_list(KARATE, total_bytes=8 * MiB, name="k")
-        assert ds.total_bytes == 8 * MiB
-        assert ds.bytes_per_record == pytest.approx(8 * MiB / 78)
-
-    def test_comments_and_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "graph.txt"
-        path.write_text("# header\n\n1 2\n2 3  \n# trailing\n")
-        ds = from_edge_list(path, total_bytes=MiB)
-        assert ds.records == ((1, 2), (2, 3))
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("# nothing\n")
-        with pytest.raises(ValueError):
-            from_edge_list(path, total_bytes=MiB)
 
     def test_karate_cc_matches_networkx(self):
         """A real dataset through a real workload: the karate club is one
         connected component."""
-        ds = from_edge_list(KARATE, total_bytes=8 * MiB)
+        ds = karate_dataset()
         spec = build_connected_components(dataset=ds, iterations=6)
         ctx = small_context(PolicyName.PANTHERA)
         tags = analyze_program(spec.program).tags
@@ -69,6 +61,19 @@ class TestPausePercentiles:
     def test_median_pause(self):
         stats = self.make_stats()
         assert 5.0 <= stats.pause_percentile(0.5) <= 7.0
+
+    def test_nearest_rank_when_the_rank_is_whole(self):
+        """p50 of four pauses is the second, and p99 of a hundred is the
+        99th, not the worst: GC pauses and cluster latencies share one
+        nearest-rank percentile."""
+        stats = GCStats()
+        for ms in (4, 1, 3, 2):
+            stats.record_minor(ms * 1e9, ms * 1e6)
+        assert stats.pause_percentile(0.5) == pytest.approx(2.0)
+        hundred = GCStats()
+        for ms in range(1, 101):
+            hundred.record_minor(ms * 1e9, ms * 1e6)
+        assert hundred.pause_percentile(0.99) == pytest.approx(99.0)
 
     def test_kind_filter(self):
         stats = self.make_stats()

@@ -13,7 +13,6 @@ from repro.harness.configs import (
 from repro.harness.experiment import run_experiment
 from repro.harness.report import (
     format_markdown_table,
-    gc_breakdown,
     normalize_results,
     summarize,
 )
@@ -123,13 +122,6 @@ class TestReports:
     def test_normalize_missing_baseline_rejected(self):
         with pytest.raises(KeyError):
             normalize_results({}, "nope")
-
-    def test_gc_breakdown_fields(self):
-        results = self.make_results()
-        breakdown = gc_breakdown(results)
-        for row in breakdown.values():
-            assert row["computation_s"] > 0
-            assert row["gc_s"] >= 0
 
     def test_markdown_table_renders(self):
         table = format_markdown_table(

@@ -13,9 +13,7 @@ from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
 from repro.harness.export import (
     bandwidth_series_to_csv,
-    gc_pauses_to_csv,
     result_to_dict,
-    results_to_csv,
     results_to_json,
 )
 from repro.heap.object_model import ObjKind
@@ -144,26 +142,11 @@ class TestExport:
         data = json.loads(text)
         assert data["run"]["workload"] == "PR"
 
-    def test_csv_has_header_and_row(self, pr_result):
-        text = results_to_csv({"a": pr_result, "b": pr_result})
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 2
-        assert rows[0]["workload"] == "PR"
-        assert float(rows[0]["elapsed_s"]) > 0
-
     def test_bandwidth_csv(self, pr_result):
         text = bandwidth_series_to_csv(pr_result)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["time_s", "device", "direction", "gbps"]
         assert len(rows) > 2
-
-    def test_gc_pause_csv(self, pr_result):
-        text = gc_pauses_to_csv(pr_result)
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == (
-            pr_result.context.collector.stats.minor_count
-            + pr_result.context.collector.stats.major_count
-        )
 
     def test_export_requires_context(self):
         cfg = paper_config(64, 1 / 3, PolicyName.PANTHERA, SCALE)
