@@ -75,7 +75,7 @@ def main() -> None:
         # Probing reads the build table (random accesses) — charge it.
         probes = PROBE_PARTITION_BYTES // 4096
         device = build_table.space.device_of(build_table.addr)
-        machine.run_batch([(((device, 0.0, 0.0, probes, 0),), 0.0)], threads=8)
+        machine.run_batch([(((device, 0.0, 0.0, probes, 0),), 0.0)])
         runtime.record_call(1)
         # The mystery table turns out to be probed constantly too.
         runtime.record_call(2)

@@ -63,7 +63,7 @@ class LsmStore:
         self.memtable_data[key] = value
         self.heap.write_data(self.memtable)
         device = self.memtable.space.device_of(self.memtable.addr)
-        self.machine.run_batch([(((device, 0.0, 0.0, 0, 1),), 0.0)], threads=8)
+        self.machine.run_batch([(((device, 0.0, 0.0, 0, 1),), 0.0)])
         if len(self.memtable_data) >= FLUSH_EVERY:
             self.flush()
 
@@ -75,9 +75,7 @@ class LsmStore:
         self.heap.add_root(array)
         self.runtime.track(owner)
         device = array.space.device_of(array.addr)
-        self.machine.run_batch(
-            [(((device, 0.0, SSTABLE_BYTES, 0, 0),), 0.0)], threads=8
-        )
+        self.machine.run_batch([(((device, 0.0, SSTABLE_BYTES, 0, 0),), 0.0)])
         self.sstables.append((owner, array, dict(self.memtable_data)))
         self.memtable_data.clear()
 
@@ -87,7 +85,7 @@ class LsmStore:
         # Newest SSTable first (LSM read path).
         for owner, array, data in reversed(self.sstables):
             device = array.space.device_of(array.addr)
-            self.machine.run_batch([(((device, 0.0, 0.0, 2, 0),), 0.0)], threads=8)
+            self.machine.run_batch([(((device, 0.0, 0.0, 2, 0),), 0.0)])
             self.runtime.record_call(owner)
             if key in data:
                 return data[key]

@@ -147,7 +147,7 @@ def setup_charge_rows() -> Callable[[], None]:
     ] * 64
 
     def settle() -> None:
-        machine.run_batch(batches, threads=8)
+        machine.run_batch(batches)
         machine.settle()
 
     return settle

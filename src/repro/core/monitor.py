@@ -11,7 +11,7 @@ the monitoring overhead stays below 1 %.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.memory.machine import Machine
 
@@ -23,7 +23,7 @@ class AccessMonitor:
     #: and bumping a hash-table slot).
     JNI_CALL_NS = 500.0
 
-    def __init__(self, machine: Optional[Machine] = None) -> None:
+    def __init__(self, machine: Machine) -> None:
         self._machine = machine
         self._calls_this_cycle: Dict[int, int] = defaultdict(int)
         self._total_calls = 0
@@ -34,8 +34,7 @@ class AccessMonitor:
         self._calls_this_cycle[rdd_id] += 1
         self._total_calls += 1
         self._overhead_ns += self.JNI_CALL_NS
-        if self._machine is not None:
-            self._machine.run_batch([((), self.JNI_CALL_NS)])
+        self._machine.run_batch([((), self.JNI_CALL_NS)])
 
     def call_count(self, rdd_id: int) -> int:
         """Calls on the RDD since the last major GC."""

@@ -27,13 +27,12 @@ from repro.heap.object_model import HeapObject
 class PantheraRuntime:
     """The bridge between semantic tags and the heap/GC."""
 
-    def __init__(self, heap, monitor: Optional[AccessMonitor] = None) -> None:
+    def __init__(self, heap, monitor: AccessMonitor) -> None:
         """Create the runtime.
 
         Args:
             heap: the :class:`~repro.heap.managed_heap.ManagedHeap`.
-            monitor: the access monitor consulted by major GCs (optional;
-                without it the dynamic-migration API is a no-op).
+            monitor: the access monitor consulted by major GCs.
         """
         self.heap = heap
         self.monitor = monitor
@@ -85,5 +84,4 @@ class PantheraRuntime:
 
     def record_call(self, owner_id: int) -> None:
         """Count one method call on a monitored data structure."""
-        if self.monitor is not None:
-            self.monitor.record_call(owner_id)
+        self.monitor.record_call(owner_id)

@@ -31,6 +31,9 @@ from repro.errors import FaultError
 
 #: Valid :attr:`KillSpec.kind` values.
 KILL_KINDS = ("shuffle", "block")
+#: :meth:`FaultPlan.random` draws shuffle-kill partitions from
+#: ``[0, RANDOM_KILL_PARTITIONS)`` (taken modulo the real count).
+RANDOM_KILL_PARTITIONS = 8
 
 
 @dataclass(frozen=True)
@@ -201,13 +204,9 @@ class FaultPlan:
         seed: int,
         max_boundary: int,
         kills: int = 1,
-        max_partitions: int = 8,
-        throttle_windows: int = 0,
-        horizon_ns: float = 5e9,
-        nvm_balloon_fraction: float = 0.0,
         max_recovery_attempts: int = 3,
     ) -> "FaultPlan":
-        """Build a seeded random plan (the chaos-testing entry point).
+        """Build a seeded random kill plan (the chaos-testing entry point).
 
         Args:
             seed: drives a private :class:`random.Random`; the same seed
@@ -216,12 +215,7 @@ class FaultPlan:
                 ``[1, max_boundary]`` (run once without faults and read
                 ``FaultReport.boundaries_seen`` to size this).
             kills: how many kill events to generate.
-            max_partitions: shuffle-kill partitions are drawn from
-                ``[0, max_partitions)`` (taken modulo the real count).
-            throttle_windows: how many NVM throttle windows to generate.
-            horizon_ns: throttle windows start uniformly in
-                ``[0, horizon_ns)``.
-            nvm_balloon_fraction / max_recovery_attempts: passed through.
+            max_recovery_attempts: passed through.
         """
         if max_boundary < 1:
             raise FaultError("max_boundary must be >= 1")
@@ -230,22 +224,12 @@ class FaultPlan:
             KillSpec(
                 kind=rng.choice(KILL_KINDS),
                 at_boundary=rng.randint(1, max_boundary),
-                partition=rng.randrange(max_partitions),
+                partition=rng.randrange(RANDOM_KILL_PARTITIONS),
             )
             for _ in range(kills)
         ]
-        throttle_specs = [
-            ThrottleSpec(
-                start_ns=rng.uniform(0, horizon_ns),
-                duration_ns=rng.uniform(horizon_ns / 20, horizon_ns / 4),
-                factor=rng.uniform(2.0, 10.0),
-            )
-            for _ in range(throttle_windows)
-        ]
         return cls(
             kills=kill_specs,
-            throttles=throttle_specs,
-            nvm_balloon_fraction=nvm_balloon_fraction,
             max_recovery_attempts=max_recovery_attempts,
             seed=seed,
         )

@@ -27,7 +27,6 @@ from repro.config import (
     CARD_SIZE,
     DENSE_PREFIX_WASTE,
     GC_FIXED_PAUSE_NS,
-    GC_THREADS,
     DeviceKind,
 )
 from repro.errors import GCError
@@ -212,6 +211,5 @@ def run_major_gc(collector) -> None:
             mark_charges.batch(),
             move_charges.batch(),
         ),
-        threads=GC_THREADS,
         record="major",
     )

@@ -1,9 +1,10 @@
 """The minor collection: a Parallel Scavenge-style scavenge with
 Panthera's modifications (§4.2.2).
 
-Phases and their costs (all charged as one parallel batch of 16 GC
-threads; devices proceed concurrently, so NVM's 10 GB/s is the binding
-constraint whenever card scanning touches NVM-resident arrays):
+Phases and their costs (charged on the 16 GC threads a series with a
+pause kind runs on; devices proceed concurrently, so NVM's 10 GB/s is
+the binding constraint whenever card scanning touches NVM-resident
+arrays):
 
 1. *root-task*: trace the young object graph from the roots.  Visiting an
    object costs one latency-bound read plus its header bytes on the
@@ -37,7 +38,7 @@ Such a scavenge traces nothing and copies nothing, and its scan batch
 depends only on the roots and the stuck cards; :class:`SteadyScavenge`
 prices it once, and the later eden overflows of the same allocation
 stream replay it (:meth:`~repro.heap.managed_heap.ManagedHeap.allocate_streaming`),
-all of them as one series (:meth:`SteadyScavenge.replay`).
+one series per replayed collection (:meth:`SteadyScavenge.replay`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from typing import List, Optional, Set
 
 from repro.config import (
     GC_FIXED_PAUSE_NS,
-    GC_THREADS,
     MINOR_LIVE_FRACTION,
     TENURING_THRESHOLD,
 )
@@ -138,9 +138,8 @@ class SteadyScavenge:
         Each replay is what :func:`run_minor_gc` would do with this
         plan: the stats increments, the young generation's flip (eden
         and both survivors are empty, so only the survivor roles swap;
-        the caller bumps eden from its base) and the fixed pause, scan
-        and copy batches, its pause recorded by the settle.  All of them
-        go out as one series of ``3 * len(fills)`` batches.
+        the caller bumps eden from its base) and one series of the fixed
+        pause, scan and copy batches, its pause recorded by the settle.
         """
         heap = collector.heap
         stats = collector.stats
@@ -150,16 +149,11 @@ class SteadyScavenge:
         if replays % 2:
             heap.survivor_from, heap.survivor_to = heap.survivor_to, heap.survivor_from
         collector.minors_since_major += replays
-        batches = []
+        run_batch = collector.machine.run_batch
+        scan_batch = self.scan_batch
         for fill in fills:
-            batches += (
-                _PAUSE_BATCH,
-                self.scan_batch,
-                self.copy_batch(fill * MINOR_LIVE_FRACTION),
-            )
-        collector.machine.run_batch(
-            batches, threads=GC_THREADS, record="minor", cycle=3
-        )
+            copy_batch = self.copy_batch(fill * MINOR_LIVE_FRACTION)
+            run_batch((_PAUSE_BATCH, scan_batch, copy_batch), record="minor")
 
     def copy_batch(self, floor_bytes: float):
         """The copy phase's batch: nothing but the DRAM floor.  Kept for
@@ -210,11 +204,7 @@ def run_minor_gc(collector) -> Optional[SteadyScavenge]:
         space.reset()
     heap.survivor_from, heap.survivor_to = heap.survivor_to, heap.survivor_from
 
-    machine.run_batch(
-        (_PAUSE_BATCH, scan_batch, copy_batch),
-        threads=GC_THREADS,
-        record="minor",
-    )
+    machine.run_batch((_PAUSE_BATCH, scan_batch, copy_batch), record="minor")
     return plan
 
 

@@ -105,10 +105,7 @@ class MapReduceJob:
                 self.runtime.track(owner)
             device = table.array.space.device_of(table.array.addr)
             cpu_ns = table.nbytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
-            self.machine.run_batch(
-                [(((device, 0.0, table.nbytes, 0, 0),), cpu_ns)],
-                threads=MUTATOR_THREADS,
-            )
+            self.machine.run_batch([(((device, 0.0, table.nbytes, 0, 0),), cpu_ns)])
             table.index.clear()
             for key, value in table.records:
                 table.index.setdefault(key, []).append(value)
@@ -126,9 +123,7 @@ class MapReduceJob:
             raise ReproError(f"side table {table.name!r} not loaded")
         probes = max(1, hash_probes_for(nbytes))
         device = table.array.space.device_of(table.array.addr)
-        self.machine.run_batch(
-            [(((device, 0.0, 0.0, probes, 0),), 0.0)], threads=MUTATOR_THREADS
-        )
+        self.machine.run_batch([(((device, 0.0, 0.0, probes, 0),), 0.0)])
         owner = self._table_owner[table.name]
         if table.monitored:
             self.runtime.record_call(owner)
@@ -175,10 +170,7 @@ class MapReduceJob:
         in_bytes = len(split) * bytes_per_record
         # Input read from HDFS (disk) into the young generation.
         cpu_ns = in_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
-        self.machine.run_batch(
-            [(((DeviceKind.DISK, in_bytes, 0.0, 0, 0),), cpu_ns)],
-            threads=MUTATOR_THREADS,
-        )
+        self.machine.run_batch([(((DeviceKind.DISK, in_bytes, 0.0, 0, 0),), cpu_ns)])
         self._ephemeral(in_bytes)
         out: List[Record] = []
         for record in split:
@@ -188,18 +180,14 @@ class MapReduceJob:
         cpu_ns = (
             in_bytes * CPU_NS_PER_BYTE + len(split) * CPU_NS_PER_RECORD
         ) / MUTATOR_THREADS
-        self.machine.run_batch(
-            [(((DeviceKind.DRAM, 0.0, out_bytes, 0, 0),), cpu_ns)],
-            threads=MUTATOR_THREADS,
-        )
+        self.machine.run_batch([(((DeviceKind.DRAM, 0.0, out_bytes, 0, 0),), cpu_ns)])
         for table in self.side_tables:
             self._charge_probe(table, in_bytes)
         for key, value in out:
             buckets[partition_of(key)].append((key, value))
         # Shuffle spill to local disk.
         self.machine.run_batch(
-            [(((DeviceKind.DISK, 0.0, out_bytes * SER_FACTOR, 0, 0),), 0.0)],
-            threads=MUTATOR_THREADS,
+            [(((DeviceKind.DISK, 0.0, out_bytes * SER_FACTOR, 0, 0),), 0.0)]
         )
 
     def _run_reduce_task(
@@ -210,8 +198,7 @@ class MapReduceJob:
     ) -> None:
         in_bytes = len(bucket) * bytes_per_record
         self.machine.run_batch(
-            [(((DeviceKind.DISK, in_bytes * SER_FACTOR, 0.0, 0, 0),), 0.0)],
-            threads=MUTATOR_THREADS,
+            [(((DeviceKind.DISK, in_bytes * SER_FACTOR, 0.0, 0, 0),), 0.0)]
         )
         self._ephemeral(in_bytes)
         grouped: Dict[Any, List[Any]] = {}
@@ -221,10 +208,7 @@ class MapReduceJob:
         cpu_ns = (
             in_bytes * CPU_NS_PER_BYTE + len(bucket) * CPU_NS_PER_RECORD
         ) / MUTATOR_THREADS
-        self.machine.run_batch(
-            [(((DeviceKind.DRAM, 0.0, 0.0, probes, 0),), cpu_ns)],
-            threads=MUTATOR_THREADS,
-        )
+        self.machine.run_batch([(((DeviceKind.DRAM, 0.0, 0.0, probes, 0),), cpu_ns)])
         for key, values in grouped.items():
             output[key] = self.reduce_fn(key, values)
 

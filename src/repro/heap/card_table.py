@@ -27,10 +27,7 @@ from repro.heap.object_model import HeapObject
 class CardTable:
     """Tracks dirty state and card sharing for old-generation objects."""
 
-    def __init__(self, card_size: int = CARD_SIZE) -> None:
-        if card_size <= 0:
-            raise HeapError("card_size must be positive")
-        self.card_size = card_size
+    def __init__(self) -> None:
         #: object -> (first card index, last card index)
         self._spans: Dict[HeapObject, Tuple[int, int]] = {}
         #: boundary card index -> objects touching that card
@@ -49,8 +46,8 @@ class CardTable:
             raise HeapError("cannot register an unplaced object")
         if obj in self._spans:
             self.unregister(obj)
-        first = obj.addr // self.card_size
-        last = (obj.addr + max(obj.size, 1) - 1) // self.card_size
+        first = obj.addr // CARD_SIZE
+        last = (obj.addr + max(obj.size, 1) - 1) // CARD_SIZE
         self._spans[obj] = (first, last)
         self._boundary.setdefault(first, set()).add(obj)
         self._boundary.setdefault(last, set()).add(obj)
@@ -115,7 +112,7 @@ class CardTable:
         misaligned = (
             obj.is_array
             and not obj.padded
-            and (obj.addr + obj.size) % self.card_size != 0
+            and (obj.addr + obj.size) % CARD_SIZE != 0
         )
         neighbors = self.neighbors_sharing_card(obj)
         if misaligned or neighbors:

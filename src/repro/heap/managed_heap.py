@@ -11,7 +11,7 @@ so the pair frees by reference counting.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.config import CARD_SIZE, SystemConfig
 from repro.errors import HeapError, OutOfMemoryError, OwnerFreedError
@@ -69,8 +69,6 @@ class ManagedHeap:
         self._sorted_roots: Optional[List[HeapObject]] = None
         #: weak reference to the collector (see :attr:`collector`)
         self._collector: Optional[weakref.ref] = None
-        #: optional callback invoked on every mutator ref write (KW barrier)
-        self.write_barrier_hook: Optional[Callable[[HeapObject], None]] = None
         #: optional :class:`~repro.trace.bus.TraceBus` the allocator and
         #: the GCs publish placement events to (None = tracing off; every
         #: emission site is guarded so the disabled cost is one check).
@@ -376,19 +374,16 @@ class ManagedHeap:
         barrier: old-to-young stores dirty the holder's cards."""
         holder.add_ref(target)
         holder.write_count += 1
-        if self.write_barrier_hook is not None:
-            self.write_barrier_hook(holder)
         if self.in_old(holder) and self.in_young(target):
             if not self.card_table.is_registered(holder):
                 self.card_table.register(holder)
             self.card_table.mark_dirty(holder)
 
-    def write_data(self, obj: HeapObject, writes: int = 1) -> None:
-        """Record mutator data writes into an object (no card dirtying:
-        only reference stores go through the card-marking barrier)."""
-        obj.write_count += writes
-        if self.write_barrier_hook is not None:
-            self.write_barrier_hook(obj)
+    def write_data(self, obj: HeapObject) -> None:
+        """Record one mutator data write into an object (no card
+        dirtying: only reference stores go through the card-marking
+        barrier)."""
+        obj.write_count += 1
 
     # -- stats -----------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 A debugging/testing aid that checks the structural invariants the
 collector relies on. Returns a list of human-readable violations (empty
-when the heap is consistent) or raises when asked to.
+when the heap is consistent).
 
 Checked invariants:
 
@@ -28,18 +28,15 @@ from __future__ import annotations
 from typing import List
 
 from repro.config import CARD_SIZE
-from repro.errors import HeapError
 from repro.heap.managed_heap import ManagedHeap
 from repro.heap.spaces import recompute_live_bytes
 
 
-def verify_heap(heap: ManagedHeap, raise_on_error: bool = False) -> List[str]:
+def verify_heap(heap: ManagedHeap) -> List[str]:
     """Check all heap invariants.
 
     Args:
         heap: the heap to verify.
-        raise_on_error: raise :class:`HeapError` listing every violation
-            instead of returning them.
 
     Returns:
         A list of violation descriptions; empty when consistent.
@@ -157,7 +154,4 @@ def verify_heap(heap: ManagedHeap, raise_on_error: bool = False) -> List[str]:
     machine.settle()
     if machine.pending:
         problems.append(f"{machine.pending} charge batches still queued after a settle")
-
-    if problems and raise_on_error:
-        raise HeapError("; ".join(problems))
     return problems

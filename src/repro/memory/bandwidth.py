@@ -2,8 +2,9 @@
 
 Figure 8 of the paper plots DRAM and NVM read/write bandwidth over the run
 of GraphX-CC.  Each bulk access in the simulation deposits its bytes into
-fixed-width time windows here; :meth:`BandwidthTracker.series` then yields
-(time, GB/s) points per device and direction.
+fixed-width time windows (:data:`WINDOW_NS`) here;
+:meth:`BandwidthTracker.series` then yields (time, GB/s) points per
+device and direction.
 
 The traces only report what the cost plane charged; nothing in the
 simulation reads them back.  So a deposit is an O(1) append of ``(key
@@ -54,6 +55,9 @@ KEY_CODES: Dict[Tuple[DeviceKind, bool], int] = {
 #: deposits, measured") has the measurement.
 SETTLE_ROWS = 2048
 
+#: Window width in nanoseconds: one second, Figure 8's resolution.
+WINDOW_NS = 1e9
+
 
 @dataclass(frozen=True)
 class BandwidthSample:
@@ -71,15 +75,7 @@ class BandwidthSample:
 class BandwidthTracker(SettlesFirst):
     """Accumulates bytes moved per (device, direction) into time windows."""
 
-    def __init__(self, window_ns: float = 1e9) -> None:
-        """Create a tracker.
-
-        Args:
-            window_ns: window width in nanoseconds (default one second).
-        """
-        if window_ns <= 0:
-            raise ValueError("window_ns must be positive")
-        self.window_ns = window_ns
+    def __init__(self) -> None:
         # (device, is_write) -> {window index -> bytes}, settled rows only.
         self._settled: Dict[Tuple[DeviceKind, bool], Dict[int, float]] = defaultdict(
             lambda: defaultdict(float)
@@ -133,7 +129,7 @@ class BandwidthTracker(SettlesFirst):
     def _settle_rows(self) -> None:
         """The per-row settle: each row's shares, added one at a time."""
         bins_map = self._settled
-        window_ns = self.window_ns
+        window_ns = WINDOW_NS
         for code, nbytes, start_ns, duration_ns in zip(
             self._codes, self._nbytes, self._starts, self._durations
         ):
@@ -172,7 +168,7 @@ class BandwidthTracker(SettlesFirst):
             starts, durations = starts[live], durations[live]
             if not len(codes):
                 return
-        window_ns = self.window_ns
+        window_ns = WINDOW_NS
         ends = starts + durations
         firsts = np.floor_divide(starts, window_ns)
         lasts = np.floor_divide(ends, window_ns)
@@ -246,7 +242,7 @@ class BandwidthTracker(SettlesFirst):
         bins = self._bins.get((device, is_write))
         if not bins:
             return []
-        window_s = self.window_ns / 1e9
+        window_s = WINDOW_NS / 1e9
         samples: List[BandwidthSample] = []
         prev = None
         for idx in sorted(bins):
@@ -258,7 +254,7 @@ class BandwidthTracker(SettlesFirst):
             samples.append(
                 BandwidthSample(
                     time_s=idx * window_s,
-                    gbps=bins[idx] / self.window_ns,  # bytes/ns == GB/s
+                    gbps=bins[idx] / WINDOW_NS,  # bytes/ns == GB/s
                 )
             )
             prev = idx
@@ -273,7 +269,7 @@ class BandwidthTracker(SettlesFirst):
         bins = self._bins.get((device, is_write))
         if not bins:
             return 0.0
-        return max(bins.values()) / self.window_ns
+        return max(bins.values()) / WINDOW_NS
 
     def total_bytes(self, device: DeviceKind, is_write: bool) -> float:
         """Total bytes moved on one device in one direction."""

@@ -16,12 +16,17 @@ and its CPU component.  The shapes in use:
   GC's fixed pause, a region reset, a JNI monitoring call, a network
   hop.
 
+How parallel a series runs follows what it charges: a collection's
+series carries its pause kind and runs at :data:`GC_THREADS` × ``MLP``;
+every other series is mutator work and runs at
+:data:`MUTATOR_THREADS` × ``MLP`` (a pure-CPU batch never reads it).
+
 Charging is deferred.  ``run_batch`` validates a series and queues it;
 :meth:`Machine.settle` charges the queue, in order, before anything
 reads charged state: the clock, the device counters, energy, the
-bandwidth traces, the GC pause records (a collection's series carries
-its pause kind, and the settle calls that kind's record callback with
-each cycle's start and advance) and every trace-bus publish
+bandwidth traces, the GC pause records (one collection per series: the
+settle calls its kind's record callback with the series' start and
+advance) and every trace-bus publish
 (:class:`~repro.memory.clock.SettlesFirst`).
 The queue also settles itself once :data:`QUEUE_BATCHES` batches wait.
 A settle charges every queued series exactly as one call per batch
@@ -45,7 +50,9 @@ from repro.config import (
     CACHE_LINE_BYTES,
     DISK_SPEC,
     DRAM_SPEC,
+    GC_THREADS,
     MLP,
+    MUTATOR_THREADS,
     NVM_SPEC,
     DeviceKind,
     SystemConfig,
@@ -112,8 +119,8 @@ class Machine:
         self._energy = EnergyMeter(
             self.devices, static_factor=config.static_energy_factor
         )
-        #: unsettled series in charge order, one ``(batches, parallelism,
-        #: record, cycle)`` per run_batch call, and their batch count
+        #: unsettled series in charge order, one ``(batches, record)``
+        #: per run_batch call, and their batch count
         self._pending: list = []
         self._pending_batches = 0
         #: pause kind -> record callback, bound by :meth:`defer_reads`;
@@ -126,13 +133,7 @@ class Machine:
 
     # -- cost charging ---------------------------------------------------
 
-    def run_batch(
-        self,
-        batches,
-        threads: int = 1,
-        record: Optional[str] = None,
-        cycle: int = 0,
-    ) -> None:
+    def run_batch(self, batches, record: Optional[str] = None) -> None:
         """Queue a series of batches, charged back to back.
 
         Args:
@@ -145,14 +146,12 @@ class Machine:
                 traffic-free rows, is a pure-CPU span (the GC's fixed
                 pause, a region reset, a network hop).  Neither the
                 sequence nor its rows may change after the call.
-            threads: worker count for latency-bound components.
-            record: a pause kind (``"minor"``, ``"major"``) whose
-                callback, bound by :meth:`defer_reads`, the settle calls
-                as ``callback(start_ns, advance_ns)`` once per cycle of
-                the series, with that cycle's start and clock advance —
-                a collection's pause record.
-            cycle: batches per recorded cycle (0: the whole series is
-                one cycle).
+            record: the pause kind (``"minor"``, ``"major"``) of the one
+                collection the series is; the settle calls its callback,
+                bound by :meth:`defer_reads`, as ``callback(start_ns,
+                advance_ns)`` with the series' start and clock advance.
+                Its latency-bound rows run on :data:`GC_THREADS`; a
+                series without a kind runs on :data:`MUTATOR_THREADS`.
 
         A series is exactly its batches charged one call at a time: the
         clock accumulates with the same ``+=`` sequence, each batch's
@@ -169,7 +168,7 @@ class Machine:
                 raise ValueError(f"cannot advance the clock by {cpu_ns} ns")
         if record is not None and record not in self._records:
             raise ValueError(f"no state records {record!r} pauses")
-        self._pending.append((batches, max(1, threads) * MLP, record, cycle))
+        self._pending.append((batches, record))
         self._pending_batches += len(batches)
         if self._pending_batches >= QUEUE_BATCHES:
             self.settle()
@@ -222,11 +221,17 @@ class Machine:
         nvm = DeviceKind.NVM
         throttle = self._nvm_throttle
         codes, nbytes, starts, durations = self.bandwidth.deposit_columns()
+        mutator = MUTATOR_THREADS * MLP
+        collector = GC_THREADS * MLP
         now = clock._now_ns
-        for batches, parallelism, kind, cycle in entries:
-            record = records.get(kind)
+        for batches, kind in entries:
+            if kind is None:
+                record = None
+                parallelism = mutator
+            else:
+                record = records[kind]
+                parallelism = collector
             start = now
-            left = cycle = cycle or len(batches)
             for rows, cpu_ns in batches:
                 duration = float(cpu_ns)
                 deposits = 0
@@ -259,13 +264,9 @@ class Machine:
                     durations.append(duration)
                     deposits -= 1
                 now += duration
-                if record is not None:
-                    left -= 1
-                    if not left:
-                        clock._now_ns = now
-                        record(start, now - start)
-                        start = now
-                        left = cycle
+            if record is not None:
+                clock._now_ns = now
+                record(start, now - start)
         clock._now_ns = now
         self.bandwidth.settle_if_full()
 

@@ -211,7 +211,7 @@ class BlockManager:
         ]
         cpu_ns = block.data_bytes * CPU_NS_PER_BYTE / MUTATOR_THREADS
         batches.append((((DeviceKind.DISK, 0.0, ser_bytes, 0, 0),), cpu_ns))
-        self.machine.run_batch(batches, threads=MUTATOR_THREADS)
+        self.machine.run_batch(batches)
         self._release_heap_objects(block)
         block.on_disk = True
         self.spilled_count += 1

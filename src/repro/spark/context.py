@@ -187,9 +187,15 @@ class SparkContext:
         total_bytes: float,
         name: str = "parallelize",
     ) -> SourceRDD:
-        """Create a source RDD from records with a total byte weight."""
+        """Create a source RDD from records with a total byte weight.
+
+        Raises:
+            SparkError: on an empty dataset or fewer than one partition.
+        """
         if not records:
             raise SparkError("cannot parallelize an empty dataset")
+        if num_partitions < 1:
+            raise SparkError("an RDD needs at least one partition")
         partitions = split_evenly(records, num_partitions)
         return SourceRDD(
             self,

@@ -280,7 +280,9 @@ class RDD:
     # -- wide transformations -------------------------------------------------
 
     def _default_partitioner(self, n: Optional[int]) -> HashPartitioner:
-        return HashPartitioner(n or self.num_partitions)
+        """``n`` partitions, or this RDD's count when ``n`` is None (a
+        count below one is refused by :class:`HashPartitioner`)."""
+        return HashPartitioner(self.num_partitions if n is None else n)
 
     def group_by_key(
         self,

@@ -6,8 +6,8 @@ site is guarded by ``if trace is not None`` so a run with tracing
 disabled pays one pointer comparison per potential event and nothing
 else (<2% overhead on the fig4 smoke benchmark).
 
-Object ids are renumbered densely in first-seen order before they reach
-subscribers: :class:`~repro.heap.object_model.HeapObject` draws its
+Object ids are renumbered densely in first-seen order before they are
+recorded: :class:`~repro.heap.object_model.HeapObject` draws its
 ``oid`` from a process-global counter, so raw ids depend on how many
 experiments the process ran before this one.  Normalised ids make a
 trace a pure function of (workload, config, scale) — the property the
@@ -16,7 +16,7 @@ trace a pure function of (workload, config, scale) — the property the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.trace.events import (
     ALLOC,
@@ -33,28 +33,23 @@ from repro.trace.events import (
     TraceEvent,
 )
 
-#: Signature of a bus subscriber: ``fn(event)``.
-TraceSink = Callable[[TraceEvent], None]
-
-
 class TraceBus:
-    """Clock-stamping publish/subscribe hub for :class:`TraceEvent`.
+    """Clock-stamping recorder of :class:`TraceEvent` streams.
 
     Args:
         clock: the simulated clock events are stamped from (anything
             with a ``now_ns`` attribute, i.e.
             :class:`~repro.memory.clock.Clock`).
+
+    Attributes:
+        events: every published event, in publish order.
     """
 
     def __init__(self, clock) -> None:
         self.clock = clock
-        self._sinks: List[TraceSink] = []
+        self.events: List[TraceEvent] = []
         self._oid_map: Dict[int, int] = {}
         self._next_oid = 1
-
-    def subscribe(self, sink: TraceSink) -> None:
-        """Register a subscriber invoked for every published event."""
-        self._sinks.append(sink)
 
     def _normalize_oid(self, raw_oid: Optional[int]) -> Optional[int]:
         """Map a process-global object id to a dense trace-local id."""
@@ -68,14 +63,13 @@ class TraceBus:
         return local
 
     def publish(self, event: TraceEvent) -> None:
-        """Dispatch one already-built event to every subscriber, after
-        the clock's pending charges settle (so the pauses they record
-        are published first, even before an event stamped with a given
-        time rather than the clock's)."""
+        """Record one already-built event, after the clock's pending
+        charges settle (so the pauses they record are published first,
+        even before an event stamped with a given time rather than the
+        clock's)."""
         if self.clock._pending:
             self.clock._settle()
-        for sink in self._sinks:
-            sink(event)
+        self.events.append(event)
 
     # -- emission helpers (one per event family) -------------------------
 
@@ -234,16 +228,3 @@ class TraceBus:
             )
         )
 
-
-class TraceRecorder:
-    """A subscriber that appends every event to an in-memory list."""
-
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-
-    def observe(self, event: TraceEvent) -> None:
-        """Record one event (the subscriber callback)."""
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -23,7 +23,7 @@ def space():
 
 @pytest.fixture
 def table():
-    return CardTable(card_size=512)
+    return CardTable()
 
 
 class TestRegistration:
@@ -142,7 +142,3 @@ class TestSharedCardSticking:
         table.mark_dirty(obj)
         _, stuck = table.scan_plan()
         assert obj not in stuck
-
-    def test_bad_card_size_rejected(self):
-        with pytest.raises(HeapError):
-            CardTable(card_size=0)

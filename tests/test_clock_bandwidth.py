@@ -177,14 +177,14 @@ class TestSingleWriterOfSimulatedTime:
 
 class TestBandwidthTracker:
     def test_single_event_lands_in_one_window(self):
-        bw = BandwidthTracker(window_ns=1e9)
+        bw = BandwidthTracker()
         deposit_rows(bw, [(DeviceKind.DRAM, False, 3e9, 0, 1e9)])
         series = bw.series(DeviceKind.DRAM, False)
         assert len(series) == 1
         assert series[0].gbps == pytest.approx(3.0, rel=1e-6)
 
     def test_long_event_spreads_over_windows(self):
-        bw = BandwidthTracker(window_ns=1e9)
+        bw = BandwidthTracker()
         deposit_rows(bw, [(DeviceKind.NVM, True, 10e9, 0, 5e9)])
         series = bw.series(DeviceKind.NVM, True)
         # 10 GB over 5 s = 2 GB/s sustained.
@@ -193,7 +193,7 @@ class TestBandwidthTracker:
             assert value == pytest.approx(2.0, rel=1e-6)
 
     def test_zero_duration_event(self):
-        bw = BandwidthTracker(window_ns=1e9)
+        bw = BandwidthTracker()
         deposit_rows(bw, [(DeviceKind.DRAM, False, 1e6, 5e8, 0)])
         assert bw.total_bytes(DeviceKind.DRAM, False) == pytest.approx(1e6)
 
@@ -203,21 +203,17 @@ class TestBandwidthTracker:
         assert bw.series(DeviceKind.DRAM, True) == []
 
     def test_peak(self):
-        bw = BandwidthTracker(window_ns=1e9)
+        bw = BandwidthTracker()
         deposit_rows(bw, [(DeviceKind.DRAM, False, 5e9, 0, 1e9)])
         deposit_rows(bw, [(DeviceKind.DRAM, False, 1e9, 3e9, 1e9)])
         assert bw.peak_gbps(DeviceKind.DRAM, False) == pytest.approx(5.0, rel=0.01)
 
     def test_gap_windows_reported_as_zero(self):
-        bw = BandwidthTracker(window_ns=1e9)
+        bw = BandwidthTracker()
         deposit_rows(bw, [(DeviceKind.DRAM, False, 1e9, 0, 0.5e9)])
         deposit_rows(bw, [(DeviceKind.DRAM, False, 1e9, 4e9, 0.5e9)])
         series = bw.series(DeviceKind.DRAM, False)
         assert any(s.gbps == 0.0 for s in series)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            BandwidthTracker(window_ns=0)
 
     @given(
         nbytes=st.floats(min_value=1, max_value=1e12),
@@ -225,7 +221,7 @@ class TestBandwidthTracker:
         duration=st.floats(min_value=0, max_value=1e10),
     )
     def test_bytes_conserved(self, nbytes, start, duration):
-        bw = BandwidthTracker(window_ns=1e9)
+        bw = BandwidthTracker()
         deposit_rows(bw, [(DeviceKind.NVM, False, nbytes, start, duration)])
         assert bw.total_bytes(DeviceKind.NVM, False) == pytest.approx(
             nbytes, rel=1e-2
@@ -283,7 +279,7 @@ def _readings(tracker):
 def _reference_readings(rows, window_ns):
     """:func:`_readings` of the reference bins; the peak and the total
     (an in-order left fold) are recomputed here, the series shared."""
-    reference = BandwidthTracker(window_ns=window_ns)
+    reference = BandwidthTracker()
     reference._settled = bins_map = _scalar_deposit(rows, window_ns)
     readings = []
     for key in bandwidth.KEYS:
@@ -337,8 +333,8 @@ class TestDeferredDeposits:
         np_module = bandwidth._np if numpy_present else None
         with mock.patch.object(bandwidth, "_np", np_module), mock.patch.object(
             bandwidth, "SETTLE_ROWS", settle_rows
-        ):
-            tracker = BandwidthTracker(window_ns=window_ns)
+        ), mock.patch.object(bandwidth, "WINDOW_NS", window_ns):
+            tracker = BandwidthTracker()
             rows, now = [], 0.0
             for step_rows, read in steps:
                 batch = []

@@ -14,13 +14,17 @@ import pytest
 
 from repro.config import (
     CACHE_LINE_BYTES,
+    DRAM_SPEC,
     GC_FIXED_PAUSE_NS,
     GC_NS_PER_BYTE,
     GC_THREADS,
+    MLP,
+    MUTATOR_THREADS,
     PolicyName,
     DeviceKind,
 )
 from repro.gc import minor
+from repro.gc.stats import GCStats
 from repro.gc.charging import (
     KIND_RANDOM_READ,
     KIND_READ,
@@ -29,6 +33,7 @@ from repro.gc.charging import (
 )
 from repro.heap.object_model import HEADER_BYTES, HeapObject, ObjKind
 from repro.heap.spaces import Space
+from repro.memory.device import MemoryDevice
 from repro.memory.interleave import ChunkMap
 from repro.memory import machine as machine_module
 from repro.memory.machine import Machine
@@ -238,8 +243,8 @@ class TestSettle:
         batch = ChargeAccumulator().batch()
         assert batch == ([], 0.0)
         config = small_config(PolicyName.PANTHERA)
-        machine = Machine(config)
-        machine.run_batch([batch], threads=16)
+        machine = _gc_machine()
+        machine.run_batch([batch], record="minor")
         assert machine.clock.now_ns == 0.0
         assert _machine_fingerprint(machine) == _machine_fingerprint(Machine(config))
 
@@ -260,29 +265,28 @@ class TestSettle:
         calls = []
         run_batch = stack.machine.run_batch
 
-        def recording(batches, threads=1, **kwargs):
+        def recording(batches, record=None):
             batches = list(batches)
-            calls.append((batches, threads))
-            return run_batch(batches, threads=threads, **kwargs)
+            calls.append((batches, record))
+            return run_batch(batches, record=record)
 
         monkeypatch.setattr(stack.machine, "run_batch", recording)
         stack.collector.collect_minor()
-        [(cycle, threads)] = calls
+        [(cycle, record)] = calls
         [pause, _, (copy_rows, _)] = cycle
         assert pause == ((), GC_FIXED_PAUSE_NS)
-        assert threads == GC_THREADS
+        assert record == "minor"
         assert copy_rows[0][:2] == (DeviceKind.DRAM, floor + sum(sizes))
 
     @pytest.mark.parametrize("dram_stream", [0.0, _FLOOR])
     def test_settle_matches_first_touch_reference(self, dram_stream):
-        config = small_config(PolicyName.PANTHERA)
-        batched = Machine(config)
+        batched = _gc_machine()
         batched.run_batch(
-            [_drive(ChargeAccumulator()).batch(dram_stream)], threads=GC_THREADS
+            [_drive(ChargeAccumulator()).batch(dram_stream)], record="minor"
         )
-        reference = Machine(config)
+        reference = _gc_machine()
         reference.run_batch(
-            [_drive(PerChargeDeposits()).batch(dram_stream)], threads=GC_THREADS
+            [_drive(PerChargeDeposits()).batch(dram_stream)], record="minor"
         )
         assert _machine_fingerprint(batched) == _machine_fingerprint(reference)
 
@@ -342,17 +346,36 @@ def _fresh_machine():
     return Machine(small_config(PolicyName.PANTHERA))
 
 
-def _series_and_single(batches, threads, throttle=None):
-    """``batches`` charged as one series and as one call per batch."""
-    series, single = _fresh_machine(), _fresh_machine()
-    if throttle is not None:
-        series.nvm_throttle, single.nvm_throttle = throttle(), throttle()
-    series.run_batch(batches, threads=threads)
-    for batch in batches:
-        single.run_batch([batch], threads=threads)
-    assert _machine_fingerprint(series) == _machine_fingerprint(single)
-    assert repr(series.clock.now_ns) == repr(single.clock.now_ns)
+def _gc_machine():
+    """A fresh machine whose ``"minor"`` and ``"major"`` series record
+    their pauses."""
+    machine = _fresh_machine()
+    machine.defer_reads(GCStats())
+    return machine
+
+
+def _series_and_single(batches, throttle=None):
+    """``batches`` charged as one series and as one call per batch, as
+    mutator work and as a collection."""
+    for record in (None, "minor"):
+        series, single = _gc_machine(), _gc_machine()
+        if throttle is not None:
+            series.nvm_throttle, single.nvm_throttle = throttle(), throttle()
+        series.run_batch(batches, record=record)
+        for batch in batches:
+            single.run_batch([batch], record=record)
+        assert _machine_fingerprint(series) == _machine_fingerprint(single)
+        assert repr(series.clock.now_ns) == repr(single.clock.now_ns)
     return series, single
+
+
+def _patch_threads(monkeypatch, threads, mlp):
+    """Run every series on ``threads`` threads of ``mlp`` outstanding
+    misses each (the module constants the settle reads)."""
+    monkeypatch.setattr(machine_module, "MUTATOR_THREADS", threads)
+    monkeypatch.setattr(machine_module, "GC_THREADS", threads)
+    if mlp is not None:
+        monkeypatch.setattr(machine_module, "MLP", mlp)
 
 
 def _assert_charges_nothing(batches):
@@ -370,12 +393,23 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("threads,mlp", [(1, None), (16, None), (4, 2)])
     def test_series_matches_one_call_per_batch(self, threads, mlp, monkeypatch):
-        if mlp is not None:
-            monkeypatch.setattr(machine_module, "MLP", mlp)
-        _series_and_single(_BATCHES * 3, threads)
+        _patch_threads(monkeypatch, threads, mlp)
+        _series_and_single(_BATCHES * 3)
+
+    def test_parallelism_follows_the_pause_kind(self):
+        """A series without a pause kind is mutator work, priced on
+        ``MUTATOR_THREADS``; a collection's is priced on ``GC_THREADS``."""
+        probes = [(((DeviceKind.DRAM, 0.0, 0.0, 1000, 0),), 0.0)]
+        device = MemoryDevice(DRAM_SPEC, capacity_bytes=1)
+        for record, threads in ((None, MUTATOR_THREADS), ("minor", GC_THREADS)):
+            machine = _gc_machine()
+            machine.run_batch(probes, record=record)
+            assert machine.clock.now_ns == device.charge_row(
+                0.0, 0.0, 1000, 0, threads * MLP
+            )
 
     def test_series_throttles_each_batch_at_its_own_start(self):
-        series, single = _series_and_single(_BATCHES, 2, throttle=_StartRecorder)
+        series, single = _series_and_single(_BATCHES, throttle=_StartRecorder)
         assert series.nvm_throttle.starts == single.nvm_throttle.starts
         assert len(set(series.nvm_throttle.starts)) == 2
 
@@ -419,7 +453,7 @@ class TestRunBatch:
 
     def test_deposit_columns_stay_aligned(self):
         machine = self._fresh_machine()
-        machine.run_batch(_BATCHES + _one_row_batches(_ROWS), threads=4)
+        machine.run_batch(_BATCHES + _one_row_batches(_ROWS))
         lengths = {len(column) for column in machine.bandwidth.deposit_columns()}
         assert len(lengths) == 1 and lengths != {0}
 
@@ -464,14 +498,13 @@ def _one_row_batches(rows):
 class TestRunRows:
     @pytest.mark.parametrize("threads,mlp", [(1, None), (8, None), (4, 2)])
     def test_rows_match_sequential_access_calls(self, threads, mlp, monkeypatch):
-        if mlp is not None:
-            monkeypatch.setattr(machine_module, "MLP", mlp)
-        _series_and_single(_one_row_batches(_ROWS * 7), threads)
+        _patch_threads(monkeypatch, threads, mlp)
+        _series_and_single(_one_row_batches(_ROWS * 7))
 
     def test_rows_apply_the_nvm_throttle(self):
         # One NVM access per lap; the traffic-free NVM row is not throttled.
         series, single = _series_and_single(
-            _one_row_batches(_ROWS * 7), 2, throttle=_StartRecorder
+            _one_row_batches(_ROWS * 7), throttle=_StartRecorder
         )
         assert series.nvm_throttle.starts == single.nvm_throttle.starts
         assert len(set(series.nvm_throttle.starts)) == 7

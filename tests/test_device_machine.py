@@ -10,16 +10,20 @@ from repro.config import (
     DeviceKind,
     GiB,
 )
+from repro.gc.stats import GCStats
 from repro.memory.device import MemoryDevice
 from repro.memory import machine as machine_module
 from repro.memory.machine import Machine
 from tests.conftest import small_config
 
 
-def _advance(machine, batches, threads=1):
-    """The clock advance of charging ``batches`` on ``machine``."""
+def _advance(machine, batches, record=None):
+    """The clock advance of charging ``batches`` on ``machine`` (as a
+    collection's series when ``record`` names its pause kind)."""
+    if record is not None:
+        machine.defer_reads(GCStats())
     before = machine.clock.now_ns
-    machine.run_batch(batches, threads=threads)
+    machine.run_batch(batches, record=record)
     return machine.clock.now_ns - before
 
 
@@ -39,12 +43,13 @@ class TestDeviceCostModel:
         assert ns == pytest.approx(1000 * 120.0)
 
     def test_threads_and_mlp_divide_latency(self, monkeypatch):
+        # A mutator series runs on 8 threads, a collection on 16.
         probes = [([(DeviceKind.DRAM, 0.0, 0.0, 1000, 0)], 0.0)]
         monkeypatch.setattr(machine_module, "MLP", 1)
-        serial = _advance(Machine(small_config()), probes, threads=1)
+        mutator = _advance(Machine(small_config()), probes)
         monkeypatch.setattr(machine_module, "MLP", 2)
-        parallel = _advance(Machine(small_config()), probes, threads=4)
-        assert parallel == pytest.approx(serial / 8)
+        collection = _advance(Machine(small_config()), probes, record="minor")
+        assert collection == pytest.approx(mutator / 4)
 
     def test_threads_do_not_help_bandwidth(self):
         device = self.make()

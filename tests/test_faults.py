@@ -80,8 +80,8 @@ class TestPlanValidation:
         assert FaultReport.from_dict(report.to_dict()) == report
 
     def test_random_plan_is_seed_deterministic(self):
-        a = FaultPlan.random(7, max_boundary=10, kills=3, throttle_windows=2)
-        b = FaultPlan.random(7, max_boundary=10, kills=3, throttle_windows=2)
+        a = FaultPlan.random(7, max_boundary=10, kills=3)
+        b = FaultPlan.random(7, max_boundary=10, kills=3)
         assert a == b
         assert a != FaultPlan.random(8, max_boundary=10, kills=3)
         assert all(1 <= k.at_boundary <= 10 for k in a.kills)

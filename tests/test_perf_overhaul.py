@@ -113,7 +113,7 @@ class TestPromotionGuaranteePadding:
 
 class TestBandwidthGapSeries:
     def test_multi_hour_gap_yields_sparse_series(self):
-        tracker = BandwidthTracker(window_ns=1e9)
+        tracker = BandwidthTracker()
         deposit_rows(tracker, [(DeviceKind.DRAM, False, 4e9, 0.0, 1e8)])
         two_hours_ns = 7200 * 1e9
         deposit_rows(tracker, [(DeviceKind.DRAM, False, 2e9, two_hours_ns, 1e8)])
@@ -126,7 +126,7 @@ class TestBandwidthGapSeries:
         assert series[3].gbps == pytest.approx(2.0)
 
     def test_single_window_gap_gets_one_zero(self):
-        tracker = BandwidthTracker(window_ns=1e9)
+        tracker = BandwidthTracker()
         deposit_rows(tracker, [(DeviceKind.NVM, True, 1e9, 0.0, 1e8)])
         deposit_rows(tracker, [(DeviceKind.NVM, True, 1e9, 2e9, 1e8)])
         series = tracker.series(DeviceKind.NVM, True)
@@ -134,7 +134,7 @@ class TestBandwidthGapSeries:
         assert series[1].gbps == 0.0
 
     def test_adjacent_windows_have_no_zeros(self):
-        tracker = BandwidthTracker(window_ns=1e9)
+        tracker = BandwidthTracker()
         deposit_rows(tracker, [(DeviceKind.DRAM, False, 1e9, 0.0, 1e8)])
         deposit_rows(tracker, [(DeviceKind.DRAM, False, 1e9, 1e9, 1e8)])
         series = tracker.series(DeviceKind.DRAM, False)
@@ -142,14 +142,14 @@ class TestBandwidthGapSeries:
         assert all(s.gbps > 0 for s in series)
 
     def test_peak_and_total_ignore_gap_windows(self):
-        tracker = BandwidthTracker(window_ns=1e9)
+        tracker = BandwidthTracker()
         deposit_rows(tracker, [(DeviceKind.DRAM, False, 4e9, 0.0, 1e8)])
         deposit_rows(tracker, [(DeviceKind.DRAM, False, 2e9, 3600 * 1e9, 1e8)])
         assert tracker.peak_gbps(DeviceKind.DRAM, False) == pytest.approx(4.0)
         assert tracker.total_bytes(DeviceKind.DRAM, False) == pytest.approx(6e9)
 
     def test_empty_tracker(self):
-        tracker = BandwidthTracker(window_ns=1e9)
+        tracker = BandwidthTracker()
         assert tracker.series(DeviceKind.DRAM, False) == []
         assert tracker.peak_gbps(DeviceKind.DRAM, False) == 0.0
 

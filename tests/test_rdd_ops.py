@@ -1,7 +1,10 @@
 """RDD transformation correctness: the dataflow really computes."""
 
+import operator
+
 import pytest
 
+from repro.errors import SparkError
 from repro.spark.rdd import CoGroupedRDD, NarrowDependency, ShuffleDependency
 from repro.spark.partition import HashPartitioner
 from tests.conftest import small_context
@@ -99,6 +102,37 @@ class TestWideOps:
         base = parallelize(ctx, [(i % 3, 1) for i in range(9)])
         reduced = base.reduce_by_key(lambda a, b: a + b)
         assert reduced.bytes_per_record < base.bytes_per_record
+
+
+class TestPartitionCounts:
+    @pytest.mark.parametrize("partitions", [0, -1])
+    def test_parallelize_refuses_fewer_than_one_partition(self, ctx, partitions):
+        with pytest.raises(SparkError, match="at least one partition"):
+            parallelize(ctx, [(i, i) for i in range(4)], partitions)
+
+    @pytest.mark.parametrize(
+        "wide",
+        [
+            lambda rdd, n: rdd.reduce_by_key(operator.add, n),
+            lambda rdd, n: rdd.group_by_key(n),
+            lambda rdd, n: rdd.aggregate_by_key(0, operator.add, operator.add, n),
+            lambda rdd, n: rdd.sort_by_key(num_partitions=n),
+            lambda rdd, n: rdd.distinct(n),
+        ],
+        ids=[
+            "reduce_by_key",
+            "group_by_key",
+            "aggregate_by_key",
+            "sort_by_key",
+            "distinct",
+        ],
+    )
+    def test_wide_ops_refuse_zero_partitions_and_default_only_on_none(self, ctx, wide):
+        rdd = parallelize(ctx, [(i % 3, i) for i in range(9)], partitions=3)
+        with pytest.raises(ValueError, match="num_partitions must be positive"):
+            wide(rdd, 0)
+        assert wide(rdd, None).num_partitions == 3
+        assert wide(rdd, 5).num_partitions == 5
 
 
 class TestDependencies:
