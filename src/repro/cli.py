@@ -64,15 +64,15 @@ def _workload_kwargs(args) -> dict:
     return kwargs
 
 
-def _print_trace_report(result, top_n: int = 10, indent: str = "") -> None:
+def _print_trace_report(result, top_n: int = 10) -> None:
     """Render one result's recorded trace (timeline + residency table)."""
     from repro.trace import render_trace_report
 
-    report = render_trace_report(
-        result.trace_events or [], top_n=top_n, end_ns=result.elapsed_s * 1e9
+    print(
+        render_trace_report(
+            result.trace_events or [], end_ns=result.elapsed_s * 1e9, top_n=top_n
+        )
     )
-    for line in report.splitlines():
-        print(indent + line if line else line)
 
 
 def cmd_run(args) -> int:

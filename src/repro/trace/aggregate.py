@@ -1,8 +1,8 @@
 """Streaming aggregation of heap trace events.
 
-The :class:`TraceAggregator` consumes events one at a time (subscribe it
-to a live :class:`~repro.trace.bus.TraceBus`, or feed it a recorded
-stream — the result is identical) and maintains:
+The :class:`TraceAggregator` consumes events one at a time, fed from a
+recorded stream (``TraceSession.events`` or ``TraceBus.events``), and
+maintains:
 
 * a per-space occupancy timeline — ``(t_ns, live_bytes)`` samples taken
   whenever a space's occupancy changes (the data behind Fig. 4-7's
@@ -102,7 +102,7 @@ class TraceAggregator:
     # -- event consumption -----------------------------------------------
 
     def observe(self, event: TraceEvent) -> None:
-        """Consume one event (the bus-subscriber callback)."""
+        """Consume one event of a recorded stream."""
         self.event_count += 1
         if event.t_ns > self.end_ns:
             self.end_ns = event.t_ns
@@ -122,18 +122,11 @@ class TraceAggregator:
             if pause_end > self.end_ns:
                 self.end_ns = pause_end
 
-    def finish(self, end_ns: Optional[float] = None) -> "TraceAggregator":
-        """Settle every profile's residency integral at end-of-run.
-
-        Args:
-            end_ns: run end time; defaults to the latest event time seen.
-
-        Returns:
-            self, for chaining.
-        """
-        final = end_ns if end_ns is not None else self.end_ns
+    def finish(self, end_ns: float) -> "TraceAggregator":
+        """Settle every profile's residency integral at the run's end
+        time ``end_ns``; returns self, for chaining."""
         for profile in self.profiles.values():
-            profile.settle(final)
+            profile.settle(end_ns)
         return self
 
     # -- internals ---------------------------------------------------------
@@ -208,10 +201,9 @@ class TraceAggregator:
         return ranked[:n]
 
 
-def aggregate_events(
-    events, end_ns: Optional[float] = None
-) -> TraceAggregator:
-    """Build a finished aggregator from a recorded event stream."""
+def aggregate_events(events, end_ns: float) -> TraceAggregator:
+    """Build a finished aggregator from a recorded event stream of a
+    run that ended at ``end_ns``."""
     agg = TraceAggregator()
     for event in events:
         agg.observe(event)
