@@ -523,11 +523,9 @@ def run_sweep_cell(
     """
     from repro.workloads.registry import build_workload
 
-    n_records = len(
-        build_workload(
-            workload, scale=scale, iterations=EXPERIMENT_ITERATIONS
-        ).dataset.records
-    )
+    n_records = build_workload(
+        workload, scale=scale, iterations=EXPERIMENT_ITERATIONS
+    ).dataset.n_records
     config = paper_config(64, 1 / 3, policy, scale)
     wall_s, result = _timed_best_of(
         lambda: run_experiment(

@@ -19,7 +19,6 @@ same function, same inputs, same bytes as the serial loop.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -261,6 +260,9 @@ class Cluster:
         ]
         payloads = [p for p in payloads if p["jobs"]]
         if jobs > 1 and len(payloads) > 1:
+            # Imported here: a serial replay never loads the pool.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(payloads))
             ) as pool:

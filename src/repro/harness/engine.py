@@ -30,7 +30,6 @@ import os
 import pathlib
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -351,6 +350,14 @@ class ExperimentEngine:
         total: int,
     ) -> int:
         """Parallel path: fan pending points across worker processes."""
+        # Imported here: a serial run never loads the pool's machinery
+        # (concurrent.futures pulls in multiprocessing).
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {}

@@ -23,6 +23,7 @@ from repro.gc.policies import make_policy
 from repro.heap.layout import HEAP_BASE, young_span_bytes
 from repro.heap.managed_heap import ManagedHeap
 from repro.memory.machine import Machine
+from repro.spark import columnar as _columnar
 from repro.spark.block_manager import BlockManager
 from repro.spark.materialize import Materializer
 from repro.spark.partition import Record, split_evenly
@@ -31,30 +32,36 @@ from repro.spark.scheduler import Scheduler
 from repro.spark.shuffle import ShuffleManager
 
 
-#: ``(id(dataset), num_partitions)`` -> ``(weakref to the dataset,
-#: split partitions, {pidx: packed batch})``.  Contexts live for one run
-#: but memoised datasets live for the process, so every run over the
-#: same dataset shares one split and one pack of it.  Keyed on object
-#: identity: a frozen ``DatasetSpec``'s value hash would hash every
-#: record.  An entry dies with its dataset.
-_SPLITS: Dict[Tuple[int, int], tuple] = {}
+#: ``(id(dataset), num_partitions, columnar)`` -> ``(weakref to the
+#: dataset, split partitions)``.  Contexts live for one run but memoised
+#: datasets live for the process, so every run over the same dataset
+#: shares one split of it.  Keyed on object identity: a ``DatasetSpec``
+#: compares its columns by value.  An entry dies with its dataset.
+_SPLITS: Dict[Tuple[int, int, bool], tuple] = {}
 
 
-def _dataset_splits(dataset, num_partitions: int) -> tuple:
-    """The shared ``(partitions, packed batches)`` of one dataset."""
-    key = (id(dataset), num_partitions)
+def _dataset_splits(dataset, num_partitions: int) -> list:
+    """The shared source partitions of one dataset: column batches
+    sliced from its columns on the columnar plane, record lists from its
+    record view otherwise."""
+    columnar = _columnar.columnar_active()
+    key = (id(dataset), num_partitions, columnar)
     entry = _SPLITS.get(key)
     if entry is not None and entry[0]() is dataset:
-        return entry[1], entry[2]
+        return entry[1]
 
     def forget(ref, key=key) -> None:
         if _SPLITS.get(key, (None,))[0] is ref:
             del _SPLITS[key]
 
-    parts = split_evenly(dataset.records, num_partitions)
-    packed: dict = {}
-    _SPLITS[key] = (weakref.ref(dataset, forget), parts, packed)
-    return parts, packed
+    if columnar:
+        parts = _columnar.split_columns(
+            dataset.keys, dataset.values, dataset.dim, num_partitions
+        )
+    else:
+        parts = split_evenly(dataset.records, num_partitions)
+    _SPLITS[key] = (weakref.ref(dataset, forget), parts)
+    return parts
 
 
 class SparkContext:
@@ -167,15 +174,13 @@ class SparkContext:
         cached = self._sources.get(id(dataset))
         if cached is not None:
             return cached[1]
-        if not dataset.records:
+        if not dataset.n_records:
             raise SparkError("cannot parallelize an empty dataset")
-        partitions, packed = _dataset_splits(dataset, dataset.num_partitions)
         source = SourceRDD(
             self,
-            partitions,
-            bytes_per_record=dataset.total_bytes / len(dataset.records),
+            _dataset_splits(dataset, dataset.num_partitions),
+            bytes_per_record=dataset.bytes_per_record,
             name=dataset.name,
-            column_parts=packed,
         )
         self._sources[id(dataset)] = (dataset, source)
         return source

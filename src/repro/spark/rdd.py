@@ -546,15 +546,19 @@ class RDD:
 
 
 class SourceRDD(RDD):
-    """Input data partitioned from a generator (textFile / parallelize)."""
+    """Input data partitioned from a generator (textFile / parallelize).
+
+    On the columnar plane every packable record-list partition is packed
+    into a column batch once, here; a partition that already is a batch
+    (a dataset's, see ``SparkContext.source_rdd``) is kept as it is.
+    """
 
     def __init__(
         self,
         ctx,
-        partitions: List[List[Record]],
+        partitions: List[Any],
         bytes_per_record: float,
         name: str = "source",
-        column_parts: Optional[dict] = None,
     ) -> None:
         super().__init__(
             ctx,
@@ -563,12 +567,12 @@ class SourceRDD(RDD):
             bytes_per_record=bytes_per_record,
             name=name,
         )
+        if _columnar.columnar_active():
+            partitions = [
+                _columnar.ColumnBatch.from_records(part) or part
+                for part in partitions
+            ]
         self._partitions = partitions
-        #: pidx -> packed ColumnBatch (None = proven unpackable), built
-        #: lazily so iterative jobs pack each source partition once;
-        #: ``column_parts`` shares one such dict across every source of
-        #: the same partitions (see ``SparkContext.source_rdd``).
-        self._column_parts: dict = {} if column_parts is None else column_parts
 
     def compute_partition(self, pidx: int, task) -> List[Record]:
         records = self._partitions[pidx]
@@ -576,13 +580,6 @@ class SourceRDD(RDD):
         # Source partitions are shared, not copied: downstream
         # transformations build fresh output lists and never mutate
         # their input.
-        if _columnar.columnar_active():
-            batch = self._column_parts.get(pidx, _MISSING)
-            if batch is _MISSING:
-                batch = _columnar.ColumnBatch.from_records(records)
-                self._column_parts[pidx] = batch
-            if batch is not None:
-                return batch
         return records
 
 

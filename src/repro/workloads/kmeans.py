@@ -61,7 +61,7 @@ def build_kmeans(
     (object heap) and ``MEMORY_ONLY_SER`` (serialized off-heap tier).
     """
     ds = dataset or ml_points(scale=scale, seed=seed)
-    dim = len(ds.records[0][1])
+    dim = ds.dim
     rng = random.Random(seed)
     state = {
         "centers": [

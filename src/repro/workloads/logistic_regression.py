@@ -40,7 +40,7 @@ def build_logistic_regression(
     (object heap) and ``MEMORY_ONLY_SER`` (serialized off-heap tier).
     """
     ds = dataset or ml_points(scale=scale, seed=seed)
-    dim = len(ds.records[0][1])
+    dim = ds.dim
     rng = random.Random(seed + 1)
     state = {"weights": tuple(rng.uniform(-0.1, 0.1) for _ in range(dim))}
 

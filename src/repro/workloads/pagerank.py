@@ -110,7 +110,7 @@ def build_pagerank(
     default object-heap form and ``MEMORY_ONLY_SER`` (serialized tier).
     """
     ds = dataset or pagerank_graph(scale=scale, seed=seed)
-    fanout = max(1.0, len(ds.records) / max(1, ds.n_sources))
+    fanout = max(1.0, ds.n_records / max(1, ds.n_sources))
 
     p = Program()
     lines = p.let("lines", p.source(ds))

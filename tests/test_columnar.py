@@ -618,7 +618,7 @@ class TestFallbacks:
         source = ctx.parallelize(records, 3, 2**20, name="fb-src")
         rdd = source.map(lambda r: (r[0] % 4, r[1] * 2.0))
         result = sorted(ctx.scheduler.run_action(rdd, "collect"))
-        assert isinstance(source._column_parts[0], ColumnBatch)
+        assert isinstance(source._partitions[0], ColumnBatch)
         assert result == sorted((k % 4, v * 2.0) for k, v in records)
 
     def test_kernel_registry_is_weak(self):
@@ -1024,9 +1024,8 @@ class TestGraphPlaneSharing:
             next(iter(r.context._sources.values()))[1] for r in runs
         ]
         assert sources[0] is not sources[1]
-        assert sources[0]._partitions is sources[1]._partitions
-        assert sources[0]._column_parts[0] is sources[1]._column_parts[0]
-        assert isinstance(sources[0]._column_parts[0], ColumnBatch)
+        assert sources[0]._partitions[0] is sources[1]._partitions[0]
+        assert isinstance(sources[0]._partitions[0], ColumnBatch)
         assert corpus.fingerprint(runs[0]) == corpus.fingerprint(runs[1])
 
     def test_ser_persisted_batch_reads_back_as_a_batch(self):
@@ -1128,9 +1127,19 @@ def _ml_udfs(spec, var):
 
 
 def _ml_dataset(records):
+    from array import array
+
     from repro.workloads.datasets import DatasetSpec
 
-    return DatasetSpec("ml-kernel-case", tuple(records), 1, 1e6)
+    dim = len(records[0][1])
+    return DatasetSpec(
+        "ml-kernel-case",
+        keys=array("q", [label for label, _ in records]),
+        values=array("d", [x for _, vec in records for x in vec]),
+        num_partitions=1,
+        total_bytes=1e6,
+        dim=dim,
+    )
 
 
 def _map_both_planes(udf, records):

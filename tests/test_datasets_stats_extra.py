@@ -1,6 +1,7 @@
 """Tests for the bundled graph and pause percentiles."""
 
 import pathlib
+from array import array
 
 import networkx as nx
 import pytest
@@ -19,10 +20,13 @@ KARATE = pathlib.Path(__file__).resolve().parents[1] / "data" / "karate.edges"
 def karate_dataset() -> DatasetSpec:
     """Zachary's karate club (one ``src dst`` pair per line) as a graph
     dataset weighing 8 MiB in memory."""
-    lines = KARATE.read_text().splitlines()
-    edges = tuple(tuple(map(int, line.split())) for line in lines if line)
+    pairs = [line.split() for line in KARATE.read_text().splitlines() if line]
     return DatasetSpec(
-        name="karate.edges", records=edges, num_partitions=4, total_bytes=8 * MiB
+        name="karate.edges",
+        keys=array("q", [int(src) for src, _ in pairs]),
+        values=array("q", [int(dst) for _, dst in pairs]),
+        num_partitions=4,
+        total_bytes=8 * MiB,
     )
 
 

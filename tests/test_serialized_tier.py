@@ -379,7 +379,7 @@ class TestBatchAdoption:
         def source(ctx):
             rdd = ctx.parallelize([(i, i) for i in range(len(batch))], 1, MiB)
             # The source serves its partition as this batch.
-            rdd._column_parts[0] = batch
+            rdd._partitions[0] = batch
             return rdd
 
         for built in assert_read_as_built(source):
