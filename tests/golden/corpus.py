@@ -20,7 +20,8 @@ pressure points (s0.01 on a 64 GB heap with a shuffle kill; s0.1 on a
 GCs, spills and drops); TC under every policy at the s0.01 point and
 under panthera and deca at the s0.1 point; KM at ``DISK_ONLY`` and at
 ``OFF_HEAP``; plus one small two-executor cluster replay with an
-executor kill and one Hadoop HashJoin run on a bare heap.
+executor kill and one Hadoop HashJoin run on a bare heap.  Each script
+under ``examples/`` is pinned too, by the digest of its stdout.
 
 ``tests/test_golden.py`` checks the committed digests (with numpy and
 with numpy forced absent), and that every run frees by reference
@@ -30,9 +31,12 @@ rewrites them.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import runpy
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -226,6 +230,25 @@ def run_hadoop() -> Dict[str, str]:
     }
 
 
+#: The example scripts, pinned by ``examples/<name>`` keys.
+EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
+
+
+def example_keys() -> List[str]:
+    """The corpus key of every example script, sorted."""
+    return sorted(f"examples/{path.stem}" for path in EXAMPLES_DIR.glob("*.py"))
+
+
+def run_example(key: str) -> Dict[str, str]:
+    """Run the example script ``key`` names, in process, as ``__main__``;
+    digested over its stdout."""
+    path = EXAMPLES_DIR / f"{key.split('/', 1)[1]}.py"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return {"stdout": sha256(out.getvalue())}
+
+
 def count_cyclic_garbage(run: Callable[[], Any]) -> Tuple[Any, int]:
     """Call ``run()`` with CPython's cyclic collector paused.
 
@@ -295,6 +318,8 @@ def compute_corpus() -> Dict[str, Dict[str, str]]:
     corpus = {cell.key: cell.run() for cell in cells()}
     corpus[CLUSTER_KEY] = run_cluster()
     corpus[HADOOP_KEY] = run_hadoop()
+    for key in example_keys():
+        corpus[key] = run_example(key)
     return corpus
 
 

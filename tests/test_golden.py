@@ -3,8 +3,8 @@ the committed ``tests/golden/digests.json``.
 
 Every cell runs twice: with numpy, and with numpy forced absent (the
 per-record data plane and the per-row bandwidth settle), which must
-reproduce the same digests.  A failure names the cell and the differing
-digests; rerun ``scripts/golden.py --accept`` only if the change is
+reproduce the same digests; so must each example script's stdout.  A
+failure names the cell and the differing digests; rerun ``scripts/golden.py --accept`` only if the change is
 meant to alter simulated output.
 
 Each run also checks that it frees by reference counting: run with the
@@ -49,7 +49,11 @@ def run_freeing_by_refcount(run):
 
 
 def test_corpus_covers_exactly_the_cells():
-    assert set(EXPECTED) == set(CELLS) | {corpus.CLUSTER_KEY, corpus.HADOOP_KEY}
+    assert set(EXPECTED) == set(CELLS) | {
+        corpus.CLUSTER_KEY,
+        corpus.HADOOP_KEY,
+        *corpus.example_keys(),
+    }
 
 
 @pytest.mark.parametrize("key", sorted(CELLS))
@@ -63,6 +67,11 @@ def test_cluster_replay_matches_golden(platform):
 
 def test_hadoop_join_matches_golden(platform):
     assert run_freeing_by_refcount(corpus.run_hadoop) == EXPECTED[corpus.HADOOP_KEY]
+
+
+@pytest.mark.parametrize("key", corpus.example_keys())
+def test_example_matches_golden(key, platform):
+    assert corpus.run_example(key) == EXPECTED[key]
 
 
 #: The digests an untraced run reproduces: all but the event stream.
