@@ -67,7 +67,7 @@ from repro.harness.export import (
 )
 from repro.heap.verify import verify_heap
 from repro.spark.context import SparkContext
-from repro.spark.lineage import build_stages, lineage_string, stage_summary
+from repro.spark.lineage import lineage_string
 from repro.spark.program import Program, execute_program
 from repro.spark.storage import StorageLevel
 from repro.workloads.registry import WORKLOADS, build_workload
@@ -97,14 +97,12 @@ __all__ = [
     "WORKLOADS",
     "analyze_program",
     "bandwidth_series_to_csv",
-    "build_stages",
     "build_workload",
     "dram_only_config",
     "execute_program",
     "lineage_string",
     "render_log",
     "results_to_json",
-    "stage_summary",
     "verify_heap",
     "fig2c_configs",
     "fig4_configs",

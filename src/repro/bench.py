@@ -23,7 +23,6 @@ import gc as _gc
 import json
 import platform
 import resource
-import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -33,6 +32,7 @@ from repro.gc.charging import ChargeAccumulator
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
 from repro.heap.object_model import ObjKind
+from repro.spark import columnar
 from repro.spark.context import SparkContext
 from repro.workloads.pagerank import build_pagerank
 
@@ -288,6 +288,14 @@ MICRO_BENCHES: Dict[str, Any] = {
     "micro.distinct_kernel": (setup_distinct_kernel, 50),
     "micro.shuffle_exchange": (setup_shuffle_exchange, 20),
 }
+#: The micros that time the columnar plane, which needs numpy; without
+#: it they are skipped.
+NUMPY_MICROS = (
+    "micro.columnar_kernel",
+    "micro.graph_kernel",
+    "micro.distinct_kernel",
+    "micro.shuffle_exchange",
+)
 
 #: (workload, policy) cells measured as end-to-end experiments.  The
 #: ``deca`` cells are newer than some committed baselines — the compare
@@ -562,7 +570,7 @@ def run_scale_sweep(
     scale against the scale closest to 1.0 (for the committed sweep:
     scale 10 vs scale 1); a ratio beyond ``SWEEP_LINEARITY_BOUND`` marks
     the summary ``linear: false``, which ``repro bench --scale-sweep``
-    turns into a non-zero exit unless ``--advisory``.
+    turns into a non-zero exit.
     """
     emit = log or (lambda _line: None)
     scales = tuple(scales if scales is not None else
@@ -665,6 +673,9 @@ def run_bench_suite(
 
     def micro_suite() -> None:
         for name, (setup, inner) in MICRO_BENCHES.items():
+            if name in NUMPY_MICROS and columnar._np is None:
+                emit(f"  {name:28s} skipped: needs numpy")
+                continue
             record = run_micro_bench(name, setup, inner, rounds)
             records.append(record)
             emit(
@@ -783,7 +794,8 @@ def compare_documents(
     wall time for experiments) exceeds the baseline by more than
     ``tolerance``.  Wall-clock baselines are machine-specific, so gate
     hard only against a baseline produced on comparable hardware; CI
-    uses ``--advisory`` on pull requests for exactly that reason.
+    runs ``scripts/bench_compare.py --advisory`` on pull requests for
+    exactly that reason.
     """
     report = CompareReport()
     base_by_name = {b["name"]: b for b in baseline.get("benchmarks", [])}
@@ -829,13 +841,3 @@ def compare_documents(
         report.lines.append(f"no regressions beyond {tolerance:.0%}")
     return report
 
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    """Standalone entry point (``python -m repro.bench``)."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["bench"] + list(argv or sys.argv[1:]))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

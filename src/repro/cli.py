@@ -545,7 +545,6 @@ def cmd_bench(args) -> int:
             with open(profile_path, "w") as fh:
                 fh.write(report)
             print(f"  wrote {profile_path}")
-    failed = False
     non_linear = [
         r["name"]
         for r in document["benchmarks"]
@@ -553,20 +552,8 @@ def cmd_bench(args) -> int:
     ]
     if non_linear:
         print(f"  NON-LINEAR scale sweep: {', '.join(non_linear)}")
-        failed = not args.advisory
-    if args.compare:
-        import json as _json
-
-        with open(args.compare) as fh:
-            baseline = _json.load(fh)
-        report = bench.compare_documents(
-            baseline, document, tolerance=args.tolerance
-        )
-        for line in report.lines:
-            print("  " + line)
-        if report.regressions and not args.advisory:
-            failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 def cmd_list(_args) -> int:
@@ -918,27 +905,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", help="output path (default: BENCH_<date>.json)"
     )
     bench_parser.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        help="diff against a baseline BENCH_*.json after the run",
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.20,
-        metavar="FRAC",
-        help="allowed slowdown before --compare fails (default 0.20)",
-    )
-    bench_parser.add_argument(
-        "--advisory",
-        action="store_true",
-        help="report --compare regressions without failing",
-    )
-    bench_parser.add_argument(
         "--profile",
         action="store_true",
         help="run each suite under cProfile and write the top-20 tottime "
-        "report per suite (timings inflate; do not --compare a profiled "
+        "report per suite (timings inflate; do not compare a profiled "
         "run against an unprofiled baseline)",
     )
     bench_parser.add_argument(

@@ -64,11 +64,6 @@ class ExecutorKill:
             row["job_id"] = self.job_id
         return row
 
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "ExecutorKill":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**row)
-
 
 @dataclass(frozen=True)
 class ClusterFaultPlan:
@@ -108,15 +103,6 @@ class ClusterFaultPlan:
             "max_recovery_attempts": self.max_recovery_attempts,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "ClusterFaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kills=[ExecutorKill.from_dict(k) for k in row.get("kills", [])],
-            max_recovery_attempts=row.get("max_recovery_attempts", 3),
-            seed=row.get("seed", 0),
-        )
 
     @classmethod
     def random(

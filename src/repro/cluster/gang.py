@@ -66,20 +66,6 @@ class GangResult:
     node_elapsed_s: List[float] = field(default_factory=list)
     node_gc_s: List[float] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation."""
-        return {
-            "nodes": self.nodes,
-            "sync_windows": self.sync_windows,
-            "placement": self.placement,
-            "single_node_s": self.single_node_s,
-            "cluster_s": self.cluster_s,
-            "slowdown": self.slowdown,
-            "gc_amplification": self.gc_amplification,
-            "node_elapsed_s": self.node_elapsed_s,
-            "node_gc_s": self.node_gc_s,
-        }
-
 
 def gang_run(
     workload: str,

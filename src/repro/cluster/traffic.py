@@ -81,11 +81,6 @@ class JobSpec:
             row["iterations"] = self.iterations
         return row
 
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "JobSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**row)
-
 
 @dataclass(frozen=True)
 class TrafficPlan:
@@ -125,19 +120,6 @@ class TrafficPlan:
             "tenants": self.tenants,
             "base_scale": self.base_scale,
         }
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "TrafficPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            jobs=tuple(JobSpec.from_dict(j) for j in row.get("jobs", [])),
-            seed=row.get("seed", 0),
-            process=row.get("process", "poisson"),
-            rate_jobs_per_s=row.get("rate_jobs_per_s", 0.0),
-            duration_s=row.get("duration_s", 0.0),
-            tenants=row.get("tenants", 1),
-            base_scale=row.get("base_scale", 0.02),
-        )
 
     def describe(self) -> str:
         """One-line human summary."""

@@ -346,14 +346,6 @@ class SystemConfig:
         out["policy"] = self.policy.value
         return out
 
-    def fingerprint(self) -> str:
-        """Stable SHA-256 content hash of this configuration."""
-        import hashlib
-        import json
-
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
 
 def hybrid_config(
     heap_gb: float,

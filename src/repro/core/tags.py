@@ -16,13 +16,6 @@ from typing import Optional
 MEMORY_BITS_NONE = 0b00
 MEMORY_BITS_DRAM = 0b01
 MEMORY_BITS_NVM = 0b10
-#: The fourth (previously unused) pattern: the variable's payload does
-#: not live in the object heap at all — it was packed into the
-#: serialized off-heap tier.  Never carried by a live heap object
-#: (serialized-tier payloads have no per-object headers, that is the
-#: point); it exists so the placement vocabulary covers all four states
-#: an RDD variable can be in.
-MEMORY_BITS_SERIALIZED = 0b11
 
 
 class MemoryTag(enum.Enum):
@@ -59,17 +52,6 @@ class Placement(enum.Enum):
     NVM_HEAP = "object-heap-nvm"
     SERIALIZED_NVM = "serialized-nvm"
     UNPLACED = "unplaced"
-
-    @property
-    def bits(self) -> int:
-        """The MEMORY_BITS encoding of this placement."""
-        if self is Placement.DRAM_HEAP:
-            return MEMORY_BITS_DRAM
-        if self is Placement.NVM_HEAP:
-            return MEMORY_BITS_NVM
-        if self is Placement.SERIALIZED_NVM:
-            return MEMORY_BITS_SERIALIZED
-        return MEMORY_BITS_NONE
 
 
 def placement_for(

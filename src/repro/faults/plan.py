@@ -82,11 +82,6 @@ class KillSpec:
             row["rdd_name"] = self.rdd_name
         return row
 
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "KillSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**row)
-
 
 @dataclass(frozen=True)
 class ThrottleSpec:
@@ -129,11 +124,6 @@ class ThrottleSpec:
             "duration_ns": self.duration_ns,
             "factor": self.factor,
         }
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "ThrottleSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**row)
 
 
 @dataclass(frozen=True)
@@ -184,19 +174,6 @@ class FaultPlan:
             "max_recovery_attempts": self.max_recovery_attempts,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kills=[KillSpec.from_dict(k) for k in row.get("kills", [])],
-            throttles=[
-                ThrottleSpec.from_dict(t) for t in row.get("throttles", [])
-            ],
-            nvm_balloon_fraction=row.get("nvm_balloon_fraction", 0.0),
-            max_recovery_attempts=row.get("max_recovery_attempts", 3),
-            seed=row.get("seed", 0),
-        )
 
     @classmethod
     def random(

@@ -69,11 +69,6 @@ class FaultReport:
         """JSON-safe representation (all fields, stable keys)."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "FaultReport":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**row)
-
     def summary_lines(self) -> list:
         """Human-readable report lines for the CLI."""
         return [

@@ -87,9 +87,3 @@ class SimClock(SettlesFirst):
             self._settle()
         self._now_ns += ns
         return self._now_ns
-
-    def reset(self) -> None:
-        """Reset simulated time to zero (pending charges settle first)."""
-        if self._pending:
-            self._settle()
-        self._now_ns = 0.0

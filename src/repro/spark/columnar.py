@@ -115,10 +115,6 @@ class ScalarColumn:
         return ScalarColumn(self.arr[lo:hi])
 
     @property
-    def nbytes(self) -> int:
-        return self.arr.nbytes
-
-    @property
     def is_int(self) -> bool:
         return self.arr.dtype.kind == "i"
 
@@ -147,9 +143,6 @@ class ConstColumn:
         """Rows ``lo:hi``: the same constant, fewer rows."""
         return ConstColumn(self.value, hi - lo)
 
-    #: No array behind it.
-    nbytes = 0
-
 
 class VecColumn:
     """A tuple-of-floats column as one ``(N, D)`` float64 matrix."""
@@ -173,10 +166,6 @@ class VecColumn:
     def slice(self, lo: int, hi: int) -> "VecColumn":
         """Rows ``lo:hi`` as a view."""
         return VecColumn(self.mat[lo:hi])
-
-    @property
-    def nbytes(self) -> int:
-        return self.mat.nbytes
 
 
 class PairColumn:
@@ -203,10 +192,6 @@ class PairColumn:
     def slice(self, lo: int, hi: int) -> "PairColumn":
         """Rows ``lo:hi`` (views of both inner columns)."""
         return PairColumn(self.first.slice(lo, hi), self.second.slice(lo, hi))
-
-    @property
-    def nbytes(self) -> int:
-        return self.first.nbytes + self.second.nbytes
 
 
 class ListColumn:
@@ -250,10 +235,6 @@ class ListColumn:
         base = offsets[0]
         return ListColumn(offsets - base, self.flat[base : offsets[-1]])
 
-    @property
-    def nbytes(self) -> int:
-        return self.offsets.nbytes + self.flat.nbytes
-
     def emptied(self, keep) -> "ListColumn":
         """The same rows, with every row where ``keep`` is False made
         an empty list."""
@@ -287,10 +268,6 @@ class SingletonColumn:
     def slice(self, lo: int, hi: int) -> "SingletonColumn":
         """Rows ``lo:hi`` (a view of the inner column)."""
         return SingletonColumn(self.inner.slice(lo, hi))
-
-    @property
-    def nbytes(self) -> int:
-        return self.inner.nbytes
 
 
 def offsets_of(lengths):
@@ -404,11 +381,6 @@ class ColumnBatch:
     def slice(self, lo: int, hi: int) -> "ColumnBatch":
         """Rows ``lo:hi``, as views of this batch's arrays."""
         return ColumnBatch(self.keys.slice(lo, hi), self.values.slice(lo, hi))
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays behind every column, nested ones included."""
-        return self.keys.nbytes + self.values.nbytes
 
     # -- packing -----------------------------------------------------------
 
@@ -1183,11 +1155,6 @@ def int_column(arr) -> ScalarColumn:
 def float_column(arr) -> ScalarColumn:
     """Wrap a float64 array as a value column."""
     return ScalarColumn(arr)
-
-
-def vec_count_column(mat, counts) -> PairColumn:
-    """Build the ``(vec, count)`` value column of the ML aggregations."""
-    return PairColumn(VecColumn(mat), ScalarColumn(counts))
 
 
 def ones_int(n: int):

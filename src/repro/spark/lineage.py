@@ -1,93 +1,16 @@
-"""Lineage inspection: the stage DAG behind an action (Figure 2(b)).
+"""Lineage inspection: Spark-style ``toDebugString`` lineage trees.
 
-The scheduler executes stages implicitly (shuffle-file memoisation); this
-module makes the structure *visible*: which RDDs pipeline together into a
-stage, where the shuffle boundaries fall, and which stage inputs are the
-materialised ShuffledRDDs the paper's tag propagation targets.  It also
-renders Spark-style ``toDebugString`` lineage trees.
+The scheduler cuts stages at shuffles as it runs them
+(:meth:`~repro.spark.scheduler.Scheduler._ensure_upstream_shuffles`);
+this module renders the lineage behind an RDD, marking the shuffle
+boundaries and the persisted RDDs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Optional, Set
 
-from repro.spark.rdd import RDD, ShuffleDependency, ShuffledRDD
-
-
-@dataclass
-class Stage:
-    """One pipelined stage.
-
-    Attributes:
-        stage_id: topological id (0 = deepest upstream stage).
-        output: the RDD the stage computes (a shuffle-map input producer
-            or the action target).
-        rdds: every RDD pipelined inside this stage.
-        shuffle_inputs: the ShuffledRDD stage inputs (materialised, §2).
-        parent_stages: stages this one consumes shuffles from.
-    """
-
-    stage_id: int
-    output: RDD
-    rdds: List[RDD] = field(default_factory=list)
-    shuffle_inputs: List[RDD] = field(default_factory=list)
-    parent_stages: List[int] = field(default_factory=list)
-
-def _stage_rdds(output: RDD) -> (List[RDD], List[ShuffleDependency]):
-    """Walk one stage: pipeline through narrow deps, stop at shuffles and
-    persisted cuts are still part of the stage graph (Spark keeps them in
-    the same stage; only shuffles cut)."""
-    rdds: List[RDD] = []
-    boundary: List[ShuffleDependency] = []
-    seen: Set[int] = set()
-    stack = [output]
-    while stack:
-        node = stack.pop()
-        if node.id in seen:
-            continue
-        seen.add(node.id)
-        rdds.append(node)
-        if isinstance(node, ShuffledRDD):
-            boundary.append(node.shuffle_dep)
-            continue  # the ShuffledRDD is the stage input
-        for dep in node.deps:
-            if isinstance(dep, ShuffleDependency):
-                boundary.append(dep)
-            else:
-                stack.append(dep.parent)
-    return rdds, boundary
-
-
-def build_stages(action_rdd: RDD) -> List[Stage]:
-    """Construct the stage DAG an action on ``action_rdd`` would run.
-
-    Returns:
-        Stages in execution (topological) order; the last stage is the
-        result stage.
-    """
-    stages: List[Stage] = []
-    stage_of_shuffle: Dict[int, int] = {}
-
-    def visit(output: RDD) -> int:
-        rdds, boundary = _stage_rdds(output)
-        parents: List[int] = []
-        for dep in boundary:
-            if dep.shuffle_id not in stage_of_shuffle:
-                stage_of_shuffle[dep.shuffle_id] = visit(dep.parent)
-            parents.append(stage_of_shuffle[dep.shuffle_id])
-        stage = Stage(
-            stage_id=len(stages),
-            output=output,
-            rdds=rdds,
-            shuffle_inputs=[r for r in rdds if isinstance(r, ShuffledRDD)],
-            parent_stages=sorted(set(parents)),
-        )
-        stages.append(stage)
-        return stage.stage_id
-
-    visit(action_rdd)
-    return stages
+from repro.spark.rdd import RDD, ShuffleDependency
 
 
 def lineage_string(rdd: RDD, indent: int = 0, _seen: Optional[Set[int]] = None) -> str:
@@ -112,22 +35,3 @@ def lineage_string(rdd: RDD, indent: int = 0, _seen: Optional[Set[int]] = None) 
             lines.append(lineage_string(dep.parent, indent + 2, seen))
     return "\n".join(lines)
 
-
-def stage_summary(stages: List[Stage]) -> str:
-    """A compact textual stage DAG."""
-    lines = []
-    for stage in stages:
-        inputs = ", ".join(
-            f"{type(r).__name__}[{r.id}]" for r in stage.shuffle_inputs
-        ) or "(sources/caches)"
-        parents = (
-            ", ".join(str(p) for p in stage.parent_stages)
-            if stage.parent_stages
-            else "-"
-        )
-        lines.append(
-            f"Stage {stage.stage_id}: computes {type(stage.output).__name__}"
-            f"[{stage.output.id}] {stage.output.name}; inputs: {inputs}; "
-            f"parents: {parents}; {len(stage.rdds)} RDDs"
-        )
-    return "\n".join(lines)

@@ -130,11 +130,6 @@ class RDD:
 
     # -- bookkeeping -------------------------------------------------------
 
-    @property
-    def parents(self) -> List["RDD"]:
-        """Parent RDDs in dependency order."""
-        return [d.parent for d in self.deps]
-
     def persist(self, level: StorageLevel = StorageLevel.MEMORY_ONLY) -> "RDD":
         """Mark this RDD for materialisation at first computation."""
         self.persist_level = level

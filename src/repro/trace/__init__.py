@@ -32,7 +32,6 @@ from repro.trace.aggregate import (
 from repro.trace.bus import TraceBus
 from repro.trace.events import TraceEvent
 from repro.trace.export import (
-    events_from_jsonl,
     events_to_jsonl,
     write_events_jsonl,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "TraceEvent",
     "TraceSession",
     "aggregate_events",
-    "events_from_jsonl",
     "events_to_jsonl",
     "heap_live_bytes",
     "oracle_check",

@@ -143,8 +143,3 @@ class TraceEvent:
             for key, value in row.items()
             if value is not None and not (key == "duration_ns" and value == 0.0)
         }
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "TraceEvent":
-        """Rebuild an event from :meth:`to_dict` output (JSONL import)."""
-        return cls(**row)

@@ -37,12 +37,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(10)
-        clock.reset()
-        assert clock.now_ns == 0
-
     @given(st.lists(st.floats(min_value=0, max_value=1e9), max_size=20))
     def test_monotonic(self, steps):
         clock = SimClock()

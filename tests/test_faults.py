@@ -21,7 +21,6 @@ from repro.faults import (
     KILL_KINDS,
     FaultInjector,
     FaultPlan,
-    FaultReport,
     KillSpec,
     ThrottleSchedule,
     ThrottleSpec,
@@ -63,21 +62,6 @@ class TestPlanValidation:
     def test_attempts_bound_positive(self):
         with pytest.raises(FaultError):
             FaultPlan(max_recovery_attempts=0)
-
-    def test_plan_round_trips_through_json(self):
-        plan = FaultPlan(
-            kills=[KillSpec("shuffle", 3, 1), KillSpec("block", 5)],
-            throttles=[ThrottleSpec(1e8, 4e8, 4.0)],
-            nvm_balloon_fraction=0.5,
-            max_recovery_attempts=2,
-            seed=9,
-        )
-        text = json.dumps(plan.to_dict(), sort_keys=True)
-        assert FaultPlan.from_dict(json.loads(text)) == plan
-
-    def test_report_round_trips(self):
-        report = FaultReport(kills_fired=2, fallback_bytes=123.0)
-        assert FaultReport.from_dict(report.to_dict()) == report
 
     def test_random_plan_is_seed_deterministic(self):
         a = FaultPlan.random(7, max_boundary=10, kills=3)

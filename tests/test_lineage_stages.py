@@ -1,8 +1,9 @@
-"""Stage-DAG construction tests: Figure 2(b)'s structure made explicit."""
+"""Stage and lineage tests: the stages the scheduler cuts at shuffles
+(Figure 2(b)) and ``toDebugString``-style lineage trees."""
 
 import pytest
 
-from repro.spark.lineage import build_stages, lineage_string, stage_summary
+from repro.spark.lineage import lineage_string
 from repro.spark.storage import StorageLevel
 from tests.conftest import small_context
 
@@ -16,58 +17,60 @@ def base(ctx, n=8, name="src"):
     return ctx.parallelize([(i % 4, i) for i in range(n)], 2, 2**20, name=name)
 
 
+def map_stages(ctx, rdd, monkeypatch):
+    """The shuffle dependencies whose map stages ``rdd.count()`` runs,
+    in the order the scheduler runs them."""
+    scheduler = ctx.scheduler
+    run = scheduler._run_shuffle_map
+    stages = []
+
+    def record(dep, force=False):
+        stages.append(dep)
+        return run(dep, force)
+
+    monkeypatch.setattr(scheduler, "_run_shuffle_map", record)
+    rdd.count()
+    return stages
+
+
 class TestBuildStages:
-    def test_narrow_only_is_single_stage(self, ctx):
+    """The scheduler builds the stage DAG of Figure 2(b) as it runs an
+    action: one shuffle map stage per missing shuffle below the action,
+    parents first, and nothing for a narrow dependency."""
+
+    def test_narrow_only_is_single_stage(self, ctx, monkeypatch):
         rdd = base(ctx).map(lambda r: r).filter(lambda r: True)
-        stages = build_stages(rdd)
-        assert len(stages) == 1
-        assert stages[0].shuffle_inputs == []
+        assert map_stages(ctx, rdd, monkeypatch) == []
 
-    def test_one_shuffle_makes_two_stages(self, ctx):
-        rdd = base(ctx).group_by_key().map_values(len)
-        stages = build_stages(rdd)
-        assert len(stages) == 2
-        result_stage = stages[-1]
-        assert result_stage.parent_stages == [0]
-        assert len(result_stage.shuffle_inputs) == 1
+    def test_one_shuffle_makes_two_stages(self, ctx, monkeypatch):
+        src = base(ctx)
+        rdd = src.group_by_key().map_values(len)
+        (stage,) = map_stages(ctx, rdd, monkeypatch)
+        assert stage.parent is src
 
-    def test_chained_shuffles_are_chained_stages(self, ctx):
-        rdd = (
-            base(ctx)
-            .reduce_by_key(lambda a, b: a + b)
-            .map(lambda r: r)
-            .group_by_key()
-        )
-        stages = build_stages(rdd)
-        assert len(stages) == 3
-        assert stages[2].parent_stages == [1]
-        assert stages[1].parent_stages == [0]
+    def test_chained_shuffles_are_chained_stages(self, ctx, monkeypatch):
+        reduced = base(ctx).reduce_by_key(lambda a, b: a + b)
+        rdd = reduced.map(lambda r: r).group_by_key()
+        first, second = map_stages(ctx, rdd, monkeypatch)
+        assert first is reduced.shuffle_dep
+        assert second is rdd.shuffle_dep
 
-    def test_pagerank_stage_shape(self, ctx):
+    def test_pagerank_stage_shape(self, ctx, monkeypatch):
         """Figure 2(b): the persisted, pre-partitioned links joins
-        narrowly — only the ranks side shuffles into the stage."""
+        narrowly, so the contribs stage starts at links' shuffle and
+        ends at the ranks' reduce."""
         links = base(ctx, name="links").group_by_key()
         links.persist(StorageLevel.MEMORY_ONLY)
         ranks = links.map_values(lambda v: 1.0)
         contribs = links.join(ranks).values().flat_map(lambda r: [r])
         new_ranks = contribs.reduce_by_key(lambda a, b: a + b)
-        stages = build_stages(new_ranks)
-        result = stages[-1]
-        # links (a ShuffledRDD) is a stage input of the contribs stage;
-        # the join's ranks side is narrow (co-partitioned).
-        contribs_stage = stages[-2]
-        shuffled_ids = {r.id for r in contribs_stage.shuffle_inputs}
-        assert links.id in shuffled_ids
-        assert result.parent_stages == [contribs_stage.stage_id]
+        stages = map_stages(ctx, new_ranks, monkeypatch)
+        assert stages == [links.shuffle_dep, new_ranks.shuffle_dep]
 
-    def test_shared_shuffle_visited_once(self, ctx):
+    def test_shared_shuffle_visited_once(self, ctx, monkeypatch):
         grouped = base(ctx).group_by_key()
-        left = grouped.map_values(len)
-        right = grouped.map_values(sum)
-        joined = left.join(right)
-        stages = build_stages(joined)
-        map_stages = [s for s in stages if s.output is grouped.deps[0].parent]
-        assert len(map_stages) == 1
+        joined = grouped.map_values(len).join(grouped.map_values(sum))
+        assert map_stages(ctx, joined, monkeypatch) == [grouped.shuffle_dep]
 
 
 class TestRendering:
@@ -86,9 +89,3 @@ class TestRendering:
         text = lineage_string(joined)
         assert "(...)" in text  # the shared subtree printed once
 
-    def test_stage_summary_lists_all_stages(self, ctx):
-        rdd = base(ctx).group_by_key().map_values(len).group_by_key()
-        stages = build_stages(rdd)
-        text = stage_summary(stages)
-        for stage in stages:
-            assert f"Stage {stage.stage_id}:" in text

@@ -408,30 +408,11 @@ class TestBenchCli:
         assert data["benchmarks"][0]["name"] == "micro.x"
         assert "peak RSS" in capsys.readouterr().out
 
-    def test_compare_gate_fails_on_regression(self, tmp_path, monkeypatch):
-        self._stub_suite(monkeypatch, 20.0)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_doc(_micro("micro.x", 10.0))))
-        out = tmp_path / "bench.json"
-        rc = cli_main(
-            ["bench", "--quick", "--out", str(out), "--compare", str(baseline)]
+    def test_non_linear_sweep_fails(self, tmp_path, monkeypatch, capsys):
+        document = self._stub_suite(monkeypatch, 10.0)
+        document["benchmarks"].append(
+            {"name": "sweep.PR.summary", "kind": "sweep_summary", "linear": False}
         )
+        rc = cli_main(["bench", "--quick", "--out", str(tmp_path / "bench.json")])
         assert rc == 1
-
-    def test_advisory_mode_never_fails(self, tmp_path, monkeypatch):
-        self._stub_suite(monkeypatch, 20.0)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_doc(_micro("micro.x", 10.0))))
-        out = tmp_path / "bench.json"
-        rc = cli_main(
-            [
-                "bench",
-                "--quick",
-                "--out",
-                str(out),
-                "--compare",
-                str(baseline),
-                "--advisory",
-            ]
-        )
-        assert rc == 0
+        assert "NON-LINEAR scale sweep: sweep.PR.summary" in capsys.readouterr().out

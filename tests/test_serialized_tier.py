@@ -330,13 +330,12 @@ def _column_schemas(np):
         np.asarray([7, 8, 9, 10, 11], dtype=np.int64),
     )
     scalar = col.ScalarColumn
+    vec_count = col.PairColumn(col.VecColumn(mat), scalar(counts))
     return {
         "scalar": col.ColumnBatch(scalar(ids), scalar(floats)),
         "vec": col.ColumnBatch(scalar(ids), col.VecColumn(mat)),
-        "vec-count": col.ColumnBatch(scalar(ids), col.vec_count_column(mat, counts)),
-        "const-key": col.ColumnBatch(
-            col.ConstColumn("grad", 4), col.vec_count_column(mat, counts)
-        ),
+        "vec-count": col.ColumnBatch(scalar(ids), vec_count),
+        "const-key": col.ColumnBatch(col.ConstColumn("grad", 4), vec_count),
         "csr-list": col.ColumnBatch(scalar(ids), lists),
         "graph-rows": col.ColumnBatch(
             scalar(ids), col.PairColumn(scalar(floats), lists)

@@ -13,7 +13,6 @@ from repro.trace import (
     ReplayError,
     TraceSession,
     aggregate_events,
-    events_from_jsonl,
     events_to_jsonl,
     render_residency_table,
     render_timeline,
@@ -50,35 +49,8 @@ class TestEvents:
             "space": "eden",
         }
 
-    def test_roundtrip_through_dict(self):
-        event = TraceEvent(
-            MIGRATE_NVM_TO_DRAM,
-            9.0,
-            oid=3,
-            size=128.0,
-            space="old-dram",
-            src_space="old-nvm",
-            device="dram",
-            src_device="nvm",
-            rdd_id=7,
-        )
-        assert TraceEvent.from_dict(event.to_dict()) == event
-
-    def test_pause_roundtrip_keeps_duration(self):
-        event = TraceEvent(GC_PAUSE, 1.0, pause_kind="minor", duration_ns=42.0)
-        assert TraceEvent.from_dict(event.to_dict()) == event
-
 
 class TestJsonl:
-    def test_roundtrip(self):
-        events = [
-            TraceEvent(ALLOC, 0.0, oid=1, size=10.0, space="eden"),
-            TraceEvent(FREE, 2.0, oid=1, size=10.0, space="eden"),
-            TraceEvent(GC_PAUSE, 2.0, pause_kind="minor", duration_ns=5.0),
-        ]
-        text = events_to_jsonl(events)
-        assert events_from_jsonl(text) == events
-
     def test_lines_are_compact_sorted_json(self):
         text = events_to_jsonl(
             [TraceEvent(ALLOC, 0.0, oid=1, size=10.0, space="eden")]
@@ -345,5 +317,5 @@ class TestTraceCli:
         assert "occupancy timeline" in out
         assert "| RDD |" in out
         assert "replay oracle: consistent" in out
-        events = events_from_jsonl(out_path.read_text())
-        assert events and any(e.kind == GC_PAUSE for e in events)
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert rows and any(row["kind"] == GC_PAUSE for row in rows)
