@@ -298,7 +298,8 @@ def main(argv: Sequence[str] = None) -> int:
         print("\n".join(report(names - called - set(keep))))
         return 0
     found = failed + problems(names, called, keep)
-    print("\n".join(found))
+    for line in found:
+        print(line)
     return 1 if found else 0
 
 

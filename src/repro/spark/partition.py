@@ -115,11 +115,6 @@ class HashPartitioner:
             buckets[h % n].append(record)
         return buckets
 
-    def split(self, records: Iterable[Record]) -> List[List[Record]]:
-        """Bucket records into per-partition lists."""
-        buckets: List[List[Record]] = [[] for _ in range(self.num_partitions)]
-        return self.bucket_into(records, buckets)
-
 
 def _stable_hash(key: Hashable) -> int:
     """A deterministic, process-independent hash for common key types."""

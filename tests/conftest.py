@@ -87,3 +87,10 @@ def deposit_rows(tracker, rows) -> None:
         starts.append(start_ns)
         durations.append(duration_ns)
     tracker.settle_if_full()
+
+
+def bucket(partitioner, records):
+    """``records`` bucketed by ``partitioner`` into fresh per-partition
+    lists, as a shuffle map stage buckets them."""
+    buckets = [[] for _ in range(partitioner.num_partitions)]
+    return partitioner.bucket_into(records, buckets)

@@ -33,7 +33,7 @@ from repro.spark.columnar import (
 )
 from repro.spark.partition import HashPartitioner, _stable_hash
 from repro.spark.storage import StorageLevel
-from tests.conftest import numpy_absent, small_context
+from tests.conftest import bucket, numpy_absent, small_context
 from tests.golden import corpus
 from tests.test_properties_spark import DATASET, STEP, run_traced_pipeline
 
@@ -365,7 +365,7 @@ class TestVectorisedBucketing:
     def test_split_batch_matches_bucket_into(self, n):
         records = [((i * 37) % 23 - 11, float(i)) for i in range(200)]
         part = HashPartitioner(n)
-        expected = part.split(records)
+        expected = bucket(part, records)
         pieces = split_batch(ColumnBatch.from_records(records), part)
         got = [[] for _ in range(n)]
         for bidx, sub in pieces:
@@ -543,7 +543,7 @@ class TestStableHashFloats:
         part = HashPartitioner(7)
         reference = _stable_hash(key) % 7
         assert part.partition_of(key) == reference
-        buckets = part.split([(key, "v")])
+        buckets = bucket(part, [(key, "v")])
         assert buckets[reference] == [(key, "v")]
 
 

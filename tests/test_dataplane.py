@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import PolicyName
 from repro.spark import partition as _partition
 from repro.spark.partition import HashPartitioner, _stable_hash
-from tests.conftest import small_context
+from tests.conftest import bucket, small_context
 from tests.golden import corpus
 from tests.test_properties_spark import DATASET, STEP, run_traced_pipeline
 
@@ -65,17 +65,17 @@ class TestHashCache:
         )
         part = HashPartitioner(4)
         records = [(f"key-{i % 50}", i) for i in range(200)]
-        first = part.split(records)
+        first = bucket(part, records)
         assert len(calls) == 50  # one per distinct key, not per record
         calls.clear()
-        second = part.split(records)
+        second = bucket(part, records)
         assert calls == []  # O(1) hash work: all hits
         assert first == second
 
     def test_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(_partition, "_HASH_CACHE_LIMIT", 8)
         part = HashPartitioner(4)
-        part.split([(f"key-{i}", i) for i in range(100)])
+        bucket(part, [(f"key-{i}", i) for i in range(100)])
         assert len(part._hash_cache) <= 8
 
     @pytest.mark.parametrize(
@@ -89,7 +89,7 @@ class TestHashCache:
         part = HashPartitioner(7)
         reference = _stable_hash(key) % 7
         assert part.partition_of(key) == reference
-        buckets = part.split([(key, "v")])
+        buckets = bucket(part, [(key, "v")])
         assert buckets[reference] == [(key, "v")]
 
     def test_split_matches_legacy_on_mixed_keys(self):
@@ -100,7 +100,7 @@ class TestHashCache:
                  (2, 1), ("x", 2), True, b"raw", (7,)] * 4
             )
         ]
-        assert HashPartitioner(5).split(records) == _reference_split(records, 5)
+        assert bucket(HashPartitioner(5), records) == _reference_split(records, 5)
 
     @pytest.mark.parametrize(
         "key",
@@ -127,7 +127,7 @@ class TestHashCache:
                 [math.inf, -math.inf, math.nan, 1e308, -1e308, 0.5] * 3
             )
         ]
-        split = HashPartitioner(5).split(records)
+        split = bucket(HashPartitioner(5), records)
         assert repr(split) == repr(_reference_split(records, 5))
 
 
@@ -160,7 +160,7 @@ class TestMixedKeyPropertyAB:
         records = [(k, i) for i, k in enumerate(keys)]
         part = HashPartitioner(n)
         # repr-compare so nan keys (unequal to themselves) still match.
-        assert repr(part.split(records)) == repr(_reference_split(records, n))
+        assert repr(bucket(part, records)) == repr(_reference_split(records, n))
         for key in keys:
             assert part.partition_of(key) == _stable_hash(key) % n
 

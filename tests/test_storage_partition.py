@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.core.tags import MemoryTag
 from repro.spark.partition import HashPartitioner, split_evenly, _stable_hash
 from repro.spark.storage import StorageLevel, expand_level
+from tests.conftest import bucket
 
 
 class TestStorageLevels:
@@ -81,14 +82,14 @@ class TestHashPartitioner:
     def test_split_preserves_records(self):
         partitioner = HashPartitioner(3)
         records = [(k, k * 2) for k in range(50)]
-        buckets = partitioner.split(records)
+        buckets = bucket(partitioner, records)
         assert sorted(r for b in buckets for r in b) == sorted(records)
 
     def test_split_respects_partition_of(self):
         partitioner = HashPartitioner(3)
-        buckets = partitioner.split([(k, None) for k in range(30)])
-        for idx, bucket in enumerate(buckets):
-            for key, _ in bucket:
+        buckets = bucket(partitioner, [(k, None) for k in range(30)])
+        for idx, records in enumerate(buckets):
+            for key, _ in records:
                 assert partitioner.partition_of(key) == idx
 
     def test_bad_partition_count(self):
