@@ -4,8 +4,9 @@ the committed ``tests/golden/digests.json``.
 Every cell runs twice: with numpy, and with numpy forced absent (the
 per-record data plane and the per-row bandwidth settle), which must
 reproduce the same digests; so must each example script's stdout.  A
-failure names the cell and the differing digests; rerun ``scripts/golden.py --accept`` only if the change is
-meant to alter simulated output.
+failure names the cell and the differing digests; rerun
+``scripts/golden.py --accept`` only if the change is meant to alter
+simulated output.
 
 Each run also checks that it frees by reference counting: run with the
 cyclic collector paused, it must leave at most
