@@ -66,19 +66,6 @@ def write_report(name: str, title: str, lines: Sequence[str]) -> pathlib.Path:
     return path
 
 
-def norm(results: Dict[str, ExperimentResult], baseline: str) -> Dict[str, Dict[str, float]]:
-    """Normalise time/energy against a baseline key."""
-    base = results[baseline]
-    return {
-        key: {
-            "time": r.elapsed_s / base.elapsed_s,
-            "energy": r.energy_j / base.energy_j,
-            "gc": (r.gc_s / base.gc_s) if base.gc_s else 0.0,
-        }
-        for key, r in results.items()
-    }
-
-
 def print_and_report(name: str, title: str, lines: List[str]) -> None:
     """Print a reproduced figure and persist it."""
     print()

@@ -16,6 +16,7 @@ import statistics
 
 from repro.config import PolicyName
 from repro.harness.configs import paper_config, write_rationing_configs
+from repro.harness.report import normalize_results
 
 from benchmarks.conftest import BENCH_SCALE, print_and_report, run_grid
 
@@ -57,18 +58,15 @@ def test_panthera_feature_ablations(benchmark):
     padding_ratios, eager_ratios, migration_ratios = [], [], []
     for workload in ABLATION_WORKLOADS:
         rows = results[workload]
-        base_gc = rows["panthera"].gc_s
+        normalized = normalize_results(rows, "panthera")
         for key, r in rows.items():
-            ratio = r.gc_s / base_gc if base_gc else 0.0
             lines.append(
                 f"| {workload} | {key} | {r.elapsed_s:.1f} | {r.gc_s:.1f} "
-                f"| {ratio:.2f} |"
+                f"| {normalized[key]['gc']:.2f} |"
             )
-        padding_ratios.append(rows["no-card-padding"].gc_s / base_gc)
-        eager_ratios.append(rows["no-eager-promotion"].gc_s / base_gc)
-        migration_ratios.append(
-            rows["no-dynamic-migration"].elapsed_s / rows["panthera"].elapsed_s
-        )
+        padding_ratios.append(normalized["no-card-padding"]["gc"])
+        eager_ratios.append(normalized["no-eager-promotion"]["gc"])
+        migration_ratios.append(normalized["no-dynamic-migration"]["time"])
     lines.append("")
     lines.append(
         f"GC time without card padding: {statistics.mean(padding_ratios):.2f}x "
@@ -111,11 +109,10 @@ def test_write_rationing_baselines(benchmark):
         "|---|---|---|---|",
     ]
     for workload, rows in results.items():
-        base = rows["dram-only"]
-        for key, r in rows.items():
+        for key, ratios in normalize_results(rows, "dram-only").items():
             lines.append(
-                f"| {workload} | {key} | {r.elapsed_s / base.elapsed_s:.2f} "
-                f"| {r.gc_s / base.gc_s:.2f} |"
+                f"| {workload} | {key} | {ratios['time']:.2f} "
+                f"| {ratios['gc']:.2f} |"
             )
     lines.append("")
     lines.append(

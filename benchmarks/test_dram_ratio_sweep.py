@@ -13,6 +13,7 @@ that kept the paper from using "a very small DRAM ratio" (§5.2).
 
 from repro.config import PolicyName
 from repro.harness.configs import paper_config
+from repro.harness.report import normalize_results
 
 from benchmarks.conftest import BENCH_SCALE, print_and_report, run_grid
 
@@ -34,7 +35,7 @@ def _run_sweep():
 
 def test_dram_ratio_sweep(benchmark):
     results = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
-    base = results["baseline"]
+    normalized = normalize_results(results, "baseline")
     lines = [
         "| DRAM ratio | unmanaged time | panthera time | unmanaged energy | panthera energy |",
         "|---|---|---|---|---|",
@@ -43,10 +44,8 @@ def test_dram_ratio_sweep(benchmark):
     for ratio in RATIOS:
         row = [f"| 1/{round(1 / ratio)} "]
         for policy in ("unmanaged", "panthera"):
-            r = results[(ratio, policy)]
-            time_n = r.elapsed_s / base.elapsed_s
-            energy_n = r.energy_j / base.energy_j
-            table[(ratio, policy)] = (time_n, energy_n)
+            ratios = normalized[(ratio, policy)]
+            table[(ratio, policy)] = (ratios["time"], ratios["energy"])
         row.append(f"| {table[(ratio, 'unmanaged')][0]:.3f} ")
         row.append(f"| {table[(ratio, 'panthera')][0]:.3f} ")
         row.append(f"| {table[(ratio, 'unmanaged')][1]:.3f} ")

@@ -11,8 +11,9 @@ performance at near-32 GB energy.
 """
 
 from repro.harness.configs import fig2c_configs
+from repro.harness.report import normalize_results
 
-from benchmarks.conftest import BENCH_SCALE, norm, print_and_report, run_grid
+from benchmarks.conftest import BENCH_SCALE, print_and_report, run_grid
 
 PAPER = {
     "120gb-dram": (1.00, 1.00),
@@ -30,7 +31,7 @@ def _run_grid():
 
 def test_fig2c_pagerank_motivating_example(benchmark):
     results = benchmark.pedantic(_run_grid, rounds=1, iterations=1)
-    normalized = norm(results, "120gb-dram")
+    normalized = normalize_results(results, "120gb-dram")
     lines = [
         "| configuration | time (measured) | time (paper) | energy (measured) | energy (paper) |",
         "|---|---|---|---|---|",

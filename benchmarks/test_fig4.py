@@ -9,11 +9,11 @@ Per-benchmark paper rows are embedded below for side-by-side reporting.
 import statistics
 
 from repro.harness.configs import fig4_configs
+from repro.harness.report import normalize_results
 
 from benchmarks.conftest import (
     ALL_WORKLOADS,
     BENCH_SCALE,
-    norm,
     print_and_report,
     run_grid,
 )
@@ -56,7 +56,7 @@ def test_fig4_time_and_energy(benchmark):
     unmanaged_times, panthera_times = [], []
     unmanaged_energy, panthera_energy = [], []
     for workload in ALL_WORKLOADS:
-        n = norm(all_results[workload], "dram-only")
+        n = normalize_results(all_results[workload], "dram-only")
         p = PAPER[workload]
         lines.append(
             f"| {workload} "
@@ -82,7 +82,7 @@ def test_fig4_time_and_energy(benchmark):
     # Shape assertions per program: unmanaged slower than DRAM-only,
     # Panthera at most unmanaged; both save energy.
     for workload in ALL_WORKLOADS:
-        n = norm(all_results[workload], "dram-only")
+        n = normalize_results(all_results[workload], "dram-only")
         assert n["unmanaged"]["time"] >= 0.99, workload
         assert n["panthera"]["time"] <= n["unmanaged"]["time"] + 0.02, workload
         assert n["unmanaged"]["energy"] < 1.0, workload

@@ -13,6 +13,7 @@ a few percent; Panthera's GC is near (sometimes below) DRAM-only.
 """
 
 from repro.harness.configs import fig4_configs
+from repro.harness.report import normalize_results
 
 from benchmarks.conftest import (
     ALL_WORKLOADS,
@@ -57,11 +58,11 @@ def test_fig5_gc_breakdown(benchmark):
     order = ["dram-only", "panthera", "unmanaged"]
     for workload in ALL_WORKLOADS:
         results = all_results[workload]
-        base_gc = results["dram-only"].gc_s
+        normalized = normalize_results(results, "dram-only")
         for idx, key in enumerate(order):
             r = results[key]
             paper_ratio = PAPER_GC[workload][idx] / PAPER_GC[workload][0]
-            measured_ratio = r.gc_s / base_gc if base_gc else 0.0
+            measured_ratio = normalized[key]["gc"]
             lines.append(
                 f"| {workload} | {key} | {r.mutator_s:.1f} | {r.gc_s:.1f} "
                 f"| {100 * r.gc_s / r.elapsed_s:.1f}% "

@@ -16,6 +16,7 @@ energy than the 64 GB heap.
 import statistics
 
 from repro.harness.configs import grid_configs
+from repro.harness.report import normalize_results
 
 from benchmarks.conftest import (
     BENCH_SCALE,
@@ -41,11 +42,8 @@ def _run_grid():
 
 
 def _cell(results, workload, heap, ratio, policy, metric):
-    r = results[workload][f"{heap}gb-{ratio}-{policy}"]
-    base = results[workload][f"{heap}gb-dram-only"]
-    if metric == "time":
-        return r.elapsed_s / base.elapsed_s
-    return r.energy_j / base.energy_j
+    normalized = normalize_results(results[workload], f"{heap}gb-dram-only")
+    return normalized[f"{heap}gb-{ratio}-{policy}"][metric]
 
 
 def test_fig6_time_and_fig7_energy_grid(benchmark):

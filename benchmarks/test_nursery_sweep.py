@@ -13,6 +13,7 @@ region with degradation at 1/7.
 
 from repro.config import PolicyName
 from repro.harness.configs import paper_config
+from repro.harness.report import normalize_results
 
 from benchmarks.conftest import BENCH_SCALE, print_and_report, run_grid
 
@@ -39,7 +40,7 @@ def _run_sweep():
 
 def test_nursery_fraction_sweep(benchmark):
     results = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
-    base = results[1 / 6]
+    normalized = normalize_results(results, 1 / 6)
     lines = [
         "| nursery fraction | time (s) | vs 1/6 | GC (s) | minor GCs |",
         "|---|---|---|---|---|",
@@ -48,7 +49,7 @@ def test_nursery_fraction_sweep(benchmark):
         r = results[fraction]
         lines.append(
             f"| 1/{round(1 / fraction)} | {r.elapsed_s:.1f} "
-            f"| {r.elapsed_s / base.elapsed_s:.3f} | {r.gc_s:.1f} "
+            f"| {normalized[fraction]['time']:.3f} | {r.gc_s:.1f} "
             f"| {r.minor_gcs} |"
         )
     lines.append("")

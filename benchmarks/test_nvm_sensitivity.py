@@ -11,6 +11,7 @@ placement matters).
 
 from repro.config import PolicyName
 from repro.harness.configs import paper_config
+from repro.harness.report import normalize_results
 
 from benchmarks.conftest import BENCH_SCALE, print_and_report, run_grid
 
@@ -56,13 +57,12 @@ def test_nvm_technology_sweep(benchmark):
     ]
     advantage = []
     for label, row in results.items():
-        base = row["dram-only"]
-        unmanaged_t = row["unmanaged"].elapsed_s / base.elapsed_s
-        panthera_t = row["panthera"].elapsed_s / base.elapsed_s
+        normalized = normalize_results(row, "dram-only")
+        unmanaged, panthera = normalized["unmanaged"], normalized["panthera"]
+        unmanaged_t, panthera_t = unmanaged["time"], panthera["time"]
         lines.append(
             f"| {label} | {unmanaged_t:.3f} | {panthera_t:.3f} "
-            f"| {row['unmanaged'].energy_j / base.energy_j:.3f} "
-            f"| {row['panthera'].energy_j / base.energy_j:.3f} |"
+            f"| {unmanaged['energy']:.3f} | {panthera['energy']:.3f} |"
         )
         advantage.append(unmanaged_t - panthera_t)
     lines.append("")

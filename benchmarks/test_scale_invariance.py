@@ -9,6 +9,7 @@ and checks the normalised time/energy ratios agree.
 
 from repro.harness.configs import fig4_configs
 from repro.harness.experiment import run_experiment
+from repro.harness.report import normalize_results
 
 from benchmarks.conftest import print_and_report
 
@@ -23,10 +24,9 @@ def _run(scale):
 
 
 def _normalized(results):
-    base = results["dram-only"]
     return {
-        key: (r.elapsed_s / base.elapsed_s, r.energy_j / base.energy_j)
-        for key, r in results.items()
+        key: (ratios["time"], ratios["energy"])
+        for key, ratios in normalize_results(results, "dram-only").items()
     }
 
 

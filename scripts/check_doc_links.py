@@ -24,8 +24,15 @@ never imported), so the check needs nothing installed.  The history
 documents (``CHANGES.md``, ``CHANGELOG.md``, ``ROADMAP.md``) name
 deleted files on purpose and are not checked.
 
-Exits non-zero listing every broken link, every orphan and every stale
-name — the CI docs job runs exactly this.
+Also fails on *unknown subcommands*: in the same documents and the
+generated ``docs/API.md``, every ``repro <subcommand>`` invocation (an
+inline code span or fenced-block line starting with ``repro``, or
+``python -m repro ...`` anywhere in one) must name a subcommand that
+``src/repro/cli.py`` registers with ``add_parser``.  The names are read
+from the parsed source, so here too nothing is imported.
+
+Exits non-zero listing every broken link, every orphan, every stale
+name and every unknown subcommand — the CI docs job runs exactly this.
 
 Usage::
 
@@ -57,6 +64,10 @@ LINE_SUFFIX_RE = re.compile(r":\d+(-\d+)?$")
 #: A dotted ``repro.*`` name (a call's parentheses are not part of it).
 MODULE_RE = re.compile(r"repro(\.\w+)+")
 
+#: A ``repro <subcommand>`` invocation: at the start of a code span or
+#: fenced line (after an optional ``$`` prompt), or after ``-m``.
+SUBCOMMAND_RE = re.compile(r"(?:^\$?\s*|-m\s+)repro\s+([a-z][\w-]*)")
+
 
 def iter_prose(path: pathlib.Path):
     """Yield (line_number, line) for every line outside fenced blocks."""
@@ -83,6 +94,48 @@ def iter_code_words(path: pathlib.Path):
         for match in CODE_RE.finditer(line):
             for word in match.group(1).split():
                 yield lineno, word
+
+
+def iter_code_text(path: pathlib.Path):
+    """Yield (line_number, text) for every fenced-block line and every
+    inline code span outside fenced blocks."""
+    inside_fence = False
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.lstrip().startswith("```"):
+            inside_fence = not inside_fence
+        elif inside_fence:
+            yield lineno, line.strip()
+        else:
+            for match in CODE_RE.finditer(line):
+                yield lineno, match.group(1)
+
+
+def cli_subcommands(root: pathlib.Path):
+    """The subcommands ``src/repro/cli.py`` registers with ``add_parser``
+    (parsed, never imported); None when there is no CLI module."""
+    cli = root / "src" / "repro" / "cli.py"
+    if not cli.exists():
+        return None
+    return {
+        node.args[0].value
+        for node in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_parser"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def check_subcommands(path: pathlib.Path, known: set) -> list:
+    """Every ``repro <subcommand>`` in one Markdown file that the CLI
+    does not register."""
+    return [
+        f"{path}:{lineno}: unknown subcommand -> repro {match.group(1)}"
+        for lineno, text in iter_code_text(path)
+        for match in SUBCOMMAND_RE.finditer(text)
+        if match.group(1) not in known
+    ]
 
 
 def top_level_names(module: pathlib.Path) -> set:
@@ -233,6 +286,10 @@ def main(argv=None) -> int:
     named += [path for path in sorted(root.glob("docs/*.md")) if path not in generated]
     for path in named:
         problems.extend(check_names(path, root))
+    known = cli_subcommands(root)
+    if known is not None:
+        for path in sorted(set(files) | set(named)):
+            problems.extend(check_subcommands(path, known))
     for orphan in find_orphans(root):
         problems.append(
             f"{orphan}: orphaned (not reachable from "

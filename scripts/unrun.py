@@ -70,13 +70,14 @@ SAMPLE: Tuple[Tuple[str, ...], ...] = (
     ("-m", "repro", "run", "PR", "--scale", "0.05", "--policy", "deca",
      "--verify"),
     ("-m", "repro", "run", "SSSP", "--scale", "1"),
-    ("-m", "repro", "compare", "CC", "--scale", "0.05", "--jobs", "2"),
-    ("-m", "repro", "compare", "LR", "--scale", "0.05", "--trace",
-     "--policies", "panthera", "deca"),
-    ("-m", "repro", "trace", "TC", "--scale", "0.02", "--check",
+    ("-m", "repro", "matrix", "--workloads", "CC", "--scale", "0.05", "--jobs",
+     "2"),
+    ("-m", "repro", "matrix", "--workloads", "LR", "--scale", "0.05",
+     "--trace", "--policies", "panthera", "deca"),
+    ("-m", "repro", "run", "TC", "--scale", "0.02", "--trace", "--check",
      "--export-jsonl", "{tmp}/trace.jsonl"),
-    ("-m", "repro", "trace", "PR", "--scale", "0.05", "--persist",
-     "MEMORY_ONLY_SER", "--iterations", "3", "--check"),
+    ("-m", "repro", "run", "PR", "--scale", "0.05", "--persist",
+     "MEMORY_ONLY_SER", "--iterations", "3", "--trace", "--check"),
     ("-m", "repro", "analyze", "BC", "--lifetimes"),
     ("-m", "repro", "faults", "KM", "--scale", "0.05", "--persist",
      "MEMORY_ONLY_SER", "--random", "3", "--seed", "1", "--balloon", "0.5",

@@ -3,7 +3,8 @@
 Examples::
 
     python -m repro run PR --policy panthera --heap 64 --ratio 0.333 --scale 0.1
-    python -m repro compare KM --scale 0.1
+    python -m repro run PR --scale 0.1 --check
+    python -m repro matrix --workloads KM --scale 0.1
     python -m repro analyze PR
     python -m repro list
 """
@@ -18,7 +19,7 @@ from repro.config import PolicyName
 from repro.core.static_analysis import analyze_program
 from repro.harness.configs import paper_config
 from repro.harness.experiment import run_experiment
-from repro.harness.report import format_markdown_table, normalize_results, summarize
+from repro.harness.report import summarize
 from repro.spark.storage import StorageLevel
 from repro.workloads.registry import WORKLOADS, build_workload
 
@@ -26,66 +27,88 @@ _POLICY_CHOICES = {p.value: p for p in PolicyName}
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --jobs: an integer >= 1."""
+    """argparse type for counts such as --jobs: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("workload", help="PR, KM, LR, TC, CC, SSSP or BC")
+def _add_node(parser: argparse.ArgumentParser) -> None:
+    """The node configuration: heap size and DRAM share."""
     parser.add_argument("--heap", type=float, default=64.0, help="heap size in GB")
     parser.add_argument(
         "--ratio", type=float, default=1 / 3, help="DRAM share of physical memory"
     )
+
+
+def _add_workload_options(parser: argparse.ArgumentParser) -> None:
+    """--scale, and the overrides forwarded to the workload builder."""
     parser.add_argument(
         "--scale", type=float, default=0.1, help="joint data/heap scale factor"
     )
     parser.add_argument(
-        "--iterations", type=int, default=None, help="override workload iterations"
+        "--iterations",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help="override workload iterations (every workload but BC)",
     )
     parser.add_argument(
         "--persist",
         choices=sorted(level.value for level in StorageLevel),
         default=None,
         metavar="LEVEL",
-        help="override the workload's main persist level (PR and KM; "
+        help="override the workload's main persist level (PR, KM and LR; "
         "e.g. MEMORY_ONLY_SER routes to the serialized off-heap tier)",
     )
 
 
+def _add_common(parser: argparse.ArgumentParser, node: bool = True) -> None:
+    """One workload, at a node configuration unless ``node`` is False."""
+    parser.add_argument("workload", help="PR, KM, LR, TC, CC, SSSP or BC")
+    if node:
+        _add_node(parser)
+    _add_workload_options(parser)
+
+
 def _workload_kwargs(args) -> dict:
     kwargs = {}
-    if args.iterations:
+    if args.iterations is not None:
         kwargs["iterations"] = args.iterations
-    if getattr(args, "persist", None):
+    if args.persist:
         kwargs["persist_level"] = StorageLevel(args.persist)
     return kwargs
 
 
-def _print_trace_report(result, top_n: int = 10) -> None:
+def _print_trace_report(result) -> None:
     """Render one result's recorded trace (timeline + residency table)."""
     from repro.trace import render_trace_report
 
     print(
-        render_trace_report(
-            result.trace_events or [], end_ns=result.elapsed_s * 1e9, top_n=top_n
-        )
+        render_trace_report(result.trace_events or [], end_ns=result.elapsed_s * 1e9)
     )
+
+
+def _report_problems(label: str, problems: List[str]) -> int:
+    """Print one consistency check's verdict; 1 when it found problems."""
+    print(f"  {label}: " + ("consistent" if not problems else "; ".join(problems)))
+    return 1 if problems else 0
 
 
 def cmd_run(args) -> int:
     """``repro run``: one workload under one configuration."""
     policy = _POLICY_CHOICES[args.policy]
     config = paper_config(args.heap, args.ratio, policy, args.scale)
-    keep = bool(args.gclog or args.export_bandwidth or args.verify)
+    trace = bool(args.trace or args.check or args.export_jsonl)
+    keep = bool(args.gclog or args.export_bandwidth or args.verify or args.check)
     result = run_experiment(
         args.workload,
         config,
         scale=args.scale,
         workload_kwargs=_workload_kwargs(args),
         keep_context=keep,
+        trace=trace,
     )
     print(summarize(result))
     print(f"  mutator: {result.mutator_s:.1f}s  GC: {result.gc_s:.1f}s "
@@ -107,6 +130,9 @@ def cmd_run(args) -> int:
             result.context.collector.stats, result.elapsed_s, tail=args.gclog
         ):
             print("  " + line)
+    if trace:
+        print()
+        _print_trace_report(result)
     if args.export_json:
         from repro.harness.export import results_to_json
 
@@ -119,93 +145,30 @@ def cmd_run(args) -> int:
         with open(args.export_bandwidth, "w") as fh:
             fh.write(bandwidth_series_to_csv(result))
         print(f"  wrote {args.export_bandwidth}")
+    if args.export_jsonl:
+        from repro.trace import write_events_jsonl
+
+        write_events_jsonl(result.trace_events, args.export_jsonl)
+        print(f"  wrote {args.export_jsonl} ({len(result.trace_events)} events)")
+    status = 0
     if args.verify:
         from repro.heap.verify import verify_heap
 
-        problems = verify_heap(result.context.heap)
-        print(
-            "  heap verification: "
-            + ("consistent" if not problems else "; ".join(problems))
+        status |= _report_problems(
+            "heap verification", verify_heap(result.context.heap)
         )
-        return 1 if problems else 0
-    return 0
-
-
-def cmd_compare(args) -> int:
-    """``repro compare``: selected policies side by side."""
-    from repro.harness.engine import ExperimentEngine, ExperimentPoint
-
-    names = getattr(args, "policies", None) or [
-        "dram-only",
-        "unmanaged",
-        "panthera",
-    ]
-    policies = {name: _POLICY_CHOICES[name] for name in names}
-    baseline = names[0]
-    engine = ExperimentEngine(jobs=getattr(args, "jobs", 1))
-    points = [
-        ExperimentPoint(
-            args.workload,
-            paper_config(args.heap, args.ratio, policy, args.scale),
-            args.scale,
-            workload_kwargs=_workload_kwargs(args),
-            trace=bool(getattr(args, "trace", False)),
-        )
-        for policy in policies.values()
-    ]
-    results = dict(zip(policies.keys(), engine.run(points)))
-    for result in results.values():
-        print(summarize(result))
-    normalized = normalize_results(results, baseline)
-    rows = [
-        [name, values["time"], values["energy"]]
-        for name, values in normalized.items()
-    ]
-    print()
-    print(
-        format_markdown_table(
-            ["configuration", "time (norm.)", "energy (norm.)"], rows
-        )
-    )
-    if getattr(args, "trace", False):
-        for name, result in results.items():
-            print()
-            print(f"### trace: {args.workload} [{name}]")
-            _print_trace_report(result)
-    return 0
-
-
-def cmd_trace(args) -> int:
-    """``repro trace``: record, check and render one run's heap trace."""
-    from repro.trace import oracle_check, write_events_jsonl
-
-    policy = _POLICY_CHOICES[args.policy]
-    config = paper_config(args.heap, args.ratio, policy, args.scale)
-    result = run_experiment(
-        args.workload,
-        config,
-        scale=args.scale,
-        workload_kwargs=_workload_kwargs(args),
-        keep_context=True,
-        trace=True,
-    )
-    events = result.trace_events or []
-    print(summarize(result))
-    print()
-    _print_trace_report(result, top_n=args.top)
-    if args.export_jsonl:
-        write_events_jsonl(events, args.export_jsonl)
-        print(f"  wrote {args.export_jsonl} ({len(events)} events)")
     if args.check:
-        problems = oracle_check(
-            result.context.heap, result.context.collector.stats, events
+        from repro.trace import oracle_check
+
+        status |= _report_problems(
+            "replay oracle",
+            oracle_check(
+                result.context.heap,
+                result.context.collector.stats,
+                result.trace_events,
+            ),
         )
-        print(
-            "  replay oracle: "
-            + ("consistent" if not problems else "; ".join(problems))
-        )
-        return 1 if problems else 0
-    return 0
+    return status
 
 
 def _parse_kill(text: str):
@@ -463,8 +426,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    """``repro matrix``: the full workload x policy matrix."""
-    from repro.harness.matrix import matrix_report, run_matrix
+    """``repro matrix``: workloads x policies, normalised to the first
+    policy (one workload with ``--workloads KM``)."""
+    from repro.harness.matrix import DEFAULT_POLICIES, matrix_report, run_matrix
 
     def on_event(event):
         tick = f"[{event.completed}/{event.total}]"
@@ -479,11 +443,9 @@ def cmd_matrix(args) -> int:
                 flush=True,
             )
 
-    from repro.harness.matrix import DEFAULT_POLICIES
-
     policies = (
         tuple(_POLICY_CHOICES[name] for name in args.policies)
-        if getattr(args, "policies", None)
+        if args.policies
         else DEFAULT_POLICIES
     )
     matrix = run_matrix(
@@ -496,6 +458,7 @@ def cmd_matrix(args) -> int:
         cache_dir=args.cache_dir,
         on_event=on_event,
         trace=args.trace,
+        workload_kwargs=_workload_kwargs(args),
     )
     print()
     print(matrix_report(matrix, baseline=policies[0].value))
@@ -601,64 +564,24 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="verify heap invariants after the run",
     )
-    run_parser.set_defaults(fn=cmd_run)
-
-    compare_parser = sub.add_parser(
-        "compare", help="run DRAM-only / unmanaged / Panthera side by side"
-    )
-    _add_common(compare_parser)
-    compare_parser.add_argument(
-        "--policies",
-        nargs="+",
-        choices=sorted(_POLICY_CHOICES),
-        default=None,
-        metavar="POLICY",
-        help="policies to compare, first is the normalisation baseline "
-        "(default: dram-only unmanaged panthera; e.g. "
-        "--policies panthera deca for the rival-policy ablation)",
-    )
-    compare_parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes (results identical to serial)",
-    )
-    compare_parser.add_argument(
+    run_parser.add_argument(
         "--trace",
         action="store_true",
-        help="record heap traces and print a report per policy",
+        help="record the heap event trace and print its timeline and "
+        "residency table",
     )
-    compare_parser.set_defaults(fn=cmd_compare)
-
-    trace_parser = sub.add_parser(
-        "trace", help="record and render one run's heap event trace"
-    )
-    _add_common(trace_parser)
-    trace_parser.add_argument(
-        "--policy",
-        choices=sorted(_POLICY_CHOICES),
-        default="panthera",
-        help="placement policy",
-    )
-    trace_parser.add_argument(
-        "--top",
-        type=_positive_int,
-        default=10,
-        metavar="N",
-        help="RDD rows in the residency table",
-    )
-    trace_parser.add_argument(
-        "--export-jsonl",
-        metavar="PATH",
-        help="write the raw event stream as JSON lines",
-    )
-    trace_parser.add_argument(
+    run_parser.add_argument(
         "--check",
         action="store_true",
-        help="run the trace-replay oracle against the final heap state",
+        help="run the trace-replay oracle against the final heap state "
+        "(implies --trace)",
     )
-    trace_parser.set_defaults(fn=cmd_trace)
+    run_parser.add_argument(
+        "--export-jsonl",
+        metavar="PATH",
+        help="write the raw event stream as JSON lines (implies --trace)",
+    )
+    run_parser.set_defaults(fn=cmd_run)
 
     faults_parser = sub.add_parser(
         "faults",
@@ -806,7 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="base data scale before per-tenant multipliers",
     )
     cluster_parser.add_argument(
-        "--iterations", type=int, default=None, help="override workload iterations"
+        "--iterations",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help="override workload iterations",
     )
     cluster_parser.add_argument(
         "--max-jobs",
@@ -871,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser = sub.add_parser(
         "analyze", help="show the §3 static analysis for a workload"
     )
-    _add_common(analyze_parser)
+    _add_common(analyze_parser, node=False)
     analyze_parser.add_argument(
         "--lifetimes",
         action="store_true",
@@ -923,11 +850,11 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.set_defaults(fn=cmd_list)
 
     matrix_parser = sub.add_parser(
-        "matrix", help="run the full workload x policy matrix"
+        "matrix",
+        help="run workloads x policies, normalised to the first policy",
     )
-    matrix_parser.add_argument("--heap", type=float, default=64.0)
-    matrix_parser.add_argument("--ratio", type=float, default=1 / 3)
-    matrix_parser.add_argument("--scale", type=float, default=0.1)
+    _add_node(matrix_parser)
+    _add_workload_options(matrix_parser)
     matrix_parser.add_argument(
         "--workloads",
         nargs="*",
@@ -941,7 +868,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="POLICY",
         help="policies to run, first is the normalisation baseline "
-        "(default: dram-only unmanaged panthera)",
+        "(default: dram-only unmanaged panthera; e.g. "
+        "--policies panthera deca for the rival-policy ablation)",
     )
     matrix_parser.add_argument(
         "--jobs",

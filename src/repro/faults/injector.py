@@ -225,19 +225,9 @@ class FaultInjector:
         """Destroy one persisted in-memory block (deterministic pick)."""
         manager = self.ctx.block_manager
         candidates = [b for b in manager.blocks() if not b.on_disk]
-        if kill.rdd_name is not None:
-            candidates = [
-                b
-                for b in candidates
-                if self._rdd_name(b.rdd_id) == kill.rdd_name
-            ]
         if not candidates:
             return False
         return self._kill_block(min(candidates, key=lambda b: b.rdd_id).rdd_id)
-
-    def _rdd_name(self, rdd_id: int) -> Optional[str]:
-        rdd = self.ctx._rdds.get(rdd_id)
-        return rdd.name if rdd is not None else None
 
     def _fire_executor_kill(self, kill) -> bool:
         """Lose one cluster executor: every reduce partition of this

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import FaultError
 
@@ -52,16 +52,13 @@ class KillSpec:
             execution order).
         partition: reduce partition to lose (``shuffle`` kills; taken
             modulo the shuffle's partition count).  Ignored for
-            ``block`` kills.
-        rdd_name: for ``block`` kills, the name of the persisted RDD to
-            drop; None picks the live in-memory block with the smallest
-            RDD id (deterministic).
+            ``block`` kills, which drop the live in-memory block with
+            the smallest RDD id (deterministic).
     """
 
     kind: str
     at_boundary: int
     partition: int = 0
-    rdd_name: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KILL_KINDS:
@@ -72,15 +69,12 @@ class KillSpec:
             raise FaultError("partition must be >= 0")
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation (None fields omitted)."""
-        row: Dict[str, Any] = {
+        """JSON-safe representation."""
+        return {
             "kind": self.kind,
             "at_boundary": self.at_boundary,
             "partition": self.partition,
         }
-        if self.rdd_name is not None:
-            row["rdd_name"] = self.rdd_name
-        return row
 
 
 @dataclass(frozen=True)

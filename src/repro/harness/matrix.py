@@ -13,13 +13,13 @@ cells across a process pool (bit-identical to the serial run) and
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.config import PolicyName
 from repro.harness.configs import paper_config
 from repro.harness.engine import EventCallback, ExperimentEngine, ExperimentPoint
 from repro.harness.experiment import ExperimentResult
-from repro.harness.report import format_markdown_table
+from repro.harness.report import format_markdown_table, normalize_results
 from repro.workloads.registry import WORKLOADS
 
 DEFAULT_POLICIES = (
@@ -39,6 +39,7 @@ def run_matrix(
     cache_dir: Optional[os.PathLike] = None,
     on_event: Optional[EventCallback] = None,
     trace: bool = False,
+    workload_kwargs: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Dict[str, ExperimentResult]]:
     """Run every (workload, policy) combination.
 
@@ -55,6 +56,8 @@ def run_matrix(
             callback for live status rendering.
         trace: record each cell's heap event stream (attached to the
             results as ``trace_events``; identical for any ``jobs``).
+        workload_kwargs: forwarded to every cell's workload builder
+            (e.g. ``{"iterations": 3}``).
 
     Returns:
         ``{workload: {policy value: result}}``.
@@ -67,6 +70,7 @@ def run_matrix(
             workload,
             paper_config(heap_gb, dram_ratio, policy, scale),
             scale,
+            workload_kwargs=dict(workload_kwargs or {}),
             trace=trace,
         )
         for workload in chosen
@@ -93,12 +97,10 @@ def matrix_report(
         headers.extend([f"{policy} time", f"{policy} energy", f"{policy} GC"])
     rows: List[List[object]] = []
     for workload, results in matrix.items():
-        base = results[baseline]
+        normalized = normalize_results(results, baseline)
         row: List[object] = [workload]
         for policy in policies:
-            r = results[policy]
-            row.append(r.elapsed_s / base.elapsed_s if base.elapsed_s else 0.0)
-            row.append(r.energy_j / base.energy_j if base.energy_j else 0.0)
-            row.append(r.gc_s / base.gc_s if base.gc_s else 0.0)
+            ratios = normalized[policy]
+            row.extend([ratios["time"], ratios["energy"], ratios["gc"]])
         rows.append(row)
     return format_markdown_table(headers, rows)

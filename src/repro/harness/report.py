@@ -16,7 +16,8 @@ def normalize_results(
     N GB DRAM-only".
 
     Returns:
-        key -> {"time": t, "energy": e} with the baseline at 1.0.
+        key -> {"time": t, "energy": e, "gc": g} with the baseline at
+        1.0; the GC ratio reads 0.0 when the baseline paused for no GC.
     """
     if baseline not in results:
         raise KeyError(f"baseline {baseline!r} missing from results")
@@ -27,6 +28,7 @@ def normalize_results(
         key: {
             "time": r.elapsed_s / base.elapsed_s,
             "energy": r.energy_j / base.energy_j,
+            "gc": r.gc_s / base.gc_s if base.gc_s else 0.0,
         }
         for key, r in results.items()
     }

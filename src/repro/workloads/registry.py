@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import inspect
+from typing import Callable, Dict, FrozenSet
 
 from repro.errors import ReproError
 from repro.workloads.graphx import build_connected_components, build_sssp
@@ -23,6 +24,13 @@ WORKLOADS: Dict[str, Callable[..., WorkloadSpec]] = {
     "BC": build_naive_bayes,
 }
 
+#: Each builder's keyword names, read once: every run builds its
+#: workload, so the check in :func:`build_workload` is a set lookup.
+_ACCEPTS: Dict[str, FrozenSet[str]] = {
+    name: frozenset(inspect.signature(builder).parameters)
+    for name, builder in WORKLOADS.items()
+}
+
 
 def build_workload(name: str, **kwargs) -> WorkloadSpec:
     """Build a workload by its Table 4 abbreviation.
@@ -35,11 +43,20 @@ def build_workload(name: str, **kwargs) -> WorkloadSpec:
     Args:
         name: one of PR, KM, LR, TC, CC, SSSP, BC.
         **kwargs: forwarded to the builder (``scale``, ``iterations``,
-            ``seed``, ``dataset``).
+            ``seed``, ``dataset``, ``persist_level``).
+
+    Raises:
+        ReproError: for an unknown workload, or a keyword its builder
+            does not take (the message names the workloads that do).
     """
-    try:
-        builder = WORKLOADS[name.upper()]
-    except KeyError:
+    key = name.upper()
+    if key not in WORKLOADS:
         known = ", ".join(sorted(WORKLOADS))
-        raise ReproError(f"unknown workload {name!r}; known: {known}") from None
-    return builder(**kwargs)
+        raise ReproError(f"unknown workload {name!r}; known: {known}")
+    unknown = sorted(set(kwargs) - _ACCEPTS[key])
+    if unknown:
+        takers = ", ".join(n for n in sorted(WORKLOADS) if unknown[0] in _ACCEPTS[n])
+        raise ReproError(
+            f"{key} takes no {unknown[0]!r}; workloads that do: {takers or 'none'}"
+        )
+    return WORKLOADS[key](**kwargs)

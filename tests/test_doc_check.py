@@ -55,3 +55,47 @@ class TestStaleNames:
         (root / "docs").mkdir()
         (root / "docs" / "API.md").write_text("`repro.gone`\n")
         assert check_doc_links.main(["--root", str(root)]) == 0
+
+
+class TestSubcommands:
+    def make_cli_repo(self, tmp_path, readme: str) -> pathlib.Path:
+        """A miniature repository whose CLI registers ``run`` and
+        ``matrix`` (the source is parsed, never run)."""
+        root = make_repo(tmp_path, readme)
+        (root / "src" / "repro" / "cli.py").write_text(
+            'sub.add_parser("run", help="one cell")\nsub.add_parser("matrix")\n'
+        )
+        return root
+
+    def test_registered_subcommands_pass(self, tmp_path):
+        root = self.make_cli_repo(
+            tmp_path,
+            "Try `repro run PR` or `repro --help`.\n"
+            "```\n$ repro run KM\nPYTHONPATH=src python -m repro matrix --jobs 2\n"
+            "from repro import run_experiment\n```\n",
+        )
+        assert check_doc_links.main(["--root", str(root)]) == 0
+
+    def test_stale_prose_subcommand_fails(self, tmp_path, capsys):
+        root = self.make_cli_repo(tmp_path, "Use `repro trace PR --check`.\n")
+        assert check_doc_links.main(["--root", str(root)]) == 1
+        assert "README.md:1: unknown subcommand -> repro trace" in capsys.readouterr().err
+
+    def test_stale_fenced_subcommand_fails(self, tmp_path, capsys):
+        root = self.make_cli_repo(
+            tmp_path, "```bash\nPYTHONPATH=src python -m repro compare KM\n```\n"
+        )
+        assert check_doc_links.main(["--root", str(root)]) == 1
+        assert "README.md:2: unknown subcommand -> repro compare" in capsys.readouterr().err
+
+    def test_reads_the_subcommands_argparse_registers(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        sub = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert check_doc_links.cli_subcommands(ROOT) == set(sub.choices)

@@ -226,16 +226,22 @@ class TestMatrixReportGuards:
         )
 
     def test_zero_baseline_divisions_are_guarded(self):
+        """The report normalises through ``normalize_results``: a
+        baseline without GC reads a 0.0 GC ratio, and a baseline with
+        no time or energy is rejected rather than rendered."""
         matrix = {
             "PR": {
-                "dram-only": self._result(0.0, 0.0, 0.0),
+                "dram-only": self._result(1.0, 1.0, 0.0),
                 "panthera": self._result(1.0, 2.0, 0.5),
             }
         }
         text = matrix_report(matrix)
         assert "| PR |" in text
-        for cell in text.splitlines()[-1].split("|")[2:5]:
-            assert float(cell.strip()) == 0.0
+        cells = [float(c) for c in text.splitlines()[-1].split("|")[2:5]]
+        assert cells == [1.0, 2.0, 0.0]
+        matrix["PR"]["dram-only"] = self._result(0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            matrix_report(matrix)
 
 
 class TestCliParallel:
@@ -284,10 +290,12 @@ class TestCliParallel:
     def test_compare_jobs_flag(self, capsys):
         from repro.cli import main
 
-        code = main(["compare", "PR", "--scale", str(SCALE), "--jobs", "3"])
+        code = main(
+            ["matrix", "--workloads", "PR", "--scale", str(SCALE), "--jobs", "3"]
+        )
         out = capsys.readouterr().out
         assert code == 0
-        assert "time (norm.)" in out
+        assert "| PR |" in out and "panthera time" in out
 
 
 class TestWithoutRuntimeHandles:

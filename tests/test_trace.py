@@ -295,14 +295,15 @@ class TestSession:
 
 
 class TestTraceCli:
-    def test_trace_subcommand_reports_and_checks(self, capsys, tmp_path):
+    def test_run_trace_reports_and_checks(self, capsys, tmp_path):
         from repro.cli import main
 
         out_path = tmp_path / "events.jsonl"
         code = main(
             [
-                "trace",
+                "run",
                 "PR",
+                "--trace",
                 "--scale",
                 "0.02",
                 "--iterations",
@@ -319,3 +320,12 @@ class TestTraceCli:
         assert "replay oracle: consistent" in out
         rows = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert rows and any(row["kind"] == GC_PAUSE for row in rows)
+
+    def test_check_implies_trace(self, capsys):
+        from repro.cli import main
+
+        code = main(["run", "KM", "--scale", "0.02", "--iterations", "2", "--check"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "occupancy timeline" in out
+        assert "replay oracle: consistent" in out
